@@ -2,7 +2,7 @@
 
 Two legs mirror the existing benches that define the hot paths:
 
-- **SWIR-INTERP leg** — the compiled engine's frame loop (the same
+- **SWIR-BATCH leg** — the batched engine's frame loop (the same
   largest-workload program as ``test_bench_engine``) with the metrics
   registry enabled and the tracer configured, vs everything off.  The
   engine publishes run/step counters once per ``run()``, so the median
@@ -82,9 +82,9 @@ def _telemetry_off():
 
 
 def test_engine_metrics_overhead(tmp_path):
-    """SWIR-INTERP leg: enabled telemetry costs < 5% best-of-N."""
+    """SWIR-BATCH leg: enabled telemetry costs < 5% best-of-N."""
     program, context_map = _largest_workload_program()
-    engine = create_engine(program, "compiled", context_map=context_map,
+    engine = create_engine(program, "batched", context_map=context_map,
                            max_steps=10**9)
 
     def enable():
@@ -110,7 +110,7 @@ def test_engine_metrics_overhead(tmp_path):
             metrics.enable()
 
     overhead = on_best / off_best - 1.0
-    paper_row("TELEM-OVERHEAD", "compiled engine, telemetry on vs off",
+    paper_row("TELEM-OVERHEAD", "batched engine, telemetry on vs off",
               "< 5% overhead",
               f"off {off_best * 1e3:.2f}ms, on {on_best * 1e3:.2f}ms, "
               f"overhead {overhead:+.2%}")

@@ -42,7 +42,7 @@ TRAJECTORY_SCHEMA = "repro.bench_trajectory/v1"
 
 #: Benches without explicit ``benchmark.extra_info`` tags measured the
 #: default engine on the conftest full-size facerec campaign.
-DEFAULT_ENGINE = "compiled"
+DEFAULT_ENGINE = "batched"
 DEFAULT_WORKLOAD = "facerec"
 
 DEFAULT_THRESHOLD = 0.25

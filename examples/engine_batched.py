@@ -1,28 +1,24 @@
-"""Batched SWIR execution: lockstep lanes, EngineSpec, the shared JIT cache.
+"""Batched SWIR execution: the default engine, lockstep lanes, the oracle.
 
 Demonstrates the ``batched`` execution engine end to end:
 
-1. select engines through :class:`repro.swir.EngineSpec` (the typed
-   selector every API layer accepts — strings still coerce);
+1. select engines by name — ``"batched"`` (the default) or ``"ast"``
+   (the reference interpreter, the bit-identity oracle);
 2. run a whole sweep of input vectors through **one** generated-Python
    program with :meth:`run_batch`, each lane bit-identical to a
    standalone interpreter run (including lanes that fail);
 3. inject per-lane stuck-at faults in the same batch call;
-4. warm the fleet-shared JIT source cache in a
-   :class:`repro.store.CampaignStore` and show a fresh engine loading
-   the cached source instead of regenerating it.
+4. build a second engine for the same program and show it reusing the
+   in-process compiled code.
 
 Run:  PYTHONPATH=src python examples/engine_batched.py
 """
 
-import tempfile
-
-from repro.store import CampaignStore
-from repro.swir import EngineSpec, engine_names, engine_batched
+from repro.swir import DEFAULT_ENGINE, ENGINES, engine_batched
 from repro.swir.ast import BinOp, Call, Const, Var
 from repro.swir.builder import FunctionBuilder, ProgramBuilder
 from repro.swir.engine import create_engine
-from repro.swir.interp import Fault, Interpreter
+from repro.swir.interp import Fault
 
 
 def build_program():
@@ -45,16 +41,11 @@ def build_program():
 def main() -> None:
     program = build_program()
 
-    # --- EngineSpec: the typed selector ------------------------------
-    # Strings, "name:key=value" forms and mappings all coerce to the
-    # same frozen spec; `repro engine ls` prints this registry.
-    spec = EngineSpec.parse("batched:batch_width=16")
-    assert spec == EngineSpec("batched", batch_width=16)
-    print(f"registered engines : {', '.join(engine_names())}")
-    print(f"selected           : {spec.to_value()}")
-
-    engine = create_engine(program, spec)
-    reference = Interpreter(program)
+    # --- Selection by name -------------------------------------------
+    print(f"engines            : {', '.join(ENGINES)} "
+          f"(default: {DEFAULT_ENGINE})")
+    engine = create_engine(program)
+    reference = create_engine(program, "ast")
 
     # --- A sweep as one batch ----------------------------------------
     # 100 (seed, words) points, one generated program, lockstep lanes.
@@ -88,21 +79,14 @@ def main() -> None:
     print(f"fault lanes        : {len(faults)} injected, "
           f"{detected} observably detected")
 
-    # --- The shared JIT source cache ---------------------------------
-    # With a campaign store attached, the generated source is published
-    # under the program hash + engine revision; any later process (or
-    # fleet runner) loads it instead of regenerating.
-    with tempfile.TemporaryDirectory() as root:
-        store = CampaignStore(root)
-        first = create_engine(program, "batched", store=store)
-        # Simulate a second process: drop the in-process memo so the
-        # next engine must go to the store for its source.
-        engine_batched._SOURCE_CACHE.clear()
-        second = create_engine(program, "batched", store=store)
-        print(f"jit cache          : first engine {first.jit_source_origin}, "
-              f"second engine {second.jit_source_origin} "
-              f"(program {first.program_key[:12]}...)")
-        assert first.jit_source == second.jit_source
+    # --- The in-process code memo ------------------------------------
+    # The translation is compiled once per program (keyed by its AST
+    # fingerprint); a second engine only binds the cached code object.
+    second = create_engine(program)
+    code = engine_batched._CODE_CACHE[engine.program_key]
+    assert engine_batched._CODE_CACHE[second.program_key] is code
+    print(f"code memo          : second engine reused program "
+          f"{second.program_key[:12]}...")
 
 
 if __name__ == "__main__":

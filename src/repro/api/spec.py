@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, fields
 from dataclasses import replace as _dataclass_replace
 from typing import Any, Mapping, Optional
 
-from repro.swir.enginespec import DEFAULT_ENGINE, EngineSpec
+from repro.swir.engine import DEFAULT_ENGINE, validate_engine
 from repro.workloads import get_workload
 
 SPEC_SCHEMA = "repro.campaign_spec/v2"
@@ -56,15 +56,11 @@ class CampaignSpec:
     levels: tuple[int, ...] = ALL_LEVELS
     run_pcc: bool = False
     params: Mapping[str, Any] = field(default_factory=dict)
-    #: SWIR execution engine selector.  Accepts a name string
-    #: ("ast" | "compiled" | "batched"), a ``name:key=value`` string, an
-    #: option mapping or an :class:`~repro.swir.EngineSpec`; always
-    #: normalized to an ``EngineSpec``.  All engines produce
-    #: byte-identical result documents — the selector exists for A/B
-    #: equivalence runs and performance.  Serialized only when
-    #: non-default, so existing v2 documents (and their golden schema
-    #: outlines) are unchanged.
-    engine: EngineSpec = EngineSpec(DEFAULT_ENGINE)
+    #: SWIR execution engine name, ``"batched"`` or ``"ast"``.  Both
+    #: produce byte-identical result documents — the selector exists for
+    #: A/B equivalence runs.  Serialized only when non-default, so
+    #: default-engine v2 documents carry no ``engine`` key.
+    engine: str = DEFAULT_ENGINE
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "levels", tuple(self.levels))
@@ -82,7 +78,7 @@ class CampaignSpec:
             raise ValueError("capacity_gates must be >= 1")
         if not self.cpu:
             raise ValueError("cpu must name a CPU model")
-        object.__setattr__(self, "engine", EngineSpec.coerce(self.engine))
+        validate_engine(self.engine)
         # Resolve the workload (raises on unknown names) and delegate
         # parameter validation to it.
         self.workload_config()
@@ -133,11 +129,8 @@ class CampaignSpec:
         }
         # Optional, schema-compatible: default-engine documents stay
         # byte-identical to pre-engine ones; from_dict defaults it back.
-        # A fully-defaulted EngineSpec serializes as the bare name
-        # string, keeping pre-EngineSpec documents byte-identical too.
-        if self.engine.name != DEFAULT_ENGINE or \
-                not self.engine.options_defaulted():
-            document["engine"] = self.engine.to_value()
+        if self.engine != DEFAULT_ENGINE:
+            document["engine"] = self.engine
         return document
 
     @classmethod

@@ -85,8 +85,10 @@ class FlowStage:
     entry's key material) plus :meth:`rehydrate` (stored document back
     to a gate-able artifact).  When the session has a store configured,
     :meth:`run` then reloads the artifact from disk when present —
-    across processes and CI jobs — and persists it after computing it;
-    ``force=True`` (``Session.run``) recomputes and overwrites.
+    across processes and CI jobs — and persists it after computing it,
+    under :meth:`repro.store.CampaignStore.stage_lock`, so sessions
+    sharing a store compute each artifact once; ``force=True``
+    (``Session.run``) recomputes and overwrites.
     """
 
     name: str = ""
@@ -97,20 +99,28 @@ class FlowStage:
 
     def run(self, ctx: "Session") -> StageResult:
         start = _time.perf_counter()
-        persisting = self.persist and ctx.store is not None
-        if persisting and ctx.forcing != self.name:
-            payload = ctx.store.get_stage(self.store_identity(ctx))
-            if payload is not None:
-                return StageResult(
-                    stage=self.name, value=self.rehydrate(payload),
-                    wall_seconds=_time.perf_counter() - start,
-                    from_store=True,
-                )
-        value = self.compute(ctx)
-        if persisting:
-            ctx.store.put_stage(self.store_identity(ctx), value.to_dict())
-        return StageResult(stage=self.name, value=value,
-                           wall_seconds=_time.perf_counter() - start)
+        if not (self.persist and ctx.store is not None):
+            return StageResult(stage=self.name, value=self.compute(ctx),
+                               wall_seconds=_time.perf_counter() - start)
+        identity = self.store_identity(ctx)
+        reuse = ctx.forcing != self.name
+        payload = ctx.store.get_stage(identity) if reuse else None
+        if payload is None:
+            # A session computing this artifact right now on the same
+            # store holds the lock: wait for its entry, don't redo it.
+            with ctx.store.stage_lock(identity):
+                payload = ctx.store.get_stage(identity) if reuse else None
+                if payload is None:
+                    value = self.compute(ctx)
+                    ctx.store.put_stage(identity, value.to_dict())
+                    return StageResult(
+                        stage=self.name, value=value,
+                        wall_seconds=_time.perf_counter() - start)
+        return StageResult(
+            stage=self.name, value=self.rehydrate(payload),
+            wall_seconds=_time.perf_counter() - start,
+            from_store=True,
+        )
 
     def compute(self, ctx: "Session") -> Any:
         raise NotImplementedError
@@ -209,15 +219,13 @@ class Level1Stage(FlowStage):
     requires = ("reference",)
 
     def compute(self, ctx: "Session"):
-        # Levels 1-2 contain no SWIR execution: the engine selector is
-        # recorded but their results are engine-independent, so they are
-        # deliberately NOT sensitive_to "engine" (an engine A/B sweep
-        # reuses the cached simulations).
+        # Levels 1-2 contain no SWIR execution, so they are deliberately
+        # NOT sensitive_to "engine" (an engine A/B sweep reuses the
+        # cached simulations).
         return run_level1(
             ctx.graph, ctx.stimuli(),
             reference_trace=ctx.value("reference"),
             compare_channels=list(ctx.workload.reference_channels),
-            engine=ctx.spec.engine,
         )
 
 
@@ -238,7 +246,6 @@ class Level2Stage(FlowStage):
             profile=ctx.value("profile"),
             level1_trace=ctx.value("level1").trace,
             deadline_ps=ctx.spec.deadline_ps,
-            engine=ctx.spec.engine,
         )
 
 
@@ -260,9 +267,6 @@ class Level3Stage(FlowStage):
             profile=ctx.value("profile"),
             reference_trace=ctx.value("level1").trace,
             engine=ctx.spec.engine,
-            # The batched engine uses the campaign store as its shared
-            # JIT source cache (keyed by program hash + engine revision).
-            store=ctx.store,
         )
 
 

@@ -9,8 +9,6 @@ the pluggable :mod:`repro.workloads` registry:
 - ``campaign``  — run a :class:`~repro.api.spec.CampaignSpec` file
   (single run or grid sweep, optionally parallel with ``--jobs``);
 - ``workloads`` — list the registered workloads;
-- ``engine``    — the SWIR engine registry (``engine ls`` lists the
-  registered engines with their option schemas);
 - ``store``     — inspect/maintain a content-addressed campaign store
   (``ls``/``show``/``pack``/``gc``, with ``gc --dry-run`` previewing
   deletions and ``gc --policy 'QUERY'`` deleting a ledger query's
@@ -32,15 +30,13 @@ the pluggable :mod:`repro.workloads` registry:
 
 Every simulating command takes ``--workload`` (any registered name),
 ``--param key=value`` for workload-specific knobs and ``--engine`` to
-pick the SWIR execution engine — a registered name (``ast`` |
-``compiled`` | ``batched``) or a spec like
-``batched:batch_width=128,jit_cache=false`` — results are
-byte-identical whichever engine runs.  ``flow`` and ``campaign`` take
-``--store PATH`` to persist results in a :mod:`repro.store` directory;
-``campaign --resume`` skips grid points already completed there and
-retries recorded failures.  Commands that produce results accept
-``--json`` to emit the schema-stable machine-readable document instead
-of prose.
+pick the SWIR execution engine (``batched``, the default, or ``ast``,
+the reference interpreter) — results are byte-identical whichever
+engine runs.  ``flow`` and ``campaign`` take ``--store PATH`` to
+persist results in a :mod:`repro.store` directory; ``campaign
+--resume`` skips grid points already completed there and retries
+recorded failures.  Commands that produce results accept ``--json`` to
+emit the schema-stable machine-readable document instead of prose.
 """
 
 from __future__ import annotations
@@ -53,7 +49,7 @@ import sys
 from typing import Optional
 
 from repro.api import Campaign, CampaignSpec, Session, get_workload, workload_names
-from repro.swir import DEFAULT_ENGINE, EngineSpec, engine_names, get_engine_info
+from repro.swir import DEFAULT_ENGINE, ENGINES
 
 #: Valid ``--log-level`` / ``REPRO_LOG_LEVEL`` spellings.
 _LOG_LEVELS = ("debug", "info", "warning", "error", "critical")
@@ -112,14 +108,6 @@ def _parse_param(text: str) -> tuple[str, object]:
     return key, value
 
 
-def _parse_engine(text: str) -> EngineSpec:
-    """The ``--engine`` selector: ``name`` or ``name:key=value,...``."""
-    try:
-        return EngineSpec.parse(text)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"{exc} (see 'repro engine ls')")
-
-
 def _add_workload_args(parser: argparse.ArgumentParser,
                        frames: bool = True) -> None:
     """Workload options; ``frames`` only where the command simulates."""
@@ -130,12 +118,9 @@ def _add_workload_args(parser: argparse.ArgumentParser,
                         type=_parse_param, metavar="KEY=VALUE",
                         help="workload-specific parameter (repeatable); "
                              "values parse as JSON, falling back to string")
-    parser.add_argument("--engine", default=DEFAULT_ENGINE,
-                        type=_parse_engine, metavar="NAME[:KEY=VALUE,...]",
+    parser.add_argument("--engine", default=DEFAULT_ENGINE, choices=ENGINES,
                         help="SWIR execution engine (A/B-identical results; "
-                             f"default: {DEFAULT_ENGINE}); a registered name "
-                             "or a spec like batched:batch_width=128 — "
-                             "'repro engine ls' lists engines and options")
+                             f"default: {DEFAULT_ENGINE})")
     parser.add_argument("--identities", type=int, default=10,
                         help="[facerec] database identities (paper: 20)")
     parser.add_argument("--poses", type=int, default=2,
@@ -786,32 +771,6 @@ def cmd_workloads(args) -> int:
     return 0
 
 
-def cmd_engine(args) -> int:
-    # Mirrors ``workloads``: one row per registered engine, option
-    # schemas included, ``--json`` canonical for tooling.
-    rows = []
-    for name in engine_names():
-        info = get_engine_info(name)
-        rows.append({
-            "name": name,
-            "description": info.description,
-            "default": name == DEFAULT_ENGINE,
-            "options": info.option_schema(),
-        })
-    document = {"schema": "repro.engines/v1", "engines": rows}
-    lines = [f"{len(rows)} registered engines:"]
-    for row in rows:
-        marker = " (default)" if row["default"] else ""
-        lines.append(f"  {row['name']:<10} {row['description']}{marker}")
-        for opt_name, schema in row["options"].items():
-            lines.append(f"    --engine {row['name']}:{opt_name}=... "
-                         f"[{schema['type']}, default "
-                         f"{json.dumps(schema['default'])}] "
-                         f"{schema['description']}")
-    _emit(args, document, "\n".join(lines))
-    return 0
-
-
 def cmd_explore(args) -> int:
     from repro.platform import Explorer
 
@@ -1148,14 +1107,6 @@ def build_parser() -> argparse.ArgumentParser:
                                  help="list the registered workloads")
     _add_json_arg(p_workloads)
     p_workloads.set_defaults(func=cmd_workloads)
-
-    p_engine = sub.add_parser(
-        "engine", help="the SWIR engine registry")
-    engine_sub = p_engine.add_subparsers(dest="engine_command", required=True)
-    p_engine_ls = engine_sub.add_parser(
-        "ls", help="list registered engines and their option schemas")
-    _add_json_arg(p_engine_ls)
-    p_engine_ls.set_defaults(func=cmd_engine)
 
     p_explore = sub.add_parser("explore", help="level-2 architecture sweep")
     _add_workload_args(p_explore)

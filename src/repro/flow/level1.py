@@ -25,7 +25,6 @@ from repro.kernel.module import Module
 from repro.kernel.scheduler import Simulator
 from repro.platform.taskgraph import AppGraph
 from repro.facerec.tracing import Trace, TraceMismatch, compare_traces
-from repro.swir.engine import DEFAULT_ENGINE, validate_engine
 
 
 class _TaskModule(Module):
@@ -172,16 +171,8 @@ def run_level1(
     stimuli: dict[str, Iterable[Any]],
     reference_trace: Trace | None = None,
     compare_channels: list[str] | None = None,
-    engine: str = DEFAULT_ENGINE,
 ) -> Level1Result:
-    """Run level 1 and (optionally) the trace comparison.
-
-    Level 1 contains no SWIR execution (tasks run as native dataflow
-    processes): ``engine`` is accepted and validated so the A/B harness
-    can drive every level uniformly, and the result is engine-
-    independent by construction.
-    """
-    validate_engine(engine)
+    """Run level 1 and (optionally) the trace comparison."""
     result = UntimedModel(graph).run(stimuli)
     if reference_trace is not None:
         result.reference_mismatches = compare_traces(

@@ -18,7 +18,6 @@ from repro.platform.cpu import CpuModel, ARM7TDMI
 from repro.platform.partition import Partition, transformation1
 from repro.platform.profiler import Profile, profile_graph
 from repro.platform.taskgraph import AppGraph
-from repro.swir.engine import DEFAULT_ENGINE, validate_engine
 from repro.verify.lpv.realtime import DeadlineReport, FifoSizingReport, check_deadline, size_fifos
 
 
@@ -95,15 +94,9 @@ def run_level2(
     level1_trace: Optional[Trace] = None,
     deadline_ps: Optional[int] = None,
     transfer_ps_per_word: int = 20_000,
-    engine: str = DEFAULT_ENGINE,
     **arch_kwargs,
 ) -> Level2Result:
-    """Execute the full level-2 activity set on one partition.
-
-    Level 2 contains no SWIR execution: ``engine`` is accepted and
-    validated for A/B-harness uniformity (see :func:`run_level1`).
-    """
-    validate_engine(engine)
+    """Execute the full level-2 activity set on one partition."""
     stimuli = {k: list(v) for k, v in stimuli.items()}
     if profile is None:
         profile = profile_graph(graph, stimuli)

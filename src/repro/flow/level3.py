@@ -3,7 +3,10 @@
 The FPGA is instantiated, the chosen HW modules move inside it as
 contexts, the SW is instrumented with reconfiguration calls, and the
 level-2 analyses are re-run with bitstream downloads on the bus.  SymbC
-then proves the instrumented SW's reconfiguration consistency.
+then proves the instrumented SW's reconfiguration consistency, and a
+dynamic shadow run executes that SW under the selected SWIR engine
+(``"batched"`` by default, ``"ast"`` as the bit-identity oracle) to
+record its FPGA call journal.
 """
 
 from __future__ import annotations
@@ -88,7 +91,7 @@ class Level3Result:
     #: SWIR engine the dynamic shadow execution ran under, plus its FPGA
     #: journal — the run-time counterpart of SymbC's static certificate.
     #: Deliberately not serialized: `to_dict` documents are engine-
-    #: independent (byte-identical for "ast" and "compiled" by contract).
+    #: independent (byte-identical for "ast" and "batched" by contract).
     engine: str = DEFAULT_ENGINE
     dynamic_journal: list = field(default_factory=list)
     dynamic_consistency_violations: list[str] = field(default_factory=list)
@@ -155,8 +158,7 @@ def run_level3(
     reference_trace: Optional[Trace] = None,
     skip_instrumentation: Optional[set[str]] = None,
     bitstream_model: Optional[BitstreamModel] = None,
-    engine=DEFAULT_ENGINE,
-    store=None,
+    engine: str = DEFAULT_ENGINE,
     **arch_kwargs,
 ) -> Level3Result:
     """Execute the full level-3 activity set.
@@ -165,15 +167,12 @@ def run_level3(
     minimum-download feasible partition of the FPGA tasks for the
     per-frame schedule.
 
-    ``engine`` selects the SWIR execution engine (a name string, a
-    ``name:key=value`` string or an :class:`~repro.swir.EngineSpec`)
-    for the dynamic shadow run of the instrumented SW program: the whole
-    frame loop is executed concretely and its FPGA call journal
-    recorded, the run-time complement of SymbC's static consistency
-    proof.  All engines produce identical results; the selector exists
-    for A/B equivalence testing and performance.  ``store`` is an
-    optional :class:`repro.store.CampaignStore` the batched engine uses
-    as its shared JIT source cache.
+    ``engine`` names the SWIR execution engine (``"batched"`` or
+    ``"ast"``) for the dynamic shadow run of the instrumented SW
+    program: the whole frame loop is executed concretely and its FPGA
+    call journal recorded, the run-time complement of SymbC's static
+    consistency proof.  Both engines produce identical results; the
+    selector exists for A/B equivalence testing.
     """
     validate_engine(engine)
     if not partition.fpga_tasks:
@@ -208,8 +207,7 @@ def run_level3(
         sw_program, context_map = _rebuild_with_owner(graph, partition, owner,
                                                       skip_instrumentation)
     symbc = SymbcAnalyzer(sw_program, config_info).check()
-    dynamic = _dynamic_shadow_run(sw_program, context_map, stimuli, engine,
-                                  store=store)
+    dynamic = _dynamic_shadow_run(sw_program, context_map, stimuli, engine)
 
     annotator = annotator or TimingAnnotator(cpu)
     plan = FpgaPlan(
@@ -265,7 +263,7 @@ def stub_task_externals(program: Program) -> dict:
 
 
 def _dynamic_shadow_run(sw_program: Program, context_map: dict[str, str],
-                        stimuli: dict, engine, store=None):
+                        stimuli: dict, engine: str):
     """Run the instrumented frame loop concretely under ``engine``.
 
     Task bodies are stubbed (the architecture model simulates the real
@@ -281,8 +279,7 @@ def _dynamic_shadow_run(sw_program: Program, context_map: dict[str, str],
                     (frames + 1) * (sw_program.statement_count() + 4) * 2)
     executor = create_engine(sw_program, engine=engine,
                              externals=stub_task_externals(sw_program),
-                             context_map=context_map, max_steps=max_steps,
-                             store=store)
+                             context_map=context_map, max_steps=max_steps)
     return executor.run([frames])
 
 

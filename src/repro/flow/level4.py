@@ -76,22 +76,37 @@ class Level4Result:
         }
 
     def describe(self) -> str:
-        lines = ["level 4: RTL generation and verification"]
-        for module in self.modules.values():
-            stats = module.netlist.stats()
+        return describe_level4(self.to_dict())
+
+
+def describe_level4(document: dict) -> str:
+    """The level-4 report text, rendered from a ``to_dict()`` document.
+
+    Live and stored results both describe through here.  BMC only
+    establishes that a property holds up to its bound, so passing
+    modules report "hold to bound k", never a proof.
+    """
+    lines = ["level 4: RTL generation and verification"]
+    for module in document["modules"].values():
+        properties = module["properties"]
+        if module["all_properties_hold"]:
+            bound = min((p["bound"] for p in properties), default=0)
+            verdict = f"hold to bound {bound}"
+        else:
+            verdict = "FAILED"
+        wrapper = "verified" if module["wrapper_checked"] else "UNCHECKED"
+        lines.append(
+            f"  {module['name']}: {module['registers']} registers, "
+            f"{module['state_bits']} state bits; "
+            f"{len(properties)} properties {verdict}; wrapper {wrapper}"
+        )
+        pcc = module.get("pcc")
+        if pcc is not None:
             lines.append(
-                f"  {module.name}: {stats['registers']} registers, "
-                f"{stats['state_bits']} state bits; "
-                f"{len(module.property_results)} properties "
-                f"{'PROVED' if module.all_properties_hold else 'FAILED'}; "
-                f"wrapper {'verified' if module.wrapper_checked else 'UNCHECKED'}"
+                f"    PCC property coverage: {pcc['coverage']:.1%} "
+                f"({len(pcc['survivors'])} undetected mutants)"
             )
-            if module.pcc is not None:
-                lines.append(
-                    f"    PCC property coverage: {module.pcc.coverage:.1%} "
-                    f"({len(module.pcc.survivors)} undetected mutants)"
-                )
-        return "\n".join(lines)
+    return "\n".join(lines)
 
 
 #: Default interface properties every synthesised accelerator must satisfy

@@ -9,12 +9,10 @@ runner-stats snapshot, and materialises them into flat relations:
 relation                fields
 ======================  ==========================================================
 ``entry``               key, kind, spec_hash, name, workload, engine,
-                        engine_options, engine_rev, workload_rev, status,
-                        attempts, created, active_job
+                        engine_rev, workload_rev, status, attempts,
+                        created, active_job
 ``spec``                hash + every campaign-spec field (name, workload,
-                        params, …) + the *resolved* engine name and
-                        engine_options (defaults are resolved, not
-                        omitted, so campaigns filter by engine)
+                        params, …) except the engine
 ``produced_by``         key, engine, engine_rev
 ``journal_touched``     key, spec_hash, fpga_ctx, functions
 ``job``                 id, state, spec_hash, kind, name, workload, tenant,
@@ -24,6 +22,13 @@ relation                fields
 ``span``                trace, span, parent, name, start, duration_ms,
                         status, pid, attrs
 ======================  ==========================================================
+
+The engine a result was computed under comes from each envelope's
+store identity (``entry``/``produced_by``), never from the spec
+document: spec documents omit the default engine, and the default has
+changed over time, so campaigns filter by engine on ``entry``::
+
+    entry where engine == 'ast'
 
 ``entry.active_job`` is precomputed from the queue's queued/running
 jobs (:func:`repro.service.queue.active_store_keys`), so the gc-policy
@@ -69,8 +74,8 @@ LEDGER_SCHEMA = "repro.ledger/v2"
 
 #: The relations every ledger carries, and their fact schema ids.
 FACT_SCHEMAS = {
-    "entry": "repro.ledger_fact.entry/v2",
-    "spec": "repro.ledger_fact.spec/v2",
+    "entry": "repro.ledger_fact.entry/v3",
+    "spec": "repro.ledger_fact.spec/v3",
     "produced_by": "repro.ledger_fact.produced_by/v1",
     "journal_touched": "repro.ledger_fact.journal_touched/v1",
     "job": "repro.ledger_fact.job/v1",
@@ -121,14 +126,8 @@ class Ledger:
             spec_hash = content_key(spec_doc)
             if spec_hash not in specs:
                 row = {key: value for key, value in spec_doc.items()
-                       if key != "schema"}
+                       if key not in ("schema", "engine")}
                 row["hash"] = spec_hash
-                # Resolve the engine selector (absent = default, which
-                # spec documents omit): without this, default-engine and
-                # explicitly-compiled campaigns were indistinguishable
-                # to ``spec where engine == ...`` queries.
-                row["engine"], row["engine_options"] = \
-                    _resolved_engine(spec_doc.get("engine"))
                 specs[spec_hash] = row
             return spec_hash
 
@@ -178,7 +177,6 @@ class Ledger:
                 "name": name,
                 "workload": identity.get("workload"),
                 "engine": identity.get("engine"),
-                "engine_options": identity.get("engine_options"),
                 "engine_rev": identity.get("engine_revision"),
                 "workload_rev": identity.get("workload_revision"),
                 "status": entry.status,
@@ -273,21 +271,6 @@ class Ledger:
         for name, count in counts.items():
             lines.append(f"  {name:<16} {count}")
         return "\n".join(lines)
-
-
-def _resolved_engine(value: Any) -> tuple[Any, Any]:
-    """(engine name, declared option values) for any selector form.
-
-    Unparseable selectors (foreign or future documents) degrade to the
-    raw value with ``None`` options rather than dropping the row.
-    """
-    from repro.swir.enginespec import EngineSpec
-
-    try:
-        spec = EngineSpec.coerce(value)
-    except (ValueError, TypeError):
-        return value, None
-    return spec.name, spec.options()
 
 
 def _journal_contexts(entry: StoreEntry) -> list[dict]:

@@ -44,6 +44,13 @@ _JOB_SECONDS = _metrics.histogram("repro_job_seconds",
 #: Schema tag of the result bookkeeping stored on a ``done`` job record.
 RESULT_SCHEMA = "repro.service_result/v1"
 
+#: Held from creating a job child's pipes until the parent has closed
+#: their child ends.  A child forked meanwhile by another worker thread
+#: would inherit those ends, and this job's result pipe and exit
+#: sentinel would then stay open until that unrelated child exited too:
+#: a short job started beside a long one would only finish with it.
+_SPAWN_LOCK = threading.Lock()
+
 
 class WorkerCrash(RuntimeError):
     """A job's child process died without reporting a result."""
@@ -131,13 +138,14 @@ def spawn_job_child(job_doc: dict, store_root: str):
     fleet.
     """
     ctx = fork_context()
-    parent_conn, child_conn = ctx.Pipe(duplex=False)
-    process = ctx.Process(target=_child_main,
-                          args=(child_conn, job_doc, store_root,
-                                telemetry.handoff()),
-                          daemon=True)
-    process.start()
-    child_conn.close()
+    with _SPAWN_LOCK:
+        parent_conn, child_conn = ctx.Pipe(duplex=False)
+        process = ctx.Process(target=_child_main,
+                              args=(child_conn, job_doc, store_root,
+                                    telemetry.handoff()),
+                              daemon=True)
+        process.start()
+        child_conn.close()
     return process, parent_conn
 
 

@@ -42,6 +42,7 @@ subcommand.
 
 from __future__ import annotations
 
+import contextlib
 import copy
 import hashlib
 import json
@@ -49,6 +50,11 @@ import os
 import time
 from pathlib import Path
 from typing import Any, Optional
+
+try:
+    import fcntl
+except ImportError:  # pragma: no cover (no flock on platform)
+    fcntl = None
 
 from repro.records import ENTRY_SCHEMA, StoreEntry
 from repro.serialize import canonical_json, json_safe
@@ -102,21 +108,15 @@ def read_json_document(path: Path) -> Optional[dict]:
     return document if isinstance(document, dict) else None
 
 
-def engine_identity(engine) -> dict:
+def engine_identity(engine: str) -> dict:
     """The execution-engine part of an entry's content address.
 
-    Accepts any ``engine=`` selector form (name string, option mapping,
-    :class:`~repro.swir.EngineSpec`) and always records the *resolved*
-    name plus its declared option values, so batched-vs-compiled (and
-    differently-tuned batched) campaigns address — and are ledger-
-    filterable — distinctly.
+    Always records the engine name, so ast-vs-batched campaigns address
+    — and are ledger-filterable — distinctly.
     """
-    from repro.swir.engine import ENGINE_REVISION
-    from repro.swir.enginespec import EngineSpec
+    from repro.swir.engine import ENGINE_REVISION, validate_engine
 
-    spec = EngineSpec.coerce(engine)
-    return {"engine": spec.name,
-            "engine_options": spec.options(),
+    return {"engine": validate_engine(engine),
             "engine_revision": ENGINE_REVISION}
 
 
@@ -198,23 +198,9 @@ class StoredLevel4Result:
         return copy.deepcopy(self._payload)
 
     def describe(self) -> str:
-        lines = ["level 4: RTL generation and verification"]
-        for module in self.modules.values():
-            proved = "PROVED" if module["all_properties_hold"] else "FAILED"
-            wrapper = "verified" if module["wrapper_checked"] else "UNCHECKED"
-            lines.append(
-                f"  {module['name']}: {module['registers']} registers, "
-                f"{module['state_bits']} state bits; "
-                f"{len(module['properties'])} properties {proved}; "
-                f"wrapper {wrapper}"
-            )
-            if module.get("pcc") is not None:
-                pcc = module["pcc"]
-                lines.append(
-                    f"    PCC property coverage: {pcc['coverage']:.1%} "
-                    f"({len(pcc['survivors'])} undetected mutants)"
-                )
-        return "\n".join(lines)
+        from repro.flow.level4 import describe_level4
+
+        return describe_level4(self._payload)
 
 
 class CampaignStore:
@@ -224,6 +210,7 @@ class CampaignStore:
 
         <root>/store.json              manifest (schema + version)
         <root>/entries/<kk>/<key>.json one envelope per content address
+        <root>/locks/<key>.lock        stage compute locks (stage_lock)
 
     where ``<kk>`` is the first two hex digits of the key (fan-out so
     ``ls`` over large stores never lists one huge directory).
@@ -414,6 +401,23 @@ class CampaignStore:
         if envelope is None or envelope["status"] != "ok":
             return None
         return envelope["payload"]
+
+    @contextlib.contextmanager
+    def stage_lock(self, identity: dict):
+        """Hold the exclusive lock of one stage artifact on this store.
+
+        Sessions that miss the same artifact at once (two service jobs
+        of one workload, two sweep workers) then compute it once: the
+        later one waits here and reads the earlier one's entry.  It is
+        an advisory ``flock`` on ``locks/<key>.lock``, released however
+        its holder exits.
+        """
+        path = self.root / "locks" / f"{self.stage_key(identity)}.lock"
+        path.parent.mkdir(parents=True, exist_ok=True)
+        with open(path, "a") as stream:
+            if fcntl is not None:
+                fcntl.flock(stream, fcntl.LOCK_EX)
+            yield
 
     # -- writes -------------------------------------------------------------------
 

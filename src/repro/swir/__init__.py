@@ -8,17 +8,13 @@ is our stand-in for C: a small structured imperative IR with
 - :mod:`~repro.swir.builder` — a fluent DSL for writing programs;
 - :mod:`~repro.swir.cfg` — control-flow graph construction;
 - :mod:`~repro.swir.interp` — a concrete interpreter with coverage and
-  memory-initialisation tracking (the Laerte++ substrate);
-- :mod:`~repro.swir.engine` — the compiled execution engine: the same
-  programs flattened to flat instruction lists and run by a dispatch
-  loop, several times faster with bit-identical results;
-- :mod:`~repro.swir.engine_batched` — per-program generated-Python
-  execution with lockstep batch runs and a store-shared JIT source
-  cache, again bit-identical per lane;
-- :mod:`~repro.swir.enginespec` — the engine registry and the frozen
-  :class:`EngineSpec` selector every ``engine=`` entry point accepts
-  (``create_engine(program, engine="batched")`` or
-  ``engine=EngineSpec("batched", batch_width=128)``);
+  memory-initialisation tracking (the Laerte++ substrate, and the
+  ``"ast"`` engine: the bit-identity oracle);
+- :mod:`~repro.swir.engine_batched` — the default ``"batched"`` engine:
+  per-program generated-Python execution with lockstep batch runs,
+  bit-identical to the interpreter per lane;
+- :mod:`~repro.swir.engine` — engine selection by name
+  (``create_engine(program, engine="ast")``);
 - :mod:`~repro.swir.instrument` — automatic insertion of reconfiguration
   calls before FPGA function calls (the step the paper performs by hand,
   plus fault injection for the SymbC experiments).
@@ -46,24 +42,13 @@ from repro.swir.engine import (
     DEFAULT_ENGINE,
     ENGINE_REVISION,
     ENGINES,
-    CompiledEngine,
-    CompiledProgram,
-    compile_program,
     create_engine,
+    validate_engine,
 )
 from repro.swir.engine_batched import (
     BatchedEngine,
     LaneOutcome,
     program_fingerprint,
-)
-from repro.swir.enginespec import (
-    ENGINE_REGISTRY,
-    EngineInfo,
-    EngineOption,
-    EngineSpec,
-    engine_names,
-    get_engine_info,
-    validate_engine,
 )
 from repro.swir.interp import CoverageData, ExecutionResult, Interpreter, InterpError
 from repro.swir.instrument import instrument_reconfiguration, strip_reconfiguration
@@ -95,20 +80,11 @@ __all__ = [
     "DEFAULT_ENGINE",
     "ENGINE_REVISION",
     "ENGINES",
-    "ENGINE_REGISTRY",
-    "CompiledEngine",
-    "CompiledProgram",
-    "compile_program",
     "create_engine",
+    "validate_engine",
     "BatchedEngine",
     "LaneOutcome",
     "program_fingerprint",
-    "EngineInfo",
-    "EngineOption",
-    "EngineSpec",
-    "engine_names",
-    "get_engine_info",
-    "validate_engine",
     "instrument_reconfiguration",
     "strip_reconfiguration",
 ]

@@ -1,735 +1,70 @@
-"""Compiled SWIR execution engine.
+"""SWIR execution-engine selection.
 
-The tree-walking :class:`~repro.swir.interp.Interpreter` re-discovers
-the program's shape on every run: each statement dispatches through
-``isinstance`` chains, every branch condition re-hashes its structural
-key, and control flow is driven by Python recursion plus a
-``_ReturnSignal`` exception.  This module removes all of that from the
-hot path with a **one-pass compiler**:
-
-- every :class:`~repro.swir.ast.Function` body is flattened into a
-  *flat instruction list* — one closure per statement — executed by a
-  program-counter dispatch loop (no recursion over the statement tree);
-- ``If``/``While`` jump targets are resolved at compile time, so a
-  branch is one closure call returning the next program counter;
-- expressions are compiled to closure trees specialised per operator
-  (no per-node ``isinstance`` or operator-string dispatch at run time);
-- coverage keys for atomic conditions (``_cond_key``, a structural hash
-  built from ``str(expr)``) are computed **once** at compile time
-  instead of on every evaluation;
-- the FPGA context owner of every :class:`~repro.swir.ast.FpgaCall` is
-  pre-resolved, so the journal/consistency hooks are plain attribute
-  appends.
-
-The engine is a drop-in replacement for the interpreter: same
-constructor signature, same :meth:`run` contract, and **bit-identical**
+Two engines execute SWIR programs, with **bit-identical**
 :class:`~repro.swir.interp.ExecutionResult` contents — return value,
 final environment, coverage sets, uninitialised-read order, FPGA
-journal, consistency violations and even the ``steps`` counter (the
-step-accounting of the tree-walker is replicated exactly so step-limit
-behaviour cannot diverge).  The differential fuzz suite in
-``tests/swir/test_engine_equiv.py`` pins this equivalence.
+journal, consistency violations and the ``steps`` counter, including
+fault and error paths:
 
-Select an engine by name with :func:`create_engine`; ``"compiled"`` is
-the default everywhere (:data:`DEFAULT_ENGINE`).
+- ``"batched"`` (:data:`DEFAULT_ENGINE`) — the generated-Python
+  :class:`~repro.swir.engine_batched.BatchedEngine`, with lockstep
+  :meth:`~repro.swir.engine_batched.BatchedEngine.run_batch` lanes;
+- ``"ast"`` — the reference tree-walking
+  :class:`~repro.swir.interp.Interpreter`, kept as the bit-identity
+  oracle the differential suite ``tests/swir/test_engine_equiv.py``
+  pins the batched engine against.
+
+An engine selector is a plain name string, checked everywhere by
+:func:`validate_engine`.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Optional
+from typing import Callable, Optional
 
-from repro.swir.ast import (
-    Assign,
-    BinOp,
-    Call,
-    Const,
-    Expr,
-    FpgaCall,
-    Function,
-    If,
-    Program,
-    Reconfigure,
-    Return,
-    Stmt,
-    UnOp,
-    Var,
-    While,
-)
-from repro.swir.interp import (
-    CoverageData,
-    ExecutionResult,
-    Fault,
-    InterpError,
-    Interpreter,
-    _apply_binop,
-    _cond_key,
-    _wrap,
-)
+from repro.swir.ast import Program
+from repro.swir.engine_batched import BatchedEngine
+from repro.swir.interp import Interpreter
 
-# Engine *selection* lives in :mod:`repro.swir.enginespec`: the
-# registry, :class:`EngineSpec` and its validation.  Re-exported here so
-# the historical import sites keep working.
-from repro.swir.enginespec import (  # noqa: F401  (compat re-exports)
-    DEFAULT_ENGINE,
-    ENGINES,
-    EngineSpec,
-    validate_engine,
-)
-
-#: Execution-semantics revision, part of every
-#: :mod:`repro.store` content address.  Bump whenever any engine's
-#: observable results (values, coverage, journals, step accounting)
-#: change, so stored campaign entries computed under the old semantics
-#: are retired instead of silently reused.  Also keys the batched
-#: engine's cached generated source.
+#: Execution-semantics revision, part of every :mod:`repro.store`
+#: content address.  Bump whenever any engine's observable results
+#: (values, coverage, journals, step accounting) change, so stored
+#: campaign entries computed under the old semantics are retired
+#: instead of silently reused.
 ENGINE_REVISION = 1
 
-from repro.telemetry import metrics as _metrics
+#: The engine used when no selector is given.
+DEFAULT_ENGINE = "batched"
 
-#: Shared by every engine implementation (labelled by engine name);
-#: incremented once per run() — never from inside the dispatch loop.
-ENGINE_RUNS = _metrics.counter("repro_swir_runs_total",
-                               "SWIR engine run() calls")
-ENGINE_STEPS = _metrics.counter("repro_swir_steps_total",
-                                "SWIR statement steps executed")
+#: Engine names accepted by every ``engine=`` selector.
+ENGINES = ("ast", "batched")
 
-#: Jump target returned by RETURN instructions: past the end of any
-#: realistically-sized instruction list, so the dispatch loop exits.
-_HALT = 1 << 30
-
-#: Call-depth ceiling, identical to the tree-walking interpreter.
-_MAX_CALL_DEPTH = 64
+# An alias kept only because the frozen perfbench/traced.py imports it.
+CompiledEngine = BatchedEngine
 
 
-class _RunState:
-    """Mutable per-run state shared by all instruction closures."""
+def validate_engine(engine: str) -> str:
+    """The engine name, or a ``ValueError`` naming the accepted ones.
 
-    __slots__ = (
-        "steps",
-        "max_steps",
-        "fault",
-        "coverage",
-        "statements_hit",
-        "branches_hit",
-        "conditions_hit",
-        "uninitialized_reads",
-        "fpga_journal",
-        "consistency_violations",
-        "loaded_context",
-        "call_depth",
-        "ret",
-    )
-
-    def __init__(self, max_steps: int, fault: Optional[Fault]):
-        self.steps = 0
-        self.max_steps = max_steps
-        self.fault = fault
-        self.coverage = CoverageData()
-        # Direct references to the coverage sets keep the per-statement
-        # hooks to a single attribute load + set.add.
-        self.statements_hit = self.coverage.statements_hit
-        self.branches_hit = self.coverage.branches_hit
-        self.conditions_hit = self.coverage.conditions_hit
-        self.uninitialized_reads: list[str] = []
-        self.fpga_journal: list[tuple[str, Optional[str]]] = []
-        self.consistency_violations: list[str] = []
-        self.loaded_context: Optional[str] = None
-        self.call_depth = 0
-        self.ret: Optional[int] = None
-
-
-class CompiledFunction:
-    """One function flattened to a flat instruction list.
-
-    ``code[pc]`` is a closure ``(state, env) -> next_pc``; ``disasm`` is
-    the parallel human-readable listing (op name, statement id, jump
-    targets) used by tests and debugging.
+    The one check every ``engine=`` entry point goes through (spec
+    construction, level 3, the store identity, :func:`create_engine`),
+    so the accepted set and the error message cannot drift between
+    layers.
     """
-
-    __slots__ = ("name", "params", "code", "disasm")
-
-    def __init__(self, name: str, params: tuple[str, ...]):
-        self.name = name
-        self.params = params
-        self.code: list[Callable] = []
-        self.disasm: list[str] = []
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"CompiledFunction({self.name!r}, {len(self.code)} instrs)"
-
-
-class CompiledProgram:
-    """All functions of one program in compiled form."""
-
-    __slots__ = ("entry", "functions")
-
-    def __init__(self, entry: str, functions: dict[str, CompiledFunction]):
-        self.entry = entry
-        self.functions = functions
-
-    def instruction_count(self) -> int:
-        return sum(len(f.code) for f in self.functions.values())
-
-    def disassemble(self) -> str:
-        """The whole program as a flat listing (debugging/tests)."""
-        lines = []
-        for function in self.functions.values():
-            lines.append(f"{function.name}({', '.join(function.params)}):")
-            for pc, text in enumerate(function.disasm):
-                lines.append(f"  {pc:4d}  {text}")
-        return "\n".join(lines)
-
-
-class CompiledEngine:
-    """Executes a program through its compiled instruction lists.
-
-    Drop-in for :class:`~repro.swir.interp.Interpreter`: identical
-    constructor and :meth:`run` signature, identical results.
-
-    One restriction the tree-walker does not have: ``externals`` and
-    ``context_map`` are **bound at construction** (call targets and FPGA
-    context owners are pre-resolved into the instruction closures).
-    Mutating either dict on a live engine is not supported — replaced
-    entries would keep their compile-time bindings; build a new engine
-    instead.  (Externals *added* for names that were unknown at compile
-    time do late-bind, matching the interpreter.)
-    """
-
-    def __init__(
-        self,
-        program: Program,
-        externals: Optional[dict[str, Callable]] = None,
-        context_map: Optional[dict[str, str]] = None,
-        max_steps: int = 200_000,
-    ):
-        self.program = program
-        self.externals = externals or {}
-        self.context_map = context_map or {}
-        self.max_steps = max_steps
-        #: (cell, name) pairs: calls to program functions are linked
-        #: through one-slot cells patched after every function compiles,
-        #: so mutually recursive calls dispatch without a dict lookup.
-        self._links: list[tuple[list, str]] = []
-        self._cfuncs: dict[str, CompiledFunction] = {}
-        self.compiled = self._compile(program)
-        for cell, name in self._links:
-            cell[0] = self._cfuncs[name]
-        self._links.clear()
-
-    # -- public ----------------------------------------------------------------
-
-    def run(self, inputs: dict[str, int] | list[int] | None = None,
-            fault: Optional[Fault] = None) -> ExecutionResult:
-        """Execute the entry function with the given parameter values."""
-        main = self.program.main
-        if inputs is None:
-            inputs = {}
-        if isinstance(inputs, list):
-            if len(inputs) != len(main.params):
-                raise InterpError(
-                    f"{main.name} expects {len(main.params)} inputs, got {len(inputs)}"
-                )
-            inputs = dict(zip(main.params, inputs))
-        missing = set(main.params) - set(inputs)
-        if missing:
-            raise InterpError(f"missing inputs: {sorted(missing)}")
-        state = _RunState(self.max_steps, fault)
-        env = {name: _wrap(int(value)) for name, value in inputs.items()}
-        returned = self._call(state, self._cfuncs[self.program.entry], env)
-        if _metrics.enabled:
-            ENGINE_RUNS.inc(engine="compiled")
-            ENGINE_STEPS.inc(state.steps, engine="compiled")
-        return ExecutionResult(
-            returned=returned,
-            env=env,
-            coverage=state.coverage,
-            uninitialized_reads=state.uninitialized_reads,
-            fpga_journal=state.fpga_journal,
-            consistency_violations=state.consistency_violations,
-            steps=state.steps,
-        )
-
-    # -- execution -------------------------------------------------------------
-
-    def _call(self, st: _RunState, cfunc: CompiledFunction,
-              env: dict[str, int]) -> Optional[int]:
-        """Run one compiled function frame; returns its return value."""
-        st.call_depth += 1
-        if st.call_depth > _MAX_CALL_DEPTH:
-            raise InterpError("call depth limit exceeded (recursion?)")
-        code = cfunc.code
-        n = len(code)
-        pc = 0
-        while pc < n:
-            pc = code[pc](st, env)
-        st.call_depth -= 1
-        value = st.ret
-        st.ret = None
-        return value
-
-    def _invoke(self, st: _RunState, name: str, args: list[int]) -> int:
-        """Late-bound fallback for names unresolved at compile time.
-
-        Only reachable from ``c_unknown`` call sites (the name was
-        neither a program function — those link through cells — nor a
-        registered external when the program compiled), so the runtime
-        lookup covers externals added to ``self.externals`` afterwards,
-        matching the tree-walker's late binding; anything else is the
-        interpreter's unknown-function error.
-        """
-        external = self.externals.get(name)
-        if external is not None:
-            return _wrap(int(external(*args)))
-        raise InterpError(f"unknown function {name!r}")
-
-    # -- compilation: expressions ------------------------------------------------
-
-    def _compile_expr(self, expr: Expr) -> Callable:
-        """Compile an expression to a closure ``(state, env) -> int``."""
-        if isinstance(expr, Const):
-            value = _wrap(expr.value)
-
-            def c_const(st, env, _v=value):
-                return _v
-            return c_const
-        if isinstance(expr, Var):
-            name = expr.name
-
-            def c_var(st, env, _n=name):
-                try:
-                    return env[_n]
-                except KeyError:
-                    st.uninitialized_reads.append(_n)
-                    env[_n] = 0
-                    return 0
-            return c_var
-        if isinstance(expr, UnOp):
-            operand = self._compile_expr(expr.operand)
-            if expr.op == "-":
-                def c_neg(st, env, _f=operand):
-                    return _wrap(-_f(st, env))
-                return c_neg
-            if expr.op == "~":
-                def c_inv(st, env, _f=operand):
-                    return _wrap(~_f(st, env))
-                return c_inv
-
-            def c_not(st, env, _f=operand):
-                return 0 if _f(st, env) else 1
-            return c_not
-        if isinstance(expr, BinOp):
-            left = self._compile_expr(expr.left)
-            right = self._compile_expr(expr.right)
-            op = expr.op
-            if op == "&&":
-                def c_and(st, env, _l=left, _r=right):
-                    return 1 if (_l(st, env) and _r(st, env)) else 0
-                return c_and
-            if op == "||":
-                def c_or(st, env, _l=left, _r=right):
-                    return 1 if (_l(st, env) or _r(st, env)) else 0
-                return c_or
-            return _compile_binop(op, left, right)
-        if isinstance(expr, Call):
-            argfns = tuple(self._compile_expr(a) for a in expr.args)
-            return self._compile_invoke(expr.func, argfns)
-        raise InterpError(f"cannot evaluate {expr!r}")
-
-    def _compile_invoke(self, func: str, argfns: tuple) -> Callable:
-        """Compile a call with its target pre-resolved.
-
-        Program functions are linked through a patch cell (supports
-        mutual recursion, skips the per-call registry lookup; a
-        statically visible arity mismatch compiles to the interpreter's
-        runtime error).  Externals are bound directly, specialised by
-        arity.  Names unknown at compile time defer to the runtime
-        lookup so unreachable bad call sites behave identically.
-        """
-        function = self.program.functions.get(func)
-        if function is not None:
-            params = tuple(function.params)
-            if len(argfns) != len(params):
-                message = f"{func} expects {len(params)} args"
-
-                def c_bad_arity(st, env, _m=message):
-                    raise InterpError(_m)
-                return c_bad_arity
-            cell: list = [None]
-            self._links.append((cell, func))
-            call = self._call
-
-            def c_call_fn(st, env, _fns=argfns, _cell=cell, _params=params,
-                          _call=call):
-                frame = dict(zip(_params, [f(st, env) for f in _fns]))
-                result = _call(st, _cell[0], frame)
-                return 0 if result is None else result
-            return c_call_fn
-        external = self.externals.get(func)
-        if external is not None:
-            if len(argfns) == 1:
-                arg0, = argfns
-
-                def c_ext1(st, env, _f=arg0, _ext=external):
-                    return _wrap(int(_ext(_f(st, env))))
-                return c_ext1
-            if len(argfns) == 2:
-                arg0, arg1 = argfns
-
-                def c_ext2(st, env, _f0=arg0, _f1=arg1, _ext=external):
-                    return _wrap(int(_ext(_f0(st, env), _f1(st, env))))
-                return c_ext2
-            if not argfns:
-                def c_ext0(st, env, _ext=external):
-                    return _wrap(int(_ext()))
-                return c_ext0
-
-            def c_ext_n(st, env, _fns=argfns, _ext=external):
-                return _wrap(int(_ext(*[f(st, env) for f in _fns])))
-            return c_ext_n
-        invoke = self._invoke
-
-        def c_unknown(st, env, _fns=argfns, _name=func, _invoke=invoke):
-            return _invoke(st, _name, [f(st, env) for f in _fns])
-        return c_unknown
-
-    def _compile_condition(self, expr: Expr) -> Callable:
-        """Compile a branch condition, with atomic-condition coverage.
-
-        Mirrors ``Interpreter.eval_condition``: the ``&&``/``||``/``!``
-        tree short-circuits, and every atomic leaf records its outcome
-        under its structural key — which is hashed here, once, instead
-        of on every evaluation.
-        """
-        if isinstance(expr, BinOp) and expr.op in ("&&", "||"):
-            left = self._compile_condition(expr.left)
-            right = self._compile_condition(expr.right)
-            if expr.op == "&&":
-                def c_cand(st, env, _l=left, _r=right):
-                    return _r(st, env) if _l(st, env) else 0
-                return c_cand
-
-            def c_cor(st, env, _l=left, _r=right):
-                return 1 if _l(st, env) else _r(st, env)
-            return c_cor
-        if isinstance(expr, UnOp) and expr.op == "!":
-            operand = self._compile_condition(expr.operand)
-
-            def c_cnot(st, env, _f=operand):
-                return 0 if _f(st, env) else 1
-            return c_cnot
-        value_fn = self._compile_expr(expr)
-        key = _cond_key(expr)  # structural hash, computed at compile time
-
-        def c_atom(st, env, _f=value_fn, _key=key):
-            value = _f(st, env)
-            if value:
-                st.conditions_hit.add((_key, True))
-                return 1
-            st.conditions_hit.add((_key, False))
-            return 0
-        return c_atom
-
-    # -- compilation: statements -------------------------------------------------
-
-    def _compile(self, program: Program) -> CompiledProgram:
-        for name, function in program.functions.items():
-            self._cfuncs[name] = self._compile_function(function)
-        return CompiledProgram(program.entry, self._cfuncs)
-
-    def _compile_function(self, function: Function) -> CompiledFunction:
-        cfunc = CompiledFunction(function.name, tuple(function.params))
-        self._compile_block(function.body, cfunc)
-        return cfunc
-
-    def _compile_block(self, stmts: list[Stmt], cfunc: CompiledFunction) -> None:
-        """Append instructions for a statement block (falls through)."""
-        code = cfunc.code
-        disasm = cfunc.disasm
-        for stmt in stmts:
-            sid = stmt.sid
-            if isinstance(stmt, Assign):
-                code.append(self._make_assign(sid, stmt.target,
-                                              self._compile_expr(stmt.expr),
-                                              len(code) + 1))
-                disasm.append(f"ASSIGN sid={sid} {stmt.target}")
-            elif isinstance(stmt, If):
-                slot = len(code)
-                code.append(None)
-                disasm.append("")
-                self._compile_block(stmt.then_body, cfunc)
-                if stmt.else_body:
-                    jump_slot = len(code)
-                    code.append(None)
-                    disasm.append("")
-                    else_pc = len(code)
-                    self._compile_block(stmt.else_body, cfunc)
-                    end_pc = len(code)
-                    code[jump_slot] = _make_jump(end_pc)
-                    disasm[jump_slot] = f"JUMP -> {end_pc}"
-                else:
-                    else_pc = len(code)
-                cond = self._compile_condition(stmt.cond)
-                code[slot] = self._make_if(sid, cond, slot + 1, else_pc)
-                disasm[slot] = (f"IF sid={sid} then -> {slot + 1} "
-                                f"else -> {else_pc}")
-            elif isinstance(stmt, While):
-                enter_slot = len(code)
-                code.append(None)
-                disasm.append("")
-                test_slot = len(code)
-                code.append(None)
-                disasm.append("")
-                self._compile_block(stmt.body, cfunc)
-                code.append(_make_jump(test_slot))
-                disasm.append(f"JUMP -> {test_slot}")
-                end_pc = len(code)
-                code[enter_slot] = self._make_while_enter(sid, test_slot)
-                disasm[enter_slot] = f"WHILE sid={sid} test -> {test_slot}"
-                cond = self._compile_condition(stmt.cond)
-                code[test_slot] = self._make_while_test(sid, cond,
-                                                        test_slot + 1, end_pc)
-                disasm[test_slot] = (f"WHILE_TEST sid={sid} body -> "
-                                     f"{test_slot + 1} exit -> {end_pc}")
-            elif isinstance(stmt, Return):
-                expr_fn = (self._compile_expr(stmt.expr)
-                           if stmt.expr is not None else None)
-                code.append(self._make_return(sid, expr_fn))
-                disasm.append(f"RETURN sid={sid}")
-            elif isinstance(stmt, Reconfigure):
-                code.append(self._make_reconfigure(sid, stmt.context,
-                                                   len(code) + 1))
-                disasm.append(f"RECONFIGURE sid={sid} {stmt.context!r}")
-            elif isinstance(stmt, FpgaCall):
-                argfns = tuple(self._compile_expr(a) for a in stmt.args)
-                invoke_fn = self._compile_invoke(stmt.func, argfns)
-                owner = self.context_map.get(stmt.func)
-                code.append(self._make_fpga_call(sid, stmt.func, owner,
-                                                 invoke_fn, stmt.target,
-                                                 len(code) + 1))
-                disasm.append(f"FPGA_CALL sid={sid} {stmt.func} "
-                              f"owner={owner!r} target={stmt.target}")
-            else:  # pragma: no cover - future statement kinds
-                raise InterpError(f"cannot execute {stmt!r}")
-
-    # -- instruction factories ---------------------------------------------------
-    #
-    # Every statement instruction replicates the tree-walker's
-    # ``tick()`` (one step + limit check) and statement-coverage hook
-    # before its own work, so ``steps`` and coverage stay identical.
-
-    def _make_assign(self, sid: int, target: str, expr_fn: Callable,
-                     next_pc: int) -> Callable:
-        def i_assign(st, env, _sid=sid, _t=target, _f=expr_fn, _n=next_pc):
-            st.steps += 1
-            if st.steps > st.max_steps:
-                raise InterpError(f"step limit {st.max_steps} exceeded")
-            st.statements_hit.add(_sid)
-            value = _f(st, env)
-            fault = st.fault
-            if fault is not None and fault.sid == _sid:
-                value = fault.apply(value)
-            env[_t] = value
-            return _n
-        return i_assign
-
-    def _make_if(self, sid: int, cond_fn: Callable, then_pc: int,
-                 else_pc: int) -> Callable:
-        def i_if(st, env, _sid=sid, _c=cond_fn, _t=then_pc, _e=else_pc):
-            st.steps += 1
-            if st.steps > st.max_steps:
-                raise InterpError(f"step limit {st.max_steps} exceeded")
-            st.statements_hit.add(_sid)
-            if _c(st, env):
-                st.branches_hit.add((_sid, True))
-                return _t
-            st.branches_hit.add((_sid, False))
-            return _e
-        return i_if
-
-    def _make_while_enter(self, sid: int, test_pc: int) -> Callable:
-        def i_while_enter(st, env, _sid=sid, _t=test_pc):
-            st.steps += 1
-            if st.steps > st.max_steps:
-                raise InterpError(f"step limit {st.max_steps} exceeded")
-            st.statements_hit.add(_sid)
-            return _t
-        return i_while_enter
-
-    def _make_while_test(self, sid: int, cond_fn: Callable, body_pc: int,
-                         exit_pc: int) -> Callable:
-        def i_while_test(st, env, _sid=sid, _c=cond_fn, _b=body_pc, _e=exit_pc):
-            st.steps += 1
-            if st.steps > st.max_steps:
-                raise InterpError(f"step limit {st.max_steps} exceeded")
-            if _c(st, env):
-                st.branches_hit.add((_sid, True))
-                return _b
-            st.branches_hit.add((_sid, False))
-            return _e
-        return i_while_test
-
-    def _make_return(self, sid: int, expr_fn: Optional[Callable]) -> Callable:
-        def i_return(st, env, _sid=sid, _f=expr_fn):
-            st.steps += 1
-            if st.steps > st.max_steps:
-                raise InterpError(f"step limit {st.max_steps} exceeded")
-            st.statements_hit.add(_sid)
-            st.ret = _f(st, env) if _f is not None else None
-            return _HALT
-        return i_return
-
-    def _make_reconfigure(self, sid: int, context: str,
-                          next_pc: int) -> Callable:
-        def i_reconfigure(st, env, _sid=sid, _ctx=context, _n=next_pc):
-            st.steps += 1
-            if st.steps > st.max_steps:
-                raise InterpError(f"step limit {st.max_steps} exceeded")
-            st.statements_hit.add(_sid)
-            st.loaded_context = _ctx
-            return _n
-        return i_reconfigure
-
-    def _make_fpga_call(self, sid: int, func: str, owner: Optional[str],
-                        invoke_fn: Callable, target: Optional[str],
-                        next_pc: int) -> Callable:
-        def i_fpga(st, env, _sid=sid, _func=func, _owner=owner,
-                   _inv=invoke_fn, _target=target, _n=next_pc):
-            st.steps += 1
-            if st.steps > st.max_steps:
-                raise InterpError(f"step limit {st.max_steps} exceeded")
-            st.statements_hit.add(_sid)
-            st.fpga_journal.append((_func, st.loaded_context))
-            if _owner is not None and st.loaded_context != _owner:
-                st.consistency_violations.append(_func)
-            result = _inv(st, env)
-            if _target is not None:
-                fault = st.fault
-                if fault is not None and fault.sid == _sid:
-                    result = fault.apply(result)
-                env[_target] = result
-            return _n
-        return i_fpga
-
-
-def _make_jump(target: int) -> Callable:
-    def i_jump(st, env, _t=target):
-        return _t
-    return i_jump
-
-
-# -- straight-line binop specialisation ---------------------------------------
-#
-# One closure per operator keeps the common arithmetic ops to two inner
-# calls plus a wrap, with no operator dispatch at run time.
-
-def _compile_binop(op: str, left: Callable, right: Callable) -> Callable:
-    if op == "+":
-        def c_add(st, env, _l=left, _r=right):
-            return _wrap(_l(st, env) + _r(st, env))
-        return c_add
-    if op == "-":
-        def c_sub(st, env, _l=left, _r=right):
-            return _wrap(_l(st, env) - _r(st, env))
-        return c_sub
-    if op == "*":
-        def c_mul(st, env, _l=left, _r=right):
-            return _wrap(_l(st, env) * _r(st, env))
-        return c_mul
-    if op == "==":
-        def c_eq(st, env, _l=left, _r=right):
-            return 1 if _l(st, env) == _r(st, env) else 0
-        return c_eq
-    if op == "!=":
-        def c_ne(st, env, _l=left, _r=right):
-            return 1 if _l(st, env) != _r(st, env) else 0
-        return c_ne
-    if op == "<":
-        def c_lt(st, env, _l=left, _r=right):
-            return 1 if _l(st, env) < _r(st, env) else 0
-        return c_lt
-    if op == "<=":
-        def c_le(st, env, _l=left, _r=right):
-            return 1 if _l(st, env) <= _r(st, env) else 0
-        return c_le
-    if op == ">":
-        def c_gt(st, env, _l=left, _r=right):
-            return 1 if _l(st, env) > _r(st, env) else 0
-        return c_gt
-    if op == ">=":
-        def c_ge(st, env, _l=left, _r=right):
-            return 1 if _l(st, env) >= _r(st, env) else 0
-        return c_ge
-    if op == "&":
-        def c_band(st, env, _l=left, _r=right):
-            return _wrap(_l(st, env) & _r(st, env))
-        return c_band
-    if op == "|":
-        def c_bor(st, env, _l=left, _r=right):
-            return _wrap(_l(st, env) | _r(st, env))
-        return c_bor
-    if op == "^":
-        def c_bxor(st, env, _l=left, _r=right):
-            return _wrap(_l(st, env) ^ _r(st, env))
-        return c_bxor
-    if op == "<<":
-        def c_shl(st, env, _l=left, _r=right):
-            return _wrap(_l(st, env) << (_r(st, env) & 31))
-        return c_shl
-    if op == ">>":
-        def c_shr(st, env, _l=left, _r=right):
-            return _wrap(_l(st, env) >> (_r(st, env) & 31))
-        return c_shr
-
-    # Division and modulo share the tree-walker's error paths exactly.
-    def c_div(st, env, _l=left, _r=right, _op=op):
-        return _apply_binop(_op, _l(st, env), _r(st, env))
-    return c_div
-
-
-def compile_program(program: Program,
-                    context_map: Optional[dict[str, str]] = None,
-                    externals: Optional[dict[str, Callable]] = None,
-                    max_steps: int = 200_000) -> CompiledProgram:
-    """Compile ``program`` and return the flat-instruction view.
-
-    Convenience for inspection and tests; execution normally goes
-    through :class:`CompiledEngine` (whose constructor compiles).
-    """
-    return CompiledEngine(program, externals=externals,
-                          context_map=context_map,
-                          max_steps=max_steps).compiled
+    if engine not in ENGINES:
+        raise ValueError(
+            f"unknown engine {engine!r}; expected one of {list(ENGINES)}")
+    return engine
 
 
 def create_engine(
     program: Program,
-    engine: "str | EngineSpec" = DEFAULT_ENGINE,
+    engine: str = DEFAULT_ENGINE,
     externals: Optional[dict[str, Callable]] = None,
     context_map: Optional[dict[str, str]] = None,
     max_steps: int = 200_000,
-    store: Optional[Any] = None,
 ):
-    """Build the selected execution engine for ``program``.
-
-    ``engine`` is an :class:`~repro.swir.enginespec.EngineSpec` or any
-    selector it coerces — ``"compiled"`` (default, the flat-instruction
-    dispatch loop), ``"ast"`` (the reference tree-walking interpreter)
-    or ``"batched"`` (generated-Python JIT with lockstep batch runs).
-    All engines produce identical
-    :class:`~repro.swir.interp.ExecutionResult` contents; the selector
-    exists so A/B equivalence is testable from every layer of the flow.
-
-    ``store`` is an optional :class:`repro.store.CampaignStore` the
-    batched engine uses as its shared JIT source cache; the other
-    engines ignore it.
-    """
-    spec = EngineSpec.coerce(engine)
-    if spec.name == "batched":
-        from repro.swir.engine_batched import BatchedEngine
-
-        return BatchedEngine(program, externals=externals,
-                             context_map=context_map, max_steps=max_steps,
-                             batch_width=spec.batch_width,
-                             jit_cache=spec.jit_cache, store=store)
-    cls = CompiledEngine if spec.name == "compiled" else Interpreter
+    """Build the named execution engine for ``program``."""
+    cls = BatchedEngine if validate_engine(engine) == "batched" else Interpreter
     return cls(program, externals=externals, context_map=context_map,
                max_steps=max_steps)

@@ -1,16 +1,15 @@
-"""Batched SWIR execution: per-program generated Python (a JIT cache).
+"""Batched SWIR execution: per-program generated Python.
 
-The compiled engine (:mod:`repro.swir.engine`) removed tree-walking
-dispatch but still pays one Python closure call per instruction and per
-expression node.  This module removes *that*: each program is translated
-once into plain Python source — straight-line statements, native
-``if``/``while`` control flow, expressions inlined into single bytecode
-expressions — compiled with :func:`compile` and executed as ordinary
-Python functions.  Running many stimuli frames or sweep grid points then
+The reference interpreter (:mod:`repro.swir.interp`) re-dispatches every
+statement and expression node through ``isinstance`` chains on every
+run.  This module removes that: each program is translated once into
+plain Python source — straight-line statements, native ``if``/``while``
+control flow, expressions inlined into single bytecode expressions —
+compiled with :func:`compile` and executed as ordinary Python
+functions.  Running many stimuli frames or fault-grading vectors then
 amortizes the translation: :meth:`BatchedEngine.run_batch` stages whole
-input batches (struct-of-arrays, ``batch_width`` lanes per block)
-through the one compiled program in lockstep, with per-lane fault and
-error isolation.
+input batches through the one compiled program in lockstep, with
+per-lane fault and error isolation.
 
 **Bit-identity contract.**  Results are bit-identical to the AST
 interpreter per lane — returned value, final env, coverage sets,
@@ -19,16 +18,12 @@ exact ``steps`` counter, including fault and error paths (step-limit
 vs division-by-zero ordering is preserved by ticking per statement).
 ``tests/swir/test_engine_equiv.py`` pins this differentially.
 
-**Shared JIT cache.**  Generated source depends only on the program —
+**Code memo.**  Generated source depends only on the program —
 externals are invoked through a late-binding runtime helper, FPGA
 context owners and atomic-condition coverage keys are resolved at bind
-time (``_cond_key`` is salted by ``PYTHONHASHSEED`` and must never be
-embedded in cached text) — so it is cached by
-:func:`program_fingerprint` + :data:`~repro.swir.engine.ENGINE_REVISION`
-in the campaign store (``get_stage``/``put_stage``), letting a service
-fleet share one translation per program.  The store is trusted input:
-cached source is executed, exactly like every stored result document is
-trusted by the flow.
+time (``_cond_key`` is salted by ``PYTHONHASHSEED``) — so the compiled
+code object is memoized in-process by :func:`program_fingerprint`, and
+every further engine for the same program only binds it.
 """
 
 from __future__ import annotations
@@ -54,14 +49,6 @@ from repro.swir.ast import (
     Var,
     While,
 )
-from repro.swir.engine import ENGINE_REVISION, ENGINE_RUNS, ENGINE_STEPS
-from repro.telemetry import metrics as _metrics
-
-#: Where each constructed engine's generated source came from
-#: ("generated" | "memory" | "store") — the JIT cache observability the
-#: ``jit_source_origin`` attribute exposes per instance, aggregated.
-JIT_SOURCE = _metrics.counter("repro_swir_jit_source_total",
-                              "BatchedEngine source resolutions by origin")
 from repro.swir.interp import (
     CoverageData,
     ExecutionResult,
@@ -70,27 +57,21 @@ from repro.swir.interp import (
     _cond_key,
     _wrap,
 )
+from repro.telemetry import metrics as _metrics
 
-#: Schema tag of a cached generated-source store payload.
-JIT_SCHEMA = "repro.swir_jit/v1"
+# The same instruments the interpreter counts into (the registry dedups
+# by name), labelled by engine; incremented once per run().
+_RUNS = _metrics.counter("repro_swir_runs_total",
+                         "SWIR engine run() calls")
+_STEPS = _metrics.counter("repro_swir_steps_total",
+                          "SWIR statement steps executed")
 
-#: Stage name under which generated source persists in a campaign store.
-JIT_STAGE = "swir_jit"
-
-#: Call-depth ceiling, identical to the other engines.
+#: Call-depth ceiling, identical to the interpreter.
 _MAX_CALL_DEPTH = 64
 
-#: Process-wide generated-source memo: (program fingerprint, revision).
-_SOURCE_CACHE: dict[tuple[str, int], str] = {}
-
-#: Compiled code objects keyed by source sha256 (bind is then just exec).
+#: Process-wide compiled code objects keyed by program fingerprint
+#: (building a further engine for the same program is then just exec).
 _CODE_CACHE: dict[str, Any] = {}
-
-
-def jit_cache_identity(program_key: str) -> dict:
-    """Store key material of one program's cached generated source."""
-    return {"stage": JIT_STAGE, "program": program_key,
-            "engine_revision": ENGINE_REVISION}
 
 
 # -- program fingerprint ------------------------------------------------------
@@ -98,11 +79,11 @@ def jit_cache_identity(program_key: str) -> dict:
 def program_fingerprint(program: Program) -> str:
     """Deterministic content hash of a program's full AST (with sids).
 
-    The JIT-cache key: two processes that build the same program the
-    same way (same sids, same function order) hash identically, so a
-    fleet shares one cached translation.  ``str(expr)`` is fully
-    parenthesised and covers every operator/name/constant; statement
-    kind, sid and nesting are dumped explicitly.
+    The code-memo key: two programs built the same way (same sids,
+    same function order) hash identically, so they share one compiled
+    translation.  ``str(expr)`` is fully parenthesised and covers every
+    operator/name/constant; statement kind, sid and nesting are dumped
+    explicitly.
     """
     lines = [f"swir-program/v1 entry={program.entry}"]
     for name, function in program.functions.items():
@@ -261,8 +242,7 @@ class _CodeGen:
                 f"condition-key enumeration drifted: emitted "
                 f"{self.atom_count}, collected {expected}")
         lines = [
-            "# Generated by repro.swir.engine_batched "
-            f"(engine revision {ENGINE_REVISION}).",
+            "# Generated by repro.swir.engine_batched.",
             "# Source depends only on the program AST; externals, context",
             "# owners and condition-coverage keys bind at _build() time.",
             "",
@@ -628,7 +608,7 @@ class _Runtime:
 
     Per-engine, not per-program: condition-coverage keys (hashed in this
     process), the FPGA context map, the step budget and the late-binding
-    external dispatcher all live here, so cached source stays pure.
+    external dispatcher all live here, so generated source stays pure.
     """
 
     __slots__ = ("InterpError", "max_steps", "step_limit_msg", "UNINIT",
@@ -703,13 +683,11 @@ class LaneOutcome:
 class BatchedEngine:
     """Executes a program through its generated-Python translation.
 
-    Drop-in for the other engines (same constructor core, same
-    :meth:`run` contract, bit-identical results), plus
-    :meth:`run_batch` for lockstep many-lane execution.  ``store`` is an
-    optional :class:`repro.store.CampaignStore` used as the shared JIT
-    source cache; ``jit_cache=False`` skips it.  Like
-    :class:`~repro.swir.engine.CompiledEngine`, externals *added* after
-    construction late-bind; replaced entries do not.
+    Drop-in for the :class:`~repro.swir.interp.Interpreter` (same
+    constructor, same :meth:`run` contract, bit-identical results), plus
+    :meth:`run_batch` for lockstep many-lane execution.  Externals are
+    looked up at call time, as in the interpreter; FPGA context owners
+    are bound at construction.
     """
 
     def __init__(
@@ -718,28 +696,16 @@ class BatchedEngine:
         externals: Optional[dict[str, Callable]] = None,
         context_map: Optional[dict[str, str]] = None,
         max_steps: int = 200_000,
-        batch_width: int = 64,
-        jit_cache: bool = True,
-        store: Optional[Any] = None,
     ):
         self.program = program
         self.externals = externals or {}
         self.context_map = context_map or {}
         self.max_steps = max_steps
-        self.batch_width = max(1, int(batch_width))
-        self.jit_cache = bool(jit_cache)
-        self.store = store
         self.program_key = program_fingerprint(program)
-        atoms = collect_atomic_conditions(program)
-        #: where this engine's source came from, for cache observability:
-        #: "generated" | "memory" (in-process memo) | "store"
-        self.jit_source_origin: str = "generated"
-        self.jit_source = self._obtain_source(len(atoms))
-        if _metrics.enabled:
-            JIT_SOURCE.inc(origin=self.jit_source_origin)
         runtime = _Runtime(
             max_steps=max_steps,
-            cond_keys=[_cond_key(expr) for expr in atoms],
+            cond_keys=[_cond_key(expr)
+                       for expr in collect_atomic_conditions(program)],
             context_map=self.context_map,
             externals=self.externals,
         )
@@ -748,61 +714,12 @@ class BatchedEngine:
         self._functions = namespace["_build"](runtime)
         self._entry = self._functions[program.entry]
 
-    # -- JIT cache ---------------------------------------------------------------
-
-    def _obtain_source(self, n_atoms: int) -> str:
-        cache_key = (self.program_key, ENGINE_REVISION)
-        cached = _SOURCE_CACHE.get(cache_key)
-        if cached is not None:
-            self.jit_source_origin = "memory"
-            # The memo may predate this store (an engine built without
-            # one) — publish so the fleet cache still warms up.
-            self._publish_source(cached, n_atoms, only_if_absent=True)
-            return cached
-        if self.store is not None and self.jit_cache:
-            payload = self._stored_payload(n_atoms)
-            if payload is not None:
-                self.jit_source_origin = "store"
-                _SOURCE_CACHE[cache_key] = payload["source"]
-                return payload["source"]
-        source = generate_source(self.program)
-        self.jit_source_origin = "generated"
-        _SOURCE_CACHE[cache_key] = source
-        self._publish_source(source, n_atoms)
-        return source
-
-    def _stored_payload(self, n_atoms: int) -> Optional[dict]:
-        """The store's cached source payload, if present and well-formed."""
-        payload = self.store.get_stage(jit_cache_identity(self.program_key))
-        if (isinstance(payload, dict)
-                and payload.get("schema") == JIT_SCHEMA
-                and payload.get("program") == self.program_key
-                and payload.get("atoms") == n_atoms
-                and isinstance(payload.get("source"), str)):
-            return payload
-        return None
-
-    def _publish_source(self, source: str, n_atoms: int,
-                        only_if_absent: bool = False) -> None:
-        if self.store is None or not self.jit_cache:
-            return
-        if only_if_absent and self._stored_payload(n_atoms) is not None:
-            return
-        self.store.put_stage(jit_cache_identity(self.program_key), {
-            "schema": JIT_SCHEMA,
-            "program": self.program_key,
-            "engine_revision": ENGINE_REVISION,
-            "atoms": n_atoms,
-            "source": source,
-        })
-
     def _code_object(self):
-        digest = hashlib.sha256(self.jit_source.encode("utf-8")).hexdigest()
-        code = _CODE_CACHE.get(digest)
+        code = _CODE_CACHE.get(self.program_key)
         if code is None:
-            code = compile(self.jit_source,
+            code = compile(generate_source(self.program),
                            f"<swir-jit {self.program_key[:12]}>", "exec")
-            _CODE_CACHE[digest] = code
+            _CODE_CACHE[self.program_key] = code
         return code
 
     # -- execution ---------------------------------------------------------------
@@ -829,8 +746,8 @@ class BatchedEngine:
         state = _BatchState(fault)
         returned = self._entry(state, env)
         if _metrics.enabled:
-            ENGINE_RUNS.inc(engine="batched")
-            ENGINE_STEPS.inc(state.steps, engine="batched")
+            _RUNS.inc(engine="batched")
+            _STEPS.inc(state.steps, engine="batched")
         return ExecutionResult(
             returned=returned,
             env=env,
@@ -848,13 +765,13 @@ class BatchedEngine:
     ) -> list[LaneOutcome]:
         """Run many input vectors through the one compiled program.
 
-        Lanes are staged struct-of-arrays (validated and wrapped up
-        front, executed in ``batch_width`` blocks) and are fully
-        isolated: a lane that raises — malformed inputs, division by
-        zero, step overflow — yields an error outcome without touching
-        its neighbours.  ``faults`` is ``None``, one fault applied to
-        every lane, or a per-lane sequence.  Outcomes are returned in
-        input order, each bit-identical to a standalone :meth:`run`.
+        Lanes are staged (validated and wrapped up front), then executed
+        one after another and fully isolated: a lane that raises —
+        malformed inputs, division by zero, step overflow — yields an
+        error outcome without touching its neighbours.  ``faults`` is
+        ``None``, one fault applied to every lane, or a per-lane
+        sequence.  Outcomes are returned in input order, each
+        bit-identical to a standalone :meth:`run`.
         """
         vectors = list(batch)
         if faults is None:
@@ -868,7 +785,7 @@ class BatchedEngine:
                     f"faults length {len(lane_faults)} != batch length "
                     f"{len(vectors)}")
         # Staging pass: wrap/validate every lane's inputs before any lane
-        # executes (the struct-of-arrays layout: per-lane env columns).
+        # executes.
         staged: list[Union[dict, InterpError]] = []
         for vector in vectors:
             try:
@@ -877,38 +794,32 @@ class BatchedEngine:
                 staged.append(exc)
         outcomes: list[LaneOutcome] = []
         entry = self._entry
-        for start in range(0, len(staged), self.batch_width):
-            block = staged[start:start + self.batch_width]
-            block_faults = lane_faults[start:start + self.batch_width]
-            for env, fault in zip(block, block_faults):
-                if isinstance(env, InterpError):
-                    outcomes.append(LaneOutcome(None, str(env)))
-                    continue
-                state = _BatchState(fault)
-                try:
-                    returned = entry(state, env)
-                except InterpError as exc:
-                    outcomes.append(LaneOutcome(None, str(exc)))
-                    continue
-                outcomes.append(LaneOutcome(ExecutionResult(
-                    returned=returned,
-                    env=env,
-                    coverage=state.coverage,
-                    uninitialized_reads=state.uninitialized_reads,
-                    fpga_journal=state.fpga_journal,
-                    consistency_violations=state.consistency_violations,
-                    steps=state.steps,
-                )))
+        for env, fault in zip(staged, lane_faults):
+            if isinstance(env, InterpError):
+                outcomes.append(LaneOutcome(None, str(env)))
+                continue
+            state = _BatchState(fault)
+            try:
+                returned = entry(state, env)
+            except InterpError as exc:
+                outcomes.append(LaneOutcome(None, str(exc)))
+                continue
+            outcomes.append(LaneOutcome(ExecutionResult(
+                returned=returned,
+                env=env,
+                coverage=state.coverage,
+                uninitialized_reads=state.uninitialized_reads,
+                fpga_journal=state.fpga_journal,
+                consistency_violations=state.consistency_violations,
+                steps=state.steps,
+            )))
         return outcomes
 
 
 __all__ = [
     "BatchedEngine",
-    "JIT_SCHEMA",
-    "JIT_STAGE",
     "LaneOutcome",
     "collect_atomic_conditions",
     "generate_source",
-    "jit_cache_identity",
     "program_fingerprint",
 ]

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from repro.swir.ast import BinOp, Expr, If, Program, UnOp, While
-from repro.swir.engine import CompiledEngine
+from repro.swir.engine_batched import BatchedEngine
 from repro.swir.interp import CoverageData, Interpreter, InterpError, _cond_key
 
 
@@ -101,7 +101,7 @@ class CoverageReport:
 
 
 def measure_coverage(
-    interpreter: Interpreter | CompiledEngine,
+    interpreter: Interpreter | BatchedEngine,
     vectors: list[list[int]],
     totals: Optional[CoverageTotals] = None,
 ) -> CoverageReport:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from repro.swir.ast import Assign, FpgaCall, Program
-from repro.swir.engine import CompiledEngine
+from repro.swir.engine_batched import BatchedEngine
 from repro.swir.interp import Fault, Interpreter, InterpError
 
 
@@ -85,7 +85,7 @@ def _golden_outputs(interpreter, vectors: list[list[int]]) -> list:
 
 
 def simulate_fault(
-    interpreter: Interpreter | CompiledEngine,
+    interpreter: Interpreter | BatchedEngine,
     fault: BitFault,
     vectors: list[list[int]],
     golden: Optional[list[Optional[int]]] = None,
@@ -110,7 +110,7 @@ def simulate_fault(
 
 
 def fault_coverage(
-    interpreter: Interpreter | CompiledEngine,
+    interpreter: Interpreter | BatchedEngine,
     faults: list[BitFault],
     vectors: list[list[int]],
 ) -> tuple[list[FaultSimResult], float]:

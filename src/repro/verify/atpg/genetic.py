@@ -12,7 +12,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from repro.swir.engine import CompiledEngine
+from repro.swir.engine_batched import BatchedEngine
 from repro.swir.interp import CoverageData, Interpreter
 from repro.verify.atpg.coverage import CoverageTotals, coverage_totals
 
@@ -43,7 +43,7 @@ class GaConfig:
 class GeneticGenerator:
     """Evolves input vectors maximising marginal structural coverage."""
 
-    def __init__(self, interpreter: Interpreter | CompiledEngine, config: GaConfig = GaConfig()):
+    def __init__(self, interpreter: Interpreter | BatchedEngine, config: GaConfig = GaConfig()):
         self.interpreter = interpreter
         self.config = config
         self.totals: CoverageTotals = coverage_totals(interpreter.program)

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from repro.swir.ast import Program
-from repro.swir.engine import DEFAULT_ENGINE, EngineSpec, create_engine
+from repro.swir.engine import DEFAULT_ENGINE, create_engine
 from repro.verify.atpg.coverage import (
     CoverageReport,
     coverage_totals,
@@ -77,7 +77,7 @@ class Laerte:
         fault_bit_width: int = 8,
         sat_width: int = 16,
         seed: int = 7,
-        engine: "str | EngineSpec" = DEFAULT_ENGINE,
+        engine: str = DEFAULT_ENGINE,
     ):
         self.program = program
         self.engine = engine

@@ -30,7 +30,7 @@ from repro.swir.ast import (
     Var,
     While,
 )
-from repro.swir.engine import DEFAULT_ENGINE, EngineSpec, create_engine
+from repro.swir.engine import DEFAULT_ENGINE, create_engine
 from repro.verify.cnf import BitVector, Cnf
 from repro.verify.sat import SatResult, SatSolver
 
@@ -61,7 +61,7 @@ class SatTpg:
         max_loop_unroll: int = 8,
         max_expr_nodes: int = 4_000,
         max_conflicts: int = 200_000,
-        engine: "str | EngineSpec" = DEFAULT_ENGINE,
+        engine: str = DEFAULT_ENGINE,
     ):
         if width < 2:
             raise SatTpgError("width must be >= 2")
@@ -72,7 +72,7 @@ class SatTpg:
         self.max_expr_nodes = max_expr_nodes
         self.max_conflicts = max_conflicts
         self.params = list(program.main.params)
-        #: concolic-validation executor (compiled once, reused per vector)
+        #: concolic-validation executor (built once, reused per vector)
         self._validator = create_engine(program, engine=engine)
 
     # -- public -------------------------------------------------------------------

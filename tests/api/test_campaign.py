@@ -5,7 +5,6 @@ import json
 import pytest
 
 from repro.api import Campaign, CampaignSpec, SweepPointError, SweepResult
-from repro.swir import EngineSpec
 
 SMALL = CampaignSpec(name="t", identities=2, poses=1, size=32, frames=1)
 
@@ -247,14 +246,36 @@ class TestEngineField:
         assert payload["engine"] == "ast"
         assert CampaignSpec.from_dict(json.loads(json.dumps(payload))) == spec
 
-    def test_documents_without_engine_default_compiled(self):
+    def test_documents_without_engine_default_batched(self):
         spec = CampaignSpec.from_dict(SMALL.to_dict())
-        assert spec.engine == EngineSpec("compiled")
-        assert spec.engine.name == "compiled"
+        assert spec.engine == "batched"
 
     def test_rejects_unknown_engine(self):
         with pytest.raises(ValueError, match="unknown engine"):
             SMALL.replace(engine="jit")
+
+    @pytest.mark.parametrize("engine", [
+        "compiled", "batched:batch_width=8",
+        {"name": "batched", "batch_width": 8}])
+    def test_rejects_retired_engine_forms(self, engine):
+        """The compiled engine and engine options are gone: documents
+        carrying them fail naming the two engines that remain."""
+        payload = dict(SMALL.to_dict(), engine=engine)
+        with pytest.raises(ValueError, match="'ast', 'batched'"):
+            CampaignSpec.from_dict(payload)
+
+    @pytest.mark.parametrize("engine", ["ast", "batched"])
+    def test_recorded_run_stores_campaign_and_level4_only(self, tmp_path,
+                                                           engine):
+        """No engine persists anything of its own: a recorded run leaves
+        exactly the campaign entry and the level-4 stage entry."""
+        from repro.api.campaign import run_recorded
+        from repro.store import CampaignStore
+
+        store = CampaignStore(tmp_path / "store")
+        run_recorded(SMALL.replace(engine=engine), store)
+        assert sorted((row["kind"], row["name"]) for row in store.ls()) == \
+            [("campaign", SMALL.name), ("stage", "level4")]
 
     def test_v1_documents_cannot_carry_engine(self):
         payload = dict(SMALL.to_dict(), schema="repro.campaign_spec/v1",
@@ -271,20 +292,20 @@ class TestEngineField:
         spec = SMALL.replace(levels=(1, 3))
         runs = {
             engine: Campaign(spec.replace(engine=engine)).run().to_dict()
-            for engine in ("ast", "compiled")
+            for engine in ("ast", "batched")
         }
         # The spec documents differ only in the engine field itself.
         for engine, payload in runs.items():
             payload["spec"].pop("engine", None)
             for stage in payload["stages"].values():
                 assert "engine" not in stage["value"].get("spec", {})
-        assert canonical_json(runs["ast"]) == canonical_json(runs["compiled"])
+        assert canonical_json(runs["ast"]) == canonical_json(runs["batched"])
 
     def test_level3_dynamic_journal_recorded(self):
         outcome = Campaign(SMALL.replace(levels=(1, 3))).run()
         level3 = outcome.results["level3"].value
         assert level3.dynamic_checked
-        assert EngineSpec.coerce(level3.engine).name == "compiled"
+        assert level3.engine == "batched"
         assert level3.dynamic_journal  # FPGA calls actually executed
         assert level3.dynamic_consistency_violations == []
         # The dynamic shadow agrees with SymbC's static certificate.

@@ -163,7 +163,21 @@ class TestLevel4:
         assert module.all_properties_hold
         assert module.wrapper_checked
         assert result.verified
-        assert "PROVED" in result.describe()
+        # BMC shows the properties hold up to the bound, not a proof.
+        text = result.describe()
+        assert "4 properties hold to bound 4" in text
+        assert "PROVED" not in text
+
+    def test_describe_reports_failed_properties(self):
+        from repro.flow.level4 import describe_level4
+
+        module = {"name": "M", "registers": 2, "state_bits": 3,
+                  "properties": [{"bound": 10, "holds_up_to_bound": False}],
+                  "all_properties_hold": False, "wrapper_checked": True,
+                  "pcc": None}
+        text = describe_level4({"modules": {"M": module}})
+        assert "M: 2 registers, 3 state bits; 1 properties FAILED; " \
+            "wrapper verified" in text
 
     def test_wrapper_mismatch_detected(self):
         result = run_level4(

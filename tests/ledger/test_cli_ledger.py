@@ -74,17 +74,17 @@ class TestExemplarQueries:
                    for row in document["rows"])
 
     def test_filter_campaigns_by_engine(self, swept, capsys):
-        """The spec relation carries the *resolved* engine name (and its
-        options), so campaigns are filterable by engine."""
+        """The entry relation carries the engine from each envelope's
+        store identity, so campaigns are filterable by engine."""
         code, document = run_json(
-            capsys, "query", "spec where engine == 'ast' select name, engine",
+            capsys, "query", "entry where engine == 'ast' select name, engine",
             "--store", str(swept["store"]))
         assert code == 0
         assert document["count"] == 2
         assert all(row["engine"] == "ast" for row in document["rows"])
         # The other direction comes back empty, not erroring.
         code, none = run_json(
-            capsys, "query", "spec where engine == 'batched'",
+            capsys, "query", "entry where engine == 'batched'",
             "--store", str(swept["store"]))
         assert code == 0 and none["count"] == 0
 

@@ -6,6 +6,7 @@ through ``CampaignStore.get``, so the layout generation an entry lives
 in can never leak into provenance answers.
 """
 
+import json
 import shutil
 
 import pytest
@@ -68,6 +69,23 @@ class TestExtraction:
         assert {r["spec_hash"] for r in entries} == specs
         produced = ledger.query("produced_by").rows()
         assert sorted(r["key"] for r in produced) == sorted(keys)
+
+    def test_engine_comes_from_the_identity_not_the_spec(self, store):
+        """An entry computed under an older default engine reads back
+        under that engine: its spec document omits the engine, so only
+        the envelope's store identity can say which one ran."""
+        key = fill(store, count=1)[0]
+        path = next(store.entries_dir.glob(f"*/{key}.json"))
+        envelope = json.loads(path.read_text())
+        assert "engine" not in envelope["spec"]
+        envelope["identity"]["engine"] = "compiled"
+        path.write_text(json.dumps(envelope, sort_keys=True))
+        ledger = Ledger.from_store(store)
+        assert ledger.run("entry where engine == 'compiled' select key") \
+            == [{"key": key}]
+        assert [row["engine"] for row in ledger.query("produced_by").rows()] \
+            == ["compiled"]
+        assert all("engine" not in row for row in ledger.query("spec").rows())
 
     def test_journal_touched_from_level3_payload(self, store):
         keys = fill(store, count=1)

@@ -2,13 +2,20 @@
 
 import os
 import signal
+import threading
 import time
 
 import pytest
 
 from repro.api import CampaignSpec, CampaignStore
 from repro.service.queue import JobQueue
-from repro.service.workers import WorkerCrash, WorkerPool, execute_job
+from repro.service.workers import (
+    WorkerCrash,
+    WorkerPool,
+    execute_job,
+    spawn_job_child,
+    wait_job_child,
+)
 
 FAST = CampaignSpec(name="w", workload="blockcipher", frames=1,
                     levels=(1,), params={"block_words": 4})
@@ -65,6 +72,50 @@ class TestExecuteJob:
         result = execute_job(job, str(store.root))
         assert result["store_resume"]["retried"] == ["w"]
         assert result["store_resume"]["executed"] == ["w"]
+
+
+class TestSpawn:
+    def test_short_job_does_not_wait_for_a_long_one_spawned_beside_it(
+            self, monkeypatch):
+        """A child forked while another job's child is being spawned must
+        not inherit that job's pipe ends, or the short job's exit would
+        only be seen once the long job's child exited too."""
+        import repro.service.workers as workers_mod
+
+        real_fork = os.fork
+
+        def slow_fork():
+            # Hold the parent right after each fork, while the new
+            # child's pipe ends are still open in it.
+            pid = real_fork()
+            if pid:
+                time.sleep(0.1)
+            return pid
+
+        def run(job_doc, store_root):
+            time.sleep(job_doc["sleep"])
+            return {}
+
+        monkeypatch.setattr(os, "fork", slow_fork)
+        monkeypatch.setattr(workers_mod, "execute_job", run)
+        short_s = []
+
+        def short_job():
+            start = time.monotonic()
+            process, conn = spawn_job_child({"sleep": 0.0}, "unused")
+            wait_job_child(process, conn, {"id": "short", "name": "short"},
+                           job_timeout=30)
+            short_s.append(time.monotonic() - start)
+
+        thread = threading.Thread(target=short_job)
+        thread.start()
+        time.sleep(0.05)  # while the short job's child is being spawned
+        process, conn = spawn_job_child({"sleep": 2.0}, "unused")
+        thread.join(timeout=30)
+        assert not thread.is_alive()
+        assert wait_job_child(process, conn, {"id": "long", "name": "long"},
+                              job_timeout=30) == ("ok", {})
+        assert short_s[0] < 1.0
 
 
 class TestPool:

@@ -61,8 +61,8 @@ class TestKeys:
         assert identity["store_version"] == STORE_VERSION
         assert identity["workload"] == "facerec"
         assert identity["workload_revision"] == 1
-        assert identity["engine"] == SPEC.engine.name
-        assert identity["engine_options"] == SPEC.engine.options()
+        assert identity["engine"] == SPEC.engine == "batched"
+        assert "engine_options" not in identity
         assert identity["engine_revision"] >= 1
 
     def test_engine_revision_shifts_the_key(self, monkeypatch):

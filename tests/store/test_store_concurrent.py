@@ -4,18 +4,58 @@ Two (or more) processes writing the same content address must leave
 exactly one complete, valid envelope behind — never a torn file, never a
 mixture of both writers' bytes.  This is the property the service's
 worker pool and ``Campaign.sweep(jobs=N, store=...)`` both stand on.
+Sessions that miss one persisted stage artifact at once compute it once.
 """
 
 import json
 import multiprocessing
+import time
+import types
 
 import pytest
 
 from repro.api import CampaignSpec, CampaignStore
+from repro.api.stages import FlowStage
 from repro.store import ENTRY_SCHEMA
 
 SPEC = CampaignSpec(name="raced", workload="blockcipher", frames=1,
                     levels=(1,), params={"block_words": 4})
+
+
+class _Artifact:
+    def to_dict(self):
+        return {"value": 42}
+
+
+class _SlowStage(FlowStage):
+    """A persisted stage that logs every computation and takes a while."""
+
+    name = "slow"
+    persist = True
+
+    def __init__(self, log):
+        self.log = log
+
+    def store_identity(self, ctx):
+        return {"stage": self.name}
+
+    def rehydrate(self, payload):
+        return payload
+
+    def compute(self, ctx):
+        with open(self.log, "a") as stream:
+            stream.write("computed\n")
+        time.sleep(0.5)
+        return _Artifact()
+
+
+def _run_stage(store_root, log, barrier, results):
+    """Child: wait at the barrier, then run the slow stage on the store."""
+    ctx = types.SimpleNamespace(store=CampaignStore(store_root), forcing=None)
+    barrier.wait()
+    result = _SlowStage(log).run(ctx)
+    with open(results, "a") as stream:
+        stream.write(f"{result.from_store}\n")
 
 
 def _write_entry(store_root, barrier, marker, repeats):
@@ -90,6 +130,42 @@ class TestConcurrentWriters:
             process.join(timeout=60)
             assert process.exitcode == 0
         assert reader.corrupt == []
+
+
+class TestStageComputedOnce:
+    def test_concurrent_sessions_compute_a_persisted_stage_once(
+            self, tmp_path):
+        """Two sessions missing one stage artifact at once: the first
+        computes it, the second waits for its entry and reloads it."""
+        log, results = tmp_path / "computed.log", tmp_path / "results.log"
+        ctx = multiprocessing.get_context("fork")
+        barrier = ctx.Barrier(2)
+        processes = [
+            ctx.Process(target=_run_stage,
+                        args=(str(tmp_path / "store"), str(log), barrier,
+                              str(results)))
+            for _ in range(2)
+        ]
+        for process in processes:
+            process.start()
+        for process in processes:
+            process.join(timeout=60)
+            assert process.exitcode == 0
+        assert log.read_text() == "computed\n"
+        assert sorted(results.read_text().split()) == ["False", "True"]
+        store = CampaignStore(tmp_path / "store")
+        assert store.get_stage({"stage": "slow"}) == {"value": 42}
+
+    def test_forced_run_recomputes_under_the_lock(self, tmp_path):
+        log = tmp_path / "computed.log"
+        ctx = types.SimpleNamespace(store=CampaignStore(tmp_path / "store"),
+                                    forcing=None)
+        stage = _SlowStage(str(log))
+        assert not stage.run(ctx).from_store
+        assert stage.run(ctx).from_store
+        ctx.forcing = "slow"
+        assert not stage.run(ctx).from_store
+        assert log.read_text() == "computed\n" * 2
 
 
 @pytest.mark.parametrize("status", ["ok", "error"])

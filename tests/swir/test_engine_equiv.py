@@ -1,12 +1,12 @@
-"""Differential fuzzing: compiled + batched engines vs the interpreter.
+"""Differential fuzzing: the batched engine vs the interpreter oracle.
 
-Every engine's contract is *bit-identical* execution: for any program
-and any inputs, all engines must agree on the returned value, the final
-environment, every coverage set, the defect reports (uninitialised
-reads, in order), the FPGA journal with its consistency violations, and
-the step count — or raise the same ``InterpError``.  The batched engine
-is additionally checked lane-wise: ``run_batch`` outcomes (including
-ragged final blocks and per-lane faults/errors) must equal standalone
+The engines' contract is *bit-identical* execution: for any program and
+any inputs, ``batched`` must agree with ``ast`` on the returned value,
+the final environment, every coverage set, the defect reports
+(uninitialised reads, in order), the FPGA journal with its consistency
+violations, and the step count — or raise the same ``InterpError``.
+The batched engine is additionally checked lane-wise: ``run_batch``
+outcomes (including per-lane faults/errors) must equal standalone
 runs.
 
 Three layers of evidence:
@@ -42,7 +42,8 @@ from repro.swir.ast import (
     Var,
     While,
 )
-from repro.swir.engine import CompiledEngine, compile_program, create_engine
+from repro.swir.engine import ENGINES, create_engine
+from repro.swir.engine_batched import BatchedEngine
 from repro.swir.interp import Fault, InterpError, Interpreter
 
 #: Step budget for fuzzed runs: small enough that runaway loops fail
@@ -53,8 +54,8 @@ VAR_NAMES = ("p0", "p1", "a", "b", "c")
 FPGA_FUNCS = ("F0", "F1")
 CONTEXTS = {"F0": "config1", "F1": "config2"}
 
-#: Every registered engine, differentially pinned against "ast".
-ALL_ENGINES = ("ast", "compiled", "batched")
+#: Every engine, differentially pinned against the "ast" oracle.
+ALL_ENGINES = ("ast", "batched")
 
 
 def run_both(program, inputs, externals=None, context_map=None, fault=None,
@@ -236,40 +237,18 @@ def test_level3_sw_programs_agree(workload, broken):
     assert bool(violations) == broken
 
 
-# -- compiler structure -------------------------------------------------------
-
-def test_compiled_program_is_flat_with_resolved_jumps():
-    """The compiled form is a flat list; jumps are numeric, pre-resolved."""
-    body = [
-        Assign("a", Const(1)),
-        While(BinOp("<", Var("a"), Const(5)),
-              [If(BinOp("&", Var("a"), Const(1)),
-                  [Assign("a", BinOp("+", Var("a"), Const(2)))],
-                  [Assign("a", BinOp("+", Var("a"), Const(1)))])]),
-        Return(Var("a")),
-    ]
-    program = Program({"main": Function("main", (), body)})
-    compiled = compile_program(program)
-    main = compiled.functions["main"]
-    assert main.code and all(callable(instr) for instr in main.code)
-    listing = compiled.disassemble()
-    assert "WHILE_TEST" in listing and "JUMP ->" in listing
-    # Every jump target in the listing is inside the instruction list.
-    import re
-
-    targets = [int(t) for t in re.findall(r"-> (\d+)", listing)]
-    assert targets and all(0 <= t <= len(main.code) for t in targets)
-
+# -- selection ----------------------------------------------------------------
 
 def test_create_engine_rejects_unknown_names():
     program = Program({"main": Function("main", (), [Return(Const(1))])})
-    with pytest.raises(ValueError, match="unknown engine"):
-        create_engine(program, engine="jit")
+    for name in ("jit", "compiled", "batched:batch_width=8"):
+        with pytest.raises(ValueError, match="'ast', 'batched'"):
+            create_engine(program, engine=name)
+    assert ENGINES == ALL_ENGINES
     assert isinstance(create_engine(program, "ast"), Interpreter)
-    assert isinstance(create_engine(program, "compiled"), CompiledEngine)
 
 
-# -- batched execution: lane semantics + the shared JIT cache -----------------
+# -- batched execution: lane semantics + the code memo -------------------------
 
 def _batch_program():
     """A program exercising calls, loops, FPGA journal and div-by-zero."""
@@ -295,17 +274,14 @@ def _batch_program():
 class TestRunBatch:
     EXTERNALS = {"F0": lambda a: a + 11}
 
-    def _engines(self, batch_width=64):
-        from repro.swir.engine_batched import BatchedEngine
-
+    def _engines(self):
         program = _batch_program()
         interp = Interpreter(program, externals=dict(self.EXTERNALS),
                              context_map=CONTEXTS,
                              max_steps=FUZZ_MAX_STEPS)
         batched = BatchedEngine(program, externals=dict(self.EXTERNALS),
                                 context_map=CONTEXTS,
-                                max_steps=FUZZ_MAX_STEPS,
-                                batch_width=batch_width)
+                                max_steps=FUZZ_MAX_STEPS)
         return interp, batched
 
     def _reference(self, interp, vector, fault=None):
@@ -331,9 +307,9 @@ class TestRunBatch:
         assert any(o.ok for o in outcomes)
 
     def test_ragged_final_block(self):
-        """A batch not divisible by batch_width: every lane still exact."""
-        interp, batched = self._engines(batch_width=4)
-        vectors = [[n, 1] for n in range(11)]  # 11 lanes, width 4: 4+4+3
+        """An odd-sized batch: every lane still exact, in input order."""
+        interp, batched = self._engines()
+        vectors = [[n, 1] for n in range(11)]
         outcomes = batched.run_batch(vectors)
         assert len(outcomes) == 11
         for vector, outcome in zip(vectors, outcomes):
@@ -375,115 +351,35 @@ class TestRunBatch:
 
 class TestJitCache:
     def test_second_engine_reuses_in_process_source(self):
-        from repro.swir.engine_batched import BatchedEngine
-
-        program = _batch_program()
-        first = BatchedEngine(program)
-        second = BatchedEngine(program)
-        assert second.jit_source == first.jit_source
-        assert second.jit_source_origin == "memory"
-
-    def test_store_round_trip_is_byte_identical(self, tmp_path):
-        from repro.store import CampaignStore
+        """The translated source is compiled once per program: a second
+        engine for the same program binds the memoized code object to
+        its own externals and still matches the interpreter."""
         from repro.swir import engine_batched
-        from repro.swir.engine_batched import BatchedEngine
 
         program = _batch_program()
-        externals = {"F0": lambda a: a + 11}
-        store = CampaignStore(tmp_path / "store")
-        first = BatchedEngine(program, externals=dict(externals),
-                              context_map=CONTEXTS, store=store)
-        assert first.jit_source_origin in ("generated", "memory")
-        # A fresh process has an empty in-memory memo: simulate it.
-        engine_batched._SOURCE_CACHE.clear()
+        BatchedEngine(program, externals={"F0": lambda a: a + 11},
+                      context_map=CONTEXTS)
+        code = engine_batched._CODE_CACHE[
+            engine_batched.program_fingerprint(program)]
+        externals = {"F0": lambda a: a + 12}
         second = BatchedEngine(program, externals=dict(externals),
-                               context_map=CONTEXTS, store=store)
-        assert second.jit_source_origin == "store"
-        assert second.jit_source == first.jit_source
+                               context_map=CONTEXTS)
+        assert engine_batched._CODE_CACHE[second.program_key] is code
+        oracle = Interpreter(program, externals=dict(externals),
+                             context_map=CONTEXTS)
         assert second.run([3, 1]).fingerprint() == \
-            first.run([3, 1]).fingerprint()
-
-    def test_jit_cache_off_skips_store(self, tmp_path):
-        from repro.store import CampaignStore
-        from repro.swir import engine_batched
-        from repro.swir.engine_batched import (
-            BatchedEngine,
-            jit_cache_identity,
-        )
-
-        program = _batch_program()
-        store = CampaignStore(tmp_path / "store")
-        engine_batched._SOURCE_CACHE.clear()
-        BatchedEngine(program, store=store, jit_cache=False)
-        assert store.get_stage(
-            jit_cache_identity(
-                engine_batched.program_fingerprint(program))) is None
-
-    def test_cross_process_store_reuse(self, tmp_path):
-        """A second *process* reuses the persisted source byte-identically.
-
-        Two fresh subprocesses build the same program (fresh sid
-        counters, identical construction order), so its fingerprint —
-        and therefore the store key — match across processes; the second
-        must come back with origin == "store" and the same source bytes.
-        """
-        import subprocess
-        import sys
-
-        script = r"""
-import sys
-from repro.swir.ast import (Assign, BinOp, Call, Const, FpgaCall, Function,
-                            Program, Reconfigure, Return, Var, While)
-from repro.store import CampaignStore
-from repro.swir.engine_batched import BatchedEngine
-
-body = [
-    Assign("a", Const(0)),
-    Assign("b", Const(0)),
-    While(BinOp("<", Var("b"), Var("p0")),
-          [Assign("a", BinOp("+", Var("a"), Call("helper", (Var("b"),)))),
-           Assign("b", BinOp("+", Var("b"), Const(1)))]),
-    Reconfigure("config1"),
-    FpgaCall("F0", (Var("a"),), target="c"),
-    Assign("a", BinOp("/", Var("a"), Var("p1"))),
-    Return(BinOp("^", Var("a"), Var("c"))),
-]
-program = Program({
-    "main": Function("main", ("p0", "p1"), body),
-    "helper": Function("helper", ("h",),
-                       [Return(BinOp("*", Var("h"), Const(3)))]),
-})
-store = CampaignStore(sys.argv[1])
-engine = BatchedEngine(program, externals={"F0": lambda a: a + 11},
-                       context_map={"F0": "config1"}, store=store)
-print(engine.jit_source_origin)
-print(engine.program_key)
-print(engine.run([5, 2]).returned)
-print(len(engine.jit_source))
-"""
-        store_dir = str(tmp_path / "store")
-        outputs = []
-        for __ in range(2):
-            proc = subprocess.run(
-                [sys.executable, "-c", script, store_dir],
-                capture_output=True, text=True, check=True)
-            outputs.append(proc.stdout.split())
-        (origin1, key1, ret1, size1), (origin2, key2, ret2, size2) = outputs
-        assert origin1 == "generated"
-        assert origin2 == "store"
-        assert key1 == key2
-        assert ret1 == ret2
-        assert size1 == size2
+            oracle.run([3, 1]).fingerprint()
 
 
 def test_batched_engine_via_create_engine_spec():
-    from repro.swir import EngineSpec
-    from repro.swir.engine_batched import BatchedEngine
-
+    """No selector and the "batched" name both build the default engine."""
     program = _batch_program()
-    engine = create_engine(
-        program, engine=EngineSpec("batched", batch_width=8))
-    assert isinstance(engine, BatchedEngine)
-    assert engine.batch_width == 8
-    engine = create_engine(program, engine="batched:jit_cache=false")
-    assert engine.jit_cache is False
+    externals = TestRunBatch.EXTERNALS
+    oracle = Interpreter(program, externals=externals, context_map=CONTEXTS)
+    for engine in (create_engine(program, externals=externals,
+                                 context_map=CONTEXTS),
+                   create_engine(program, "batched", externals=externals,
+                                 context_map=CONTEXTS)):
+        assert isinstance(engine, BatchedEngine)
+        assert engine.run([3, 1]).fingerprint() == \
+            oracle.run([3, 1]).fingerprint()

@@ -40,8 +40,16 @@ class TestConvert:
     def test_untagged_benches_get_defaults(self):
         point = convert(RAW_RUN, sha="x")
         bench = point["benchmarks"]["test_level1_sim_time"]
-        assert bench == {"median_seconds": 0.75, "engine": "compiled",
+        assert bench == {"median_seconds": 0.75, "engine": "batched",
                          "workload": "facerec"}
+
+    def test_untagged_label_is_the_program_default_engine(self):
+        """Untagged benches ran the default engine: the label must follow
+        the program's default instead of a copy that can go stale."""
+        from benchmarks import trajectory
+        from repro.swir.engine import DEFAULT_ENGINE
+
+        assert trajectory.DEFAULT_ENGINE == DEFAULT_ENGINE
 
 
 class TestRegressionGate:
