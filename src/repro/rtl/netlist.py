@@ -179,8 +179,9 @@ class Netlist:
     def word_width(self) -> int:
         """Uniform working width of expression evaluation.
 
-        Every operation result is wrapped modulo ``2**word_width`` (the
-        widest declared signal), and narrower operands are zero-extended.
+        Every operation result and constant is wrapped modulo
+        ``2**word_width`` (the widest declared signal), and narrower
+        operands are zero-extended.
         This makes interpreted simulation bit-exact with the SAT
         bit-blasting used by bounded model checking.
         """
@@ -278,7 +279,7 @@ class Netlist:
 
     def _eval(self, expr: Expr, values: dict[str, int], word: int) -> int:
         if isinstance(expr, ConstExpr):
-            return mask(expr.value, expr.width)
+            return mask(expr.value, min(expr.width, word))
         if isinstance(expr, SigExpr):
             if expr.name not in values:
                 raise NetlistError(f"evaluation of undeclared signal {expr.name!r}")

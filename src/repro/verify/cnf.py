@@ -14,13 +14,21 @@ incremental solver the moment it is emitted, so repeated solves never
 re-add the clause database and learned clauses carry over between
 queries; :meth:`guard` scopes emitted clauses under an activation
 literal so a clause group can be enabled per-query (assume the literal)
-or retired permanently (assert its negation).
+or retired permanently (:meth:`retire`).  Guards nest by save and
+restore: ``guard(None)`` inside a guard suspends it.
+
+``fold=True`` (the attached BMC/PCC encoder) folds gates over constant,
+equal or opposite inputs and hash-conses AND, XOR and ITE gates on
+their sign- and order-normalized inputs, so an identical gate is
+encoded once.  Unguarded gates are visible to every lookup; a gate made
+under a guard is visible only while that guard is open, and its table
+is dropped when the guard is retired.
 """
 
 from __future__ import annotations
 
 from contextlib import contextmanager
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from repro.verify.sat import SatResult, SatSolver
 
@@ -32,12 +40,16 @@ class Cnf:
                  fold: bool = False) -> None:
         self.clauses: list[list[int]] = []
         self.solver = solver
-        #: fold gates over constant/equal/opposite inputs instead of
-        #: emitting Tseitin clauses.  Off by default: folding changes
-        #: the emitted CNF, and the one-shot reference paths are pinned
-        #: clause-for-clause by the differential suite.
+        #: fold and hash gates instead of always emitting Tseitin
+        #: clauses.  Off by default: folding changes the emitted CNF,
+        #: and the one-shot reference paths are pinned clause-for-clause
+        #: by the differential suite.
         self.fold = fold
         self._guard_lit: Optional[int] = None
+        #: hashed gates: normalized key -> output literal, unguarded and
+        #: per guard literal
+        self._gates: dict[tuple, int] = {}
+        self._guarded: dict[int, dict[tuple, int]] = {}
         self._next_var = solver.num_vars if solver is not None else 0
         #: literal constants: true_lit is a var constrained to 1
         self.true_lit = self.new_var()
@@ -65,20 +77,25 @@ class Cnf:
             self.solver.add_clause(clause)
 
     @contextmanager
-    def guard(self, activation: int) -> Iterator[int]:
+    def guard(self, activation: Optional[int]) -> Iterator[Optional[int]]:
         """Emit clauses guarded by ``activation`` while the context is open.
 
         Guarded clauses only constrain a solve that assumes
-        ``activation``; adding the permanent unit ``[-activation]``
-        afterwards retires the whole group.  Guards do not nest.
+        ``activation``; :meth:`retire` disables the whole group for
+        good.  The enclosing guard is saved and restored, so
+        ``guard(None)`` emits unguarded clauses inside another guard.
         """
-        if self._guard_lit is not None:
-            raise ValueError("guard() does not nest")
+        saved = self._guard_lit
         self._guard_lit = activation
         try:
             yield activation
         finally:
-            self._guard_lit = None
+            self._guard_lit = saved
+
+    def retire(self, activation: int) -> None:
+        """Permanently disable a guarded group and forget its gates."""
+        self._guarded.pop(activation, None)
+        self.add_clause([-activation])
 
     def const(self, value: bool) -> int:
         return self.true_lit if value else self.false_lit
@@ -99,6 +116,10 @@ class Cnf:
                 return false
             if a == b:
                 return a
+            return self._hashed(("&", min(a, b), max(a, b)), self._and)
+        return self._and(a, b)
+
+    def _and(self, a: int, b: int) -> int:
         out = self.new_var()
         self.add_clause([-out, a])
         self.add_clause([-out, b])
@@ -123,6 +144,13 @@ class Cnf:
                 return false
             if a == -b:
                 return true
+            # xor(-a, b) == -xor(a, b): hash on the magnitudes.
+            out = self._hashed(("^", min(abs(a), abs(b)), max(abs(a), abs(b))),
+                               self._xor)
+            return -out if (a < 0) != (b < 0) else out
+        return self._xor(a, b)
+
+    def _xor(self, a: int, b: int) -> int:
         out = self.new_var()
         self.add_clause([-out, a, b])
         self.add_clause([-out, -a, -b])
@@ -152,11 +180,31 @@ class Cnf:
                 return self.gate_or(-sel, then_lit)
             if else_lit == false:
                 return self.gate_and(sel, then_lit)
+            # ite(-s, t, e) == ite(s, e, t); ite(s, -t, -e) == -ite(s, t, e)
+            if sel < 0:
+                sel, then_lit, else_lit = -sel, else_lit, then_lit
+            sign = -1 if then_lit < 0 else 1
+            return sign * self._hashed(
+                ("?", sel, sign * then_lit, sign * else_lit), self._ite)
+        return self._ite(sel, then_lit, else_lit)
+
+    def _ite(self, sel: int, then_lit: int, else_lit: int) -> int:
         out = self.new_var()
         self.add_clause([-out, -sel, then_lit])
         self.add_clause([-out, sel, else_lit])
         self.add_clause([out, -sel, -then_lit])
         self.add_clause([out, sel, -else_lit])
+        return out
+
+    def _hashed(self, key: tuple, encode: Callable[..., int]) -> int:
+        """The literal of the visible gate ``key``, encoded on first use."""
+        out = self._gates.get(key)
+        if out is None:
+            table = self._gates if self._guard_lit is None \
+                else self._guarded.setdefault(self._guard_lit, {})
+            out = table.get(key)
+            if out is None:
+                out = table[key] = encode(*key[1:])
         return out
 
     def gate_and_many(self, lits: Sequence[int]) -> int:

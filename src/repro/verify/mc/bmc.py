@@ -11,20 +11,25 @@ Invariants are conjunctions of atomic predicates ``signal <op> const``
 over netlist signals — the property shape the paper's level-4 interface
 checks use (``AG (handshake consistent)``).
 
-The checker is incremental by default: one attached CNF/solver pair is
-kept per :class:`BoundedModelChecker`, time frames are encoded once and
-extended as deeper bounds are requested, per-frame violation literals
-are cached per property, and each query solves under an assumption
-selecting that property/bound — so learned clauses carry over across
-properties, bounds, and (via :meth:`add_mutant`) mutated designs.
-``incremental=False`` restores the one-shot encode-and-solve path,
-which the differential test-suite pins against the incremental one.
+The checker is incremental by default: one attached, folding and
+gate-hashing CNF/solver pair is kept per :class:`BoundedModelChecker`,
+per-frame violation literals are cached per property, and each query
+solves under an assumption selecting that property/bound — so learned
+clauses carry over across properties, bounds, and (via
+:meth:`add_mutant`) mutated designs.  Frames are encoded on demand: a
+signal at a frame is bit-blasted the first time a property (or another
+signal) needs it, so logic outside a property's cone of influence is
+never encoded.  A counter-example trace is rebuilt by replaying the
+model's inputs through :meth:`Netlist.step`.  ``incremental=False``
+restores the one-shot full-frame encode-and-solve path, which the
+differential test-suite pins against the incremental one.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Callable, Optional
 
 from repro.rtl.netlist import (
     BinExpr,
@@ -34,12 +39,14 @@ from repro.rtl.netlist import (
     Netlist,
     SigExpr,
     UnExpr,
+    mask,
 )
 from repro.verify.cnf import BitVector, Cnf
 from repro.verify.sat import SatResult, SatSolver
 
 Atom = tuple[str, str, int]
 Clauses = list[list[Atom]]
+Lookup = Callable[[str], BitVector]
 
 
 def property_text(clauses: Clauses) -> str:
@@ -89,22 +96,21 @@ class BmcResult:
         return f"BMC: {self.property_text} holds for all traces of length <= {self.bound}"
 
 
-_OPS = ("==", "!=", "<", "<=", ">", ">=")
+_OPS = {"==": operator.eq, "!=": operator.ne, "<": operator.lt,
+        "<=": operator.le, ">": operator.gt, ">=": operator.ge}
 
 
 @dataclass
 class _MutantCone:
-    """Incremental state for one mutated design sharing the baseline CNF."""
+    """A mutated design as a guarded overlay on the baseline unrolling."""
 
     act: int                       # activation literal guarding the cone
     driver: str                    # mutated wire or register name
     expr: Expr                     # rewritten driver expression
-    #: per-frame env overlay (baseline env + cone signals re-encoded)
+    #: per-frame re-encoded signals (only those in ``changed``)
     envs: list[dict[str, BitVector]] = field(default_factory=list)
-    #: per-frame set of signals whose value differs from the baseline
+    #: per-frame signals that depend structurally on the driver
     changed: list[set[str]] = field(default_factory=list)
-    #: register overlay feeding the next frame to encode
-    frontier: dict[str, BitVector] = field(default_factory=dict)
     #: (property key, frame) -> violation literal
     viol: dict = field(default_factory=dict)
     #: (property key, bound) -> query literal
@@ -121,21 +127,26 @@ class BoundedModelChecker:
         self.incremental = incremental
         # Incremental session state (lazily built on the first query):
         self._cnf: Optional[Cnf] = None
-        self._frames: list[dict[str, BitVector]] = []
-        self._frontier: dict[str, BitVector] = {}
+        #: per-frame baseline signals, bit-blasted on first demand
+        self._envs: list[dict[str, BitVector]] = []
+        #: structural fan-in of each wire and register next value
+        self._refs = {name: expr.refs()
+                      for name, (__, expr) in netlist.wires.items()}
+        self._refs.update((reg.name, reg.next_expr.refs())
+                          for reg in netlist.registers.values())
         self._viol: dict = {}      # (property key, frame) -> violation literal
         self._query: dict = {}     # (property key, bound) -> query literal
         self._mutants: dict[int, _MutantCone] = {}
 
     # -- expression bit-blasting ---------------------------------------------------
 
-    def _blast(self, expr: Expr, env: dict[str, BitVector], cnf: Cnf) -> BitVector:
+    def _blast(self, expr: Expr, env: Lookup, cnf: Cnf) -> BitVector:
         word = self.word
         if isinstance(expr, ConstExpr):
             value = expr.value & ((1 << expr.width) - 1)
             return BitVector.constant(cnf, value, word)
         if isinstance(expr, SigExpr):
-            return env[expr.name]
+            return env(expr.name)
         if isinstance(expr, UnExpr):
             operand = self._blast(expr.operand, env, cnf)
             if expr.op == "~":
@@ -170,7 +181,7 @@ class BoundedModelChecker:
         if op in ("<<", ">>"):
             if not isinstance(right_expr, ConstExpr):
                 raise TypeError("BMC supports shifts by constants only")
-            amount = right_expr.value
+            amount = mask(right_expr.value, min(right_expr.width, self.word))
             if op == "<<":
                 return left.shift_left_const(amount)
             return left.shift_right_const(amount, arithmetic=False)
@@ -180,9 +191,8 @@ class BoundedModelChecker:
             return self._bool_to_vec(left.ne(right), cnf)
         if op == "<":
             return self._bool_to_vec(self._lt_unsigned(left, right, cnf), cnf)
-        if op == "<=":
-            lt = self._lt_unsigned(left, right, cnf)
-            return self._bool_to_vec(cnf.gate_or(lt, left.eq(right)), cnf)
+        if op == "<=":  # not (b < a): folds against constants
+            return self._bool_to_vec(-self._lt_unsigned(right, left, cnf), cnf)
         raise TypeError(f"cannot bit-blast operator {op!r}")  # pragma: no cover
 
     def _lt_unsigned(self, left: BitVector, right: BitVector, cnf: Cnf) -> int:
@@ -206,20 +216,23 @@ class BoundedModelChecker:
         """One time frame: free inputs + wires; returns (env, next regs)."""
         env: dict[str, BitVector] = dict(regs)
         for name, width in self.netlist.inputs.items():
-            vec = BitVector.fresh(cnf, self.word)
-            # Constrain bits above the declared input width to zero.
-            for bit in vec.bits[width:]:
-                cnf.assert_lit(-bit)
-            env[name] = vec
+            env[name] = self._fresh_input(width, cnf)
         for name in self.netlist.wire_order():
             width, expr = self.netlist.wires[name]
-            value = self._blast(expr, env, cnf)
+            value = self._blast(expr, env.__getitem__, cnf)
             env[name] = self._truncate(value, width, cnf)
         nxt: dict[str, BitVector] = {}
         for reg in self.netlist.registers.values():
-            value = self._blast(reg.next_expr, env, cnf)
+            value = self._blast(reg.next_expr, env.__getitem__, cnf)
             nxt[reg.name] = self._truncate(value, reg.width, cnf)
         return env, nxt
+
+    def _fresh_input(self, width: int, cnf: Cnf) -> BitVector:
+        vec = BitVector.fresh(cnf, self.word)
+        # Constrain bits above the declared input width to zero.
+        for bit in vec.bits[width:]:
+            cnf.assert_lit(-bit)
+        return vec
 
     def _truncate(self, vec: BitVector, width: int, cnf: Cnf) -> BitVector:
         if width >= self.word:
@@ -235,21 +248,83 @@ class BoundedModelChecker:
 
     # -- incremental session ----------------------------------------------------------
 
-    def _extend(self, bound: int) -> None:
-        """Encode time frames up to ``bound`` (once; later calls extend)."""
+    def _session(self) -> Cnf:
         if self._cnf is None:
             self._cnf = Cnf(solver=SatSolver(), fold=True)
-            self._frontier = self._reset_regs(self._cnf)
-        while len(self._frames) <= bound:
-            env, nxt = self._frame(self._cnf, self._frontier)
-            self._frames.append(env)
-            self._frontier = nxt
+        return self._cnf
+
+    def _signal(self, name: str, frame: int,
+                cone: Optional[_MutantCone] = None) -> BitVector:
+        """``name`` at time ``frame``, bit-blasted on first demand.
+
+        Under ``cone``, signals that depend on the mutated driver come
+        from its guarded overlay; every other signal is the baseline's,
+        encoded unguarded even while the cone's guard is open.
+        """
+        if cone is not None and name not in self._changed(cone, frame):
+            cone = None
+        envs = self._envs if cone is None else cone.envs
+        while len(envs) <= frame:
+            envs.append({})
+        vec = envs[frame].get(name)
+        if vec is None:
+            with self._cnf.guard(None if cone is None else cone.act):
+                vec = self._encode(name, frame, cone, envs)
+        return vec
+
+    def _encode(self, name: str, frame: int, cone: Optional[_MutantCone],
+                envs: list[dict[str, BitVector]]) -> BitVector:
+        net, cnf = self.netlist, self._cnf
+        if name in net.inputs:
+            vec = self._fresh_input(net.inputs[name], cnf)
+        elif name in net.wires:
+            width, expr = net.wires[name]
+            if cone is not None and name == cone.driver:
+                expr = cone.expr
+            vec = self._blast_at(expr, width, frame, cone)
+        elif frame == 0:
+            vec = BitVector.constant(cnf, net.registers[name].reset, self.word)
+        else:
+            reg = net.registers[name]
+            expr = cone.expr if cone is not None and name == cone.driver \
+                else reg.next_expr
+            # Encode the missing frames upward, so a deep bound never
+            # recurses once per frame.
+            start = frame
+            while start > 1 and name not in envs[start - 1] and (
+                    cone is None or name in self._changed(cone, start - 1)):
+                start -= 1
+            for later in range(start, frame + 1):
+                vec = self._blast_at(expr, reg.width, later - 1, cone)
+                envs[later][name] = vec
+        envs[frame][name] = vec
+        return vec
+
+    def _blast_at(self, expr: Expr, width: int, frame: int,
+                  cone: Optional[_MutantCone]) -> BitVector:
+        value = self._blast(expr, lambda name: self._signal(name, frame, cone),
+                            self._cnf)
+        return self._truncate(value, width, self._cnf)
+
+    def _changed(self, cone: _MutantCone, frame: int) -> set[str]:
+        """Signals at ``frame`` that depend structurally on the driver."""
+        refs = self._refs
+        while len(cone.changed) <= frame:
+            before = cone.changed[-1] if cone.changed else None
+            changed = set() if before is None else {
+                name for name in self.netlist.registers
+                if name == cone.driver or refs[name] & before}
+            for name in self.netlist.wire_order():
+                if name == cone.driver or refs[name] & changed:
+                    changed.add(name)
+            cone.changed.append(changed)
+        return cone.changed[frame]
 
     def _viol_lit(self, key, clauses: Clauses, frame: int) -> int:
         lit = self._viol.get((key, frame))
         if lit is None:
-            lit = self._violation_lit_clauses(clauses, self._frames[frame],
-                                              self._cnf)
+            lit = self._violation_lit_clauses(
+                clauses, lambda name: self._signal(name, frame), self._cnf)
             self._viol[(key, frame)] = lit
         return lit
 
@@ -294,8 +369,7 @@ class BoundedModelChecker:
             return self._check_oneshot(clauses, bound, max_conflicts, text)
 
         key = tuple(tuple(clause) for clause in clauses)
-        self._extend(bound)
-        cnf = self._cnf
+        cnf = self._session()
         violation_lits = [self._viol_lit(key, clauses, i)
                           for i in range(bound + 1)]
         query = self._query.get((key, bound))
@@ -311,7 +385,7 @@ class BoundedModelChecker:
         if result is SatResult.UNKNOWN:
             return BmcResult(text, bound, violated=False,
                              solver_result=SatResult.UNKNOWN)
-        trace = self._build_trace(clauses, self._frames[:bound + 1], model)
+        trace = self._replay(clauses, self._envs[:bound + 1], model)
         return BmcResult(text, bound, violated=True, trace=trace,
                          solver_result=SatResult.SAT)
 
@@ -325,7 +399,8 @@ class BoundedModelChecker:
         for __ in range(bound + 1):
             env, next_regs = self._frame(cnf, regs)
             frames.append(env)
-            violation_lits.append(self._violation_lit_clauses(clauses, env, cnf))
+            violation_lits.append(
+                self._violation_lit_clauses(clauses, env.__getitem__, cnf))
             regs = next_regs
         cnf.add_clause(violation_lits)
 
@@ -335,84 +410,53 @@ class BoundedModelChecker:
         if result is SatResult.UNKNOWN:
             return BmcResult(text, bound, violated=False,
                              solver_result=SatResult.UNKNOWN)
-        trace = self._build_trace(clauses, frames, model)
+        trace = self._replay(clauses, frames, model)
         return BmcResult(text, bound, violated=True, trace=trace,
                          solver_result=SatResult.SAT)
 
-    def _build_trace(self, clauses: Clauses,
-                     frames: list[dict[str, BitVector]],
-                     model: dict[int, bool]) -> list[dict[str, int]]:
+    def _replay(self, clauses: Clauses, frames: list[dict[str, BitVector]],
+                model: dict[int, bool]) -> list[dict[str, int]]:
+        """The counter-example: the model's inputs run through the netlist.
+
+        Inputs the encoding never needed are free and replay as 0.  The
+        trace ends at the first violating step; a replay that never
+        violates means the encoding disagrees with simulation.
+        """
+        net = self.netlist
+        state = net.reset_state()
         trace = []
         for env in frames:
-            step = {}
-            for name in list(self.netlist.inputs) + list(self.netlist.registers) \
-                    + list(self.netlist.wires):
-                vec = env[name]
-                raw = vec.value_in(model)
-                width = self.netlist.width_of(name)
-                step[name] = raw & ((1 << width) - 1)
+            inputs = {name: env[name].value_in(model) if name in env else 0
+                      for name in net.inputs}
+            state, step = net.step(state, inputs)
             trace.append(step)
             if self._violated_in(clauses, step):
-                break
-        return trace
+                return trace
+        raise RuntimeError(
+            f"counter-example to {property_text(clauses)!r} does not replay")
 
     # -- mutant cones -------------------------------------------------------------------
 
-    def add_mutant(self, driver: str, expr: Expr, bound: int) -> int:
-        """Encode a mutated design's diff cone under an activation literal.
+    def add_mutant(self, driver: str, expr: Expr) -> int:
+        """Register a mutated design as an overlay under an activation literal.
 
         ``driver`` is the mutated wire or register (next-value) name and
-        ``expr`` its rewritten expression.  Only signals whose value can
-        differ from the baseline are re-encoded, per frame, guarded by a
-        fresh activation literal; everything else (inputs, reset state,
-        untouched logic) is shared with the baseline unrolling.  Returns
-        the activation literal, the handle for :meth:`check_mutant` and
-        :meth:`retire_mutant`.  Requires ``incremental=True``.
+        ``expr`` its rewritten expression.  Queries re-encode, per frame
+        and on demand, only the signals that depend structurally on the
+        driver, guarded by a fresh activation literal; everything else
+        (inputs, reset state, untouched logic) is the baseline
+        unrolling.  Returns the activation literal, the handle for
+        :meth:`check_mutant` and :meth:`retire_mutant`.  Requires
+        ``incremental=True``.
         """
         if not self.incremental:
             raise ValueError("mutant cones need an incremental checker")
         if driver not in self.netlist.wires \
                 and driver not in self.netlist.registers:
             raise ValueError(f"unknown driver {driver!r}")
-        self._extend(bound)
-        act = self._cnf.new_var()
-        cone = _MutantCone(act=act, driver=driver, expr=expr)
-        self._mutants[act] = cone
-        self._extend_cone(cone, bound)
+        act = self._session().new_var()
+        self._mutants[act] = _MutantCone(act=act, driver=driver, expr=expr)
         return act
-
-    def _extend_cone(self, cone: _MutantCone, bound: int) -> None:
-        """Encode the mutant's changed signals for frames up to ``bound``."""
-        self._extend(bound)
-        cnf = self._cnf
-        netlist = self.netlist
-        with cnf.guard(cone.act):
-            while len(cone.envs) <= bound:
-                frame = len(cone.envs)
-                env = dict(self._frames[frame])
-                env.update(cone.frontier)
-                changed = set(cone.frontier)
-                for name in netlist.wire_order():
-                    width, expr = netlist.wires[name]
-                    if name == cone.driver:
-                        expr = cone.expr
-                    elif not (expr.refs() & changed):
-                        continue
-                    value = self._blast(expr, env, cnf)
-                    env[name] = self._truncate(value, width, cnf)
-                    changed.add(name)
-                frontier: dict[str, BitVector] = {}
-                for reg in netlist.registers.values():
-                    expr = reg.next_expr
-                    if reg.name == cone.driver:
-                        expr = cone.expr
-                    elif not (expr.refs() & changed):
-                        continue
-                    value = self._blast(expr, env, cnf)
-                    frontier[reg.name] = self._truncate(value, reg.width, cnf)
-                cone.envs.append(env)
-                cone.changed.append(changed)
-                cone.frontier = frontier
 
     def _mutant_viol_lits(self, cone: _MutantCone, clauses: Clauses,
                           bound: int) -> list[int]:
@@ -425,12 +469,13 @@ class BoundedModelChecker:
         prop_signals = {name for clause in clauses for name, __, __ in clause}
         violation_lits = []
         for frame in range(bound + 1):
-            if prop_signals & cone.changed[frame]:
+            if prop_signals & self._changed(cone, frame):
                 lit = cone.viol.get((key, frame))
                 if lit is None:
                     with cnf.guard(cone.act):
                         lit = self._violation_lit_clauses(
-                            clauses, cone.envs[frame], cnf)
+                            clauses, lambda name: self._signal(name, frame, cone),
+                            cnf)
                     cone.viol[(key, frame)] = lit
             else:
                 lit = self._viol_lit(key, clauses, frame)
@@ -456,7 +501,6 @@ class BoundedModelChecker:
         self._validate_clauses(clauses, self.netlist)
         text = property_text(clauses)
         cone = self._mutants[act]
-        self._extend_cone(cone, bound)
         cnf = self._cnf
         key = tuple(tuple(clause) for clause in clauses)
         violation_lits = self._mutant_viol_lits(cone, clauses, bound)
@@ -484,7 +528,6 @@ class BoundedModelChecker:
         for clauses in properties:
             self._validate_clauses(clauses, self.netlist)
         cone = self._mutants[act]
-        self._extend_cone(cone, bound)
         cnf = self._cnf
         all_lits: list[int] = []
         for clauses in properties:
@@ -499,15 +542,19 @@ class BoundedModelChecker:
         return solver.solve([cone.act, query], max_conflicts=max_conflicts)
 
     def retire_mutant(self, act: int) -> None:
-        """Permanently disable a mutant cone's clauses."""
+        """Permanently disable a mutant cone's clauses and gates."""
         self._mutants.pop(act)
-        self._cnf.add_clause([-act])
+        self._cnf.retire(act)
 
-    def _atom_lit(self, atom: Atom, env: dict[str, BitVector],
-                  cnf: Cnf) -> int:
+    def _atom_lit(self, atom: Atom, env: Lookup, cnf: Cnf) -> int:
         name, op, value = atom
-        vec = env[name]
-        const = BitVector.constant(cnf, value & ((1 << self.word) - 1), self.word)
+        vec = env(name)
+        if not 0 <= value < 1 << self.word:
+            # Every signal value lies below (or above) the constant.
+            return cnf.const(_OPS[op](0, 1) if value > 0 else _OPS[op](1, 0))
+        const = BitVector.constant(cnf, value, self.word)
+        # <= and >= negate a strict comparison, so they fold to
+        # constants where signal widths already decide them.
         if op == "==":
             return vec.eq(const)
         if op == "!=":
@@ -515,13 +562,12 @@ class BoundedModelChecker:
         if op == "<":
             return self._lt_unsigned(vec, const, cnf)
         if op == "<=":
-            return cnf.gate_or(self._lt_unsigned(vec, const, cnf), vec.eq(const))
+            return -self._lt_unsigned(const, vec, cnf)
         if op == ">":
             return self._lt_unsigned(const, vec, cnf)
-        return cnf.gate_or(self._lt_unsigned(const, vec, cnf), vec.eq(const))
+        return -self._lt_unsigned(vec, const, cnf)
 
-    def _violation_lit_clauses(self, clauses, env: dict[str, BitVector],
-                               cnf: Cnf) -> int:
+    def _violation_lit_clauses(self, clauses, env: Lookup, cnf: Cnf) -> int:
         """Literal true iff some clause is falsified in this frame."""
         clause_violations = []
         for clause in clauses:
@@ -531,10 +577,7 @@ class BoundedModelChecker:
 
     @staticmethod
     def _violated_in(clauses, step: dict[str, int]) -> bool:
-        import operator
-        ops = {"==": operator.eq, "!=": operator.ne, "<": operator.lt,
-               "<=": operator.le, ">": operator.gt, ">=": operator.ge}
         return any(
-            not any(ops[op](step[name], value) for name, op, value in clause)
+            not any(_OPS[op](step[name], value) for name, op, value in clause)
             for clause in clauses
         )

@@ -2,10 +2,11 @@
 
 For every mutation of the design:
 
-1. **functional phase** — simulate original and mutant side by side on
-   random input sequences; a mutant whose observable outputs never
-   differ is *silent* (possibly equivalent) and excluded from the
-   denominator, as PCC's fault model prescribes;
+1. **functional phase** — simulate the mutant on random input
+   sequences against the original's outputs (simulated once per
+   sequence); a mutant whose observable outputs never differ is
+   *silent* (possibly equivalent) and excluded from the denominator,
+   as PCC's fault model prescribes;
 2. **formal phase** — bounded-model-check the property set on the
    observable mutant; if every property still passes, the mutant
    *survives*: the properties do not constrain the behaviour the
@@ -17,9 +18,10 @@ with their mutation site — the designer's TODO list for new properties
 designer will have to extend the set of properties").
 
 The formal phase is incremental by default: one
-:class:`BoundedModelChecker` session encodes the baseline unrolling
-once, each mutant adds only its diff cone under an activation literal,
-and solver-learned clauses carry across mutants and properties.
+:class:`BoundedModelChecker` session shares the baseline unrolling, each
+mutant re-encodes only what depends on its mutated driver under an
+activation literal, and solver-learned clauses carry across mutants and
+properties.
 ``incremental=False`` restores the fresh-encode-per-mutant path (the
 differential suite pins both to identical reports), and ``jobs=N``
 batches observable mutants across a multiprocessing pool.
@@ -29,11 +31,11 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Iterator, Optional
 
-from repro.rtl.netlist import Netlist
+from repro.rtl.netlist import Netlist, NetlistError
 from repro.verify.mc.bmc import BoundedModelChecker
-from repro.verify.pcc.mutation import Mutation, enumerate_mutations
+from repro.verify.pcc.mutation import Mutation, MutationError, enumerate_mutations
 from repro.verify.sat import SatResult
 
 
@@ -143,7 +145,7 @@ def _formal_verdict(netlist: Netlist,
                 return result.property_text
         return None
     act = session.add_mutant(mutation.driver,
-                             mutation.rewritten_driver(netlist), bound)
+                             mutation.rewritten_driver(netlist))
     try:
         if len(properties) > 1:
             # One aggregate solve answers "survives everything?" -- the
@@ -205,6 +207,8 @@ class PropertyCoverageChecker:
         self.incremental = incremental
         self.jobs = jobs
         self._stimuli = self._build_stimuli()
+        #: the original design's observed outputs, per stimulus sequence
+        self._expected: dict[int, list[tuple[int, ...]]] = {}
         self._session: Optional[BoundedModelChecker] = None
 
     def __getstate__(self) -> dict:
@@ -232,16 +236,24 @@ class PropertyCoverageChecker:
             return list(self.netlist.outputs)
         return list(self.netlist.registers)
 
-    def _differs(self, mutant: Netlist) -> bool:
+    def _observe(self, netlist: Netlist, sequence: list[dict[str, int]]
+                 ) -> Iterator[tuple[int, ...]]:
+        """Observed output values of ``netlist`` per step of ``sequence``."""
         observed = self._observable_signals()
-        for sequence in self._stimuli:
-            state_a = self.netlist.reset_state()
-            state_b = mutant.reset_state()
-            for step in sequence:
-                state_a, values_a = self.netlist.step(state_a, step)
-                state_b, values_b = mutant.step(state_b, step)
-                if any(values_a[s] != values_b[s] for s in observed):
-                    return True
+        state = netlist.reset_state()
+        for step in sequence:
+            state, values = netlist.step(state, step)
+            yield tuple(values[s] for s in observed)
+
+    def _differs(self, mutant: Netlist) -> bool:
+        for index, sequence in enumerate(self._stimuli):
+            expected = self._expected.get(index)
+            if expected is None:
+                expected = self._expected[index] = list(
+                    self._observe(self.netlist, sequence))
+            if any(got != want for got, want
+                   in zip(self._observe(mutant, sequence), expected)):
+                return True
         return False
 
     # -- formal phase ----------------------------------------------------------------
@@ -290,7 +302,7 @@ class PropertyCoverageChecker:
         for mutation in mutations:
             try:
                 mutant = mutation.apply(self.netlist)
-            except Exception:
+            except (MutationError, NetlistError):
                 continue  # structurally inapplicable: skip
             observable = self._differs(mutant)
             if observable:

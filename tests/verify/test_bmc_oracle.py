@@ -1,0 +1,168 @@
+"""Bounded semantics against an independent oracle.
+
+``small_netlists`` draws random FSMD netlists over every operator the
+BMC bit-blaster supports, plus a random CNF-over-atoms invariant.  The
+oracle never touches SAT: it runs :meth:`Netlist.step` over every input
+sequence up to the bound (merging sequences that reach equal states)
+and reports the first step at which one violates the invariant.  The
+incremental and one-shot BMC verdicts, and every mutant checked as a
+cone overlay, must agree with it, and every counter-example must replay.
+"""
+
+import itertools
+import operator
+
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from repro.rtl.netlist import BinExpr, ConstExpr, MuxExpr, Netlist, SigExpr, UnExpr
+from repro.verify.mc.bmc import BoundedModelChecker
+from repro.verify.pcc import enumerate_mutations
+
+MAX_BOUND = 3
+_ARITH = ("+", "-", "*", "&", "|", "^", "==", "!=", "<", "<=")
+_COMPARE = {"==": operator.eq, "!=": operator.ne, "<": operator.lt,
+            "<=": operator.le, ">": operator.gt, ">=": operator.ge}
+
+
+#: constants may be wider than the word or exceed their own width
+constants = st.builds(ConstExpr, st.integers(0, 7), st.integers(1, 3))
+
+
+@st.composite
+def expressions(draw, names, depth=2):
+    """An expression tree over ``names``; shifts are by constants only."""
+    if depth == 0 or draw(st.integers(0, 3)) == 0:
+        if names and draw(st.booleans()):
+            return SigExpr(draw(st.sampled_from(names)))
+        return draw(constants)
+    sub = expressions(names, depth - 1)
+    kind = draw(st.sampled_from(("binary", "shift", "unary", "mux")))
+    if kind == "binary":
+        return BinExpr(draw(st.sampled_from(_ARITH)), draw(sub), draw(sub))
+    if kind == "shift":
+        return BinExpr(draw(st.sampled_from(("<<", ">>"))), draw(sub),
+                       draw(constants))
+    if kind == "unary":
+        return UnExpr(draw(st.sampled_from(("~", "!"))), draw(sub))
+    return MuxExpr(draw(sub), draw(sub), draw(sub))
+
+
+@st.composite
+def small_netlists(draw):
+    """(netlist, invariant): 1-2 inputs, 1-3 registers, 0-3 wires."""
+    net = Netlist("rand")
+    widths = st.integers(1, draw(st.integers(1, 3)))  # often a 1-bit word
+    for i in range(draw(st.integers(1, 2))):
+        net.add_input(f"i{i}", draw(widths))
+    registers = []
+    for i in range(draw(st.integers(1, 3))):
+        width = draw(widths)
+        net.add_register(f"r{i}", width,
+                         reset=draw(st.integers(0, (1 << width) - 1)))
+        registers.append(f"r{i}")
+    names = list(net.inputs) + registers
+    for i in range(draw(st.integers(0, 3))):
+        net.add_wire(f"w{i}", draw(widths), draw(expressions(list(names))))
+        names.append(f"w{i}")
+    for name in registers:
+        net.set_next(name, draw(expressions(names)))
+    net.validate()
+    atoms = st.tuples(st.sampled_from(names), st.sampled_from(sorted(_COMPARE)),
+                      st.integers(-1, 8))
+    clauses = draw(st.lists(st.lists(atoms, min_size=1, max_size=2),
+                            min_size=1, max_size=2))
+    return net, clauses
+
+
+def violated(clauses, values):
+    return any(not any(_COMPARE[op](values[name], const)
+                       for name, op, const in clause)
+               for clause in clauses)
+
+
+def first_violation(net, clauses, bound=MAX_BOUND):
+    """Earliest step <= ``bound`` some input sequence violates at, or None."""
+    names = list(net.inputs)
+    choices = [dict(zip(names, values)) for values in itertools.product(
+        *(range(1 << width) for width in net.inputs.values()))]
+    states = {tuple(net.reset_state().items())}
+    for step in range(bound + 1):
+        successors = set()
+        for state in states:
+            for inputs in choices:
+                nxt, values = net.step(dict(state), inputs)
+                if violated(clauses, values):
+                    return step
+                successors.add(tuple(nxt.items()))
+        states = successors
+    return None
+
+
+def assert_replays(net, clauses, trace, bound):
+    """The trace is a run of ``net`` that violates only at its last step."""
+    assert 1 <= len(trace) <= bound + 1
+    state = net.reset_state()
+    for index, step in enumerate(trace):
+        state, values = net.step(state, {n: step[n] for n in net.inputs})
+        assert values == step
+        assert violated(clauses, values) == (index == len(trace) - 1)
+
+
+def expect(first, bound):
+    return first is not None and first <= bound
+
+
+_SETTINGS = settings(max_examples=100, deadline=None,
+                     suppress_health_check=[HealthCheck.too_slow])
+
+
+class TestBoundedSemanticsOracle:
+    @_SETTINGS
+    @given(small_netlists())
+    def test_bmc_verdicts_match_the_oracle(self, case):
+        net, clauses = case
+        first = first_violation(net, clauses)
+        incremental = BoundedModelChecker(net)
+        oneshot = BoundedModelChecker(net, incremental=False)
+        for bound in range(MAX_BOUND + 1):
+            for checker in (incremental, oneshot):
+                result = checker.check_invariant_clauses(clauses, bound)
+                assert result.violated == expect(first, bound), (bound, first)
+                if result.violated:
+                    assert_replays(net, clauses, result.trace, bound)
+
+    @_SETTINGS
+    @given(small_netlists(), st.integers(0, MAX_BOUND))
+    def test_mutant_cones_match_the_oracle(self, case, bound):
+        net, clauses = case
+        session = BoundedModelChecker(net)
+        # Cones overlay a partial baseline unrolling and extend it.
+        session.check_invariant_clauses(clauses, 0)
+        for mutation in enumerate_mutations(net):
+            act = session.add_mutant(mutation.driver,
+                                     mutation.rewritten_driver(net))
+            result = session.check_mutant(act, clauses, bound)
+            session.retire_mutant(act)
+            first = first_violation(mutation.apply(net), clauses, bound)
+            assert result.violated == expect(first, bound), mutation.describe()
+        # Baseline signals the cones encoded first stay constrained.
+        again = session.check_invariant_clauses(clauses, bound)
+        assert again.violated == expect(first_violation(net, clauses), bound)
+
+    def test_constants_wrap_at_the_word(self):
+        """A constant wider than the word, or beyond its own width, means
+        the same value in simulation and in the bit-blasted encoding."""
+        for op, const in (("==", ConstExpr(5, 3)), (">>", ConstExpr(5, 2)),
+                          ("<", ConstExpr(3, 2))):
+            net = Netlist("wrap")
+            net.add_input("i0", 1)
+            net.add_register("r0", 1)
+            net.set_next("r0", BinExpr(op, SigExpr("i0"), const))
+            net.validate()
+            for clauses in ([[("r0", "==", 0)]], [[("r0", "==", 1)]]):
+                first = first_violation(net, clauses)
+                for incremental in (True, False):
+                    result = BoundedModelChecker(net, incremental) \
+                        .check_invariant_clauses(clauses, MAX_BOUND)
+                    assert result.violated == expect(first, MAX_BOUND), op

@@ -137,3 +137,32 @@ class TestPropertyCoverage:
         for verdict in silent:
             assert verdict.killed_by is None
             assert not verdict.survived
+
+    def test_rewriter_bug_propagates(self, monkeypatch):
+        """Only inapplicable mutations are skipped: a crashing rewriter
+        must not silently shrink the mutant set and inflate coverage."""
+        def broken(self, netlist):
+            raise TypeError("rewriter bug")
+
+        monkeypatch.setattr(Mutation, "apply", broken)
+        checker = PropertyCoverageChecker(handshake_netlist(), WEAK, bound=4,
+                                          mutation_limit=5)
+        with pytest.raises(TypeError, match="rewriter bug"):
+            checker.run()
+
+    def test_inapplicable_mutation_is_skipped(self, monkeypatch):
+        net = handshake_netlist()
+        mutations = enumerate_mutations(net, limit=6)
+        bad = mutations[2]
+        apply = Mutation.apply
+
+        def flaky(self, netlist):
+            if self == bad:
+                raise MutationError("does not apply")
+            return apply(self, netlist)
+
+        monkeypatch.setattr(Mutation, "apply", flaky)
+        report = PropertyCoverageChecker(net, WEAK, bound=4) \
+            .run(mutations=mutations)
+        assert [v.mutation for v in report.verdicts] \
+            == mutations[:2] + mutations[3:]

@@ -7,7 +7,6 @@ budget resets, activation-literal clause groups, and the attached
 every incremental answer against a fresh one-shot solver.
 """
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -199,11 +198,16 @@ class TestAttachedCnf:
         assert cnf.solve(assumptions=[act])[0] is SatResult.UNSAT
         assert cnf.solve()[0] is SatResult.SAT
 
-    def test_guard_does_not_nest(self):
+    def test_guard_nests_by_save_and_restore(self):
         cnf = Cnf(solver=SatSolver())
-        with cnf.guard(cnf.new_var()):
-            with pytest.raises(ValueError):
-                cnf.guard(cnf.new_var()).__enter__()
+        x, y, act = cnf.new_var(), cnf.new_var(), cnf.new_var()
+        with cnf.guard(act):
+            with cnf.guard(None):
+                cnf.add_clause([-x])  # suspended: unguarded
+            cnf.add_clause([-y])      # the enclosing guard is back
+        assert cnf.solve(assumptions=[x])[0] is SatResult.UNSAT
+        assert cnf.solve(assumptions=[y])[0] is SatResult.SAT
+        assert cnf.solve(assumptions=[y, act])[0] is SatResult.UNSAT
 
     @settings(max_examples=60, deadline=None)
     @given(st.lists(st.tuples(st.integers(0, 15), st.integers(0, 15)),
