@@ -1,9 +1,9 @@
 """Submitting verification campaigns to the campaign service over HTTP.
 
 The service (``repro service start``) runs campaigns as a durable job
-queue + worker pool behind a JSON API; results persist in its campaign
-store, so any spec the service has verified once is answered warm —
-across clients, restarts and CI jobs.
+queue + local runner agents behind a JSON API; results persist in its
+campaign store, so any spec the service has verified once is answered
+warm — across clients, restarts and CI jobs.
 
 This example starts a daemon in-process (an ephemeral port; in real use
 the daemon runs elsewhere and you only need its URL), submits a
@@ -50,7 +50,7 @@ def main() -> None:
               f"{len(resume['hits'])} from store")
 
         # Same submission again: same job id (content-addressed), and
-        # the worker answers it entirely from the store.
+        # the claim answers it entirely from the store — no job child.
         again = client.submit(spec.to_dict(), sweep=grid)
         assert again["id"] == job["id"]
         start = time.perf_counter()

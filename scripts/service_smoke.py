@@ -6,9 +6,11 @@ all-four-levels campaign per registered workload through the HTTP
 client, and requires every job to pass.  Then submits every spec a
 second time and requires the duplicates to be answered **entirely from
 the store** — zero points executed, 100% hits — which is the service's
-core economy: a verified spec is never verified twice.  Finally it
-scrapes ``GET /v1/metrics`` and requires a well-formed Prometheus
-exposition whose job counters saw the smoke jobs.
+core economy: a verified spec is never verified twice.  The duplicates
+must be completed at claim, by the coordinator, never by a job child:
+every job runs on the one runner path.  Finally it scrapes
+``GET /v1/metrics`` and requires a well-formed Prometheus exposition
+whose job counters saw the smoke jobs.
 
 Usage::
 
@@ -114,7 +116,8 @@ def main(argv=None) -> int:
     parser.add_argument("--root", required=True, metavar="DIR",
                         help="service root directory (store/ + queue/)")
     parser.add_argument("--workers", type=int, default=None,
-                        help="worker threads (default: available CPUs)")
+                        help="local runner agents (default: available "
+                             "CPUs)")
     parser.add_argument("--timeout", type=float, default=1200.0,
                         help="per-job wait deadline in seconds")
     parser.add_argument("--json-out", metavar="FILE",
@@ -131,7 +134,7 @@ def main(argv=None) -> int:
     with CampaignService(args.root, workers=args.workers) as service:
         client = ServiceClient(service.url)
         print(f"daemon at {service.url} "
-              f"({service.pool.workers} workers)\n")
+              f"({len(service.agents)} local runner agents)\n")
 
         start = time.perf_counter()
         cold = run_round(client, "cold", args.timeout)
@@ -160,6 +163,11 @@ def main(argv=None) -> int:
         failures.extend(check_metrics(client, jobs_expected=len(SPECS)))
 
         stats = client.stats()
+        warm_completed = stats["fleet"]["warm_completed"]
+        if warm_completed < len(SPECS):
+            failures.append(
+                f"fleet: {warm_completed} duplicates completed at claim, "
+                f"expected >= {len(SPECS)} (a job child answered one)")
         print(f"\ncold round: {cold_s:.1f}s; warm round: {warm_s:.1f}s")
         print(f"store: {stats['store']}")
         print(f"workers: {stats['workers']}")

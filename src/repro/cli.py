@@ -492,8 +492,7 @@ def cmd_service(args) -> int:
             # line, not a traceback.
             raise SystemExit(str(exc))
         service.start()
-        workers_note = (f"{service.pool.workers} workers"
-                        if service.pool is not None
+        workers_note = (f"{len(service.agents)} workers" if service.agents
                         else "coordinator-only, 0 local workers")
         print(f"campaign service at {service.url} "
               f"({workers_note}, root {service.root})")
@@ -728,7 +727,6 @@ def cmd_trace(args) -> int:
 def cmd_runner(args) -> int:
     """``repro runner start``: one fleet runner draining a coordinator."""
     from repro.fleet import RunnerAgent
-    from repro.service import ServiceError
 
     try:
         agent = RunnerAgent(args.server, args.root, name=args.name,
@@ -743,8 +741,6 @@ def cmd_runner(args) -> int:
     except KeyboardInterrupt:
         processed = agent.jobs_done + agent.jobs_failed
         print("runner interrupted")
-    except ServiceError as exc:
-        raise SystemExit(str(exc))
     print(f"runner {agent.name}: {processed} jobs processed "
           f"({agent.jobs_done} ok, {agent.jobs_failed} failed, "
           f"{agent.leases_lost} leases lost, "
@@ -982,10 +978,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_svc_start.add_argument("--port", type=int, default=8642,
                              help="bind port; 0 picks an ephemeral port")
     p_svc_start.add_argument("--workers", type=int, default=None, metavar="N",
-                             help="worker threads (default: available CPUs; "
-                                  "REPRO_JOBS env overrides detection; 0 "
-                                  "runs a coordinator for fleet runners "
-                                  "only)")
+                             help="local runner agents (default: available "
+                                  "CPUs; REPRO_JOBS env overrides "
+                                  "detection; 0 runs a coordinator for "
+                                  "fleet runners only)")
     p_svc_start.add_argument("--job-timeout", type=float, default=None,
                              metavar="SECONDS",
                              help="kill any job still running after this "

@@ -5,12 +5,12 @@ runner protocol.  It owns no threads and no sockets — the HTTP layer
 calls straight into it — just the queue, the store and a
 :class:`FleetState` ledger of what the fleet has been doing:
 
-- :meth:`claim` leases the best queued job to a runner (after a lazy
-  lease-expiry sweep, so a claim always sees freshly lapsed leases),
+- :meth:`claim` leases the best queued job to a runner,
   **warm-completing** on the way: a job whose every point is already
   ``ok`` in the coordinator's store is finished right here with a
   100%-hits result instead of being shipped to a runner — the fleet-wide
-  memo-cache economy in one place;
+  memo-cache economy in one place.  An idle claim touches no disk:
+  lapsed leases are re-queued by the daemon's sweep (:meth:`expire`);
 - :meth:`heartbeat` keeps a lease alive (and the runner "seen");
 - :meth:`upload` merges a runner's result — per-point store entries
   first (content-addressed, so the merge is idempotent), then the
@@ -19,17 +19,22 @@ calls straight into it — just the queue, the store and a
   :class:`~repro.service.queue.StaleLease`; its entries may already be
   merged, which is harmless — they are the same bytes any live runner
   would have produced for those content addresses.
+
+The daemon's own workers reach these verbs in-process through
+:class:`LocalTransport`, so every job runs one leased path.
 """
 
 from __future__ import annotations
 
+import contextlib
 import re
 import threading
 import time
 from typing import Any, Mapping, Optional
 
 from repro.records import RunnerStats
-from repro.service.queue import StaleLease
+from repro.service.client import ServiceError
+from repro.service.queue import DEFAULT_LEASE_TTL, StaleLease
 from repro.service.workers import RESULT_SCHEMA
 from repro.telemetry import metrics as _metrics
 
@@ -45,8 +50,6 @@ _RUNNER_EVENTS = _metrics.counter("repro_fleet_runner_events_total",
 #: Bounds on the lease TTL a runner may request.
 MIN_LEASE_TTL = 1.0
 MAX_LEASE_TTL = 3600.0
-#: Default TTL when a claim does not name one.
-DEFAULT_LEASE_TTL = 30.0
 
 #: A store key as uploaded by a runner must be exactly a sha256 hex
 #: digest — anything else (an attempted path escape, junk) is refused.
@@ -67,6 +70,11 @@ class FleetState:
         self.warm_completed = 0
         self.zombie_drops = 0
         self.entries_merged = 0
+        #: finished jobs and their points, whoever finished them (an
+        #: upload or a warm completion at claim): the ``workers``
+        #: counters of ``/v1/stats``
+        self.jobs = dict.fromkeys(("jobs_done", "jobs_failed", "points_hit",
+                                   "points_executed", "points_retried"), 0)
 
     def saw_runner(self, name: str, event: str) -> None:
         with self._lock:
@@ -83,6 +91,17 @@ class FleetState:
             setattr(self, counter, getattr(self, counter) + amount)
         _FLEET_EVENTS.inc(amount, event=counter)
 
+    def finished(self, record: Mapping[str, Any]) -> None:
+        """Count one job record that just reached ``done`` or ``failed``."""
+        resume = (record.get("result") or {}).get("store_resume") or {}
+        with self._lock:
+            self.jobs["jobs_done" if record["status"] == "done"
+                      else "jobs_failed"] += 1
+            for counter, points in (("points_hit", "hits"),
+                                    ("points_executed", "executed"),
+                                    ("points_retried", "retried")):
+                self.jobs[counter] += len(resume.get(points, ()))
+
     def snapshot(self) -> dict:
         with self._lock:
             return {
@@ -92,11 +111,12 @@ class FleetState:
                 "warm_completed": self.warm_completed,
                 "zombie_drops": self.zombie_drops,
                 "entries_merged": self.entries_merged,
+                "jobs": dict(self.jobs),
             }
 
 
 class FleetCoordinator:
-    """The daemon's remote-runner protocol over one queue + one store."""
+    """The daemon's runner protocol over one queue + one store."""
 
     def __init__(self, queue, store):
         self.queue = queue
@@ -117,7 +137,7 @@ class FleetCoordinator:
         """Lease the best queued job to ``runner``; None when drained.
 
         Jobs answerable entirely from the coordinator's store never
-        reach the wire: they are completed here (warm) and the loop
+        reach a runner: they are completed here (warm) and the loop
         moves on to the next queued job, so a runner's claim either
         returns real work or drains the queue of duplicates for free.
         """
@@ -125,7 +145,6 @@ class FleetCoordinator:
             raise ValueError("claim requires a non-empty runner name")
         ttl = DEFAULT_LEASE_TTL if ttl is None else float(ttl)
         ttl = max(MIN_LEASE_TTL, min(MAX_LEASE_TTL, ttl))
-        self.expire()  # claims must see freshly lapsed leases
         self.state.saw_runner(runner, "claims")
         while True:
             job = self.queue.claim(runner, ttl=ttl)
@@ -134,10 +153,11 @@ class FleetCoordinator:
             warm = self._warm_result(job)
             if warm is None:
                 return job
-            self.queue.complete(job["id"], warm,
-                                lease_id=job["lease"]["id"],
-                                generation=job["generation"])
+            record = self.queue.complete(job["id"], warm,
+                                         lease_id=job["lease"]["id"],
+                                         generation=job["generation"])
             self.state.count("warm_completed")
+            self.state.finished(record)
 
     def heartbeat(self, job_id: str, lease_id: str,
                   generation: Optional[int] = None) -> dict:
@@ -205,6 +225,7 @@ class FleetCoordinator:
             self.state.count("zombie_drops")
             raise
         self.state.saw_runner(runner, "uploads")
+        self.state.finished(record)
         if merged:
             self.state.count("entries_merged", merged)
         return record
@@ -271,3 +292,44 @@ class FleetCoordinator:
             "zombie_drops": snapshot["zombie_drops"],
             "entries_merged": snapshot["entries_merged"],
         }
+
+
+class LocalTransport:
+    """:class:`~repro.service.client.ServiceClient`'s runner verbs,
+    served in-process by one :class:`FleetCoordinator` with the HTTP
+    layer's status codes (409 lost lease, 404 unknown job), so a
+    :class:`~repro.fleet.runner.RunnerAgent` handles both alike."""
+
+    def __init__(self, coordinator: FleetCoordinator):
+        self.coordinator = coordinator
+
+    @staticmethod
+    @contextlib.contextmanager
+    def _as_http():
+        try:
+            yield
+        except StaleLease as exc:
+            raise ServiceError(409, "StaleLease", str(exc)) from None
+        except KeyError as exc:
+            raise ServiceError(404, "NotFound", str(exc.args[0])) from None
+
+    def claim(self, runner: str, ttl: Optional[float] = None
+              ) -> Optional[dict]:
+        return self.coordinator.claim(runner, ttl=ttl)
+
+    def heartbeat(self, job_id: str, lease_id: str,
+                  generation: Optional[int] = None) -> dict:
+        with self._as_http():
+            return self.coordinator.heartbeat(job_id, lease_id,
+                                              generation=generation)
+
+    def upload_result(self, job_id: str, lease_id: str, generation: int,
+                      verdict: str,
+                      result: Optional[Mapping[str, Any]] = None,
+                      error: Optional[Mapping[str, Any]] = None,
+                      entries: Optional[Mapping[str, Any]] = None) -> dict:
+        with self._as_http():
+            return self.coordinator.upload(job_id, {
+                "lease_id": lease_id, "generation": generation,
+                "verdict": verdict, "result": result, "error": error,
+                "entries": entries})

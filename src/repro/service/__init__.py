@@ -7,17 +7,17 @@ them as a daemon a whole team (or a CI fleet) submits work to:
   persisted next to the :class:`~repro.store.CampaignStore`.  Jobs are
   keyed by the hash of their request document, so duplicate submissions
   coalesce onto one execution; states journal atomically through
-  temp+rename writes and interrupted jobs re-queue on daemon restart.
-- :mod:`repro.service.workers` — a bounded worker pool draining the
-  queue through the existing :class:`~repro.api.campaign.Campaign`
-  machinery, one child process per job so a crashing campaign never
-  takes the daemon down.
+  temp+rename writes, every claim holds a lease, and a job whose lease
+  lapses — its runner, or the whole daemon, died — re-queues.
+- :mod:`repro.service.workers` — job execution through the existing
+  :class:`~repro.api.campaign.Campaign` machinery, one child process
+  per job so a crashing campaign never takes the daemon down.
 - :mod:`repro.service.http` — a stdlib-only (``http.server``) JSON API:
   ``POST /v1/jobs``, ``GET /v1/jobs[/<id>]``, ``DELETE /v1/jobs/<id>``,
   ``GET /v1/healthz`` and ``GET /v1/stats``.
 - :mod:`repro.service.daemon` — :class:`CampaignService`, wiring store +
-  queue + pool + HTTP server into one object the ``repro service start``
-  CLI (and the tests) run.
+  queue + local workers + HTTP server into one object the ``repro
+  service start`` CLI (and the tests) run.
 - :mod:`repro.service.client` — :class:`ServiceClient`, the small
   ``urllib``-based client the CLI subcommands, the examples and the CI
   smoke test submit through.
@@ -27,11 +27,12 @@ store: the queue records *where* a result lives (content addresses), not
 the result itself, so a repeat submission of an already-verified spec is
 answered warm with zero recomputation.
 
-The service also scales *out*: :mod:`repro.fleet` adds a lease-based
-runner protocol (``POST /v1/claim`` / ``/v1/heartbeat`` / result
-uploads) on top of the same queue, so remote hosts drain the very jobs
-local workers would — run the daemon with ``workers=0`` for a pure
-coordinator.
+Jobs run on one path: the daemon's local workers are
+:class:`~repro.fleet.runner.RunnerAgent` loops claiming in-process from
+the same :mod:`repro.fleet` coordinator that leases jobs to remote
+runners over HTTP (``POST /v1/claim`` / ``/v1/heartbeat`` / result
+uploads), so the service scales *out* with no second code path — run
+the daemon with ``workers=0`` for a pure coordinator.
 """
 
 from repro.service.client import ServiceClient, ServiceError
@@ -44,7 +45,7 @@ from repro.service.queue import (
     StaleLease,
     job_key,
 )
-from repro.service.workers import JobCancelled, WorkerCrash, WorkerPool
+from repro.service.workers import JobCancelled, WorkerCrash
 
 __all__ = [
     "Backpressure",
@@ -58,6 +59,5 @@ __all__ = [
     "StaleLease",
     "TERMINAL_STATES",
     "WorkerCrash",
-    "WorkerPool",
     "job_key",
 ]

@@ -1,31 +1,33 @@
-"""The campaign service daemon: store + queue + worker pool + HTTP.
+"""The campaign service daemon: store + queue + local runners + HTTP.
 
 :class:`CampaignService` owns one service *root* directory::
 
     <root>/store/   the :class:`~repro.store.CampaignStore` (results)
     <root>/queue/   the :class:`~repro.service.queue.JobQueue` (jobs)
 
-On construction it recovers interrupted jobs (re-queueing anything left
-``running`` by a dead daemon), and on :meth:`start` it spins up the
-worker pool and the HTTP server.  All request-side logic the HTTP layer
-needs — submission validation, job documents with their store-served
-payloads, the stats document — lives here so the handler stays a thin
-routing shim and the tests (and the in-process example) can drive the
-service without sockets.
+On construction it re-queues jobs whose lease lapsed while no daemon
+was running, and on :meth:`start` it spins up its local workers —
+:class:`~repro.fleet.runner.RunnerAgent` loops claiming in-process from
+the same :class:`~repro.fleet.coordinator.FleetCoordinator` remote
+runners reach over HTTP — the lease sweep and the HTTP server.  All
+request-side logic the HTTP layer needs — submission validation, job
+documents with their store-served payloads, the stats document — lives
+here so the handler stays a thin routing shim and the tests (and the
+in-process example) can drive the service without sockets.
 """
 
 from __future__ import annotations
 
 import threading
 import time
+from functools import partial
 from pathlib import Path
 from typing import Any, Mapping, Optional
 
 from repro import telemetry
-from repro.api.campaign import Campaign
+from repro.api.campaign import Campaign, _available_cpus
 from repro.api.spec import CampaignSpec
 from repro.service.queue import JobQueue, job_key, job_summary
-from repro.service.workers import WorkerPool
 from repro.store import CampaignStore
 from repro.telemetry import metrics
 from repro.workloads import registry_info
@@ -69,10 +71,10 @@ class CampaignService:
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
         # One daemon per root: an advisory flock held for the daemon's
-        # lifetime.  A second start errors out instead of recover()ing
-        # (and thereby hijacking) the live daemon's running jobs; the
-        # lock dies with the process, so an unclean crash never blocks
-        # the restart that recovery exists for.
+        # lifetime.  A second start errors out instead of serving (and
+        # thereby hijacking) the live daemon's queue; the lock dies with
+        # the process, so an unclean crash never blocks the restart
+        # that recovery exists for.
         self._lock_file = open(self.root / "daemon.lock", "w")
         try:
             import fcntl
@@ -86,6 +88,8 @@ class CampaignService:
                 f"another campaign service is already running on "
                 f"{self.root} (daemon.lock is held); stop it first or "
                 f"use a different --root") from None
+        if workers is not None and workers < 0:
+            raise ValueError("workers must be >= 0 (0 = coordinator only)")
         if max_depth is not None and max_depth < 1:
             raise ValueError("max_depth must be >= 1 (or None)")
         if tenant_quota is not None and tenant_quota < 1:
@@ -103,29 +107,34 @@ class CampaignService:
             telemetry.configure(telemetry.spans_dir_for(self.root / "store"))
         self.store = CampaignStore(self.root / "store")
         self.queue = JobQueue(self.root / "queue")
-        #: jobs re-queued on startup after an unclean shutdown (running
-        #: jobs holding a still-live remote lease are left alone)
-        self.recovered: list[str] = self.queue.recover()
-        #: ``workers=0`` makes a pure coordinator: no local pool, jobs
-        #: are only executed by fleet runners claiming over HTTP.
-        self.pool = (None if workers == 0 else
-                     WorkerPool(self.queue, str(self.store.root),
-                                workers=workers, job_timeout=job_timeout))
+        #: jobs re-queued on startup because their lease lapsed; one a
+        #: crashed daemon's own runner held follows at the lease sweep,
+        #: at most one lease TTL after the crash.
+        self.recovered: list[str] = self.queue.expire_leases()
         # Imported here (like build_server below): repro.fleet imports
         # from repro.service, so a module-level import would be circular.
-        from repro.fleet.coordinator import FleetCoordinator
+        from repro.fleet.coordinator import FleetCoordinator, LocalTransport
+        from repro.fleet.runner import RunnerAgent
 
         self.fleet = FleetCoordinator(self.queue, self.store)
+        #: the local workers: runner agents claiming in-process, at most
+        #: one per available CPU; ``workers=0`` makes a pure coordinator.
+        cpus = _available_cpus()
+        self.agents = [
+            RunnerAgent(None, self.store.root, name=f"worker-{index}",
+                        poll_interval=0.05, job_timeout=job_timeout,
+                        client=LocalTransport(self.fleet))
+            for index in range(cpus if workers is None
+                               else min(workers, cpus))]
         self.max_depth = max_depth
         self.tenant_quota = tenant_quota
         self.lease_sweep_interval = lease_sweep_interval
-        self._sweep_stop = threading.Event()
-        self._sweep_thread: Optional[threading.Thread] = None
+        self._stop = threading.Event()
+        self._threads: list[threading.Thread] = []
         self.started_at = time.time()
         from repro.service.http import build_server
 
         self.server = build_server(self, host, port)
-        self._http_thread: Optional[threading.Thread] = None
 
     # -- lifecycle ----------------------------------------------------------------
 
@@ -137,43 +146,37 @@ class CampaignService:
     def start(self, workers: bool = True) -> "CampaignService":
         """Serve HTTP on a background thread; optionally start workers.
 
-        ``workers=False`` leaves the queue undrained — the tests use it
-        to observe queued-state behaviour (coalescing, cancellation)
-        deterministically.
+        ``workers=False`` leaves the queue undrained by local workers —
+        the tests use it to observe queued-state behaviour (coalescing,
+        cancellation) deterministically.
         """
-        if workers and self.pool is not None:
-            self.pool.start()
-        # The lease-expiry sweep keeps the fleet honest even while no
-        # runner is claiming (claims also sweep lazily, but an idle
-        # coordinator must still re-queue a dead runner's jobs).
-        self._sweep_stop.clear()
-        self._sweep_thread = threading.Thread(
-            target=self._lease_sweep_loop,
-            name="repro-service-lease-sweep", daemon=True)
-        self._sweep_thread.start()
-        self._http_thread = threading.Thread(
-            target=self.server.serve_forever,
-            name="repro-service-http", daemon=True)
-        self._http_thread.start()
+        self._stop.clear()
+        # The lease-expiry sweep re-queues lapsed leases; claims never
+        # scan the queue, so an idle claim stays disk-free.
+        loops = {"http": self.server.serve_forever,
+                 "lease-sweep": self._lease_sweep_loop}
+        if workers:
+            loops.update((agent.name, partial(agent.run_forever, self._stop))
+                         for agent in self.agents)
+        self._threads = [threading.Thread(target=loop, daemon=True,
+                                          name=f"repro-service-{name}")
+                         for name, loop in loops.items()]
+        for thread in self._threads:
+            thread.start()
         return self
 
     def _lease_sweep_loop(self) -> None:
-        while not self._sweep_stop.wait(self.lease_sweep_interval):
+        while not self._stop.wait(self.lease_sweep_interval):
             self.fleet.expire()
 
     def stop(self) -> None:
         """Shut the HTTP server down and let in-flight jobs finish."""
         self.server.shutdown()
         self.server.server_close()
-        if self._http_thread is not None:
-            self._http_thread.join()
-            self._http_thread = None
-        self._sweep_stop.set()
-        if self._sweep_thread is not None:
-            self._sweep_thread.join()
-            self._sweep_thread = None
-        if self.pool is not None and self.pool.running:
-            self.pool.stop(wait=True)
+        self._stop.set()  # a local runner finishes its job first
+        for thread in self._threads:
+            thread.join()
+        self._threads = []
         if not self._lock_file.closed:
             self._lock_file.close()  # releases the root's daemon.lock
 
@@ -357,7 +360,7 @@ class CampaignService:
         return {
             "schema": HEALTH_SCHEMA,
             "ok": True,
-            "workers": self.pool.workers if self.pool is not None else 0,
+            "workers": len(self.agents),
             "queue_depth": self.queue.depth(),
             "uptime_seconds": time.time() - self.started_at,
             "active_leases": len(self.queue.live_leases()),
@@ -385,15 +388,17 @@ class CampaignService:
             "schema": STATS_SCHEMA,
             "queue": {"depth": queue["depth"],
                       "by_status": queue["by_status"]},
-            "workers": (self.pool.stats() if self.pool is not None else
-                        {"total": 0, "busy": 0, "jobs_done": 0,
-                         "jobs_failed": 0, "points_hit": 0,
-                         "points_executed": 0, "points_retried": 0}),
+            # total/busy describe the local workers; the job and point
+            # counters cover every finished job, whoever finished it.
+            "workers": {"total": len(self.agents),
+                        "busy": sum(agent.busy for agent in self.agents),
+                        **self.fleet.state.snapshot()["jobs"]},
             "fleet": self.fleet.stats(),
-            # Campaign execution happens in worker *children* (their
-            # store traffic is the pool's points_* counters above); the
-            # daemon's own handle only serves payload reads, so report
-            # it as exactly that plus the on-disk entry count.
+            # Campaign execution happens in job *children* (their store
+            # traffic is the points_* counters above); the daemon's own
+            # handle only serves payload reads and claim-time warm
+            # checks, so report it as exactly that plus the on-disk
+            # entry count.
             "store": {"entries": len(self.store.keys()),
                       "payload_reads": self.store.hits,
                       "payload_read_misses": self.store.misses},

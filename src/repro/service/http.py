@@ -38,7 +38,7 @@ Errors are ``{"error": {"type": ..., "message": ...}}`` with the obvious
 status codes (400 malformed, 404 unknown, 409 conflict/stale-lease, 429
 back-pressured — with a ``Retry-After`` header and a ``retry_after``
 field).  The server is a ``ThreadingHTTPServer``: requests are served
-concurrently with each other and with the worker pool, which is safe
+concurrently with each other and with the local runners, which is safe
 because every queue mutation goes through
 :class:`~repro.service.queue.JobQueue`'s lock and every store read is of
 immutable content-addressed entries.

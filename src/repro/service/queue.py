@@ -12,7 +12,7 @@ too).  Two clients submitting the same request therefore address the
 same job: while it is queued or running the second submission coalesces
 onto the first (raising its priority if asked), and once it has finished
 a re-submission re-queues the *same* job id for a fresh attempt — which
-the worker answers warm from the store with zero recomputation.
+the next claim answers warm from the store with zero recomputation.
 
 State machine::
 
@@ -22,23 +22,24 @@ State machine::
       |------cancel----> cancelled
     (done|failed|cancelled) --submit--> queued   (re-queue, attempts += 1)
 
-Leases: a claim may carry a TTL, in which case the job is *leased* to
-the claiming runner — a ``lease`` document (unique id, runner name,
-expiry stamp) rides on the record, and the record's monotonic
-``generation`` counter is bumped.  :meth:`JobQueue.heartbeat` extends a
-live lease; :meth:`JobQueue.expire_leases` re-queues jobs whose lease
-lapsed (a dead or partitioned runner), so survivors re-claim them.  A
-re-claim bumps the generation, which is what fences **zombie runners**:
-completing or failing a job with an explicit lease id/generation only
-succeeds while that lease is still the job's current one — a stale
-upload raises :class:`StaleLease` and is dropped.
+Leases: every claim *leases* the job to the claiming runner — a
+``lease`` document (unique id, runner name, TTL, expiry stamp) rides on
+the record, and the record's monotonic ``generation`` counter is bumped.
+:meth:`JobQueue.heartbeat` extends a live lease;
+:meth:`JobQueue.expire_leases` re-queues jobs whose lease lapsed (a dead
+or partitioned runner), so survivors re-claim them.  A re-claim bumps
+the generation, which is what fences **zombie runners**: completing or
+failing a job with an explicit lease id/generation only succeeds while
+that lease is still the job's current one — a stale upload raises
+:class:`StaleLease` and is dropped.
 
-Crash recovery: a job that was ``running`` when the daemon died is still
-``running`` on disk; :meth:`JobQueue.recover` (called by the daemon on
-startup) re-queues every such job whose lease is missing or already
-expired — jobs leased to a *remote* runner that is still heartbeating
-within its TTL survive a coordinator restart untouched.  Completed jobs
-are never touched.
+Crash recovery is lease expiry, for the daemon's own runners as for
+remote ones: a job that was ``running`` when the daemon died is still
+``running`` on disk under its lease, and the restarted daemon's
+:meth:`JobQueue.expire_leases` re-queues it once that lease lapses (at
+most one TTL after the crash).  A ``running`` record without a lease —
+written by a build whose local workers claimed lease-less — counts as
+lapsed.  Completed jobs are never touched.
 """
 
 from __future__ import annotations
@@ -75,14 +76,18 @@ _EXPIRED = _metrics.counter("repro_queue_expired_leases_total",
                             "Lapsed leases re-queued")
 _DEPTH = _metrics.gauge("repro_queue_depth", "Jobs currently queued")
 
+#: Lease TTL of a claim that names none (seconds); runners heartbeat
+#: every third of it.
+DEFAULT_LEASE_TTL = 30.0
+
 #: Schema tag of the queue manifest (``queue.json`` at the root).
 QUEUE_SCHEMA = "repro.service_queue/v1"
 #: Version baked into the manifest; bump on incompatible layout changes.
 QUEUE_VERSION = 1
 
 __all__ = [
-    "QUEUE_SCHEMA", "QUEUE_VERSION", "JOB_SCHEMA", "JOB_STATES",
-    "TERMINAL_STATES", "StaleLease", "JobQueue", "job_key",
+    "DEFAULT_LEASE_TTL", "QUEUE_SCHEMA", "QUEUE_VERSION", "JOB_SCHEMA",
+    "JOB_STATES", "TERMINAL_STATES", "StaleLease", "JobQueue", "job_key",
     "job_summary", "active_store_keys",
 ]
 
@@ -125,7 +130,7 @@ class JobQueue:
 
     All mutation goes through one instance-level lock: the daemon is the
     queue's only writer (clients mutate via its HTTP API), so in-process
-    locking is the whole concurrency story — worker threads claim and
+    locking is the whole concurrency story — runner threads claim and
     finish jobs under the same lock the submit path uses.  The files are
     the durability story: every transition is journaled before the call
     returns, so a restarted daemon resumes from exactly the on-disk
@@ -154,7 +159,7 @@ class JobQueue:
                 f"queue at {self.root} has version {version!r}; this build "
                 f"reads/writes version {QUEUE_VERSION}")
         self._seq = int(manifest.get("seq", 0) or 0)
-        #: in-memory index of queued job ids, so the workers' idle polls
+        #: in-memory index of queued job ids, so the runners' idle claims
         #: never re-scan terminal jobs accumulated over the daemon's
         #: lifetime.  Valid because the daemon is the queue's only
         #: writer; rebuilt from disk here (one scan per open).
@@ -244,8 +249,8 @@ class JobQueue:
         or running and this submission attached to it (its priority is
         raised to the maximum of the two — a duplicate can expedite a
         job, never demote it).  A request matching a *terminal* job
-        re-queues the same job id with ``attempts`` bumped; the worker
-        then answers it warm from the store.  ``jobs`` is the worker
+        re-queues the same job id with ``attempts`` bumped; its next
+        claim answers it warm from the store.  ``jobs`` is the worker
         process fan-out *within* the job's sweep (clamped downstream by
         :func:`repro.api.campaign._available_cpus`).  ``tenant`` is the
         (optional) submitter token the per-tenant quota is charged to; a
@@ -301,22 +306,19 @@ class JobQueue:
     # -- worker-side transitions --------------------------------------------------
 
     def claim(self, worker: str,
-              ttl: Optional[float] = None) -> Optional[dict]:
-        """Atomically move the best queued job to ``running``.
+              ttl: float = DEFAULT_LEASE_TTL) -> Optional[dict]:
+        """Atomically lease the best queued job to ``worker``.
 
         "Best" is highest priority first, then FIFO by submission
-        sequence.  Returns the updated record, or None when nothing is
-        queued.  With ``ttl`` the claim is *leased*: the record carries
-        a unique lease id that must be kept alive by
-        :meth:`heartbeat` within ``ttl`` seconds, or
-        :meth:`expire_leases` hands the job to the next claimer.
-        Without a TTL (the in-process worker pool) the claim never
-        expires — the daemon itself supervises those workers.  Either
-        way the job's ``generation`` is bumped, fencing any earlier
-        lease's uploads.
+        sequence.  Returns the updated ``running`` record, or None when
+        nothing is queued.  The record carries a unique lease id that
+        must be kept alive by :meth:`heartbeat` within ``ttl`` seconds,
+        or :meth:`expire_leases` hands the job to the next claimer; the
+        job's ``generation`` is bumped, fencing any earlier lease's
+        uploads.
         """
-        if ttl is not None and ttl <= 0:
-            raise ValueError("lease ttl must be > 0 seconds (or None)")
+        if ttl <= 0:
+            raise ValueError("lease ttl must be > 0 seconds")
         with self._lock:
             if not self._queued:  # idle fast path: no disk touched
                 return None
@@ -335,15 +337,12 @@ class JobQueue:
             job["started_at"] = time.time()
             job["attempts"] += 1
             job["generation"] = job.get("generation", 0) + 1
-            if ttl is not None:
-                job["lease"] = Lease(
-                    id=uuid.uuid4().hex,
-                    runner=worker,
-                    ttl=float(ttl),
-                    expires_at=time.time() + float(ttl),
-                ).to_dict()
-            else:
-                job["lease"] = None
+            job["lease"] = Lease(
+                id=uuid.uuid4().hex,
+                runner=worker,
+                ttl=float(ttl),
+                expires_at=time.time() + float(ttl),
+            ).to_dict()
             job = self._save(job)
             self._queued.discard(job["id"])  # only once journaled
             _CLAIMED.inc()
@@ -422,19 +421,21 @@ class JobQueue:
     def expire_leases(self, now: Optional[float] = None) -> list[str]:
         """Re-queue every running job whose lease has lapsed.
 
-        The generalization of :meth:`recover` that makes a *fleet*
-        crash-tolerant: a runner that died, hung, or got partitioned
-        away simply stops heartbeating, and its jobs are re-claimed by
-        the survivors.  The campaign store keeps whatever points the
-        lost runner already uploaded, so the re-run resumes rather than
-        restarts.  Returns the re-queued job ids.
+        What makes the service crash-tolerant: a runner that died, hung,
+        or got partitioned away simply stops heartbeating, and its jobs
+        are re-claimed by the survivors — the daemon's own runners
+        included, which is why startup recovery is this same call.  A
+        running record without a lease (an older build's lease-less
+        local claim) counts as lapsed.  The campaign store keeps
+        whatever points the lost runner already stored, so the re-run
+        resumes rather than restarts.  Returns the re-queued job ids.
         """
         now = time.time() if now is None else now
         requeued = []
         with self._lock:
             for job in self.list(status="running"):
                 lease = job.get("lease")
-                if lease is not None and lease["expires_at"] <= now:
+                if lease is None or lease["expires_at"] <= now:
                     self._requeue_locked(job)
                     requeued.append(job["id"])
             if requeued:
@@ -500,31 +501,7 @@ class JobQueue:
             self._queued.discard(job_id)  # only once journaled
             return job
 
-    # -- recovery & stats ---------------------------------------------------------
-
-    def recover(self) -> list[str]:
-        """Re-queue every job left ``running`` by a dead daemon.
-
-        Called on daemon startup, before any worker runs.  Jobs leased
-        to a *remote* runner whose lease is still live are left alone —
-        the runner survived the coordinator restart and will upload its
-        result under the same lease; the expiry sweep reclaims it if it
-        did not.  Everything else running (in-process workers that died
-        with the daemon, lapsed leases) is re-queued.  The campaign
-        store still holds whatever grid points an interrupted job
-        completed, so the re-run resumes rather than restarts.  Returns
-        the re-queued job ids.
-        """
-        now = time.time()
-        requeued = []
-        with self._lock:
-            for job in self.list(status="running"):
-                lease = job.get("lease")
-                if lease is not None and lease["expires_at"] > now:
-                    continue  # a live remote runner still owns this job
-                self._requeue_locked(job)
-                requeued.append(job["id"])
-        return requeued
+    # -- stats --------------------------------------------------------------------
 
     def depth(self) -> int:
         """Queued-job count from the in-memory index (no disk scan)."""

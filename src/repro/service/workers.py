@@ -1,51 +1,39 @@
-"""The service worker pool: queue jobs -> campaign runs, isolated.
+"""Job execution: one queue job -> one campaign run, in a fresh child.
 
-Each worker is a thread that claims one job at a time and executes it in
-a **fresh child process** (:func:`_child_main` over a pipe).  Process
-isolation is the point, not an implementation detail: a campaign that
-segfaults, leaks, or gets OOM-killed takes down its child, the worker
-records a :class:`WorkerCrash` failure envelope, and the daemon keeps
-serving.  A campaign that merely *raises* is reported by the child as a
-``{type, message}`` envelope — for sweep points that is the existing
-:class:`~repro.api.campaign.SweepPointError`, naming the exact grid
-point that died.
+Every runner agent (:class:`~repro.fleet.runner.RunnerAgent`, whether it
+claims inside the daemon or over HTTP on another host) executes a
+claimed job in a **fresh child process** (:func:`_child_main` over a
+pipe).  Process isolation is the point, not an implementation detail: a
+campaign that segfaults, leaks, or gets OOM-killed takes down its child,
+the agent records a :class:`WorkerCrash` failure envelope, and the
+daemon keeps serving.  A campaign that merely *raises* is reported by
+the child as a ``{type, message}`` envelope — for sweep points that is
+the existing :class:`~repro.api.campaign.SweepPointError`, naming the
+exact grid point that died.
 
 Every execution goes through the campaign store with ``resume=True``
-semantics: a job whose spec (or whose sweep's every point) is already in
-the store is answered warm, with zero points executed — which is what
-makes duplicate submissions effectively free.
+semantics: a job that reaches a child with some of its points already
+stored resumes from them rather than recomputing (a job with *every*
+point stored never gets this far — the coordinator completes it warm at
+claim).
 """
 
 from __future__ import annotations
 
-import logging
 import threading
 import time
 from typing import Optional
 
 from repro import telemetry
-from repro.api.campaign import (
-    Campaign,
-    _available_cpus,
-    fork_context,
-    run_recorded,
-)
+from repro.api.campaign import Campaign, fork_context, run_recorded
 from repro.api.spec import CampaignSpec
 from repro.store import CampaignStore
-from repro.telemetry import metrics as _metrics
-
-logger = logging.getLogger("repro.service")
-
-_JOBS = _metrics.counter("repro_jobs_total",
-                         "Service jobs finished, by terminal status")
-_JOB_SECONDS = _metrics.histogram("repro_job_seconds",
-                                  "Wall-clock duration of service jobs")
 
 #: Schema tag of the result bookkeeping stored on a ``done`` job record.
 RESULT_SCHEMA = "repro.service_result/v1"
 
 #: Held from creating a job child's pipes until the parent has closed
-#: their child ends.  A child forked meanwhile by another worker thread
+#: their child ends.  A child forked meanwhile by another agent thread
 #: would inherit those ends, and this job's result pipe and exit
 #: sentinel would then stay open until that unrelated child exited too:
 #: a short job started beside a long one would only finish with it.
@@ -58,18 +46,18 @@ class WorkerCrash(RuntimeError):
 
 class JobCancelled(RuntimeError):
     """A job's child was killed because its claim was cancelled mid-run
-    (a fleet runner's lease lapsed underneath it)."""
+    (its runner's lease lapsed underneath it)."""
 
 
 def execute_job(job_doc: dict, store_root: str) -> dict:
     """Run one job document against the store; return result bookkeeping.
 
-    Runs inside the worker's child process.  The result document is
+    Runs inside the job's child process.  The result document is
     deliberately *meta only* — pass verdict, point count, the
     hits/executed/retried resume split and the store keys this
     execution wrote — because the payloads themselves are persisted in
     the store under their content addresses; the HTTP layer serves them
-    from there (:meth:`CampaignService.job_document`), and a fleet
+    from there (:meth:`CampaignService.job_document`), and a remote
     runner uploads exactly the written entries to its coordinator.
     """
     store = CampaignStore(store_root)
@@ -133,9 +121,8 @@ def spawn_job_child(job_doc: dict, store_root: str):
     """Start one fresh fork child running ``job_doc``.
 
     Returns ``(process, parent_conn)``; pair with :func:`wait_job_child`.
-    Shared by the in-daemon worker pool and the remote runner agent —
-    the crash-isolation machinery is identical on both sides of the
-    fleet.
+    Fork is preferred: the child inherits the parent's workload
+    registry, matching :meth:`Campaign.sweep`'s pool.
     """
     ctx = fork_context()
     with _SPAWN_LOCK:
@@ -205,150 +192,3 @@ def reap_child(process, grace: float = 10.0) -> None:
     if process.is_alive():  # pragma: no cover (pathological child)
         process.kill()
         process.join()
-
-
-class WorkerPool:
-    """N worker threads draining one :class:`~repro.service.queue.JobQueue`.
-
-    ``workers`` is a ceiling: the pool never exceeds the CPUs actually
-    available to the process (:func:`_available_cpus`, which honours the
-    ``REPRO_JOBS`` override) — the same oversubscription guard the sweep
-    pool applies.
-    """
-
-    def __init__(self, queue, store_root: str,
-                 workers: Optional[int] = None,
-                 poll_interval: float = 0.05,
-                 job_timeout: Optional[float] = None):
-        requested = workers if workers is not None else _available_cpus()
-        if requested < 1:
-            raise ValueError("workers must be >= 1")
-        if job_timeout is not None and job_timeout <= 0:
-            raise ValueError("job_timeout must be > 0 seconds (or None)")
-        self.queue = queue
-        self.store_root = str(store_root)
-        self.workers = max(1, min(requested, _available_cpus()))
-        self.poll_interval = poll_interval
-        #: per-job wall-clock budget; a child exceeding it is killed and
-        #: the job fails with a WorkerCrash envelope.  None = unlimited.
-        self.job_timeout = job_timeout
-        self._threads: list[threading.Thread] = []
-        self._stop = threading.Event()
-        self._counter_lock = threading.Lock()
-        self.busy = 0
-        #: lifetime counters, surfaced by ``GET /v1/stats``
-        self.jobs_done = 0
-        self.jobs_failed = 0
-        self.points_hit = 0
-        self.points_executed = 0
-        self.points_retried = 0
-
-    # -- lifecycle ----------------------------------------------------------------
-
-    def start(self) -> None:
-        if self._threads:
-            raise RuntimeError("worker pool already started")
-        self._stop.clear()
-        for index in range(self.workers):
-            thread = threading.Thread(
-                target=self._worker_loop, args=(f"worker-{index}",),
-                name=f"repro-service-worker-{index}", daemon=True)
-            thread.start()
-            self._threads.append(thread)
-
-    def stop(self, wait: bool = True) -> None:
-        """Stop claiming; optionally wait for in-flight jobs to finish."""
-        self._stop.set()
-        if wait:
-            for thread in self._threads:
-                thread.join()
-        self._threads = []
-
-    @property
-    def running(self) -> bool:
-        return bool(self._threads) and not self._stop.is_set()
-
-    # -- execution ----------------------------------------------------------------
-
-    def _worker_loop(self, worker_name: str) -> None:
-        while not self._stop.is_set():
-            job = self.queue.claim(worker_name)
-            if job is None:
-                self._stop.wait(self.poll_interval)
-                continue
-            with self._counter_lock:
-                self.busy += 1
-            try:
-                self._run_job(job)
-            except Exception:
-                # A failure in the *bookkeeping* itself (disk full while
-                # journaling, a state race) must never kill the worker
-                # thread: log it, try to fail the job, keep draining.
-                logger.exception("worker %s: job %s bookkeeping failed",
-                                 worker_name, job["id"][:12])
-                try:
-                    self.queue.fail(job["id"], {
-                        "type": "ServiceInternalError",
-                        "message": "job bookkeeping failed in the daemon; "
-                                   "see the service log"})
-                except Exception:
-                    logger.exception("worker %s: could not record job %s "
-                                     "as failed", worker_name,
-                                     job["id"][:12])
-            finally:
-                with self._counter_lock:
-                    self.busy -= 1
-
-    def _run_job(self, job: dict) -> None:
-        start = time.perf_counter()
-        with telemetry.span("service.job", job=job["id"][:12],
-                            name=job["name"]) as tspan:
-            try:
-                verdict, payload = self._run_in_child(job)
-            except WorkerCrash as exc:
-                # The child died without reporting (SIGKILL, OOM,
-                # segfault): the supervisor-side span is the durable
-                # record, flushed with the aborted status.
-                tspan.set_status("aborted")
-                verdict, payload = "error", {"type": "WorkerCrash",
-                                             "message": str(exc)}
-            tspan.set_attr("verdict", verdict)
-        if _metrics.enabled:
-            _JOBS.inc(status="done" if verdict == "ok" else "failed")
-            _JOB_SECONDS.observe(time.perf_counter() - start)
-        if verdict == "ok":
-            self.queue.complete(job["id"], payload)
-            resume = payload.get("store_resume", {})
-            with self._counter_lock:
-                self.jobs_done += 1
-                self.points_hit += len(resume.get("hits", ()))
-                self.points_executed += len(resume.get("executed", ()))
-                self.points_retried += len(resume.get("retried", ()))
-        else:
-            self.queue.fail(job["id"], payload)
-            with self._counter_lock:
-                self.jobs_failed += 1
-
-    def _run_in_child(self, job: dict) -> tuple[str, dict]:
-        """One job in one fresh process; ``(verdict, document)`` back.
-
-        Fork is preferred (workers inherit the parent's workload
-        registry, matching :meth:`Campaign.sweep`'s pool); see
-        :func:`spawn_job_child`/:func:`wait_job_child` for the
-        isolation contract.
-        """
-        process, conn = spawn_job_child(job, self.store_root)
-        return wait_job_child(process, conn, job,
-                              job_timeout=self.job_timeout)
-
-    def stats(self) -> dict:
-        with self._counter_lock:
-            return {
-                "total": self.workers,
-                "busy": self.busy,
-                "jobs_done": self.jobs_done,
-                "jobs_failed": self.jobs_failed,
-                "points_hit": self.points_hit,
-                "points_executed": self.points_executed,
-                "points_retried": self.points_retried,
-            }

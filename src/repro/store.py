@@ -28,11 +28,11 @@ entry under a two-hex-digit shard directory (``entries/<kk>/<key>.json``
 :meth:`~CampaignStore.pack` folds the loose files into an append-only
 *pack* (``packs/<name>.pack``: the entry files' raw bytes concatenated,
 plus a ``<name>.idx.json`` offset/length index), so millions of entries
-don't mean millions of inodes.  Reads are transparent across all three
-generations — loose sharded, loose *flat* (the pre-shard layout, still
-readable and migrated by ``pack``), and packed — with loose always
-winning over packed so a retry written after packing shadows the stale
-copy.
+don't mean millions of inodes.  Reads are transparent across both
+generations, with loose always winning over packed so a retry written
+after packing shadows the stale copy.  A store from before sharding
+(*flat* ``entries/<key>.json`` files) is moved into its shards the
+first time a handle opens it; keys do not change.
 
 The maintenance surface (:meth:`~CampaignStore.ls`,
 :meth:`~CampaignStore.show`, :meth:`~CampaignStore.gc`,
@@ -260,22 +260,30 @@ class CampaignStore:
                     f"a fresh directory (entries never collide: the version "
                     f"is part of every content address)"
                 )
+        if self.entries_dir.is_dir():
+            self._shard_flat_entries()
 
     # -- low-level file handling --------------------------------------------------
 
     def _entry_path(self, key: str) -> Path:
         return self.entries_dir / key[:2] / f"{key}.json"
 
-    def _flat_path(self, key: str) -> Path:
-        """The pre-shard (flat) location of an entry, read-only legacy."""
-        return self.entries_dir / f"{key}.json"
-
-    def _loose_path(self, key: str) -> Optional[Path]:
-        """The entry's loose file if one exists (sharded wins over flat)."""
-        for path in (self._entry_path(key), self._flat_path(key)):
-            if path.is_file():
-                return path
-        return None
+    def _shard_flat_entries(self) -> None:
+        """Move each pre-shard ``entries/<key>.json`` into its shard (one
+        listing of ``entries/`` per open).  A flat twin of a sharded
+        entry is the stale copy — sharded always won reads — and is
+        dropped; a file another handle moved first is skipped."""
+        for name in os.listdir(self.entries_dir):
+            if not name.endswith(".json") or name.startswith("."):
+                continue  # a shard directory or an atomic-write temp
+            flat = self.entries_dir / name
+            target = self._entry_path(name.removesuffix(".json"))
+            with contextlib.suppress(FileNotFoundError):
+                if target.exists():
+                    flat.unlink()
+                else:
+                    target.parent.mkdir(exist_ok=True)
+                    os.replace(flat, target)
 
     _write_json = staticmethod(write_json_atomic)
     _read_json = staticmethod(read_json_document)
@@ -364,12 +372,11 @@ class CampaignStore:
         """The entry envelope for ``key``, or None (miss *or* corrupt).
 
         Looks through the layout's generations in precedence order:
-        loose sharded, loose flat (pre-shard stores), then packed — so
-        an entry re-written after packing (a retried failure) shadows
-        its stale packed copy.
+        loose, then packed — so an entry re-written after packing (a
+        retried failure) shadows its stale packed copy.
         """
-        path = self._loose_path(key)
-        if path is None:
+        path = self._entry_path(key)
+        if not path.is_file():
             envelope = self._read_packed(key)
             if not self._valid_envelope(envelope, key):
                 self.misses += 1
@@ -450,8 +457,8 @@ class CampaignStore:
         return True
 
     def _attempts_before(self, key: str) -> int:
-        path = self._loose_path(key)
-        previous = (self._read_json(path) if path is not None
+        path = self._entry_path(key)
+        previous = (self._read_json(path) if path.is_file()
                     else self._read_packed(key))
         if previous is None:
             return 0
@@ -509,16 +516,15 @@ class CampaignStore:
         """Remove one entry; returns whether it existed.
 
         A packed entry is dropped from its index (its dead bytes stay
-        in the pack file until a future repack); loose copies — sharded
-        and flat alike — are unlinked.
+        in the pack file until a future repack); a loose copy is
+        unlinked.
         """
         existed = False
-        for path in (self._entry_path(key), self._flat_path(key)):
-            try:
-                os.unlink(path)
-                existed = True
-            except FileNotFoundError:
-                pass
+        try:
+            os.unlink(self._entry_path(key))
+            existed = True
+        except FileNotFoundError:
+            pass
         if key in self._packs():
             self._drop_packed(key)
             existed = True
@@ -538,11 +544,10 @@ class CampaignStore:
     # -- maintenance --------------------------------------------------------------
 
     def _entry_files(self) -> list[Path]:
-        """Every *loose* entry file — sharded and legacy flat alike."""
+        """Every *loose* entry file."""
         if not self.entries_dir.is_dir():
             return []
-        return sorted(list(self.entries_dir.glob("*/*.json"))
-                      + list(self.entries_dir.glob("*.json")))
+        return sorted(self.entries_dir.glob("*/*.json"))
 
     def keys(self) -> list[str]:
         """Every entry key — loose and packed — sorted."""
@@ -797,28 +802,16 @@ class CampaignStore:
         span.  Both are written (and fsync'd) *before* any loose file
         is unlinked, so a crash mid-pack leaves the store readable at
         every step — at worst a key exists both loose and packed, and
-        loose wins.  Legacy *flat* entries (pre-shard layout) are
-        migrated into the pack the same way, which is the upgrade path
-        for old stores.  Corrupt loose files are left for ``gc``.
+        loose wins.  Corrupt loose files are left for ``gc``.
         ``dry_run`` reports what would be packed without writing.
         """
         victims: list[tuple[str, Path, bytes]] = []
-        dupes: list[Path] = []
-        seen: set[str] = set()
         for path in self._entry_files():
             if path.name.startswith("."):
                 continue
             envelope = self._read_json(path)
             if not self._valid_envelope(envelope, path.stem):
                 continue
-            if path.stem in seen:
-                # A flat twin of an already-collected sharded entry.
-                # The sharded copy wins (the read path's precedence);
-                # the loser must be unlinked with the victims below or
-                # it would shadow the pack as a stale loose read.
-                dupes.append(path)
-                continue
-            seen.add(path.stem)
             victims.append((path.stem, path, path.read_bytes()))
         stats = {"packed": len(victims),
                  "bytes": sum(len(raw) for _, _, raw in victims),
@@ -855,8 +848,6 @@ class CampaignStore:
         })
         self._pack_index = None  # pick the new pack up on next read
         for _key, path, _raw in victims:
-            path.unlink(missing_ok=True)
-        for path in dupes:
             path.unlink(missing_ok=True)
         stats["pack"] = pack_path.name
         stats["packs"] = len(self._index_paths())

@@ -4,16 +4,27 @@ The lease lifecycle's edge cases are the point of this file — expiry
 mid-run, heartbeat-after-expiry, the double-claim race, a zombie's
 stale-generation upload — plus the end-to-end contract: a sweep executed
 by remote runners must produce a payload byte-identical
-(``documents_equal``) to the same sweep run directly on one host.
+(``documents_equal``) to the same sweep run directly on one host.  The
+runner cases of :class:`TestRunnerLeases` run once per transport: over
+HTTP, as a remote runner does, and in-process, as the daemon's own
+workers do.
 """
 
+import sys
+import threading
 import time
 
 import pytest
 
 from repro.api import Campaign, CampaignSpec
 from repro.api.campaign import run_recorded
-from repro.fleet import FleetCoordinator, RunnerAgent, UploadError
+from repro.fleet import (
+    FleetCoordinator,
+    FleetState,
+    LocalTransport,
+    RunnerAgent,
+    UploadError,
+)
 from repro.serialize import documents_equal
 from repro.service import (
     CampaignService,
@@ -22,7 +33,7 @@ from repro.service import (
     StaleLease,
 )
 from repro.service.queue import JobQueue, active_store_keys
-from repro.store import CampaignStore
+from repro.store import CampaignStore, read_json_document
 
 SPEC = CampaignSpec(name="fleet-unit", workload="blockcipher", frames=1,
                     levels=(1,), params={"block_words": 4})
@@ -56,6 +67,46 @@ def service(tmp_path):
 def make_runner(service, tmp_path, name):
     return RunnerAgent(service.url, tmp_path / f"{name}-store", name=name,
                        ttl=30.0, poll_interval=0.05)
+
+
+@pytest.fixture(params=["http", "local"])
+def make_agent(request, service, tmp_path):
+    """``make_agent(name, **kwargs)``: a runner on one transport — HTTP
+    with its own store, or in-process on the coordinator's store."""
+    def make(name, **kwargs):
+        if request.param == "http":
+            return RunnerAgent(service.url, tmp_path / f"{name}-store",
+                               name=name, poll_interval=0.05, **kwargs)
+        return RunnerAgent(None, service.store.root, name=name,
+                           poll_interval=0.05,
+                           client=LocalTransport(service.fleet), **kwargs)
+    return make
+
+
+def slow_jobs(monkeypatch, seconds):
+    """Make every job child sleep ``seconds`` before running its job."""
+    import repro.service.workers as workers_mod
+
+    real = workers_mod.execute_job
+
+    def slow(job_doc, store_root):
+        time.sleep(seconds)
+        return real(job_doc, store_root)
+
+    monkeypatch.setattr(workers_mod, "execute_job", slow)
+
+
+def in_background(target):
+    thread = threading.Thread(target=target, daemon=True)
+    thread.start()
+    return thread
+
+
+def wait_for_status(queue, job_id, status, timeout=30.0):
+    deadline = time.monotonic() + timeout
+    while queue.get(job_id)["status"] != status:
+        assert time.monotonic() < deadline, f"job never became {status}"
+        time.sleep(0.01)
 
 
 class TestLeaseLifecycle:
@@ -137,14 +188,14 @@ class TestLeaseLifecycle:
         dead, _ = queue.submit(SPEC.replace(name="dead"))
         queue.claim("remote", ttl=300.0)   # live lease survives restart
         stale = queue.claim("remote", ttl=1.0)
-        stale["lease"]["expires_at"] = time.time() - 0.1
-        queue._save(stale)
         local = queue.submit(SPEC.replace(name="local"))[0]
-        queue.claim("local-worker")        # no lease: a dead local claim
+        queue.claim("worker-0", ttl=30.0)  # the dead daemon's own worker
 
         restarted = JobQueue(tmp_path / "queue")
-        requeued = set(restarted.recover())
-        assert requeued == {stale["id"], local["id"]}
+        now = time.time()
+        assert restarted.expire_leases(now=now + 2.0) == [stale["id"]]
+        # The dead daemon's local claim re-queues once its lease lapses.
+        assert restarted.expire_leases(now=now + 31.0) == [local["id"]]
         assert restarted.get(live["id"])["status"] == "running"
 
 
@@ -191,6 +242,7 @@ class TestCoordinator:
         first = coordinator.claim("r1", ttl=1.0)
         first["lease"]["expires_at"] = time.time() - 0.1
         queue._save(first)
+        assert coordinator.expire() == [job["id"]]
         second = coordinator.claim("r2", ttl=30.0)
         assert second["generation"] == first["generation"] + 1
         with pytest.raises(StaleLease):
@@ -202,6 +254,48 @@ class TestCoordinator:
         stats = coordinator.stats()
         assert stats["zombie_drops"] == 1
         assert stats["expired_requeues"] == 1
+
+    def test_idle_claim_reads_no_job_file(self, coordinator, queue,
+                                          monkeypatch):
+        """Local workers poll every 50 ms for the daemon's lifetime, so
+        a claim on a drained queue must not scan the finished jobs."""
+        for index in range(50):
+            job, _ = queue.submit(SPEC.replace(name=f"done-{index}"))
+            queue.complete(queue.claim("r0")["id"], {"passed": True})
+        reads = []
+
+        def counting(path):
+            reads.append(path)
+            return read_json_document(path)
+
+        monkeypatch.setattr(queue, "_read_json", counting)
+        assert coordinator.claim("r1") is None
+        assert reads == []
+
+    def test_finished_counts_survive_concurrent_runners(self):
+        """Every runner thread finishes jobs into one FleetState; a lost
+        update would show in the totals."""
+        state = FleetState()
+        done = {"status": "done", "result": {"store_resume": {
+            "hits": ["a"], "executed": ["b", "c"], "retried": []}}}
+        failed = {"status": "failed", "result": None}
+
+        def finish():
+            for index in range(500):
+                state.finished(done if index % 2 else failed)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [in_background(finish) for _ in range(8)]
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert state.snapshot()["jobs"] == {
+            "jobs_done": 2000, "jobs_failed": 2000, "points_hit": 2000,
+            "points_executed": 4000, "points_retried": 0}
 
     def test_upload_refuses_malformed_documents(self, coordinator, queue):
         queue.submit(SPEC)
@@ -272,16 +366,29 @@ class TestRunnerEndToEnd:
         assert fleet["expired_requeues"] >= 1
         assert done["generation"] == 2
 
-    def test_heartbeats_keep_a_slow_job_leased(self, service, tmp_path):
-        client = ServiceClient(service.url)
-        job = client.submit(SPEC.to_dict())
-        runner = RunnerAgent(service.url, tmp_path / "hb-store",
-                             name="hb", ttl=1.0, poll_interval=0.05)
-        # ttl=1.0 forces several heartbeat rounds even on a fast job;
-        # the job must complete under the original claim (generation 1).
-        assert runner.run_once() is True
-        done = client.wait(job["id"], timeout=60)
-        assert done["status"] == "done" and done["generation"] == 1
+    def test_bookkeeping_failure_fails_the_job_and_keeps_claiming(
+            self, service, tmp_path):
+        """An upload that raises (a full disk, say) fails that job with
+        a ServiceInternalError envelope; the runner claims on."""
+        class FullDiskOnce(ServiceClient):
+            failures = 1
+
+            def upload_result(self, *args, **kwargs):
+                if self.failures:
+                    self.failures -= 1
+                    raise OSError(28, "No space left on device")
+                return super().upload_result(*args, **kwargs)
+
+        first, _ = service.queue.submit(SPEC)
+        second, _ = service.queue.submit(SPEC.replace(name="next"))
+        runner = RunnerAgent(service.url, tmp_path / "flaky-store",
+                             name="flaky", poll_interval=0.05,
+                             client=FullDiskOnce(service.url))
+        assert runner.run_forever(max_jobs=2) == 2
+        failed = service.queue.get(first["id"])
+        assert failed["status"] == "failed"
+        assert failed["error"]["type"] == "ServiceInternalError"
+        assert service.queue.get(second["id"])["status"] == "done"
 
     def test_stats_document_and_cli_table_carry_the_fleet(self, service,
                                                           tmp_path):
@@ -298,6 +405,56 @@ class TestRunnerEndToEnd:
         assert fleet["runners"]["tabled"]["uploads"] == 1
         text = _stats_table(stats)
         assert "runner tabled" in text and "fleet" in text
+
+
+class TestRunnerLeases:
+    """Each case runs over HTTP and over the in-process transport."""
+
+    def test_heartbeats_keep_a_slow_job_leased(self, service, make_agent,
+                                               monkeypatch):
+        # A 1 s lease on a 2 s job: only heartbeats keep the original
+        # claim (generation 1) alive until the upload.
+        slow_jobs(monkeypatch, 2.0)
+        job, _ = service.queue.submit(SPEC)
+        runner = make_agent("hb", ttl=1.0)
+        assert runner.run_once() is True
+        done = service.queue.get(job["id"])
+        assert done["status"] == "done" and done["generation"] == 1
+        assert runner.jobs_done == 1 and runner.leases_lost == 0
+
+    def test_lost_lease_cancels_the_child(self, service, make_agent,
+                                          monkeypatch):
+        slow_jobs(monkeypatch, 3600.0)
+        job, _ = service.queue.submit(SPEC)
+        runner = make_agent("cancelled", ttl=1.0)
+        thread = in_background(runner.run_once)
+        wait_for_status(service.queue, job["id"], "running")
+        # The coordinator re-queues the job under the runner: its next
+        # heartbeat is refused and the hung child is killed.
+        assert service.queue.expire_leases(now=time.time() + 3600.0) == \
+            [job["id"]]
+        thread.join(timeout=30)
+        assert not thread.is_alive()
+        assert runner.leases_lost == 1 and runner.jobs_done == 0
+        assert service.queue.get(job["id"])["status"] == "queued"
+
+    def test_zombie_upload_is_fenced(self, service, make_agent,
+                                     monkeypatch):
+        slow_jobs(monkeypatch, 1.5)
+        job, _ = service.queue.submit(SPEC)
+        zombie = make_agent("zombie")  # 30 s lease: no heartbeat in time
+        thread = in_background(zombie.run_once)
+        wait_for_status(service.queue, job["id"], "running")
+        service.queue.expire_leases(now=time.time() + 3600.0)
+        successor = service.fleet.claim("successor")
+        assert successor["generation"] == 2
+        thread.join(timeout=30)
+        assert not thread.is_alive()
+        assert zombie.leases_lost == 1 and zombie.jobs_done == 0
+        record = service.queue.get(job["id"])
+        assert record["status"] == "running"
+        assert record["lease"]["runner"] == "successor"
+        assert service.fleet.stats()["zombie_drops"] == 1
 
 
 class TestBackpressure:

@@ -9,6 +9,8 @@ a sweep submitted over HTTP must return a payload byte-identical
 from the store — 100% hits, zero points executed.
 """
 
+import time
+
 import pytest
 
 from repro.api import Campaign, CampaignSpec
@@ -237,11 +239,13 @@ class TestDaemonLifecycle:
         root = tmp_path / "svc"
         first = CampaignService(root)
         job, _ = first.queue.submit(FAST)
-        first.queue.claim("worker-0")
+        first.queue.claim("worker-0", ttl=0.05)
         # Daemon "dies" mid-job: the kernel drops its socket and its
-        # advisory daemon.lock (simulated by closing both handles).
+        # advisory daemon.lock (simulated by closing both handles), and
+        # its local worker's lease is no longer heartbeaten.
         first.server.server_close()
         first._lock_file.close()
+        time.sleep(0.1)
 
         second = CampaignService(root)
         assert second.recovered == [job["id"]]

@@ -1,6 +1,7 @@
 """The durable job queue: content addressing, states, crash recovery."""
 
 import json
+import time
 
 import pytest
 
@@ -166,16 +167,21 @@ class TestCrashRecovery:
         interrupted, _ = queue.submit(SPEC.replace(name="interrupted"))
         done, _ = queue.submit(SPEC.replace(name="done"))
         waiting, _ = queue.submit(SPEC.replace(name="waiting"))
-        assert queue.claim("w0")["name"] == "interrupted"
+        claimed = queue.claim("w0")
+        assert claimed["name"] == "interrupted"
         assert queue.claim("w0")["name"] == "done"
         queue.complete(done["id"], {"passed": True})
         # Daemon dies here; a fresh process opens the same directory.
+        # Its dead runner's lease still runs, then lapses.
         restarted = JobQueue(tmp_path / "queue")
-        requeued = restarted.recover()
+        lapse = claimed["lease"]["expires_at"]
+        assert restarted.expire_leases(now=lapse - 1.0) == []
+        requeued = restarted.expire_leases(now=lapse)
         assert requeued == [interrupted["id"]]
         record = restarted.get(interrupted["id"])
         assert record["status"] == "queued"
         assert record["worker"] is None and record["started_at"] is None
+        assert record["lease"] is None
         # Completed jobs untouched; queued jobs untouched.
         assert restarted.get(done["id"])["status"] == "done"
         assert restarted.get(waiting["id"])["status"] == "queued"
@@ -184,7 +190,20 @@ class TestCrashRecovery:
 
     def test_recover_on_clean_queue_is_a_noop(self, queue):
         queue.submit(SPEC)
-        assert queue.recover() == []
+        assert queue.expire_leases(now=time.time() + 3600.0) == []
+
+    def test_leaseless_running_record_is_requeued(self, tmp_path):
+        """A job an older build's local worker claimed without a lease
+        (``"lease": null``) and left running is re-queued at once."""
+        queue = JobQueue(tmp_path / "queue")
+        job, _ = queue.submit(SPEC)
+        claimed = queue.claim("worker-0")
+        claimed["lease"] = None
+        queue._save(claimed)
+        restarted = JobQueue(tmp_path / "queue")
+        assert restarted.expire_leases() == [job["id"]]
+        assert restarted.get(job["id"])["status"] == "queued"
+        assert restarted.claim("worker-0")["generation"] == 2
 
 
 class TestListingAndStats:

@@ -1,4 +1,9 @@
-"""The worker pool: process isolation, store-warm execution, envelopes."""
+"""Job execution: process isolation, store-warm execution, envelopes.
+
+The daemon's local workers are runner agents claiming in-process
+(:class:`repro.fleet.LocalTransport`); :class:`TestPool` drives them
+through :class:`CampaignService`, the way the daemon runs them.
+"""
 
 import os
 import signal
@@ -8,10 +13,10 @@ import time
 import pytest
 
 from repro.api import CampaignSpec, CampaignStore
+from repro.service import CampaignService
 from repro.service.queue import JobQueue
 from repro.service.workers import (
     WorkerCrash,
-    WorkerPool,
     execute_job,
     spawn_job_child,
     wait_job_child,
@@ -31,8 +36,25 @@ def store(tmp_path):
     return CampaignStore(tmp_path / "store")
 
 
-def drain(pool, queue, timeout=60.0):
-    """Run the pool until the queue has nothing queued or running."""
+@pytest.fixture
+def serve(tmp_path):
+    """Start a daemon (``**kwargs`` for CampaignService); stopped at
+    teardown."""
+    services = []
+
+    def start(**kwargs):
+        service = CampaignService(tmp_path / f"svc-{len(services)}",
+                                  **kwargs).start()
+        services.append(service)
+        return service
+
+    yield start
+    for service in services:
+        service.stop()
+
+
+def drain(queue, timeout=60.0):
+    """Wait until the queue has nothing queued or running."""
     deadline = time.monotonic() + timeout
     while time.monotonic() < deadline:
         stats = queue.stats()["by_status"]
@@ -119,53 +141,44 @@ class TestSpawn:
 
 
 class TestPool:
-    def test_pool_drains_queue_and_counts(self, queue, store):
-        queue.submit(FAST)
-        queue.submit(FAST.replace(name="w2", frames=2))
-        pool = WorkerPool(queue, str(store.root), workers=2)
-        pool.start()
-        try:
-            drain(pool, queue)
-        finally:
-            pool.stop()
-        jobs = queue.list(status="done")
+    """The daemon's local workers: runner agents under real leases."""
+
+    def test_pool_drains_queue_and_counts(self, serve):
+        service = serve(workers=2)
+        service.queue.submit(FAST)
+        service.queue.submit(FAST.replace(name="w2", frames=2))
+        drain(service.queue)
+        jobs = service.queue.list(status="done")
         assert len(jobs) == 2
         assert all(job["result"]["passed"] for job in jobs)
-        stats = pool.stats()
+        assert all(job["worker"].startswith("worker-") for job in jobs)
+        stats = service.stats()["workers"]
+        assert stats["total"] == len(service.agents)
         assert stats["jobs_done"] == 2 and stats["jobs_failed"] == 0
         assert stats["points_executed"] == 2
 
-    def test_raising_campaign_becomes_failure_envelope(self, queue, store):
+    def test_raising_campaign_becomes_failure_envelope(self, serve):
         # An unknown CPU passes spec validation (the CPU library is
         # checked at session build), so the job fails *inside* the child.
+        service = serve(workers=1)
         bad = FAST.replace(name="bad", cpu="MISSING-CPU")
-        job, _ = queue.submit(bad)
-        pool = WorkerPool(queue, str(store.root), workers=1)
-        pool.start()
-        try:
-            drain(pool, queue)
-        finally:
-            pool.stop()
-        failed = queue.get(job["id"])
+        job, _ = service.queue.submit(bad)
+        drain(service.queue)
+        failed = service.queue.get(job["id"])
         assert failed["status"] == "failed"
         assert "MISSING-CPU" in failed["error"]["message"]
-        assert pool.stats()["jobs_failed"] == 1
+        assert service.stats()["workers"]["jobs_failed"] == 1
 
-    def test_sweep_point_error_names_the_point(self, queue, store):
-        job, _ = queue.submit(FAST.replace(cpu="MISSING-CPU"),
-                              sweep={"frames": [1]})
-        pool = WorkerPool(queue, str(store.root), workers=1)
-        pool.start()
-        try:
-            drain(pool, queue)
-        finally:
-            pool.stop()
-        failed = queue.get(job["id"])
+    def test_sweep_point_error_names_the_point(self, serve):
+        service = serve(workers=1)
+        job, _ = service.queue.submit(FAST.replace(cpu="MISSING-CPU"),
+                                      sweep={"frames": [1]})
+        drain(service.queue)
+        failed = service.queue.get(job["id"])
         assert failed["error"]["type"] == "SweepPointError"
         assert "w[frames=1]" in failed["error"]["message"]
 
-    def test_killed_child_surfaces_as_worker_crash(self, queue, store,
-                                                   monkeypatch):
+    def test_killed_child_surfaces_as_worker_crash(self, serve, monkeypatch):
         """A child dying without a report fails the job, not the daemon."""
         import repro.service.workers as workers_mod
 
@@ -173,19 +186,15 @@ class TestPool:
             os.kill(os.getpid(), signal.SIGKILL)
 
         monkeypatch.setattr(workers_mod, "execute_job", doomed)
-        job, _ = queue.submit(FAST)
-        pool = WorkerPool(queue, str(store.root), workers=1)
-        pool.start()
-        try:
-            drain(pool, queue)
-        finally:
-            pool.stop()
-        failed = queue.get(job["id"])
+        service = serve(workers=1)
+        job, _ = service.queue.submit(FAST)
+        drain(service.queue)
+        failed = service.queue.get(job["id"])
         assert failed["status"] == "failed"
         assert failed["error"]["type"] == "WorkerCrash"
         assert "exited with code" in failed["error"]["message"]
 
-    def test_hung_child_is_killed_at_the_job_timeout(self, queue, store,
+    def test_hung_child_is_killed_at_the_job_timeout(self, serve,
                                                      monkeypatch):
         """A campaign that never returns cannot wedge a worker forever."""
         import repro.service.workers as workers_mod
@@ -194,34 +203,55 @@ class TestPool:
             time.sleep(3600)
 
         monkeypatch.setattr(workers_mod, "execute_job", hang)
-        job, _ = queue.submit(FAST)
-        pool = WorkerPool(queue, str(store.root), workers=1,
-                          job_timeout=0.5)
-        pool.start()
-        try:
-            drain(pool, queue, timeout=30)
-        finally:
-            pool.stop()
-        failed = queue.get(job["id"])
+        service = serve(workers=1, job_timeout=0.5)
+        job, _ = service.queue.submit(FAST)
+        drain(service.queue, timeout=30)
+        failed = service.queue.get(job["id"])
         assert failed["status"] == "failed"
         assert failed["error"]["type"] == "WorkerCrash"
         assert "job timeout" in failed["error"]["message"]
 
-    def test_job_timeout_must_be_positive(self, queue, store):
-        with pytest.raises(ValueError, match="job_timeout"):
-            WorkerPool(queue, str(store.root), workers=1, job_timeout=0)
+    def test_duplicate_completes_warm_without_a_child(self, serve,
+                                                      monkeypatch):
+        """A resubmitted spec is answered at claim from the store: the
+        local worker never forks for it."""
+        import repro.fleet.runner as runner_mod
 
-    def test_worker_count_clamps_to_available_cpus(self, queue, store,
+        service = serve(workers=1)
+        job, _ = service.queue.submit(FAST)
+        drain(service.queue)
+
+        def no_child(job_doc, store_root):
+            raise AssertionError("a duplicate spawned a job child")
+
+        monkeypatch.setattr(runner_mod, "spawn_job_child", no_child)
+        again, coalesced = service.queue.submit(FAST)
+        assert again["id"] == job["id"] and not coalesced
+        drain(service.queue)
+        warm = service.queue.get(job["id"])
+        assert warm["status"] == "done"
+        assert warm["result"]["store_resume"] == {
+            "hits": ["w"], "executed": [], "retried": []}
+        stats = service.stats()
+        assert stats["fleet"]["warm_completed"] == 1
+        assert stats["workers"]["jobs_done"] == 2
+        assert stats["workers"]["points_hit"] == 1
+
+    def test_job_timeout_must_be_positive(self, tmp_path):
+        with pytest.raises(ValueError, match="job_timeout"):
+            CampaignService(tmp_path / "svc", workers=1, job_timeout=0)
+
+    def test_worker_count_clamps_to_available_cpus(self, serve,
                                                    monkeypatch):
         monkeypatch.setenv("REPRO_JOBS", "2")
-        pool = WorkerPool(queue, str(store.root), workers=64)
-        assert pool.workers == 2
+        assert len(serve(workers=64).agents) == 2
         monkeypatch.setenv("REPRO_JOBS", "1")
-        assert WorkerPool(queue, str(store.root)).workers == 1
+        assert len(serve().agents) == 1
+        assert serve(workers=0).agents == []  # coordinator only
 
-    def test_rejects_zero_workers(self, queue, store):
-        with pytest.raises(ValueError, match=">= 1"):
-            WorkerPool(queue, str(store.root), workers=0)
+    def test_rejects_negative_workers(self, tmp_path):
+        with pytest.raises(ValueError, match=">= 0"):
+            CampaignService(tmp_path / "svc", workers=-1)
 
     def test_worker_crash_exception_type(self):
         assert issubclass(WorkerCrash, RuntimeError)

@@ -3,7 +3,8 @@
 The contract under test: ``store pack`` may change *where* entries live
 but never *what* they say — every envelope reads back byte-identical
 through ``get()``, loose rewrites shadow their packed copies, and a
-pre-shard (flat) store migrates without any key changing.
+pre-shard (flat) store is moved into its shards without any key or
+byte changing.
 """
 
 import json
@@ -98,8 +99,8 @@ class TestPackRoundTrip:
 
 class TestFlatMigration:
     def test_flat_legacy_entries_read_and_pack(self, store):
-        """A pre-shard store (``entries/<key>.json``) keeps working and
-        migrates into packs with every key unchanged."""
+        """A pre-shard store (``entries/<key>.json``) is moved into its
+        shards when opened, every key and byte unchanged."""
         key = campaign_key(SPEC)
         flat = store.entries_dir / f"{key}.json"
         envelope = {"schema": "repro.store_entry/v1", "key": key,
@@ -107,24 +108,28 @@ class TestFlatMigration:
                     "spec": SPEC.to_dict(), "identity": {},
                     "attempts": 1, "created_at": "2026-01-01T00:00:00Z",
                     "payload": PAYLOAD}
-        flat.write_text(json.dumps(envelope))
-        assert store.get(key) == envelope
-        assert key in store.keys()
-        report = store.pack()
-        assert report["packed"] == 1
+        raw = json.dumps(envelope).encode("utf-8")
+        flat.write_bytes(raw)
+        opened = CampaignStore(store.root)
         assert not flat.exists()
+        assert opened._entry_path(key).read_bytes() == raw
+        assert opened.get(key) == envelope
+        assert opened.keys() == [key]
+        assert opened.pack()["packed"] == 1
         assert CampaignStore(store.root).get(key) == envelope
 
     def test_sharded_copy_wins_over_flat_duplicate(self, store):
         key = store.put_campaign(SPEC, PAYLOAD)
+        sharded = store._entry_path(key).read_bytes()
         stale = dict(store.get(key))
         stale["payload"] = dict(PAYLOAD, wall_seconds=777.0)
-        (store.entries_dir / f"{key}.json").write_text(json.dumps(stale))
-        assert store.get(key)["payload"]["wall_seconds"] == 1.25
-        store.pack()
-        fresh = CampaignStore(store.root)
-        assert fresh.get(key)["payload"]["wall_seconds"] == 1.25
-        assert len(fresh.keys()) == 1
+        flat = store.entries_dir / f"{key}.json"
+        flat.write_text(json.dumps(stale))
+        opened = CampaignStore(store.root)
+        assert not flat.exists()
+        assert opened._entry_path(key).read_bytes() == sharded
+        assert opened.get(key)["payload"]["wall_seconds"] == 1.25
+        assert opened.keys() == [key]
 
 
 class TestAdopt:

@@ -89,34 +89,32 @@ class TestServiceJobSpans:
     def test_sigkilled_child_flushes_aborted_span(self, tmp_path,
                                                   monkeypatch, traced):
         import repro.service.workers as workers_mod
-        from repro.service.queue import JobQueue
-        from repro.service.workers import WorkerPool
+        from repro.service import CampaignService
 
         def doomed(job_doc, store_root):
             os.kill(os.getpid(), signal.SIGKILL)
 
         monkeypatch.setattr(workers_mod, "execute_job", doomed)
-        queue = JobQueue(tmp_path / "queue")
-        job, _ = queue.submit(FAST)
-        pool = WorkerPool(queue, str(tmp_path / "store"), workers=1)
-        pool.start()
+        service = CampaignService(tmp_path / "svc", workers=1).start()
         try:
+            job, _ = service.queue.submit(FAST)
             deadline = time.monotonic() + 60
             while time.monotonic() < deadline:
-                stats = queue.stats()["by_status"]
+                stats = service.queue.stats()["by_status"]
                 if not stats["queued"] and not stats["running"]:
                     break
                 time.sleep(0.02)
         finally:
-            pool.stop()
-        assert queue.get(job["id"])["status"] == "failed"
-        # The supervisor-side span survived the child's SIGKILL, with
-        # the aborted status, and the sink stayed parseable.
+            service.stop()
+        assert service.queue.get(job["id"])["status"] == "failed"
+        # The runner-side span survived the child's SIGKILL, with the
+        # aborted status, and the sink stayed parseable.
         records = telemetry.read_spans(traced)
         jobs = [r for r in records if r["name"] == "service.job"]
         assert len(jobs) == 1
         assert jobs[0]["status"] == "aborted"
         assert jobs[0]["attrs"]["job"] == job["id"][:12]
+        assert jobs[0]["attrs"]["runner"] == "worker-0"
 
 
 class TestLedgerSpans:
