@@ -12,6 +12,10 @@ The paper's design-verification campaign:
 """
 
 import pytest
+# repro imports scipy.optimize only at its first LP.  Loading it here, at
+# collection, keeps the single-round test_lpv_deadlock leg timing the
+# deadlock LPs alone rather than scipy's import.
+import scipy.optimize  # noqa: F401
 
 from benchmarks.conftest import paper_row
 from repro.facerec import FacerecConfig, build_graph, case_study_partition

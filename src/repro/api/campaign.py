@@ -100,8 +100,8 @@ def _available_cpus() -> int:
 
     A ``REPRO_JOBS`` environment variable overrides the detected count
     (clamped to >= 1): cgroup-limited CI runners whose quota is invisible
-    to ``sched_getaffinity`` — and the service worker pool — pin their
-    concurrency with it instead of patching code.
+    to ``sched_getaffinity`` — and the service daemon's local runner
+    agents — pin their concurrency with it instead of patching code.
     """
     import os
 
@@ -124,8 +124,8 @@ def fork_context():
     Prefer fork where available: workers inherit the parent's workload
     registry, so runtime-registered custom workloads run correctly.
     Under spawn (Windows), workloads must be registered at import time
-    of an importable module.  Shared by the sweep pool and the service
-    worker pool so the policy can only change in one place.
+    of an importable module.  Shared by the sweep and PCC pools and the
+    runners' job children so the policy can only change in one place.
     """
     import multiprocessing
 

@@ -663,12 +663,13 @@ def _render_trace_tree(spans: list[dict]) -> list[str]:
 
 
 def cmd_trace(args) -> int:
-    """``repro trace show|tree|top``: inspect a store's span sink."""
+    """``repro trace show|tree|top``: inspect a store's (or a bare) span sink."""
     from repro.telemetry import read_spans, spans_dir_for
 
     if not os.path.isdir(args.store):
         raise SystemExit(f"no store directory at {args.store}")
-    spans = read_spans(spans_dir_for(args.store))
+    sink = spans_dir_for(args.store)
+    spans = read_spans(sink if sink.is_dir() else args.store)
     if getattr(args, "name", None):
         spans = [record for record in spans
                  if record.get("name") == args.name]
@@ -1085,8 +1086,8 @@ def build_parser() -> argparse.ArgumentParser:
                               help="render only this trace")
     for p_sub in (p_trace_show, p_trace_tree, p_trace_top):
         p_sub.add_argument("--store", metavar="PATH", required=True,
-                           help="campaign store directory whose spans/ "
-                                "sink to read")
+                           help="store whose spans/ sink to read, or "
+                                "a bare spans directory (REPRO_TRACE=<dir>)")
         p_sub.add_argument("--name", default=None,
                            help="only spans with this exact name")
         p_sub.add_argument("--status", default=None,

@@ -18,10 +18,12 @@ nets (LPV) and coverage models (ATPG).
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable, Optional
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Optional
 
-import networkx as nx
+if TYPE_CHECKING:
+    import networkx as nx
 
 
 class GraphError(ValueError):
@@ -118,13 +120,16 @@ class AppGraph:
         self.channels[spec.name] = spec
         return spec
 
-    def validate(self) -> None:
-        """Check referential integrity and the SDF wiring invariants."""
+    def _check_endpoints(self) -> None:
         for chan in self.channels.values():
             if chan.src not in self.tasks:
                 raise GraphError(f"channel {chan.name!r}: unknown src task {chan.src!r}")
             if chan.dst not in self.tasks:
                 raise GraphError(f"channel {chan.name!r}: unknown dst task {chan.dst!r}")
+
+    def validate(self) -> None:
+        """Check referential integrity and the SDF wiring invariants."""
+        self._check_endpoints()
         for task in self.tasks.values():
             for chan_name in task.reads:
                 chan = self.channels.get(chan_name)
@@ -157,6 +162,8 @@ class AppGraph:
 
     def to_networkx(self) -> nx.MultiDiGraph:
         """Task-level digraph (parallel channels preserved)."""
+        import networkx as nx
+
         graph = nx.MultiDiGraph(name=self.name)
         graph.add_nodes_from(self.tasks)
         for chan in self.channels.values():
@@ -166,14 +173,28 @@ class AppGraph:
     def topological_order(self) -> list[str]:
         """Task names in a deterministic topological order.
 
-        Raises :class:`GraphError` on cyclic graphs — the cyclostatic SW
-        schedule of level 2 requires acyclic single-rate graphs.
+        Kahn's algorithm, scheduling the alphabetically first ready task
+        next.  Raises :class:`GraphError` on unknown channel endpoints and
+        on cyclic graphs — the cyclostatic SW schedule of level 2 requires
+        acyclic single-rate graphs.
         """
-        graph = self.to_networkx()
-        try:
-            return list(nx.lexicographical_topological_sort(graph))
-        except nx.NetworkXUnfeasible as exc:
-            raise GraphError(f"graph {self.name!r} has cycles; no static schedule") from exc
+        self._check_endpoints()
+        successors: dict[str, list[str]] = {name: [] for name in self.tasks}
+        indegree = dict.fromkeys(self.tasks, 0)
+        for chan in self.channels.values():
+            successors[chan.src].append(chan.dst)
+            indegree[chan.dst] += 1
+        ready = sorted(name for name, degree in indegree.items() if degree == 0)  # a heap
+        order: list[str] = []
+        while ready:
+            order.append(heapq.heappop(ready))
+            for dst in successors[order[-1]]:
+                indegree[dst] -= 1
+                if indegree[dst] == 0:
+                    heapq.heappush(ready, dst)
+        if len(order) < len(self.tasks):
+            raise GraphError(f"graph {self.name!r} has cycles; no static schedule")
+        return order
 
     def predecessors(self, task_name: str) -> list[str]:
         return sorted({c.src for c in self.channels.values() if c.dst == task_name})

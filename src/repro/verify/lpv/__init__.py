@@ -14,11 +14,11 @@ Our abstract model is a place/transition Petri net
 (:mod:`~repro.verify.lpv.petri`); the application graph translates into
 one with data and free-space places per channel
 (:mod:`~repro.verify.lpv.translate`).  Unreachability proofs use the
-state-equation LP relaxation with scipy
+state-equation LP relaxation with scipy, loaded at the first LP
 (:mod:`~repro.verify.lpv.reach`), deadlock hunting enumerates dead
 markings and checks each (:mod:`~repro.verify.lpv.deadlock`), and the
-real-time layer formulates longest-path / buffer-occupancy questions as
-linear programs (:mod:`~repro.verify.lpv.realtime`).
+real-time layer poses longest-path / buffer-occupancy LPs, solved
+exactly by one topological pass (:mod:`~repro.verify.lpv.realtime`).
 """
 
 from repro.verify.lpv.petri import PetriNet, PetriError

@@ -21,7 +21,6 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-from scipy.optimize import linprog
 
 from repro.verify.lpv.petri import PetriNet
 
@@ -60,6 +59,8 @@ class BoundsReport:
 
 def place_bound(net: PetriNet, place: str) -> PlaceBound:
     """LP upper bound on the reachable marking of ``place``."""
+    from scipy.optimize import linprog
+
     if place not in net.places:
         raise ValueError(f"unknown place {place!r}")
     c_matrix = net.incidence_matrix().astype(float)

@@ -25,7 +25,6 @@ from fractions import Fraction
 from typing import Optional
 
 import numpy as np
-from scipy.optimize import linprog
 
 from repro.verify.lpv.petri import PetriNet
 
@@ -64,6 +63,8 @@ def check_submarking_unreachable(
     ``==``, ``<=``, ``>=``.  Returns a proof of unreachability (LP
     infeasible) or a POSSIBLY_REACHABLE verdict with the LP witness.
     """
+    from scipy.optimize import linprog
+
     for place, op, value in constraints:
         if op not in _OPS:
             raise ValueError(f"bad constraint op {op!r}")
@@ -82,8 +83,6 @@ def check_submarking_unreachable(
     b_eq = m0.copy()
     a_ub_rows: list[np.ndarray] = []
     b_ub: list[float] = []
-    eq_rows: list[np.ndarray] = [a_eq]
-    eq_rhs: list[np.ndarray] = [b_eq]
 
     extra_eq_rows: list[np.ndarray] = []
     extra_eq_rhs: list[float] = []

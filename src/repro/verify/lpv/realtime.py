@@ -8,10 +8,12 @@ graph (annotated execution times + channel transfer times):
 
 - **Deadline achievement**: per-frame completion times are the least
   solution of ``f_t >= f_src + transfer + exec_t``; solving
-  ``min sum f`` with those constraints yields exactly the longest-path
-  (critical-path) times.  The deadline property holds iff the latest
-  sink completion is within the deadline; otherwise the tight
-  constraints reconstruct the critical path as the counter-example.
+  ``min sum f`` with those difference constraints yields the
+  longest-path (critical-path) times, which one topological pass
+  computes exactly (Cormen et al., *Introduction to Algorithms*, §24.4).
+  The deadline property holds iff the latest sink completion is within
+  the deadline; otherwise the tight constraints reconstruct the
+  critical path as the counter-example.
 - **FIFO dimensioning**: under self-timed periodic pipelining with
   initiation interval ``P`` (the slowest stage), a producer may run
   ahead of its consumer by the schedule skew; the minimal safe capacity
@@ -22,9 +24,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from typing import Optional
-
-import numpy as np
-from scipy.optimize import linprog
 
 from repro.platform.annotation import AnnotatedTask
 from repro.platform.taskgraph import AppGraph
@@ -89,42 +88,21 @@ def completion_times(
     annotations: dict[str, AnnotatedTask],
     transfer_ps_per_word: int = 0,
 ) -> dict[str, int]:
-    """Worst-case per-frame completion time of every task, via LP.
+    """Worst-case per-frame completion time of every task.
 
-    Constraints: ``f_t - f_src >= transfer(c) + exec(t)`` for each
-    channel ``c: src -> t`` and ``f_t >= exec(t)`` for sources.
-    Minimising ``sum f`` makes every ``f_t`` exactly its longest-path
-    value.
+    The LP ``min sum f`` s.t. ``f_t - f_src >= transfer(c) + exec(t)``
+    for each channel ``c: src -> t`` and ``f_t >= exec(t)`` has the
+    longest-path values as its unique optimum, computed in one pass in
+    topological order: ``f_t = exec(t) + max(0, max_c f_src + transfer(c))``.
     """
     graph.validate()
-    tasks = list(graph.tasks)
-    index = {t: i for i, t in enumerate(tasks)}
-    n = len(tasks)
-    a_ub_rows: list[np.ndarray] = []
-    b_ub: list[float] = []
-    for chan in graph.channels.values():
-        # f_src - f_dst <= -(transfer + exec_dst)
-        row = np.zeros(n)
-        row[index[chan.src]] = 1.0
-        row[index[chan.dst]] = -1.0
-        cost = _transfer_ps(graph, chan.name, transfer_ps_per_word)
-        cost += annotations[chan.dst].time_per_firing_ps
-        a_ub_rows.append(row)
-        b_ub.append(-float(cost))
-    bounds = []
-    for t in tasks:
-        exec_ps = annotations[t].time_per_firing_ps
-        bounds.append((float(exec_ps), None))
-    result = linprog(
-        c=np.ones(n),
-        A_ub=np.vstack(a_ub_rows) if a_ub_rows else None,
-        b_ub=np.array(b_ub) if b_ub else None,
-        bounds=bounds,
-        method="highs",
-    )
-    if not result.success:  # pragma: no cover - DAG LPs are always feasible
-        raise RuntimeError(f"linprog failed: {result.message}")
-    return {t: int(round(result.x[index[t]])) for t in tasks}
+    completion: dict[str, int] = {}
+    for task in graph.topological_order():
+        ready = max((completion[chan.src]
+                     + _transfer_ps(graph, chan.name, transfer_ps_per_word)
+                     for chan in graph.in_channels(task)), default=0)
+        completion[task] = annotations[task].time_per_firing_ps + max(0, ready)
+    return {task: completion[task] for task in graph.tasks}
 
 
 def _critical_path(

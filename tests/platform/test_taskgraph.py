@@ -1,9 +1,11 @@
 """Tests for the application task-graph abstraction."""
 
+import networkx as nx
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.api import CampaignSpec, Session, get_workload, workload_names
 from repro.platform.taskgraph import AppGraph, ChannelSpec, GraphError, TaskSpec
 
 
@@ -79,7 +81,14 @@ class TestQueries:
                                 reads=("ab",), writes=("ba",)))
         graph.add_channel(ChannelSpec("ab", "A", "B"))
         graph.add_channel(ChannelSpec("ba", "B", "A"))
-        with pytest.raises(GraphError):
+        with pytest.raises(GraphError, match="'cyc' has cycles; no static schedule"):
+            graph.topological_order()
+
+    def test_unknown_endpoint_rejected_in_schedule(self):
+        graph = AppGraph("g")
+        graph.add_task(TaskSpec("A", lambda s, i: {"c": 1}, writes=("c",)))
+        graph.add_channel(ChannelSpec("c", "A", "MISSING"))
+        with pytest.raises(GraphError, match="unknown dst task 'MISSING'"):
             graph.topological_order()
 
     def test_neighbours(self):
@@ -94,6 +103,42 @@ class TestQueries:
         nxg = make_chain().to_networkx()
         assert set(nxg.nodes) == {"SRC", "MID", "SINK"}
         assert nxg.number_of_edges() == 2
+
+
+def networkx_order(graph):
+    """The schedule networkx gives: the oracle of ``topological_order``."""
+    return list(nx.lexicographical_topological_sort(graph.to_networkx()))
+
+
+@st.composite
+def dags(draw):
+    """Random acyclic graphs: tasks in a hidden order under random names,
+    channels running forward in it, repeated pairs as parallel channels."""
+    n = draw(st.integers(min_value=1, max_value=12))
+    names = draw(st.lists(st.text("ABCDEFGH", min_size=1, max_size=3),
+                          min_size=n, max_size=n, unique=True))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    edges = draw(st.lists(st.sampled_from(pairs), max_size=24)) if pairs else []
+    graph = AppGraph("dag")
+    for name in names:
+        graph.add_task(TaskSpec(name, lambda s, i: {}))
+    for k, (i, j) in enumerate(edges):
+        graph.add_channel(ChannelSpec(f"c{k}", names[i], names[j]))
+    return graph
+
+
+class TestScheduleMatchesNetworkx:
+    @pytest.mark.parametrize("name", workload_names())
+    def test_every_workload(self, name):
+        workload = get_workload(name)
+        graph = Session(CampaignSpec(
+            workload=name, **dict(workload.conformance_overrides))).graph
+        assert graph.topological_order() == networkx_order(graph)
+
+    @settings(max_examples=200, deadline=None)
+    @given(dags())
+    def test_random_dags(self, graph):
+        assert graph.topological_order() == networkx_order(graph)
 
 
 class TestFunctionalRun:

@@ -197,6 +197,30 @@ class TestTraceCli:
         out = capsys.readouterr().out
         assert "campaign.sweep" in out and "sweep.point" not in out
 
+    def test_trace_reads_a_bare_repro_trace_sink(self, tmp_path, capsys):
+        """``REPRO_TRACE=<dir>`` writes spans straight into ``<dir>``;
+        ``--store <dir>`` reads them there."""
+        import json
+        import subprocess
+        import sys
+
+        import repro
+        from repro.cli import main
+
+        sink = tmp_path / "sink"
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        subprocess.run(
+            [sys.executable, "-m", "repro", "flow", "--workload",
+             "blockcipher", "--frames", "2", "--param", "block_words=8",
+             "--json"],
+            env=dict(os.environ, PYTHONPATH=src, REPRO_TRACE=str(sink)),
+            capture_output=True, check=True, timeout=300)
+        assert not (sink / "spans").exists()
+        assert main(["trace", "top", "--store", str(sink), "--json"]) == 0
+        names = {row["name"]
+                 for row in json.loads(capsys.readouterr().out)["rows"]}
+        assert {f"stage.level{n}" for n in (1, 2, 3, 4)} <= names
+
     def test_missing_store_errors_cleanly(self, tmp_path):
         from repro.cli import main
 

@@ -1,9 +1,13 @@
 """Tests for the command-line driver."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import repro
 from repro.cli import build_parser, main
 
 WORKLOAD = ["--identities", "2", "--poses", "1", "--size", "32"]
@@ -159,6 +163,50 @@ class TestCommands:
                          "--json"]) == 0
             documents.append(json.loads(capsys.readouterr().out))
         assert documents_equal(*documents)
+
+
+#: Run in a fresh interpreter: which heavy libraries each entry point
+#: loads, printed as one JSON line after the flow's own output.
+IMPORT_PROBE = f"""
+import contextlib, io, json, sys
+
+def heavy():
+    return sorted(m for m in ("scipy", "networkx") if m in sys.modules)
+
+seen = {{}}
+import repro.cli
+seen["import repro.cli"] = heavy()
+with contextlib.redirect_stdout(io.StringIO()):
+    seen["flow exit"] = repro.cli.main(
+        ["flow", "--workload", "blockcipher", "--frames", "2",
+         "--param", "block_words=8", "--json"])
+seen["after flow"] = heavy()
+import repro.service, repro.fleet
+seen["import repro.service, repro.fleet"] = heavy()
+with contextlib.redirect_stdout(io.StringIO()):
+    seen["verify exit"] = repro.cli.main(["verify", *{WORKLOAD!r}, "--json"])
+seen["after verify"] = heavy()
+print(json.dumps(seen))
+"""
+
+
+class TestImportBoundary:
+    def test_flow_and_daemon_load_neither_scipy_nor_networkx(self):
+        """scipy loads on the first LP (level-1 ``verify``), networkx
+        only in ``AppGraph.to_networkx``: neither is paid by a CLI
+        start, a flow or a service daemon."""
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        out = subprocess.run([sys.executable, "-c", IMPORT_PROBE],
+                             env=dict(os.environ, PYTHONPATH=src),
+                             capture_output=True, text=True, check=True,
+                             timeout=300)
+        seen = json.loads(out.stdout.splitlines()[-1])
+        assert seen["import repro.cli"] == []
+        assert seen["flow exit"] == 0
+        assert seen["after flow"] == []
+        assert seen["import repro.service, repro.fleet"] == []
+        assert seen["verify exit"] == 0
+        assert seen["after verify"] == ["scipy"]
 
 
 class TestCampaignCommand:

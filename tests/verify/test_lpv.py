@@ -1,9 +1,15 @@
 """Tests for LPV: Petri nets, LP reachability, deadlock, real-time."""
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.optimize import linprog
 
+from repro.api import CampaignSpec, Session, get_workload, workload_names
 from repro.facerec import FacerecConfig, build_graph
 from repro.platform import ARM7TDMI, TimingAnnotator, profile_graph
+from repro.platform.annotation import AnnotatedTask
 from repro.platform.taskgraph import AppGraph, ChannelSpec, TaskSpec
 from repro.verify.lpv import (
     PetriError,
@@ -13,6 +19,7 @@ from repro.verify.lpv import (
     check_submarking_unreachable,
     graph_to_petri,
     place_invariants,
+    realtime,
     size_fifos,
 )
 from repro.verify.lpv.reach import ReachVerdict, invariant_token_count
@@ -233,3 +240,124 @@ class TestRealtime:
         graph, annotations = annotated
         sizing = size_fifos(graph, annotations)
         assert "capacity" in sizing.describe()
+
+
+def lp_completion_times(graph, annotations, transfer_ps_per_word=0):
+    """The real-time LP solved by ``linprog``: the exact pass's oracle.
+
+    Constraints: ``f_t - f_src >= transfer(c) + exec(t)`` for each
+    channel ``c: src -> t`` and ``f_t >= exec(t)``; minimising
+    ``sum f`` makes every ``f_t`` its longest-path value.
+    """
+    graph.validate()
+    tasks = list(graph.tasks)
+    index = {t: i for i, t in enumerate(tasks)}
+    n = len(tasks)
+    a_ub_rows = []
+    b_ub = []
+    for chan in graph.channels.values():
+        row = np.zeros(n)
+        row[index[chan.src]] = 1.0
+        row[index[chan.dst]] = -1.0
+        cost = chan.words_per_token * transfer_ps_per_word
+        cost += annotations[chan.dst].time_per_firing_ps
+        a_ub_rows.append(row)
+        b_ub.append(-float(cost))
+    bounds = [(float(annotations[t].time_per_firing_ps), None) for t in tasks]
+    result = linprog(
+        c=np.ones(n),
+        A_ub=np.vstack(a_ub_rows) if a_ub_rows else None,
+        b_ub=np.array(b_ub) if b_ub else None,
+        bounds=bounds,
+        method="highs",
+    )
+    assert result.success, result.message
+    return {t: int(round(result.x[index[t]])) for t in tasks}
+
+
+def assert_matches_lp(graph, annotations, transfer_ps_per_word):
+    """Exact pass == LP: completion times, both documents, critical path."""
+    exact = realtime.completion_times(graph, annotations, transfer_ps_per_word)
+    oracle = lp_completion_times(graph, annotations, transfer_ps_per_word)
+    assert exact == oracle
+    assert list(exact) == list(graph.tasks)
+    assert all(type(value) is int for value in exact.values())
+    deadline_ps = max(exact.values()) // 2 or 1
+
+    def reports():
+        deadline = realtime.check_deadline(
+            graph, annotations, deadline_ps, transfer_ps_per_word)
+        sizing = realtime.size_fifos(graph, annotations, transfer_ps_per_word)
+        return deadline, sizing
+
+    deadline, sizing = reports()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(realtime, "completion_times", lp_completion_times)
+        lp_deadline, lp_sizing = reports()
+    assert deadline.to_dict() == lp_deadline.to_dict()
+    assert deadline.critical_path == lp_deadline.critical_path
+    assert deadline.completion_ps == lp_deadline.completion_ps
+    assert sizing.to_dict() == lp_sizing.to_dict()
+
+
+@st.composite
+def timed_dags(draw):
+    """Random acyclic task graphs with execution and transfer times.
+
+    Tasks are created in a hidden topological order under random names;
+    channels only run forward in that order, and repeated pairs make
+    parallel channels.  Times reach 1e14 ps, transfers 1e14 ps.
+    """
+    n = draw(st.integers(min_value=1, max_value=12))
+    names = draw(st.lists(st.text("ABCDEFGH", min_size=1, max_size=3),
+                          min_size=n, max_size=n, unique=True))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    edges = draw(st.lists(st.sampled_from(pairs), max_size=24)) if pairs else []
+    words = draw(st.lists(st.integers(min_value=1, max_value=1000),
+                          min_size=len(edges), max_size=len(edges)))
+    times = draw(st.lists(st.integers(min_value=0, max_value=10**14),
+                          min_size=n, max_size=n))
+    reads = {name: [] for name in names}
+    writes = {name: [] for name in names}
+    channels = []
+    for k, ((i, j), w) in enumerate(zip(edges, words)):
+        chan = ChannelSpec(f"c{k}", names[i], names[j], words_per_token=w)
+        channels.append(chan)
+        writes[names[i]].append(chan.name)
+        reads[names[j]].append(chan.name)
+    graph = AppGraph("dag")
+    for name in names:
+        graph.add_task(TaskSpec(name, lambda s, i: {},
+                                reads=tuple(reads[name]),
+                                writes=tuple(writes[name])))
+    for chan in channels:
+        graph.add_channel(chan)
+    annotations = {
+        name: AnnotatedTask(name, "sw", time_ps, 1)
+        for name, time_ps in zip(names, times)
+    }
+    return graph, annotations
+
+
+class TestExactLongestPath:
+    """The topological pass returns exactly the LP's optimum."""
+
+    @pytest.mark.parametrize("name", workload_names())
+    @pytest.mark.parametrize("transfer_ps_per_word", [0, 20_000])
+    def test_every_workload_matches_the_lp(self, name, transfer_ps_per_word):
+        workload = get_workload(name)
+        session = Session(CampaignSpec(
+            workload=name, **dict(workload.conformance_overrides)))
+        partition = session.value("partition")["timed"]
+        annotations = TimingAnnotator(session.cpu).annotate(
+            session.graph, session.value("profile"),
+            partition.sw_tasks, partition.hw_tasks)
+        assert_matches_lp(session.graph, annotations, transfer_ps_per_word)
+
+    @settings(max_examples=200, deadline=None)
+    @given(timed_dags(),
+           st.one_of(st.sampled_from([0, 20_000]),
+                     st.integers(min_value=0, max_value=10**11)))
+    def test_random_dags_match_the_lp(self, dag, transfer_ps_per_word):
+        graph, annotations = dag
+        assert_matches_lp(graph, annotations, transfer_ps_per_word)
