@@ -173,6 +173,10 @@ def run_level4(
                 )
                 module.pcc = pcc.run()
                 tspan.set_attr("coverage", module.pcc.coverage)
+                tspan.set_attr("observable", module.pcc.observable_count)
+                tspan.set_attr("killed", module.pcc.killed_count)
+                tspan.set_attr("cuts", pcc.cuts)
+                tspan.set_attr("cut_settled", pcc.cut_settled)
         result.modules[name] = module
     return result
 

@@ -16,7 +16,7 @@ gate-hashing CNF/solver pair is kept per :class:`BoundedModelChecker`,
 per-frame violation literals are cached per property, and each query
 solves under an assumption selecting that property/bound — so learned
 clauses carry over across properties, bounds, and (via
-:meth:`add_mutant`) mutated designs.  Frames are encoded on demand: a
+:meth:`add_mutant`) mutated or cut designs.  Frames are encoded on demand: a
 signal at a frame is bit-blasted the first time a property (or another
 signal) needs it, so logic outside a property's cone of influence is
 never encoded.  A counter-example trace is rebuilt by replaying the
@@ -106,7 +106,7 @@ class _MutantCone:
 
     act: int                       # activation literal guarding the cone
     driver: str                    # mutated wire or register name
-    expr: Expr                     # rewritten driver expression
+    expr: Optional[Expr]           # rewritten driver expression; None cuts it
     #: per-frame re-encoded signals (only those in ``changed``)
     envs: list[dict[str, BitVector]] = field(default_factory=list)
     #: per-frame signals that depend structurally on the driver
@@ -277,6 +277,11 @@ class BoundedModelChecker:
         net, cnf = self.netlist, self._cnf
         if name in net.inputs:
             vec = self._fresh_input(net.inputs[name], cnf)
+        elif cone is not None and cone.expr is None and name == cone.driver:
+            # A cut point: a free value of the driver's declared width.
+            width = net.width_of(name)
+            vec = BitVector(cnf, BitVector.fresh(cnf, width).bits
+                            + [cnf.false_lit] * (self.word - width))
         elif name in net.wires:
             width, expr = net.wires[name]
             if cone is not None and name == cone.driver:
@@ -437,7 +442,7 @@ class BoundedModelChecker:
 
     # -- mutant cones -------------------------------------------------------------------
 
-    def add_mutant(self, driver: str, expr: Expr) -> int:
+    def add_mutant(self, driver: str, expr: Optional[Expr]) -> int:
         """Register a mutated design as an overlay under an activation literal.
 
         ``driver`` is the mutated wire or register (next-value) name and
@@ -448,6 +453,12 @@ class BoundedModelChecker:
         unrolling.  Returns the activation literal, the handle for
         :meth:`check_mutant` and :meth:`retire_mutant`.  Requires
         ``incremental=True``.
+
+        ``expr=None`` cuts the driver instead: it reads a fresh,
+        unconstrained value of its declared width at every frame (a
+        register from frame 1 on; frame 0 keeps its reset value).  The
+        cut design over-approximates every rewrite of the driver, so a
+        property the cut cannot violate holds on all of them.
         """
         if not self.incremental:
             raise ValueError("mutant cones need an incremental checker")

@@ -21,10 +21,16 @@ The formal phase is incremental by default: one
 :class:`BoundedModelChecker` session shares the baseline unrolling, each
 mutant re-encodes only what depends on its mutated driver under an
 activation literal, and solver-learned clauses carry across mutants and
-properties.
-``incremental=False`` restores the fresh-encode-per-mutant path (the
-differential suite pins both to identical reports), and ``jobs=N``
-batches observable mutants across a multiprocessing pool.
+properties.  Survivors are proven once per driver: a mutation rewrites
+one driver and keeps reset values, so the design with that driver *cut*
+(a free value of its declared width; Kuehlmann & Krohm, DAC 1997)
+over-approximates all of its mutants.  If no property fails on the cut
+design within the bound, they all survive; otherwise each mutant falls
+back to its own queries, which alone decide ``killed_by``.
+``incremental=False`` is the reference: one-shot per-mutant checks, no
+cut (the differential suite and ``tests/golden/pcc_verdicts.json`` pin
+both to identical verdicts).  ``jobs=N`` fans driver groups out over a
+multiprocessing pool.
 """
 
 from __future__ import annotations
@@ -111,24 +117,34 @@ class PccReport:
         return "\n".join(lines)
 
 
-def _formal_chunk(netlist: Netlist,
-                  properties: list[list[list[tuple[str, str, int]]]],
-                  bound: int, incremental: bool,
-                  batch: list[tuple[int, Mutation]]) -> list[tuple[int, Optional[str]]]:
-    """Pool worker: formal verdicts for one batch of observable mutants.
+def _formal_task(netlist: Netlist,
+                 properties: list[list[list[tuple[str, str, int]]]],
+                 bound: int, incremental: bool, group: list[Mutation]):
+    """Pool task: :func:`_driver_verdicts` of one group, on a fresh
+    session when incremental.  Module-level (picklable by name) on
+    purpose."""
+    session = BoundedModelChecker(netlist) if incremental else None
+    return _driver_verdicts(netlist, properties, bound, group, session)
 
-    Module-level (picklable by name) on purpose.  Each worker builds its
-    own incremental session, so learned clauses are shared within the
-    batch; returns ``(index, killed_by)`` pairs for order-stable
-    reassembly in the parent.
-    """
-    session = BoundedModelChecker(netlist, incremental=True) \
-        if incremental else None
-    out = []
-    for index, mutation in batch:
-        out.append((index, _formal_verdict(netlist, properties, bound,
-                                           mutation, session)))
-    return out
+
+def _driver_verdicts(netlist: Netlist,
+                     properties: list[list[list[tuple[str, str, int]]]],
+                     bound: int, group: list[Mutation],
+                     session: Optional[BoundedModelChecker]
+                     ) -> tuple[bool, list[Optional[str]]]:
+    """Whether the cut settled one driver's observable mutants, and the
+    property text that kills each (None if it survives)."""
+    if session is not None:
+        act = session.add_mutant(group[0].driver, None)
+        try:
+            cut_holds = session.check_mutant_any(act, properties, bound) \
+                is SatResult.UNSAT
+        finally:
+            session.retire_mutant(act)
+        if cut_holds:
+            return True, [None] * len(group)
+    return False, [_formal_verdict(netlist, properties, bound, mutation,
+                                   session) for mutation in group]
 
 
 def _formal_verdict(netlist: Netlist,
@@ -174,8 +190,11 @@ class PropertyCoverageChecker:
     original design (checked first — PCC is only meaningful for a
     passing verification plan).
 
-    ``incremental`` selects the shared-session formal phase;
-    ``jobs`` (>1) fans observable mutants out over a fork pool.
+    ``incremental`` selects the shared-session formal phase with one
+    cut query per driver (``incremental=False``: the one-shot,
+    per-mutant reference); ``jobs`` (>1) fans driver groups out over a
+    fork pool.  After :meth:`run`, ``cuts`` counts the cut queries and
+    ``cut_settled`` the survivors they settled.
     """
 
     @staticmethod
@@ -210,6 +229,7 @@ class PropertyCoverageChecker:
         #: the original design's observed outputs, per stimulus sequence
         self._expected: dict[int, list[tuple[int, ...]]] = {}
         self._session: Optional[BoundedModelChecker] = None
+        self.cuts = self.cut_settled = 0
 
     def __getstate__(self) -> dict:
         # The live solver session never crosses a process boundary.
@@ -265,10 +285,6 @@ class PropertyCoverageChecker:
             self._session = BoundedModelChecker(self.netlist, incremental=True)
         return self._session
 
-    def _killed_by(self, mutation: Mutation) -> Optional[str]:
-        return _formal_verdict(self.netlist, self.properties, self.bound,
-                               mutation, self._shared_session())
-
     # -- main -----------------------------------------------------------------------------
 
     def verify_baseline(self) -> None:
@@ -298,39 +314,44 @@ class PropertyCoverageChecker:
                 for clauses in self.properties
             ],
         )
-        observable_batch: list[tuple[int, Mutation]] = []
+        #: observable verdicts per driver, in enumeration order (the
+        #: one-shot reference checks each mutant on its own)
+        groups: dict[object, list[MutantVerdict]] = {}
         for mutation in mutations:
             try:
                 mutant = mutation.apply(self.netlist)
             except (MutationError, NetlistError):
                 continue  # structurally inapplicable: skip
-            observable = self._differs(mutant)
-            if observable:
-                observable_batch.append((len(report.verdicts), mutation))
-            report.verdicts.append(MutantVerdict(mutation, observable))
+            verdict = MutantVerdict(mutation, self._differs(mutant))
+            if verdict.observable:
+                key = mutation.driver if self.incremental else len(report.verdicts)
+                groups.setdefault(key, []).append(verdict)
+            report.verdicts.append(verdict)
 
-        if self.jobs and self.jobs > 1 and len(observable_batch) > 1:
-            verdicts = self._formal_pool(observable_batch)
+        batches = [[v.mutation for v in group] for group in groups.values()]
+        if self.jobs and self.jobs > 1 and len(batches) > 1:
+            results = self._formal_pool(batches)
         else:
-            verdicts = [(index, self._killed_by(mutation))
-                        for index, mutation in observable_batch]
-        for index, killed_by in verdicts:
-            report.verdicts[index].killed_by = killed_by
+            results = [_driver_verdicts(self.netlist, self.properties,
+                                        self.bound, batch,
+                                        self._shared_session())
+                       for batch in batches]
+        self.cuts = len(batches) if self.incremental else 0
+        self.cut_settled = 0
+        for group, (cut_held, killers) in zip(groups.values(), results):
+            self.cut_settled += len(group) if cut_held else 0
+            for verdict, killed_by in zip(group, killers):
+                verdict.killed_by = killed_by
         return report
 
-    def _formal_pool(self, batch: list[tuple[int, Mutation]]
-                     ) -> list[tuple[int, Optional[str]]]:
-        """Fan the formal phase out over a fork pool, one chunk per job."""
+    def _formal_pool(self, groups: list[list[Mutation]]) -> list:
+        """Fan driver groups out over a fork pool, one task per group."""
         from repro.api.campaign import fork_context
 
-        jobs = min(self.jobs, len(batch))
-        chunks = [batch[i::jobs] for i in range(jobs)]
-        with fork_context().Pool(processes=jobs) as pool:
-            results = pool.starmap(
-                _formal_chunk,
+        with fork_context().Pool(processes=min(self.jobs, len(groups))) as pool:
+            return pool.starmap(
+                _formal_task,
                 [(self.netlist, self.properties, self.bound,
-                  self.incremental, chunk) for chunk in chunks],
+                  self.incremental, group) for group in groups],
+                chunksize=1,
             )
-        merged = [pair for chunk in results for pair in chunk]
-        merged.sort(key=lambda pair: pair[0])
-        return merged

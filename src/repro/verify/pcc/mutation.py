@@ -3,9 +3,9 @@
 Each :class:`Mutation` names one expression-tree rewrite at one position
 of one driver (a wire or a register next-value expression):
 
-- ``op-swap``: ``+ <-> -``, ``& <-> |``, ``== <-> !=``, ``< <-> <=``;
+- ``op-swap``: ``+ <-> -``, ``& <-> |``, ``== <-> !=``, ``< <-> <=``, ``^ -> |``;
 - ``const-perturb``: a constant's least-significant bit flipped;
-- ``stuck-bit``: OR/AND a driver with a one-hot mask (bit stuck at 1/0);
+- ``stuck-bit``: bit 0 of one signal read stuck at 1 (the read ORed with 1);
 - ``mux-invert``: a mux's branches exchanged.
 
 Mutants are built lazily (:meth:`Mutation.apply`) as rebuilt netlists;
@@ -152,7 +152,9 @@ def _mutate_node(expr: Expr, kind: str) -> Expr:
 
 def enumerate_mutations(netlist: Netlist, limit: Optional[int] = None,
                         kinds: Optional[set[str]] = None) -> list[Mutation]:
-    """All applicable single mutations of ``netlist`` (optionally capped)."""
+    """All applicable single mutations of ``netlist``, at most ``limit``."""
+    if limit is not None and limit < 0:
+        raise ValueError(f"mutation limit must be >= 0, got {limit}")
     netlist.validate()
     wanted = kinds or {"op-swap", "const-perturb", "stuck-bit", "mux-invert"}
     drivers: list[tuple[str, Expr]] = []
@@ -164,6 +166,8 @@ def enumerate_mutations(netlist: Netlist, limit: Optional[int] = None,
     mutations: list[Mutation] = []
     for driver, root in drivers:
         for position, node in enumerate(_walk(root)):
+            if limit is not None and len(mutations) >= limit:
+                return mutations
             if "op-swap" in wanted and isinstance(node, BinExpr) \
                     and node.op in _OP_SWAPS:
                 mutations.append(Mutation(
@@ -179,6 +183,4 @@ def enumerate_mutations(netlist: Netlist, limit: Optional[int] = None,
             if "stuck-bit" in wanted and isinstance(node, SigExpr):
                 mutations.append(Mutation(
                     "stuck-bit", driver, position, f"{node.name} bit0 stuck-at-1"))
-            if limit is not None and len(mutations) >= limit:
-                return mutations
     return mutations

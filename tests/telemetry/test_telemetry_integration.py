@@ -61,6 +61,25 @@ class TestByteInvisibility:
         assert documents_equal(traced, untraced)
 
 
+class TestLevel4Spans:
+    def test_pcc_spans_count_the_cut_queries(self, tmp_path, traced):
+        """Each ``level4.pcc`` span says how many survivors the
+        per-driver cut queries settled."""
+        spec = FAST.replace(levels=(4,), run_pcc=True)
+        # A fresh store bypasses the process-wide level-4 memo.
+        Campaign(spec).run(store=CampaignStore(tmp_path / "store"))
+        spans = [r["attrs"] for r in telemetry.read_spans(traced)
+                 if r["name"] == "level4.pcc"]
+        assert sorted(a["module"] for a in spans) == ["SBOX_STEP", "XTIME_STEP"]
+        for attrs in spans:
+            counts = [attrs[k] for k in ("observable", "killed", "cuts",
+                                         "cut_settled")]
+            assert all(type(count) is int for count in counts)
+            observable, killed, cuts, cut_settled = counts
+            assert cuts > 0
+            assert 0 <= cut_settled <= observable - killed
+
+
 class TestPoolPropagation:
     def test_pool_children_reparent_under_the_sweep_span(self, traced):
         Campaign.sweep(FAST, GRID, jobs=2)

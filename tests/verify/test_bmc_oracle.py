@@ -5,8 +5,9 @@ BMC bit-blaster supports, plus a random CNF-over-atoms invariant.  The
 oracle never touches SAT: it runs :meth:`Netlist.step` over every input
 sequence up to the bound (merging sequences that reach equal states)
 and reports the first step at which one violates the invariant.  The
-incremental and one-shot BMC verdicts, and every mutant checked as a
-cone overlay, must agree with it, and every counter-example must replay.
+incremental and one-shot BMC verdicts, every mutant checked as a
+cone overlay, and every cut point, must agree with it, and every
+counter-example must replay.
 """
 
 import itertools
@@ -99,6 +100,22 @@ def first_violation(net, clauses, bound=MAX_BOUND):
     return None
 
 
+def cut_netlist(net, driver):
+    """``net`` with ``driver`` reading a new input of its declared width;
+    a cut register keeps its reset value."""
+    cut = Netlist(f"{net.name}-cut")
+    for name, width in net.inputs.items():
+        cut.add_input(name, width)
+    free = cut.add_input("cut", net.width_of(driver))
+    for name, (width, expr) in net.wires.items():
+        cut.add_wire(name, width, free if name == driver else expr)
+    for reg in net.registers.values():
+        cut.add_register(reg.name, reg.width, reg.reset)
+        cut.set_next(reg.name, free if reg.name == driver else reg.next_expr)
+    cut.validate()
+    return cut
+
+
 def assert_replays(net, clauses, trace, bound):
     """The trace is a run of ``net`` that violates only at its last step."""
     assert 1 <= len(trace) <= bound + 1
@@ -149,6 +166,28 @@ class TestBoundedSemanticsOracle:
         # Baseline signals the cones encoded first stay constrained.
         again = session.check_invariant_clauses(clauses, bound)
         assert again.violated == expect(first_violation(net, clauses), bound)
+
+    @_SETTINGS
+    @given(small_netlists(), st.integers(0, MAX_BOUND))
+    def test_cut_points_match_the_oracle(self, case, bound):
+        """A cut is exactly the netlist whose driver reads a free input,
+        and a cut that holds proves every mutant of its driver."""
+        net, clauses = case
+        session = BoundedModelChecker(net)
+        mutations = enumerate_mutations(net)
+        for driver in [*net.wires, *net.registers]:
+            act = session.add_mutant(driver, None)
+            result = session.check_mutant(act, clauses, bound)
+            session.retire_mutant(act)
+            first = first_violation(cut_netlist(net, driver), clauses, bound)
+            assert result.violated == expect(first, bound), driver
+            if result.violated:
+                continue
+            for mutation in mutations:
+                if mutation.driver == driver:
+                    first = first_violation(mutation.apply(net), clauses,
+                                            bound)
+                    assert not expect(first, bound), mutation.describe()
 
     def test_constants_wrap_at_the_word(self):
         """A constant wider than the word, or beyond its own width, means

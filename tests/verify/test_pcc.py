@@ -57,6 +57,17 @@ class TestMutations:
         mutations = enumerate_mutations(handshake_netlist(), limit=5)
         assert len(mutations) == 5
 
+    def test_zero_limit_enumerates_nothing(self):
+        net = handshake_netlist()
+        assert enumerate_mutations(net, limit=0) == []
+        report = PropertyCoverageChecker(net, WEAK, bound=4,
+                                         mutation_limit=0).run()
+        assert report.to_dict()["mutants"] == 0
+
+    def test_negative_limit_rejected(self):
+        with pytest.raises(ValueError, match="limit"):
+            enumerate_mutations(handshake_netlist(), limit=-1)
+
     def test_kind_filter(self):
         mutations = enumerate_mutations(handshake_netlist(),
                                         kinds={"const-perturb"})
