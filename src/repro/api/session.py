@@ -15,7 +15,9 @@ application-specific artifact.
 both the workload artifacts (when the workload fields are untouched) and
 every cached stage result whose declared spec sensitivity does not
 intersect the change — the unit of reuse architecture sweeps are built
-on.
+on.  Level 2 is two stages for this reason: its timed simulation
+(``level2_sim``, keyed by the CPU) carries across a deadline-only change,
+and only the deadline check (``level2``) re-runs.
 """
 
 from __future__ import annotations

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from typing import Any, Protocol, TYPE_CHECKING, runtime_checkable
 
 from repro.flow.level1 import run_level1
-from repro.flow.level2 import run_level2
+from repro.flow.level2 import run_level2, with_deadline
 from repro.flow.level3 import run_level3
 from repro.flow.level4 import run_level4
 from repro.flow.methodology import REFERENCE_CHANNELS  # noqa: F401  (compat re-export)
@@ -230,12 +230,14 @@ class Level1Stage(FlowStage):
 
 
 @register
-class Level2Stage(FlowStage):
-    """Architecture mapping: timed TL simulation + LPV real-time checks."""
+class Level2SimStage(FlowStage):
+    """Level 2 but its deadline check: timed TL simulation, consistency
+    with level 1, FIFO sizing.  Keyed by the CPU, so sweep points that
+    differ only in ``deadline_ms`` share it (``Session.with_spec``)."""
 
-    name = "level2"
+    name = "level2_sim"
     requires = ("level1", "profile", "partition")
-    sensitive_to = WORKLOAD_FIELDS + ("cpu", "deadline_ms")
+    sensitive_to = WORKLOAD_FIELDS + ("cpu",)
 
     def compute(self, ctx: "Session"):
         return run_level2(
@@ -245,8 +247,25 @@ class Level2Stage(FlowStage):
             cpu=ctx.cpu,
             profile=ctx.value("profile"),
             level1_trace=ctx.value("level1").trace,
-            deadline_ps=ctx.spec.deadline_ps,
+            deadline_ps=None,
         )
+
+
+@register
+class Level2Stage(FlowStage):
+    """Architecture mapping: ``level2_sim`` plus LPV's deadline check.
+
+    Each deadline gets its own result, sharing the simulation's metrics.
+    ``run("level2", force=True)`` re-runs only the deadline check.
+    """
+
+    name = "level2"
+    requires = ("level2_sim",)
+    sensitive_to = WORKLOAD_FIELDS + ("cpu", "deadline_ms")
+
+    def compute(self, ctx: "Session"):
+        return with_deadline(ctx.value("level2_sim"), ctx.graph,
+                             ctx.spec.deadline_ps)
 
 
 @register

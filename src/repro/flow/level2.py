@@ -8,7 +8,7 @@ and LPV discharges the real-time properties.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any, Iterable, Optional
 
 from repro.facerec.tracing import Trace, TraceMismatch, compare_traces
@@ -32,6 +32,8 @@ class Level2Result:
     fifo_sizing: Optional[FifoSizingReport] = None
     consistency_mismatches: list[TraceMismatch] = field(default_factory=list)
     consistency_checked: bool = False
+    #: the per-task timings LPV reads (not part of the report)
+    annotations: dict = field(default_factory=dict, repr=False, compare=False)
 
     @property
     def consistent_with_level1(self) -> bool:
@@ -96,7 +98,10 @@ def run_level2(
     transfer_ps_per_word: int = 20_000,
     **arch_kwargs,
 ) -> Level2Result:
-    """Execute the full level-2 activity set on one partition."""
+    """Execute the full level-2 activity set on one partition.
+
+    Only its last step, :func:`with_deadline`, reads ``deadline_ps``.
+    """
     stimuli = {k: list(v) for k, v in stimuli.items()}
     if profile is None:
         profile = profile_graph(graph, stimuli)
@@ -111,10 +116,18 @@ def run_level2(
             Trace.from_events("level2", metrics.trace), level1_trace
         )
         result.consistency_checked = True
-    annotations = annotator.annotate(graph, profile, partition.sw_tasks,
-                                     partition.hw_tasks)
-    if deadline_ps is not None:
-        result.deadline = check_deadline(graph, annotations, deadline_ps,
-                                         transfer_ps_per_word)
-    result.fifo_sizing = size_fifos(graph, annotations, transfer_ps_per_word)
-    return result
+    result.annotations = annotator.annotate(graph, profile, partition.sw_tasks,
+                                            partition.hw_tasks)
+    result.fifo_sizing = size_fifos(graph, result.annotations,
+                                    transfer_ps_per_word)
+    return with_deadline(result, graph, deadline_ps, transfer_ps_per_word)
+
+
+def with_deadline(result: Level2Result, graph: AppGraph,
+                  deadline_ps: Optional[int],
+                  transfer_ps_per_word: int = 20_000) -> Level2Result:
+    """A copy of ``result`` (sharing its simulation, profile and partition)
+    with LPV's verdict on ``deadline_ps``; ``None`` leaves it unchecked."""
+    deadline = None if deadline_ps is None else check_deadline(
+        graph, result.annotations, deadline_ps, transfer_ps_per_word)
+    return replace(result, deadline=deadline)

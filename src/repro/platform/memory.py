@@ -11,6 +11,7 @@ precise images matching").
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 from repro.kernel.events import wait
 from repro.kernel.scheduler import Simulator
@@ -31,6 +32,10 @@ class Memory:
 
     ``base`` is the bus-visible base address; internally storage is
     indexed by word offset.  ``latency_cycles`` applies once per beat.
+
+    A read burst touching never-written words is recorded once: its
+    offsets, origin and time.  :attr:`uninitialized_reads` expands the
+    records into one :class:`UninitializedRead` per word on access.
     """
 
     def __init__(
@@ -55,7 +60,19 @@ class Memory:
         self._storage: dict[int, int] = {}
         self.reads = 0
         self.writes = 0
-        self.uninitialized_reads: list[UninitializedRead] = []
+        #: (unwritten offsets, origin, time_ps), one per read burst
+        self._unwritten: list[tuple[Sequence[int], str, int]] = []
+        self._unwritten_words = 0
+
+    @property
+    def uninitialized_reads(self) -> list[UninitializedRead]:
+        """Every read of a never-written word, in order (built per access)."""
+        return [
+            UninitializedRead(address=self.base + offset * self.word_bytes,
+                              origin=origin, time_ps=time_ps)
+            for offsets, origin, time_ps in self._unwritten
+            for offset in offsets
+        ]
 
     @property
     def size_bytes(self) -> int:
@@ -93,27 +110,22 @@ class Memory:
             txn.response = Response.SLAVE_ERROR
             return txn
         yield wait(self.latency_ps * txn.burst_len)
+        storage = self._storage
+        offsets = range(start, start + txn.burst_len)
         if txn.command is Command.WRITE:
             if self.readonly:
                 txn.response = Response.SLAVE_ERROR
                 return txn
-            for i, word in enumerate(txn.data):
-                self._storage[start + i] = word
+            storage.update(zip(offsets, txn.data))
             self.writes += txn.burst_len
         else:
-            data = []
-            for i in range(txn.burst_len):
-                offset = start + i
-                if offset not in self._storage:
-                    self.uninitialized_reads.append(
-                        UninitializedRead(
-                            address=self.base + offset * self.word_bytes,
-                            origin=txn.origin,
-                            time_ps=self.sim.now_ps,
-                        )
-                    )
-                data.append(self._storage.get(offset, 0))
-            txn.data = data
+            txn.data = [storage.get(offset, 0) for offset in offsets]
+            unwritten = [offset for offset in offsets if offset not in storage]
+            if unwritten:
+                if len(unwritten) == txn.burst_len:
+                    unwritten = offsets  # every bitstream burst: O(1) memory
+                self._unwritten.append((unwritten, txn.origin, self.sim.now_ps))
+                self._unwritten_words += len(unwritten)
             self.reads += txn.burst_len
         txn.response = Response.OK
         return txn
@@ -123,5 +135,5 @@ class Memory:
             "name": self.name,
             "reads": self.reads,
             "writes": self.writes,
-            "uninitialized_reads": len(self.uninitialized_reads),
+            "uninitialized_reads": self._unwritten_words,
         }

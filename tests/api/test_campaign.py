@@ -172,6 +172,42 @@ class TestSweep:
         assert len(document["runs"]) == 2
 
 
+class TestSweepSharesLevel2Simulation:
+    """Level 2's timed simulation is keyed by the CPU: sweep points that
+    differ only in the deadline share it, and the answers stay those of
+    points run from scratch."""
+
+    GRID = {"cpu": ["ARM7TDMI", "ARM9TDMI"],
+            "capacity_gates": [12_000, 24_000],
+            "deadline_ms": [500, 1000]}
+
+    def test_one_simulation_per_cpu(self, monkeypatch):
+        from repro.api import stages
+        from repro.serialize import canonical_json
+
+        simulated = []
+        original = stages.run_level2
+
+        def counting_run_level2(*args, **kwargs):
+            simulated.append(kwargs["cpu"].name)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(stages, "run_level2", counting_run_level2)
+        base = SMALL.replace(levels=(1, 2, 3))
+        serial = Campaign.sweep(base, self.GRID)
+        assert simulated == ["ARM7TDMI", "ARM9TDMI"]
+        first, second = (o.results["level2"].value
+                         for o in serial.outcomes[:2])
+        assert first is not second
+        assert first.metrics is second.metrics
+        assert (first.deadline.deadline_ps, second.deadline.deadline_ps) \
+            == (500 * 10**9, 1000 * 10**9)
+        # Every pool point runs in a fresh session: the no-reuse oracle.
+        parallel = Campaign.sweep(base, self.GRID, jobs=2)
+        assert canonical_json(serial.to_dict()) == \
+            canonical_json(parallel.to_dict())
+
+
 class TestGridOrder:
     """Cartesian-product ordering is part of the sweep contract."""
 

@@ -25,7 +25,7 @@ class TestCaching:
         counts_after_level2 = dict(session.compute_counts)
         assert counts_after_level2 == {
             "reference": 1, "level1": 1, "profile": 1, "partition": 1,
-            "level2": 1,
+            "level2_sim": 1, "level2": 1,
         }
         result = session.run("level3")
         assert result.from_cache is False
@@ -123,6 +123,8 @@ class TestWithSpec:
         assert derived.has("level1")
         assert derived.has("level3")
         assert not derived.has("level2")
+        # The timed simulation does not read the deadline: carried over.
+        assert derived.has("level2_sim")
 
     def test_capacity_change_only_drops_level3(self, session):
         derived = session.with_spec(capacity_gates=20_000)

@@ -1,10 +1,20 @@
 """Tests for CPU timing models, the bus and memories."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.kernel import NS, Simulator, wait
-from repro.platform import ARM7TDMI, ARM9TDMI, CPU_LIBRARY, Bus, CpuModel, Memory
-from repro.tlm import InitiatorSocket, Response, Transaction
+from repro.platform import (
+    ARM7TDMI,
+    ARM9TDMI,
+    CPU_LIBRARY,
+    Bus,
+    CpuModel,
+    Memory,
+    UninitializedRead,
+)
+from repro.tlm import Command, InitiatorSocket, Response, Transaction
 
 
 class TestCpuModel:
@@ -119,6 +129,142 @@ class TestMemory:
 
         sim.spawn("m", master())
         sim.run()
+
+
+class ReferenceMemory:
+    """The per-word memory model: one record built per unwritten word read.
+
+    ``Memory`` moves bursts in bulk and records unwritten reads once per
+    burst; this is the oracle it must match exactly.
+    """
+
+    _offset = Memory._offset
+    preload = Memory.preload
+    peek = Memory.peek
+
+    def __init__(self, name, sim, base, size_words, latency_ps, readonly):
+        self.name = name
+        self.sim = sim
+        self.base = base
+        self.size_words = size_words
+        self.latency_ps = latency_ps
+        self.word_bytes = 4
+        self.readonly = readonly
+        self._storage = {}
+        self.reads = 0
+        self.writes = 0
+        self.uninitialized_reads = []
+
+    def transport(self, txn):
+        try:
+            start = self._offset(txn.address)
+            self._offset(txn.address + (txn.burst_len - 1) * self.word_bytes)
+        except ValueError:
+            txn.response = Response.SLAVE_ERROR
+            return txn
+        yield wait(self.latency_ps * txn.burst_len)
+        if txn.command is Command.WRITE:
+            if self.readonly:
+                txn.response = Response.SLAVE_ERROR
+                return txn
+            for i, word in enumerate(txn.data):
+                self._storage[start + i] = word
+            self.writes += txn.burst_len
+        else:
+            data = []
+            for i in range(txn.burst_len):
+                offset = start + i
+                if offset not in self._storage:
+                    self.uninitialized_reads.append(
+                        UninitializedRead(
+                            address=self.base + offset * self.word_bytes,
+                            origin=txn.origin,
+                            time_ps=self.sim.now_ps,
+                        )
+                    )
+                data.append(self._storage.get(offset, 0))
+            txn.data = data
+            self.reads += txn.burst_len
+        txn.response = Response.OK
+        return txn
+
+    def stats(self):
+        return {
+            "name": self.name,
+            "reads": self.reads,
+            "writes": self.writes,
+            "uninitialized_reads": len(self.uninitialized_reads),
+        }
+
+
+_SIZE_WORDS = 16
+_BASE = 0x1000
+
+#: One step of a memory session: a preload, an idle gap, or a burst whose
+#: first word may lie before, inside or past the memory (out-of-range
+#: bursts and bursts running off the end are slave errors).
+_STEPS = st.one_of(
+    st.tuples(st.just("preload"), st.integers(0, _SIZE_WORDS - 1),
+              st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=4)),
+    st.tuples(st.just("idle"), st.integers(1, 50_000)),
+    st.tuples(st.sampled_from(["read", "write"]),
+              st.integers(-2, _SIZE_WORDS + 1), st.integers(1, 6),
+              st.sampled_from(["cpu", "dma", "efpga.config"])),
+)
+
+
+def _drive(memory, sim, steps):
+    """Run ``steps`` against ``memory``; log every observable outcome."""
+    log = []
+
+    def master():
+        for step in steps:
+            if step[0] == "preload":
+                _, offset, words = step
+                words = words[:_SIZE_WORDS - offset]
+                memory.preload(_BASE + 4 * offset, words)
+                continue
+            if step[0] == "idle":
+                yield wait(step[1])
+                continue
+            command, offset, burst_len, origin = step
+            address = max(0, _BASE + 4 * offset)
+            if command == "write":
+                txn = Transaction.write(
+                    address, [offset * 7 + i for i in range(burst_len)],
+                    origin=origin)
+            else:
+                txn = Transaction.read(address, burst_len=burst_len,
+                                       origin=origin)
+            result = yield from memory.transport(txn)
+            log.append((result is txn, txn.data, txn.response, sim.now_ps))
+
+    sim.spawn("master", master())
+    sim.run()
+    return log
+
+
+class TestMemoryMatchesPerWordModel:
+    """``Memory`` against :class:`ReferenceMemory` on random sessions."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(steps=st.lists(_STEPS, max_size=24), readonly=st.booleans(),
+           latency_ps=st.sampled_from([0, 10_000, 20_000]))
+    def test_identical_outcomes_and_records(self, steps, readonly,
+                                            latency_ps):
+        sim = Simulator()
+        memory = Memory("m", sim, _BASE, _SIZE_WORDS, latency_ps=latency_ps,
+                        readonly=readonly)
+        ref_sim = Simulator()
+        reference = ReferenceMemory("m", ref_sim, _BASE, _SIZE_WORDS,
+                                    latency_ps, readonly)
+        assert _drive(memory, sim, steps) == _drive(reference, ref_sim, steps)
+        assert (memory.reads, memory.writes) == \
+            (reference.reads, reference.writes)
+        assert memory.stats() == reference.stats()
+        assert memory.uninitialized_reads == reference.uninitialized_reads
+        assert memory.peek(_BASE, _SIZE_WORDS) == \
+            reference.peek(_BASE, _SIZE_WORDS)
 
 
 class TestBus:
