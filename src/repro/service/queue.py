@@ -29,9 +29,9 @@ the record, and the record's monotonic ``generation`` counter is bumped.
 :meth:`JobQueue.expire_leases` re-queues jobs whose lease lapsed (a dead
 or partitioned runner), so survivors re-claim them.  A re-claim bumps
 the generation, which is what fences **zombie runners**: completing or
-failing a job with an explicit lease id/generation only succeeds while
-that lease is still the job's current one — a stale upload raises
-:class:`StaleLease` and is dropped.
+failing a job takes the claim's lease id and generation and only
+succeeds while that lease is still the job's current one — a stale
+upload raises :class:`StaleLease` and is dropped.
 
 Crash recovery is lease expiry, for the daemon's own runners as for
 remote ones: a job that was ``running`` when the daemon died is still
@@ -390,18 +390,17 @@ class JobQueue:
             self._check_lease(job, lease_id, generation)
             return job
 
-    def _check_lease(self, job: dict, lease_id: Optional[str],
+    def _check_lease(self, job: dict, lease_id: str,
                      generation: Optional[int]) -> None:
         """Raise :class:`StaleLease` unless ``lease_id``/``generation``
         name the job's *current* lease."""
-        if lease_id is not None:
-            lease = job.get("lease")
-            if (job["status"] != "running" or lease is None
-                    or lease["id"] != lease_id):
-                raise StaleLease(
-                    f"job {job['id'][:12]} is no longer running under "
-                    f"lease {lease_id[:8]} (status {job['status']!r}); "
-                    f"stale work dropped")
+        lease = job.get("lease")
+        if (job["status"] != "running" or lease is None
+                or lease["id"] != lease_id):
+            raise StaleLease(
+                f"job {job['id'][:12]} is no longer running under "
+                f"lease {lease_id[:8]} (status {job['status']!r}); "
+                f"stale work dropped")
         if generation is not None and \
                 generation != job.get("generation", 0):
             raise StaleLease(
@@ -443,18 +442,13 @@ class JobQueue:
                 _DEPTH.set(len(self._queued))
         return requeued
 
-    def _finish(self, job_id: str, status: str, *, result=None,
-                error=None, lease_id: Optional[str] = None,
-                generation: Optional[int] = None) -> dict:
+    def _finish(self, job_id: str, status: str, *, lease_id: str,
+                generation: int, result=None, error=None) -> dict:
         with self._lock:
             job = self.get(job_id)
             if job is None:
                 raise KeyError(f"no job {job_id!r}")
             self._check_lease(job, lease_id, generation)
-            if job["status"] != "running":
-                raise ValueError(
-                    f"job {job_id[:12]} is {job['status']!r}, not running; "
-                    f"only running jobs finish")
             job["status"] = status
             job["result"] = result
             job["error"] = error
@@ -463,23 +457,22 @@ class JobQueue:
             _FINISHED.inc(status=status)
             return self._save(job)
 
-    def complete(self, job_id: str, result: dict,
-                 lease_id: Optional[str] = None,
-                 generation: Optional[int] = None) -> dict:
+    def complete(self, job_id: str, result: dict, lease_id: str,
+                 generation: int) -> dict:
         """``running -> done`` with the job's result bookkeeping.
 
-        With ``lease_id``/``generation`` the transition is fenced: it
-        only succeeds while that lease is still current, so a zombie
-        runner's late upload raises :class:`StaleLease` instead of
-        clobbering the re-leased job.
+        The transition is fenced by the claim's ``lease_id`` and
+        ``generation``: it only succeeds while that lease is still
+        current, so a zombie runner's late upload raises
+        :class:`StaleLease` instead of clobbering the re-leased job.
         """
         return self._finish(job_id, "done", result=result,
                             lease_id=lease_id, generation=generation)
 
-    def fail(self, job_id: str, error: Mapping[str, Any],
-             lease_id: Optional[str] = None,
-             generation: Optional[int] = None) -> dict:
-        """``running -> failed`` with a ``{type, message}`` envelope."""
+    def fail(self, job_id: str, error: Mapping[str, Any], lease_id: str,
+             generation: int) -> dict:
+        """``running -> failed`` with a ``{type, message}`` envelope,
+        fenced like :meth:`complete`."""
         return self._finish(job_id, "failed",
                             error={"type": str(error.get("type", "Error")),
                                    "message": str(error.get("message", ""))},

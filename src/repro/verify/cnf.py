@@ -7,22 +7,21 @@ checking over the RTL netlist) reduce to propositional satisfiability.
 comparisons, shifts by constants, bitwise logic, mux) on top via
 bit-blasting with ripple-carry adders.
 
-A :class:`Cnf` can run in two modes.  Standalone (the default), it just
-collects clauses and :meth:`solve` builds a fresh solver per call.
-Attached -- ``Cnf(solver=SatSolver())`` -- every clause streams into the
-incremental solver the moment it is emitted, so repeated solves never
-re-add the clause database and learned clauses carry over between
-queries; :meth:`guard` scopes emitted clauses under an activation
-literal so a clause group can be enabled per-query (assume the literal)
-or retired permanently (:meth:`retire`).  Guards nest by save and
-restore: ``guard(None)`` inside a guard suspends it.
+A :class:`Cnf` streams every clause into an incremental
+:class:`SatSolver` (its own, unless one is passed) the moment it is
+emitted, so repeated solves never re-add the clause database and
+learned clauses carry over between queries; :meth:`guard` scopes
+emitted clauses under an activation literal so a clause group can be
+enabled per-query (assume the literal) or retired permanently
+(:meth:`retire`).  Guards nest by save and restore: ``guard(None)``
+inside a guard suspends it.
 
-``fold=True`` (the attached BMC/PCC encoder) folds gates over constant,
-equal or opposite inputs and hash-conses AND, XOR and ITE gates on
-their sign- and order-normalized inputs, so an identical gate is
-encoded once.  Unguarded gates are visible to every lookup; a gate made
-under a guard is visible only while that guard is open, and its table
-is dropped when the guard is retired.
+Gates over constant, equal or opposite inputs are folded away, and
+AND, XOR and ITE gates are hash-consed on their sign- and
+order-normalized inputs, so an identical gate is encoded once.
+Unguarded gates are visible to every lookup; a gate made under a guard
+is visible only while that guard is open, and its table is dropped
+when the guard is retired.
 """
 
 from __future__ import annotations
@@ -36,21 +35,14 @@ from repro.verify.sat import SatResult, SatSolver
 class Cnf:
     """A growing CNF with fresh-variable allocation and gate encoders."""
 
-    def __init__(self, solver: Optional[SatSolver] = None,
-                 fold: bool = False) -> None:
-        self.clauses: list[list[int]] = []
-        self.solver = solver
-        #: fold and hash gates instead of always emitting Tseitin
-        #: clauses.  Off by default: folding changes the emitted CNF,
-        #: and the one-shot reference paths are pinned clause-for-clause
-        #: by the differential suite.
-        self.fold = fold
+    def __init__(self, solver: Optional[SatSolver] = None) -> None:
+        self.solver = SatSolver() if solver is None else solver
         self._guard_lit: Optional[int] = None
         #: hashed gates: normalized key -> output literal, unguarded and
         #: per guard literal
         self._gates: dict[tuple, int] = {}
         self._guarded: dict[int, dict[tuple, int]] = {}
-        self._next_var = solver.num_vars if solver is not None else 0
+        self._next_var = self.solver.num_vars
         #: literal constants: true_lit is a var constrained to 1
         self.true_lit = self.new_var()
         self.add_clause([self.true_lit])
@@ -61,7 +53,7 @@ class Cnf:
 
     def new_var(self) -> int:
         self._next_var += 1
-        if self.solver is not None and self.solver.num_vars < self._next_var:
+        if self.solver.num_vars < self._next_var:
             self.solver.num_vars = self._next_var
         return self._next_var
 
@@ -71,10 +63,8 @@ class Cnf:
 
     def add_clause(self, literals: Iterable[int]) -> None:
         guard = self._guard_lit
-        clause = list(literals) if guard is None else [-guard, *literals]
-        self.clauses.append(clause)
-        if self.solver is not None:
-            self.solver.add_clause(clause)
+        self.solver.add_clause(literals if guard is None
+                               else [-guard, *literals])
 
     @contextmanager
     def guard(self, activation: Optional[int]) -> Iterator[Optional[int]]:
@@ -106,18 +96,16 @@ class Cnf:
         return -a
 
     def gate_and(self, a: int, b: int) -> int:
-        if self.fold:
-            true, false = self.true_lit, -self.true_lit
-            if a == true:
-                return b
-            if b == true:
-                return a
-            if a == false or b == false or a == -b:
-                return false
-            if a == b:
-                return a
-            return self._hashed(("&", min(a, b), max(a, b)), self._and)
-        return self._and(a, b)
+        true, false = self.true_lit, -self.true_lit
+        if a == true:
+            return b
+        if b == true:
+            return a
+        if a == false or b == false or a == -b:
+            return false
+        if a == b:
+            return a
+        return self._hashed(("&", min(a, b), max(a, b)), self._and)
 
     def _and(self, a: int, b: int) -> int:
         out = self.new_var()
@@ -130,25 +118,23 @@ class Cnf:
         return -self.gate_and(-a, -b)
 
     def gate_xor(self, a: int, b: int) -> int:
-        if self.fold:
-            true, false = self.true_lit, -self.true_lit
-            if a == true:
-                return -b
-            if a == false:
-                return b
-            if b == true:
-                return -a
-            if b == false:
-                return a
-            if a == b:
-                return false
-            if a == -b:
-                return true
-            # xor(-a, b) == -xor(a, b): hash on the magnitudes.
-            out = self._hashed(("^", min(abs(a), abs(b)), max(abs(a), abs(b))),
-                               self._xor)
-            return -out if (a < 0) != (b < 0) else out
-        return self._xor(a, b)
+        true, false = self.true_lit, -self.true_lit
+        if a == true:
+            return -b
+        if a == false:
+            return b
+        if b == true:
+            return -a
+        if b == false:
+            return a
+        if a == b:
+            return false
+        if a == -b:
+            return true
+        # xor(-a, b) == -xor(a, b): hash on the magnitudes.
+        out = self._hashed(("^", min(abs(a), abs(b)), max(abs(a), abs(b))),
+                           self._xor)
+        return -out if (a < 0) != (b < 0) else out
 
     def _xor(self, a: int, b: int) -> int:
         out = self.new_var()
@@ -160,33 +146,31 @@ class Cnf:
 
     def gate_ite(self, sel: int, then_lit: int, else_lit: int) -> int:
         """out = sel ? then : else."""
-        if self.fold:
-            true, false = self.true_lit, -self.true_lit
-            if sel == true:
-                return then_lit
-            if sel == false:
-                return else_lit
-            if then_lit == else_lit:
-                return then_lit
-            if then_lit == true and else_lit == false:
-                return sel
-            if then_lit == false and else_lit == true:
-                return -sel
-            if then_lit == true:
-                return self.gate_or(sel, else_lit)
-            if then_lit == false:
-                return self.gate_and(-sel, else_lit)
-            if else_lit == true:
-                return self.gate_or(-sel, then_lit)
-            if else_lit == false:
-                return self.gate_and(sel, then_lit)
-            # ite(-s, t, e) == ite(s, e, t); ite(s, -t, -e) == -ite(s, t, e)
-            if sel < 0:
-                sel, then_lit, else_lit = -sel, else_lit, then_lit
-            sign = -1 if then_lit < 0 else 1
-            return sign * self._hashed(
-                ("?", sel, sign * then_lit, sign * else_lit), self._ite)
-        return self._ite(sel, then_lit, else_lit)
+        true, false = self.true_lit, -self.true_lit
+        if sel == true:
+            return then_lit
+        if sel == false:
+            return else_lit
+        if then_lit == else_lit:
+            return then_lit
+        if then_lit == true and else_lit == false:
+            return sel
+        if then_lit == false and else_lit == true:
+            return -sel
+        if then_lit == true:
+            return self.gate_or(sel, else_lit)
+        if then_lit == false:
+            return self.gate_and(-sel, else_lit)
+        if else_lit == true:
+            return self.gate_or(-sel, then_lit)
+        if else_lit == false:
+            return self.gate_and(sel, then_lit)
+        # ite(-s, t, e) == ite(s, e, t); ite(s, -t, -e) == -ite(s, t, e)
+        if sel < 0:
+            sel, then_lit, else_lit = -sel, else_lit, then_lit
+        sign = -1 if then_lit < 0 else 1
+        return sign * self._hashed(
+            ("?", sel, sign * then_lit, sign * else_lit), self._ite)
 
     def _ite(self, sel: int, then_lit: int, else_lit: int) -> int:
         out = self.new_var()
@@ -234,17 +218,8 @@ class Cnf:
 
     def solve(self, assumptions: Iterable[int] = (),
               max_conflicts: int = 2_000_000) -> tuple[SatResult, dict[int, bool]]:
-        if self.solver is not None:
-            solver = self.solver
-            solver.num_vars = max(solver.num_vars, self._next_var)
-            result = solver.solve(assumptions, max_conflicts=max_conflicts)
-        else:
-            solver = SatSolver(max_conflicts=max_conflicts)
-            for clause in self.clauses:
-                solver.add_clause(clause)
-            solver.num_vars = max(solver.num_vars, self._next_var)
-            result = solver.solve(assumptions)
-        model = solver.model() if result is SatResult.SAT else {}
+        result = self.solver.solve(assumptions, max_conflicts=max_conflicts)
+        model = self.solver.model() if result is SatResult.SAT else {}
         return result, model
 
 

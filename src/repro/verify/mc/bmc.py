@@ -11,18 +11,18 @@ Invariants are conjunctions of atomic predicates ``signal <op> const``
 over netlist signals — the property shape the paper's level-4 interface
 checks use (``AG (handshake consistent)``).
 
-The checker is incremental by default: one attached, folding and
-gate-hashing CNF/solver pair is kept per :class:`BoundedModelChecker`,
-per-frame violation literals are cached per property, and each query
-solves under an assumption selecting that property/bound — so learned
-clauses carry over across properties, bounds, and (via
-:meth:`add_mutant`) mutated or cut designs.  Frames are encoded on demand: a
-signal at a frame is bit-blasted the first time a property (or another
-signal) needs it, so logic outside a property's cone of influence is
-never encoded.  A counter-example trace is rebuilt by replaying the
-model's inputs through :meth:`Netlist.step`.  ``incremental=False``
-restores the one-shot full-frame encode-and-solve path, which the
-differential test-suite pins against the incremental one.
+The checker is incremental: one folding, gate-hashing
+:class:`~repro.verify.cnf.Cnf` session is kept per
+:class:`BoundedModelChecker`, per-frame violation literals are cached
+per property, and each query solves under an assumption selecting that
+property/bound — so learned clauses carry over across properties,
+bounds, and (via :meth:`add_mutant`) mutated or cut designs.  Frames
+are encoded on demand: a signal at a frame is bit-blasted the first
+time a property (or another signal) needs it, so logic outside a
+property's cone of influence is never encoded.  A counter-example trace
+is rebuilt by replaying the model's inputs through
+:meth:`Netlist.step`.  Verdicts, mutant cones and cut points are
+checked against exhaustive simulation in the test-suite.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ from repro.rtl.netlist import (
     mask,
 )
 from repro.verify.cnf import BitVector, Cnf
-from repro.verify.sat import SatResult, SatSolver
+from repro.verify.sat import SatResult
 
 Atom = tuple[str, str, int]
 Clauses = list[list[Atom]]
@@ -120,12 +120,11 @@ class _MutantCone:
 class BoundedModelChecker:
     """BMC engine for one netlist."""
 
-    def __init__(self, netlist: Netlist, incremental: bool = True):
+    def __init__(self, netlist: Netlist):
         netlist.validate()
         self.netlist = netlist
         self.word = netlist.word_width
-        self.incremental = incremental
-        # Incremental session state (lazily built on the first query):
+        # Session state (lazily built on the first query):
         self._cnf: Optional[Cnf] = None
         #: per-frame baseline signals, bit-blasted on first demand
         self._envs: list[dict[str, BitVector]] = []
@@ -211,22 +210,6 @@ class BoundedModelChecker:
 
     # -- unrolling ------------------------------------------------------------------------
 
-    def _frame(self, cnf: Cnf, regs: dict[str, BitVector]
-               ) -> tuple[dict[str, BitVector], dict[str, BitVector]]:
-        """One time frame: free inputs + wires; returns (env, next regs)."""
-        env: dict[str, BitVector] = dict(regs)
-        for name, width in self.netlist.inputs.items():
-            env[name] = self._fresh_input(width, cnf)
-        for name in self.netlist.wire_order():
-            width, expr = self.netlist.wires[name]
-            value = self._blast(expr, env.__getitem__, cnf)
-            env[name] = self._truncate(value, width, cnf)
-        nxt: dict[str, BitVector] = {}
-        for reg in self.netlist.registers.values():
-            value = self._blast(reg.next_expr, env.__getitem__, cnf)
-            nxt[reg.name] = self._truncate(value, reg.width, cnf)
-        return env, nxt
-
     def _fresh_input(self, width: int, cnf: Cnf) -> BitVector:
         vec = BitVector.fresh(cnf, self.word)
         # Constrain bits above the declared input width to zero.
@@ -240,17 +223,11 @@ class BoundedModelChecker:
         bits = vec.bits[:width] + [cnf.false_lit] * (self.word - width)
         return BitVector(cnf, bits)
 
-    def _reset_regs(self, cnf: Cnf) -> dict[str, BitVector]:
-        return {
-            reg.name: BitVector.constant(cnf, reg.reset, self.word)
-            for reg in self.netlist.registers.values()
-        }
-
-    # -- incremental session ----------------------------------------------------------
+    # -- session ----------------------------------------------------------------------
 
     def _session(self) -> Cnf:
         if self._cnf is None:
-            self._cnf = Cnf(solver=SatSolver(), fold=True)
+            self._cnf = Cnf()
         return self._cnf
 
     def _signal(self, name: str, frame: int,
@@ -370,9 +347,6 @@ class BoundedModelChecker:
         """
         self._validate_clauses(clauses, self.netlist)
         text = property_text(clauses)
-        if not self.incremental:
-            return self._check_oneshot(clauses, bound, max_conflicts, text)
-
         key = tuple(tuple(clause) for clause in clauses)
         cnf = self._session()
         violation_lits = [self._viol_lit(key, clauses, i)
@@ -391,31 +365,6 @@ class BoundedModelChecker:
             return BmcResult(text, bound, violated=False,
                              solver_result=SatResult.UNKNOWN)
         trace = self._replay(clauses, self._envs[:bound + 1], model)
-        return BmcResult(text, bound, violated=True, trace=trace,
-                         solver_result=SatResult.SAT)
-
-    def _check_oneshot(self, clauses: Clauses, bound: int,
-                       max_conflicts: int, text: str) -> BmcResult:
-        """The non-incremental path: encode, solve and throw away."""
-        cnf = Cnf()
-        regs = self._reset_regs(cnf)
-        violation_lits: list[int] = []
-        frames: list[dict[str, BitVector]] = []
-        for __ in range(bound + 1):
-            env, next_regs = self._frame(cnf, regs)
-            frames.append(env)
-            violation_lits.append(
-                self._violation_lit_clauses(clauses, env.__getitem__, cnf))
-            regs = next_regs
-        cnf.add_clause(violation_lits)
-
-        result, model = cnf.solve(max_conflicts=max_conflicts)
-        if result is SatResult.UNSAT:
-            return BmcResult(text, bound, violated=False)
-        if result is SatResult.UNKNOWN:
-            return BmcResult(text, bound, violated=False,
-                             solver_result=SatResult.UNKNOWN)
-        trace = self._replay(clauses, frames, model)
         return BmcResult(text, bound, violated=True, trace=trace,
                          solver_result=SatResult.SAT)
 
@@ -451,8 +400,7 @@ class BoundedModelChecker:
         driver, guarded by a fresh activation literal; everything else
         (inputs, reset state, untouched logic) is the baseline
         unrolling.  Returns the activation literal, the handle for
-        :meth:`check_mutant` and :meth:`retire_mutant`.  Requires
-        ``incremental=True``.
+        :meth:`check_mutant` and :meth:`retire_mutant`.
 
         ``expr=None`` cuts the driver instead: it reads a fresh,
         unconstrained value of its declared width at every frame (a
@@ -460,8 +408,6 @@ class BoundedModelChecker:
         cut design over-approximates every rewrite of the driver, so a
         property the cut cannot violate holds on all of them.
         """
-        if not self.incremental:
-            raise ValueError("mutant cones need an incremental checker")
         if driver not in self.netlist.wires \
                 and driver not in self.netlist.registers:
             raise ValueError(f"unknown driver {driver!r}")
@@ -512,14 +458,11 @@ class BoundedModelChecker:
         self._validate_clauses(clauses, self.netlist)
         text = property_text(clauses)
         cone = self._mutants[act]
-        cnf = self._cnf
         key = tuple(tuple(clause) for clause in clauses)
         violation_lits = self._mutant_viol_lits(cone, clauses, bound)
         query = self._mutant_query(cone, (key, bound), violation_lits)
-
-        solver = cnf.solver
-        solver.num_vars = max(solver.num_vars, cnf.num_vars)
-        result = solver.solve([cone.act, query], max_conflicts=max_conflicts)
+        result = self._cnf.solver.solve([cone.act, query],
+                                        max_conflicts=max_conflicts)
         if result is SatResult.UNKNOWN:
             return BmcResult(text, bound, violated=False,
                              solver_result=SatResult.UNKNOWN)
@@ -539,7 +482,6 @@ class BoundedModelChecker:
         for clauses in properties:
             self._validate_clauses(clauses, self.netlist)
         cone = self._mutants[act]
-        cnf = self._cnf
         all_lits: list[int] = []
         for clauses in properties:
             all_lits.extend(self._mutant_viol_lits(cone, clauses, bound))
@@ -548,9 +490,8 @@ class BoundedModelChecker:
                          for clauses in properties),
                    bound)
         query = self._mutant_query(cone, agg_key, all_lits)
-        solver = cnf.solver
-        solver.num_vars = max(solver.num_vars, cnf.num_vars)
-        return solver.solve([cone.act, query], max_conflicts=max_conflicts)
+        return self._cnf.solver.solve([cone.act, query],
+                                      max_conflicts=max_conflicts)
 
     def retire_mutant(self, act: int) -> None:
         """Permanently disable a mutant cone's clauses and gates."""

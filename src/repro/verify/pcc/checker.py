@@ -17,20 +17,19 @@ with their mutation site — the designer's TODO list for new properties
 (the paper: "if it shows that not enough properties have been used, the
 designer will have to extend the set of properties").
 
-The formal phase is incremental by default: one
-:class:`BoundedModelChecker` session shares the baseline unrolling, each
-mutant re-encodes only what depends on its mutated driver under an
-activation literal, and solver-learned clauses carry across mutants and
-properties.  Survivors are proven once per driver: a mutation rewrites
-one driver and keeps reset values, so the design with that driver *cut*
-(a free value of its declared width; Kuehlmann & Krohm, DAC 1997)
-over-approximates all of its mutants.  If no property fails on the cut
-design within the bound, they all survive; otherwise each mutant falls
-back to its own queries, which alone decide ``killed_by``.
-``incremental=False`` is the reference: one-shot per-mutant checks, no
-cut (the differential suite and ``tests/golden/pcc_verdicts.json`` pin
-both to identical verdicts).  ``jobs=N`` fans driver groups out over a
-multiprocessing pool.
+The formal phase runs serially on one shared
+:class:`BoundedModelChecker` session: the baseline unrolling is encoded
+once, each mutant re-encodes only what depends on its mutated driver
+under an activation literal, and solver-learned clauses carry across
+mutants and properties.  Survivors are proven once per driver: a
+mutation rewrites one driver and keeps reset values, so the design with
+that driver *cut* (a free value of its declared width; Kuehlmann &
+Krohm, DAC 1997) over-approximates all of its mutants.  If no property
+fails on the cut design within the bound, they all survive; otherwise
+each mutant falls back to its own queries, which alone decide
+``killed_by``.  ``tests/golden/pcc_verdicts.json`` pins every verdict
+on the workload modules, and an exhaustive-simulation oracle checks
+kill attribution on random netlists.
 """
 
 from __future__ import annotations
@@ -117,32 +116,21 @@ class PccReport:
         return "\n".join(lines)
 
 
-def _formal_task(netlist: Netlist,
-                 properties: list[list[list[tuple[str, str, int]]]],
-                 bound: int, incremental: bool, group: list[Mutation]):
-    """Pool task: :func:`_driver_verdicts` of one group, on a fresh
-    session when incremental.  Module-level (picklable by name) on
-    purpose."""
-    session = BoundedModelChecker(netlist) if incremental else None
-    return _driver_verdicts(netlist, properties, bound, group, session)
-
-
 def _driver_verdicts(netlist: Netlist,
                      properties: list[list[list[tuple[str, str, int]]]],
                      bound: int, group: list[Mutation],
-                     session: Optional[BoundedModelChecker]
+                     session: BoundedModelChecker
                      ) -> tuple[bool, list[Optional[str]]]:
     """Whether the cut settled one driver's observable mutants, and the
     property text that kills each (None if it survives)."""
-    if session is not None:
-        act = session.add_mutant(group[0].driver, None)
-        try:
-            cut_holds = session.check_mutant_any(act, properties, bound) \
-                is SatResult.UNSAT
-        finally:
-            session.retire_mutant(act)
-        if cut_holds:
-            return True, [None] * len(group)
+    act = session.add_mutant(group[0].driver, None)
+    try:
+        cut_holds = session.check_mutant_any(act, properties, bound) \
+            is SatResult.UNSAT
+    finally:
+        session.retire_mutant(act)
+    if cut_holds:
+        return True, [None] * len(group)
     return False, [_formal_verdict(netlist, properties, bound, mutation,
                                    session) for mutation in group]
 
@@ -150,16 +138,8 @@ def _driver_verdicts(netlist: Netlist,
 def _formal_verdict(netlist: Netlist,
                     properties: list[list[list[tuple[str, str, int]]]],
                     bound: int, mutation: Mutation,
-                    session: Optional[BoundedModelChecker]) -> Optional[str]:
+                    session: BoundedModelChecker) -> Optional[str]:
     """The property text that kills ``mutation``, or None if it survives."""
-    if session is None:
-        checker = BoundedModelChecker(mutation.apply(netlist),
-                                      incremental=False)
-        for clauses in properties:
-            result = checker.check_invariant_clauses(clauses, bound)
-            if result.violated:
-                return result.property_text
-        return None
     act = session.add_mutant(mutation.driver,
                              mutation.rewritten_driver(netlist))
     try:
@@ -190,11 +170,9 @@ class PropertyCoverageChecker:
     original design (checked first — PCC is only meaningful for a
     passing verification plan).
 
-    ``incremental`` selects the shared-session formal phase with one
-    cut query per driver (``incremental=False``: the one-shot,
-    per-mutant reference); ``jobs`` (>1) fans driver groups out over a
-    fork pool.  After :meth:`run`, ``cuts`` counts the cut queries and
-    ``cut_settled`` the survivors they settled.
+    After :meth:`run`, ``cuts`` counts the cut queries (one per driver
+    with an observable mutant) and ``cut_settled`` the survivors they
+    settled.
     """
 
     @staticmethod
@@ -212,8 +190,6 @@ class PropertyCoverageChecker:
         sim_length: int = 24,
         seed: int = 11,
         mutation_limit: Optional[int] = None,
-        incremental: bool = True,
-        jobs: Optional[int] = None,
     ):
         netlist.validate()
         self.netlist = netlist
@@ -223,19 +199,11 @@ class PropertyCoverageChecker:
         self.sim_length = sim_length
         self.rng = random.Random(seed)
         self.mutation_limit = mutation_limit
-        self.incremental = incremental
-        self.jobs = jobs
         self._stimuli = self._build_stimuli()
         #: the original design's observed outputs, per stimulus sequence
         self._expected: dict[int, list[tuple[int, ...]]] = {}
-        self._session: Optional[BoundedModelChecker] = None
+        self._session = BoundedModelChecker(netlist)
         self.cuts = self.cut_settled = 0
-
-    def __getstate__(self) -> dict:
-        # The live solver session never crosses a process boundary.
-        state = dict(self.__dict__)
-        state["_session"] = None
-        return state
 
     # -- functional phase -------------------------------------------------------
 
@@ -276,23 +244,12 @@ class PropertyCoverageChecker:
                 return True
         return False
 
-    # -- formal phase ----------------------------------------------------------------
-
-    def _shared_session(self) -> Optional[BoundedModelChecker]:
-        if not self.incremental:
-            return None
-        if self._session is None:
-            self._session = BoundedModelChecker(self.netlist, incremental=True)
-        return self._session
-
     # -- main -----------------------------------------------------------------------------
 
     def verify_baseline(self) -> None:
         """Assert every property holds on the unmutated design."""
-        checker = self._shared_session() \
-            or BoundedModelChecker(self.netlist, incremental=False)
         for clauses in self.properties:
-            result = checker.check_invariant_clauses(clauses, self.bound)
+            result = self._session.check_invariant_clauses(clauses, self.bound)
             if result.violated:
                 raise ValueError(
                     f"property {result.property_text!r} fails on the original "
@@ -314,9 +271,8 @@ class PropertyCoverageChecker:
                 for clauses in self.properties
             ],
         )
-        #: observable verdicts per driver, in enumeration order (the
-        #: one-shot reference checks each mutant on its own)
-        groups: dict[object, list[MutantVerdict]] = {}
+        #: observable verdicts per driver, in enumeration order
+        groups: dict[str, list[MutantVerdict]] = {}
         for mutation in mutations:
             try:
                 mutant = mutation.apply(self.netlist)
@@ -324,34 +280,16 @@ class PropertyCoverageChecker:
                 continue  # structurally inapplicable: skip
             verdict = MutantVerdict(mutation, self._differs(mutant))
             if verdict.observable:
-                key = mutation.driver if self.incremental else len(report.verdicts)
-                groups.setdefault(key, []).append(verdict)
+                groups.setdefault(mutation.driver, []).append(verdict)
             report.verdicts.append(verdict)
 
-        batches = [[v.mutation for v in group] for group in groups.values()]
-        if self.jobs and self.jobs > 1 and len(batches) > 1:
-            results = self._formal_pool(batches)
-        else:
-            results = [_driver_verdicts(self.netlist, self.properties,
-                                        self.bound, batch,
-                                        self._shared_session())
-                       for batch in batches]
-        self.cuts = len(batches) if self.incremental else 0
+        self.cuts = len(groups)
         self.cut_settled = 0
-        for group, (cut_held, killers) in zip(groups.values(), results):
+        for group in groups.values():
+            cut_held, killers = _driver_verdicts(
+                self.netlist, self.properties, self.bound,
+                [v.mutation for v in group], self._session)
             self.cut_settled += len(group) if cut_held else 0
             for verdict, killed_by in zip(group, killers):
                 verdict.killed_by = killed_by
         return report
-
-    def _formal_pool(self, groups: list[list[Mutation]]) -> list:
-        """Fan driver groups out over a fork pool, one task per group."""
-        from repro.api.campaign import fork_context
-
-        with fork_context().Pool(processes=min(self.jobs, len(groups))) as pool:
-            return pool.starmap(
-                _formal_task,
-                [(self.netlist, self.properties, self.bound,
-                  self.incremental, group) for group in groups],
-                chunksize=1,
-            )

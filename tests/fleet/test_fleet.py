@@ -261,7 +261,10 @@ class TestCoordinator:
         a claim on a drained queue must not scan the finished jobs."""
         for index in range(50):
             job, _ = queue.submit(SPEC.replace(name=f"done-{index}"))
-            queue.complete(queue.claim("r0")["id"], {"passed": True})
+            claimed = queue.claim("r0")
+            queue.complete(claimed["id"], {"passed": True},
+                           lease_id=claimed["lease"]["id"],
+                           generation=claimed["generation"])
         reads = []
 
         def counting(path):

@@ -10,6 +10,7 @@ from repro.service.queue import (
     JOB_SCHEMA,
     JOB_STATES,
     JobQueue,
+    StaleLease,
     job_key,
     job_summary,
 )
@@ -21,6 +22,12 @@ SPEC = CampaignSpec(name="queued", workload="blockcipher", frames=1,
 @pytest.fixture
 def queue(tmp_path):
     return JobQueue(tmp_path / "queue")
+
+
+def fence(claimed):
+    """The claim's lease id and generation, which every finish takes."""
+    return {"lease_id": claimed["lease"]["id"],
+            "generation": claimed["generation"]}
 
 
 class TestContentAddressing:
@@ -66,8 +73,8 @@ class TestCoalescing:
 
     def test_terminal_job_requeues_with_same_id(self, queue):
         first, _ = queue.submit(SPEC)
-        queue.claim("w0")
-        queue.complete(first["id"], {"passed": True})
+        claimed = queue.claim("w0")
+        queue.complete(first["id"], {"passed": True}, **fence(claimed))
         again, coalesced = queue.submit(SPEC)
         assert not coalesced
         assert again["id"] == first["id"]
@@ -98,19 +105,21 @@ class TestOrdering:
 class TestTransitions:
     def test_complete_and_fail_require_running(self, queue):
         job, _ = queue.submit(SPEC)
-        with pytest.raises(ValueError, match="not running"):
-            queue.complete(job["id"], {})
-        queue.claim("w0")
-        done = queue.complete(job["id"], {"passed": True})
+        with pytest.raises(StaleLease, match="status 'queued'"):
+            queue.complete(job["id"], {}, lease_id="unleased", generation=0)
+        claimed = queue.claim("w0")
+        done = queue.complete(job["id"], {"passed": True}, **fence(claimed))
         assert done["status"] == "done" and done["result"] == {"passed": True}
-        with pytest.raises(ValueError, match="not running"):
-            queue.fail(job["id"], {"type": "X", "message": "y"})
+        with pytest.raises(StaleLease, match="status 'done'"):
+            queue.fail(job["id"], {"type": "X", "message": "y"},
+                       **fence(claimed))
 
     def test_fail_records_the_error_envelope(self, queue):
         job, _ = queue.submit(SPEC)
-        queue.claim("w0")
+        claimed = queue.claim("w0")
         failed = queue.fail(job["id"],
-                            {"type": "SweepPointError", "message": "boom"})
+                            {"type": "SweepPointError", "message": "boom"},
+                            **fence(claimed))
         assert failed["status"] == "failed"
         assert failed["error"] == {"type": "SweepPointError",
                                    "message": "boom"}
@@ -169,8 +178,9 @@ class TestCrashRecovery:
         waiting, _ = queue.submit(SPEC.replace(name="waiting"))
         claimed = queue.claim("w0")
         assert claimed["name"] == "interrupted"
-        assert queue.claim("w0")["name"] == "done"
-        queue.complete(done["id"], {"passed": True})
+        finishing = queue.claim("w0")
+        assert finishing["name"] == "done"
+        queue.complete(done["id"], {"passed": True}, **fence(finishing))
         # Daemon dies here; a fresh process opens the same directory.
         # Its dead runner's lease still runs, then lapses.
         restarted = JobQueue(tmp_path / "queue")
@@ -252,7 +262,7 @@ class TestListingAndStats:
         assert queue.depth() == 3
         claimed = queue.claim("w0")
         assert queue.depth() == 2
-        queue.complete(claimed["id"], {"passed": True})
+        queue.complete(claimed["id"], {"passed": True}, **fence(claimed))
         queue.cancel(queue.list(status="queued")[0]["id"])
         assert queue.depth() == 1
         # A fresh handle rebuilds the index from disk.
@@ -264,8 +274,8 @@ class TestListingAndStats:
 
     def test_prune_drops_terminal_records_only(self, queue):
         done, _ = queue.submit(SPEC.replace(name="done"))
-        queue.claim("w0")
-        queue.complete(done["id"], {"passed": True})
+        claimed = queue.claim("w0")
+        queue.complete(done["id"], {"passed": True}, **fence(claimed))
         cancelled, _ = queue.submit(SPEC.replace(name="cancelled"))
         queue.cancel(cancelled["id"])
         running, _ = queue.submit(SPEC.replace(name="running"))
@@ -280,8 +290,8 @@ class TestListingAndStats:
         ids = []
         for index in range(3):
             job, _ = queue.submit(SPEC.replace(name=f"j{index}"))
-            queue.claim("w0")
-            queue.complete(job["id"], {"passed": True})
+            claimed = queue.claim("w0")
+            queue.complete(job["id"], {"passed": True}, **fence(claimed))
             ids.append(job["id"])
         assert queue.prune(keep_last=1) == 2
         assert [job["id"] for job in queue.list()] == [ids[-1]]
@@ -290,8 +300,8 @@ class TestListingAndStats:
 
     def test_pruned_job_resubmits_fresh(self, queue):
         job, _ = queue.submit(SPEC)
-        queue.claim("w0")
-        queue.complete(job["id"], {"passed": True})
+        claimed = queue.claim("w0")
+        queue.complete(job["id"], {"passed": True}, **fence(claimed))
         queue.prune()
         again, coalesced = queue.submit(SPEC)
         assert not coalesced

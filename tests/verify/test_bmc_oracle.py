@@ -4,21 +4,21 @@
 BMC bit-blaster supports, plus a random CNF-over-atoms invariant.  The
 oracle never touches SAT: it runs :meth:`Netlist.step` over every input
 sequence up to the bound (merging sequences that reach equal states)
-and reports the first step at which one violates the invariant.  The
-incremental and one-shot BMC verdicts, every mutant checked as a
-cone overlay, and every cut point, must agree with it, and every
-counter-example must replay.
+and reports the first step at which one violates the invariant.  BMC
+verdicts, every mutant checked as a cone overlay, every cut point, and
+PCC's kill attribution must agree with it, and every counter-example
+must replay.
 """
 
 import itertools
 import operator
 
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from repro.rtl.netlist import BinExpr, ConstExpr, MuxExpr, Netlist, SigExpr, UnExpr
-from repro.verify.mc.bmc import BoundedModelChecker
-from repro.verify.pcc import enumerate_mutations
+from repro.verify.mc.bmc import BoundedModelChecker, property_text
+from repro.verify.pcc import PropertyCoverageChecker, enumerate_mutations
 
 MAX_BOUND = 3
 _ARITH = ("+", "-", "*", "&", "|", "^", "==", "!=", "<", "<=")
@@ -76,6 +76,41 @@ def small_netlists(draw):
     return net, clauses
 
 
+def handshake_netlist():
+    net = Netlist("ctrl")
+    net.add_input("req", 1)
+    state = net.add_register("st", 2, reset=0)
+    cnt = net.add_register("cnt", 2, reset=0)
+
+    def at(v):
+        return BinExpr("==", state, ConstExpr(v, 2))
+
+    nxt = MuxExpr(
+        at(0), MuxExpr(SigExpr("req"), ConstExpr(1, 2), ConstExpr(0, 2)),
+        MuxExpr(at(1),
+                MuxExpr(BinExpr("==", cnt, ConstExpr(3, 2)),
+                        ConstExpr(2, 2), ConstExpr(1, 2)),
+                ConstExpr(0, 2)))
+    net.set_next("st", nxt)
+    net.set_next("cnt", MuxExpr(at(1), BinExpr("+", cnt, ConstExpr(1, 2)),
+                                ConstExpr(0, 2)))
+    net.add_wire("done", 1, at(2))
+    net.add_wire("busy", 1, at(1))
+    net.mark_output("done")
+    net.mark_output("busy")
+    net.validate()
+    return net
+
+
+#: a handshake controller's interface properties, all of which hold
+PROPS = [
+    [[("st", "<=", 2)]],
+    [[("st", "!=", 1), ("busy", "==", 1)], [("st", "==", 1), ("busy", "==", 0)]],
+    [[("st", "!=", 2), ("done", "==", 1)], [("st", "==", 2), ("done", "==", 0)]],
+    [[("done", "!=", 1), ("cnt", "==", 0)]],
+]
+
+
 def violated(clauses, values):
     return any(not any(_COMPARE[op](values[name], const)
                        for name, op, const in clause)
@@ -130,6 +165,23 @@ def expect(first, bound):
     return first is not None and first <= bound
 
 
+def assert_kills_match_the_oracle(net, properties, bound, mutations=None):
+    """PCC's verdicts on ``net``: an observable mutant is killed by the
+    first property, in plan order, that some run of the mutated netlist
+    violates within the bound, and survives if there is none."""
+    report = PropertyCoverageChecker(net, properties, bound=bound) \
+        .run(mutations=mutations)
+    for verdict in report.verdicts:
+        killer = None
+        if verdict.observable:
+            mutant = verdict.mutation.apply(net)
+            killer = next((property_text(clauses) for clauses in properties
+                           if expect(first_violation(mutant, clauses, bound),
+                                     bound)), None)
+        assert verdict.killed_by == killer, verdict.mutation.describe()
+    return report
+
+
 _SETTINGS = settings(max_examples=100, deadline=None,
                      suppress_health_check=[HealthCheck.too_slow])
 
@@ -140,14 +192,12 @@ class TestBoundedSemanticsOracle:
     def test_bmc_verdicts_match_the_oracle(self, case):
         net, clauses = case
         first = first_violation(net, clauses)
-        incremental = BoundedModelChecker(net)
-        oneshot = BoundedModelChecker(net, incremental=False)
+        checker = BoundedModelChecker(net)
         for bound in range(MAX_BOUND + 1):
-            for checker in (incremental, oneshot):
-                result = checker.check_invariant_clauses(clauses, bound)
-                assert result.violated == expect(first, bound), (bound, first)
-                if result.violated:
-                    assert_replays(net, clauses, result.trace, bound)
+            result = checker.check_invariant_clauses(clauses, bound)
+            assert result.violated == expect(first, bound), (bound, first)
+            if result.violated:
+                assert_replays(net, clauses, result.trace, bound)
 
     @_SETTINGS
     @given(small_netlists(), st.integers(0, MAX_BOUND))
@@ -201,7 +251,25 @@ class TestBoundedSemanticsOracle:
             net.validate()
             for clauses in ([[("r0", "==", 0)]], [[("r0", "==", 1)]]):
                 first = first_violation(net, clauses)
-                for incremental in (True, False):
-                    result = BoundedModelChecker(net, incremental) \
-                        .check_invariant_clauses(clauses, MAX_BOUND)
-                    assert result.violated == expect(first, MAX_BOUND), op
+                result = BoundedModelChecker(net) \
+                    .check_invariant_clauses(clauses, MAX_BOUND)
+                assert result.violated == expect(first, MAX_BOUND), op
+
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(small_netlists(), st.integers(0, MAX_BOUND))
+    def test_pcc_kills_match_the_oracle(self, case, bound):
+        """Each drawn clause is one property of the plan; the plan keeps
+        those that hold on the netlist, as PCC requires."""
+        net, clauses = case
+        properties = [[clause] for clause in clauses
+                      if not expect(first_violation(net, [clause], bound),
+                                    bound)]
+        assume(properties)
+        assert_kills_match_the_oracle(net, properties, bound)
+
+    def test_handshake_pcc_matches_the_oracle(self):
+        net = handshake_netlist()
+        for bound in range(6):
+            report = assert_kills_match_the_oracle(net, PROPS, bound)
+            assert len(report.verdicts) == len(enumerate_mutations(net))

@@ -1,74 +1,54 @@
-"""Differential suite: incremental vs one-shot formal back-ends.
+"""Differential suite for the incremental formal back-ends.
 
-The incremental BMC session (shared CNF, assumption-selected queries,
-mutant diff cones) and the incremental PCC formal phase must produce
-reports byte-identical (:func:`repro.serialize.documents_equal`) to the
-original fresh-encode-per-query paths, which are kept as the reference
-under ``incremental=False``.
+One BMC session answering many queries must report exactly what a
+one-shot checker (a fresh session for a single query) reports
+(:func:`repro.serialize.documents_equal`), and both must agree with
+exhaustive simulation (``test_bmc_oracle``): a verdict matches the
+earliest violating step and every counter-example replays.  PCC's kill
+attribution on an explicit mutation list is checked against the same
+oracle.
 """
 
-from repro.rtl.netlist import BinExpr, ConstExpr, MuxExpr, Netlist, SigExpr
 from repro.serialize import documents_equal
 from repro.verify.mc.bmc import BoundedModelChecker
-from repro.verify.pcc import PropertyCoverageChecker, enumerate_mutations
-
-
-def handshake_netlist():
-    net = Netlist("ctrl")
-    net.add_input("req", 1)
-    st = net.add_register("st", 2, reset=0)
-    cnt = net.add_register("cnt", 2, reset=0)
-
-    def at(v):
-        return BinExpr("==", st, ConstExpr(v, 2))
-
-    nxt = MuxExpr(
-        at(0), MuxExpr(SigExpr("req"), ConstExpr(1, 2), ConstExpr(0, 2)),
-        MuxExpr(at(1),
-                MuxExpr(BinExpr("==", cnt, ConstExpr(3, 2)),
-                        ConstExpr(2, 2), ConstExpr(1, 2)),
-                ConstExpr(0, 2)))
-    net.set_next("st", nxt)
-    net.set_next("cnt", MuxExpr(at(1), BinExpr("+", cnt, ConstExpr(1, 2)),
-                                ConstExpr(0, 2)))
-    net.add_wire("done", 1, at(2))
-    net.add_wire("busy", 1, at(1))
-    net.mark_output("done")
-    net.mark_output("busy")
-    net.validate()
-    return net
-
-
-PROPS = [
-    [[("st", "<=", 2)]],
-    [[("st", "!=", 1), ("busy", "==", 1)], [("st", "==", 1), ("busy", "==", 0)]],
-    [[("st", "!=", 2), ("done", "==", 1)], [("st", "==", 2), ("done", "==", 0)]],
-    [[("done", "!=", 1), ("cnt", "==", 0)]],
-]
+from repro.verify.pcc import enumerate_mutations
+from test_bmc_oracle import (
+    PROPS,
+    assert_kills_match_the_oracle,
+    assert_replays,
+    expect,
+    first_violation,
+    handshake_netlist,
+)
 
 
 class TestBmcDifferential:
     def test_reports_match_oneshot_across_bounds(self):
         net = handshake_netlist()
-        incremental = BoundedModelChecker(net)  # default: incremental
-        oneshot = BoundedModelChecker(net, incremental=False)
+        session = BoundedModelChecker(net)
         for clauses in PROPS:
+            first = first_violation(net, clauses, 5)
             for bound in (1, 3, 5):
-                a = incremental.check_invariant_clauses(clauses, bound)
-                b = oneshot.check_invariant_clauses(clauses, bound)
+                a = session.check_invariant_clauses(clauses, bound)
+                b = BoundedModelChecker(net).check_invariant_clauses(clauses,
+                                                                     bound)
                 assert documents_equal(a.to_dict(), b.to_dict())
+                assert a.violated == expect(first, bound)
 
     def test_violated_property_matches_oneshot(self):
         net = handshake_netlist()
         bad = [[("busy", "==", 0)]]  # violated once st reaches 1
-        a = BoundedModelChecker(net).check_invariant_clauses(bad, 4)
-        b = BoundedModelChecker(net, incremental=False) \
-            .check_invariant_clauses(bad, 4)
-        assert a.violated and b.violated
+        session = BoundedModelChecker(net)
+        for clauses in PROPS:
+            session.check_invariant_clauses(clauses, 4)
+        a = session.check_invariant_clauses(bad, 4)
+        b = BoundedModelChecker(net).check_invariant_clauses(bad, 4)
+        assert a.violated and expect(first_violation(net, bad, 4), 4)
         assert documents_equal(a.to_dict(), b.to_dict())
         # Both traces are genuine counter-examples.
         assert a.describe().startswith("BMC:")
-        assert a.trace and b.trace
+        assert_replays(net, bad, a.trace, 4)
+        assert_replays(net, bad, b.trace, 4)
 
     def test_repeated_queries_are_stable(self):
         net = handshake_netlist()
@@ -80,34 +60,9 @@ class TestBmcDifferential:
 
 
 class TestPccDifferential:
-    def test_reports_match_nonincremental(self):
-        net = handshake_netlist()
-        fast = PropertyCoverageChecker(net, PROPS, bound=5,
-                                       mutation_limit=14).run()
-        slow = PropertyCoverageChecker(net, PROPS, bound=5,
-                                       mutation_limit=14,
-                                       incremental=False).run()
-        assert documents_equal(fast.to_dict(), slow.to_dict())
-        assert fast.describe() == slow.describe()
-        assert [v.killed_by for v in fast.verdicts] \
-            == [v.killed_by for v in slow.verdicts]
-
-    def test_pool_matches_serial(self):
-        net = handshake_netlist()
-        serial = PropertyCoverageChecker(net, PROPS, bound=5,
-                                         mutation_limit=10).run()
-        pooled = PropertyCoverageChecker(net, PROPS, bound=5,
-                                         mutation_limit=10, jobs=2).run()
-        assert documents_equal(serial.to_dict(), pooled.to_dict())
-        assert [v.killed_by for v in serial.verdicts] \
-            == [v.killed_by for v in pooled.verdicts]
-
     def test_explicit_mutation_list(self):
         net = handshake_netlist()
         mutations = enumerate_mutations(net, limit=8)
-        fast = PropertyCoverageChecker(net, PROPS, bound=4) \
-            .run(mutations=mutations)
-        slow = PropertyCoverageChecker(net, PROPS, bound=4,
-                                       incremental=False) \
-            .run(mutations=mutations)
-        assert documents_equal(fast.to_dict(), slow.to_dict())
+        report = assert_kills_match_the_oracle(net, PROPS, 4, mutations)
+        assert [v.mutation for v in report.verdicts] == mutations
+        assert report.killed_count > 0
