@@ -14,6 +14,8 @@ match across levels, (c) level 3 is several times slower to simulate
 than level 2.
 """
 
+import statistics
+
 import pytest
 
 from benchmarks.conftest import paper_row
@@ -29,11 +31,6 @@ def reference_trace(flow_session):
 @pytest.fixture(scope="module")
 def level1_result(flow_session):
     return flow_session.value("level1")
-
-
-@pytest.fixture(scope="module")
-def level2_result(flow_session):
-    return flow_session.value("level2")
 
 
 @pytest.fixture(scope="module")
@@ -101,11 +98,28 @@ def test_level3_sim_speed(benchmark, workload, flow_session, level1_result):
     assert result.metrics.fpga_report["reconfigurations"] > 0
 
 
-def test_level2_over_level3_ratio(benchmark, level2_result, level3_result):
-    """E-L3-SPEED (shape): reconfiguration modelling costs several x."""
-    ratio = benchmark.pedantic(
-        lambda: level2_result.sim_speed_hz() / level3_result.sim_speed_hz(),
-        rounds=1, iterations=1)
+def test_level2_over_level3_ratio(benchmark, workload, flow_session,
+                                  level1_result):
+    """E-L3-SPEED (shape): reconfiguration modelling costs several x.
+
+    Gated on the ratio of the medians of five fresh simulations per
+    level, run alternately with the arguments of the two speed benches,
+    so one noisy host-time sample cannot cross the threshold.
+    """
+    graph, frames, __, __, profile = workload
+    partition = flow_session.value("partition")
+    speeds = {2: [], 3: []}
+    for __ in range(5):
+        speeds[2].append(run_level2(
+            graph, partition["timed"], {"CAMERA": frames}, profile=profile,
+            level1_trace=level1_result.trace).sim_speed_hz())
+        speeds[3].append(run_level3(
+            graph, partition["reconfigurable"], {"CAMERA": frames},
+            profile=profile,
+            reference_trace=level1_result.trace).sim_speed_hz())
+    level2, level3 = (statistics.median(speeds[level]) for level in (2, 3))
+    ratio = benchmark.pedantic(lambda: level2 / level3, rounds=1,
+                               iterations=1)
     paper_row("E-L3-RATIO", "level-2 / level-3 simulation speed ratio",
               "200/30 = 6.7x", f"{ratio:.1f}x")
     assert ratio > 1.5  # the shape claim: clearly slower with bitstreams

@@ -8,7 +8,9 @@ second time and requires the duplicates to be answered **entirely from
 the store** — zero points executed, 100% hits — which is the service's
 core economy: a verified spec is never verified twice.  The duplicates
 must be completed at claim, by the coordinator, never by a job child:
-every job runs on the one runner path.  Finally it scrapes
+every job runs on the one runner path.  Each duplicate's wait must be
+answered by its first held status read (``wait_polls == 1``), so a
+client that fell back to polling fails the smoke.  Finally it scrapes
 ``GET /v1/metrics`` and requires a well-formed Prometheus exposition
 whose job counters saw the smoke jobs.
 
@@ -106,7 +108,8 @@ def run_round(client: ServiceClient, label: str,
         resume = (record.get("result") or {}).get("store_resume", {})
         print(f"[{label}] {workload}: {record['status']} "
               f"(hits={len(resume.get('hits', ()))}, "
-              f"executed={len(resume.get('executed', ()))})")
+              f"executed={len(resume.get('executed', ()))}, "
+              f"probes={record['wait_polls']})")
         done[workload] = record
     return done
 
@@ -158,6 +161,10 @@ def main(argv=None) -> int:
                     f"{workload}: duplicate submission recomputed "
                     f"{resume['executed']} instead of answering from "
                     f"the store")
+            if record["wait_polls"] != 1:
+                failures.append(
+                    f"{workload}: waiting took {record['wait_polls']} "
+                    f"status probes, not one held read")
 
         print()
         failures.extend(check_metrics(client, jobs_expected=len(SPECS)))

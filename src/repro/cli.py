@@ -1012,7 +1012,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_svc_submit.add_argument("--jobs", type=int, default=1, metavar="N",
                               help="worker processes within the job's sweep")
     p_svc_submit.add_argument("--watch", action="store_true",
-                              help="poll until the job finishes; exit 0 "
+                              help="wait until the job finishes; exit 0 "
                                    "only if it passed")
     p_svc_submit.add_argument("--tenant", default=None,
                               help="submitter token the server keys its "
@@ -1025,7 +1025,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_svc_stats = service_sub.add_parser(
         "stats", help="queue/worker/store/fleet counters as a table")
     p_svc_watch = service_sub.add_parser(
-        "watch", help="poll one job to completion")
+        "watch", help="wait for one job to finish")
     p_svc_watch.add_argument("job", help="job id (unique prefix ok)")
     for p_sub in (p_svc_submit, p_svc_status, p_svc_stats, p_svc_watch):
         p_sub.add_argument("--url", default="http://127.0.0.1:8642",
@@ -1037,7 +1037,10 @@ def build_parser() -> argparse.ArgumentParser:
         p_sub.add_argument("--timeout", type=float, default=600.0,
                            help="seconds to wait before giving up")
         p_sub.add_argument("--interval", type=float, default=0.5,
-                           help="poll interval in seconds")
+                           help="first pause in seconds between status "
+                                "reads that come back unfinished (each "
+                                "read is held until the job finishes or "
+                                "half the client timeout passes)")
 
     p_runner = sub.add_parser(
         "runner", help="run a fleet runner against a campaign service")
@@ -1061,8 +1064,10 @@ def build_parser() -> argparse.ArgumentParser:
                                      "(default: 30)")
     p_runner_start.add_argument("--poll", type=float, default=1.0,
                                 metavar="SECONDS",
-                                help="idle poll interval when the queue "
-                                     "is dry (default: 1)")
+                                help="how long one claim waits for work "
+                                     "when the queue is dry; also the "
+                                     "pause after a failed claim "
+                                     "(default: 1)")
     p_runner_start.add_argument("--max-jobs", type=int, default=None,
                                 metavar="N",
                                 help="exit after processing N jobs "

@@ -10,7 +10,9 @@ calls straight into it — just the queue, the store and a
   ``ok`` in the coordinator's store is finished right here with a
   100%-hits result instead of being shipped to a runner — the fleet-wide
   memo-cache economy in one place.  An idle claim touches no disk:
-  lapsed leases are re-queued by the daemon's sweep (:meth:`expire`);
+  lapsed leases are re-queued by the daemon's sweep (:meth:`expire`).
+  A claim may be *held*: it waits for a submit or re-queue instead of
+  returning empty, so no runner polls on a timer;
 - :meth:`heartbeat` keeps a lease alive (and the runner "seen");
 - :meth:`upload` merges a runner's result — per-point store entries
   first (content-addressed, so the merge is idempotent), then the
@@ -30,7 +32,7 @@ import contextlib
 import re
 import threading
 import time
-from typing import Any, Mapping, Optional
+from typing import Any, Callable, Mapping, Optional
 
 from repro.records import RunnerStats
 from repro.service.client import ServiceError
@@ -132,7 +134,9 @@ class FleetCoordinator:
             self.state.count("expired_requeues", len(requeued))
         return requeued
 
-    def claim(self, runner: str, ttl: Optional[float] = None
+    def claim(self, runner: str, ttl: Optional[float] = None,
+              wait: float = 0.0,
+              present: Optional[Callable[[], bool]] = None
               ) -> Optional[dict]:
         """Lease the best queued job to ``runner``; None when drained.
 
@@ -140,16 +144,29 @@ class FleetCoordinator:
         reach a runner: they are completed here (warm) and the loop
         moves on to the next queued job, so a runner's claim either
         returns real work or drains the queue of duplicates for free.
+
+        A drained queue is waited on for up to ``wait`` seconds (one
+        deadline across warm completions), so a submit or a re-queue
+        reaches a held claim at once.  ``present`` says whether the
+        claimant is still there; it is asked after every wake-up, before
+        a job is leased, so a claimant that left leases nothing.
         """
         if not runner or not isinstance(runner, str):
             raise ValueError("claim requires a non-empty runner name")
         ttl = DEFAULT_LEASE_TTL if ttl is None else float(ttl)
         ttl = max(MIN_LEASE_TTL, min(MAX_LEASE_TTL, ttl))
         self.state.saw_runner(runner, "claims")
+        deadline = time.monotonic() + wait
         while True:
             job = self.queue.claim(runner, ttl=ttl)
             if job is None:
-                return None
+                remaining = deadline - time.monotonic()
+                if remaining <= 0:
+                    return None
+                self.queue.wait_queued(remaining)
+                if present is not None and not present():
+                    return None
+                continue
             warm = self._warm_result(job)
             if warm is None:
                 return job
@@ -298,10 +315,18 @@ class LocalTransport:
     """:class:`~repro.service.client.ServiceClient`'s runner verbs,
     served in-process by one :class:`FleetCoordinator` with the HTTP
     layer's status codes (409 lost lease, 404 unknown job), so a
-    :class:`~repro.fleet.runner.RunnerAgent` handles both alike."""
+    :class:`~repro.fleet.runner.RunnerAgent` handles both alike.
 
-    def __init__(self, coordinator: FleetCoordinator):
+    ``present`` is the held claims' claimant check (see
+    :meth:`FleetCoordinator.claim`); the daemon passes "not stopping",
+    so its :meth:`~repro.service.daemon.CampaignService.stop` ends them
+    at once.
+    """
+
+    def __init__(self, coordinator: FleetCoordinator,
+                 present: Optional[Callable[[], bool]] = None):
         self.coordinator = coordinator
+        self.present = present
 
     @staticmethod
     @contextlib.contextmanager
@@ -313,9 +338,10 @@ class LocalTransport:
         except KeyError as exc:
             raise ServiceError(404, "NotFound", str(exc.args[0])) from None
 
-    def claim(self, runner: str, ttl: Optional[float] = None
-              ) -> Optional[dict]:
-        return self.coordinator.claim(runner, ttl=ttl)
+    def claim(self, runner: str, ttl: Optional[float] = None,
+              wait: float = 0.0) -> Optional[dict]:
+        return self.coordinator.claim(runner, ttl=ttl, wait=wait,
+                                      present=self.present)
 
     def heartbeat(self, job_id: str, lease_id: str,
                   generation: Optional[int] = None) -> dict:

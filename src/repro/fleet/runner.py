@@ -7,7 +7,8 @@ HTTP — a loop around the fork-isolated child machinery of
 :func:`~repro.service.workers.spawn_job_child` /
 :func:`~repro.service.workers.wait_job_child`:
 
-1. ``claim`` leases one job (lease id + TTL + generation);
+1. ``claim`` leases one job (lease id + TTL + generation), holding up
+   to ``poll_interval`` seconds for one to be submitted;
 2. a heartbeat thread extends the lease every ``ttl/3`` seconds — the
    moment a heartbeat comes back 409 (the coordinator re-queued the job)
    the in-flight child is **cancelled**: no point computing a result
@@ -87,6 +88,8 @@ class RunnerAgent:
         self.client = client or ServiceClient(server)
         self.store = CampaignStore(store_root)
         self.ttl = float(ttl)
+        #: how long one claim waits for work, and the pause after a
+        #: failed claim
         self.poll_interval = float(poll_interval)
         #: per-job wall-clock budget; a child exceeding it is killed and
         #: the job fails with a WorkerCrash envelope.  None = unlimited.
@@ -102,9 +105,10 @@ class RunnerAgent:
     # -- loop ---------------------------------------------------------------------
 
     def run_once(self) -> bool:
-        """Claim and finish (or lose) one job; False when the queue is
-        dry."""
-        job = self.client.claim(self.name, ttl=self.ttl)
+        """Claim and finish (or lose) one job; False when no job came
+        within ``poll_interval`` (the claim is held that long)."""
+        job = self.client.claim(self.name, ttl=self.ttl,
+                                wait=self.poll_interval)
         if job is None:
             return False
         self.busy = True
@@ -124,24 +128,22 @@ class RunnerAgent:
     def run_forever(self, stop: Optional[threading.Event] = None,
                     max_jobs: Optional[int] = None) -> int:
         """Drain the coordinator until ``stop`` is set (or ``max_jobs``
-        processed); returns how many jobs this call processed.  A failed
-        claim is logged and retried after ``poll_interval``."""
+        processed); returns how many jobs this call processed.  An empty
+        claim is re-issued at once (it already waited); a failed claim
+        is logged and retried after ``poll_interval``."""
         stop = stop or threading.Event()
         processed = 0
         while not stop.is_set():
             if max_jobs is not None and processed >= max_jobs:
                 break
             try:
-                worked = self.run_once()
+                if self.run_once():
+                    processed += 1
             except Exception as exc:  # noqa: BLE001 — the loop outlives it
                 unreachable = isinstance(exc, ServiceError) and \
                     exc.status == 0
                 logger.warning("runner %s: claim failed (%s); retrying",
                                self.name, exc, exc_info=not unreachable)
-                worked = False
-            if worked:
-                processed += 1
-            else:
                 stop.wait(self.poll_interval)
         return processed
 

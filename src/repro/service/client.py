@@ -36,17 +36,14 @@ class ServiceClient:
 
     # -- transport ----------------------------------------------------------------
 
-    def _request(self, method: str, path: str,
-                 body: Optional[Mapping[str, Any]] = None) -> dict:
-        request = urllib.request.Request(
-            f"{self.base_url}{path}", method=method,
-            headers={"Content-Type": "application/json"},
-            data=(json.dumps(body).encode("utf-8")
-                  if body is not None else None))
+    def _fetch(self, request: urllib.request.Request) -> str:
+        """One round trip's response body; every failure, including a
+        server that never answers within ``timeout``, is a
+        :class:`ServiceError`."""
         try:
             with urllib.request.urlopen(request,
                                         timeout=self.timeout) as response:
-                return json.loads(response.read().decode("utf-8"))
+                return response.read().decode("utf-8")
         except urllib.error.HTTPError as exc:
             try:
                 error = json.loads(exc.read().decode("utf-8"))["error"]
@@ -57,6 +54,23 @@ class ServiceClient:
         except urllib.error.URLError as exc:
             raise ServiceError(0, "Unreachable",
                                f"{self.base_url}: {exc.reason}") from None
+        except OSError as exc:  # timed out or dropped while answering
+            raise ServiceError(0, "Unreachable",
+                               f"{self.base_url}: {exc}") from None
+
+    def _request(self, method: str, path: str,
+                 body: Optional[Mapping[str, Any]] = None) -> dict:
+        request = urllib.request.Request(
+            f"{self.base_url}{path}", method=method,
+            headers={"Content-Type": "application/json"},
+            data=(json.dumps(body).encode("utf-8")
+                  if body is not None else None))
+        return json.loads(self._fetch(request))
+
+    def _hold(self, wait: float) -> float:
+        """The seconds a held request may ask for: never more than half
+        the socket ``timeout``, so the answer arrives before it."""
+        return max(0.0, min(wait, self.timeout / 2))
 
     # -- API ----------------------------------------------------------------------
 
@@ -68,16 +82,8 @@ class ServiceClient:
 
     def metrics(self) -> str:
         """``GET /v1/metrics``: the Prometheus text exposition document."""
-        request = urllib.request.Request(f"{self.base_url}/v1/metrics")
-        try:
-            with urllib.request.urlopen(request,
-                                        timeout=self.timeout) as response:
-                return response.read().decode("utf-8")
-        except urllib.error.HTTPError as exc:
-            raise ServiceError(exc.code, "HTTPError", str(exc)) from None
-        except urllib.error.URLError as exc:
-            raise ServiceError(0, "Unreachable",
-                               f"{self.base_url}: {exc.reason}") from None
+        return self._fetch(
+            urllib.request.Request(f"{self.base_url}/v1/metrics"))
 
     def submit(self, spec: Mapping[str, Any],
                sweep: Optional[Mapping[str, list]] = None,
@@ -116,12 +122,17 @@ class ServiceClient:
 
     # -- fleet runner protocol ----------------------------------------------------
 
-    def claim(self, runner: str, ttl: Optional[float] = None
-              ) -> Optional[dict]:
-        """Claim one job under a TTL lease; None when the queue is dry."""
+    def claim(self, runner: str, ttl: Optional[float] = None,
+              wait: float = 0.0) -> Optional[dict]:
+        """Claim one job under a TTL lease; None when the queue stayed
+        dry for ``wait`` seconds (the server holds the claim that long
+        and answers the moment a job is queued)."""
         body: dict[str, Any] = {"runner": runner}
         if ttl is not None:
             body["ttl"] = ttl
+        hold = self._hold(wait)
+        if hold:
+            body["wait"] = hold
         return self._request("POST", "/v1/claim", body)["job"]
 
     def heartbeat(self, job_id: str, lease_id: str,
@@ -150,8 +161,15 @@ class ServiceClient:
             body["entries"] = dict(entries)
         return self._request("POST", f"/v1/jobs/{job_id}/result", body)
 
-    def get(self, job_id: str, payload: bool = True) -> dict:
-        suffix = "" if payload else "?payload=0"
+    def get(self, job_id: str, payload: bool = True,
+            wait: float = 0.0) -> dict:
+        """One job record; with ``wait``, the server holds the read up
+        to that many seconds and answers the moment the job finishes."""
+        query = [] if payload else ["payload=0"]
+        hold = self._hold(wait)
+        if hold:
+            query.append(f"wait={hold:.3f}")
+        suffix = "?" + "&".join(query) if query else ""
         return self._request("GET", f"/v1/jobs/{job_id}{suffix}")
 
     def jobs(self, status: Optional[str] = None,
@@ -172,12 +190,16 @@ class ServiceClient:
     def wait(self, job_id: str, timeout: float = 600.0,
              interval: float = 0.2, payload: bool = True,
              max_interval: float = 5.0) -> dict:
-        """Poll until the job reaches a terminal state; return its record.
+        """Wait until the job reaches a terminal state; return its record.
 
-        Polling backs off exponentially from ``interval`` (×1.6 per
-        probe, capped at ``max_interval``) with ±25% jitter, so many
-        waiters on one coordinator neither hammer it on long jobs nor
-        synchronise their probes into bursts.  Raises
+        Every status probe is a held read (:meth:`get` with ``wait``):
+        the server answers it the moment the job finishes, or with the
+        unfinished record once the hold runs out.  Between probes that
+        come back unfinished the client pauses, backing off
+        exponentially from ``interval`` (×1.6 per probe, capped at
+        ``max_interval``) with ±25% jitter, so many waiters on one
+        coordinator neither hammer it on long jobs nor synchronise their
+        probes into bursts.  Raises
         :class:`TimeoutError` (naming the job and its last seen state)
         if the deadline passes first.  Waiting never raises on a
         *failed* job — the caller inspects ``status``/``error``.  With
@@ -185,7 +207,7 @@ class ServiceClient:
         ``"payload"`` key, but its value can be None: for failed jobs,
         when the store was gc'd underneath a done job, or when a
         concurrent resubmission re-queued the job between the status
-        poll and the payload fetch.
+        probe and the payload fetch.
 
         The returned record carries ``wait_polls`` (status probes made)
         and ``wait_seconds`` (total time this call blocked) — both in
@@ -194,9 +216,9 @@ class ServiceClient:
         """
         wait_start = time.monotonic()
         deadline = wait_start + timeout
-        job = self.get(job_id, payload=False)
+        job = self.get(job_id, payload=False, wait=timeout)
         polls = 1
-        # Poll with the record's full id: a prefix would pay the
+        # Probe with the record's full id: a prefix would pay the
         # server's whole-directory resolve scan on every iteration.
         job_id = job["id"]
         pause = interval
@@ -211,7 +233,8 @@ class ServiceClient:
                             max(0.0, deadline - time.monotonic()))
             time.sleep(sleep_for)
             pause = min(pause * 1.6, max_interval)
-            job = self.get(job_id, payload=False)
+            job = self.get(job_id, payload=False,
+                           wait=deadline - time.monotonic())
             polls += 1
         if payload:
             final = self.get(job_id, payload=True)

@@ -117,19 +117,23 @@ class CampaignService:
         from repro.fleet.runner import RunnerAgent
 
         self.fleet = FleetCoordinator(self.queue, self.store)
+        self._stop = threading.Event()
         #: the local workers: runner agents claiming in-process, at most
         #: one per available CPU; ``workers=0`` makes a pure coordinator.
+        #: Their held claims wait on the queue, not on a timer, and end
+        #: when the daemon stops.
+        local = LocalTransport(self.fleet,
+                               present=lambda: not self._stop.is_set())
         cpus = _available_cpus()
         self.agents = [
             RunnerAgent(None, self.store.root, name=f"worker-{index}",
                         poll_interval=0.05, job_timeout=job_timeout,
-                        client=LocalTransport(self.fleet))
+                        client=local)
             for index in range(cpus if workers is None
                                else min(workers, cpus))]
         self.max_depth = max_depth
         self.tenant_quota = tenant_quota
         self.lease_sweep_interval = lease_sweep_interval
-        self._stop = threading.Event()
         self._threads: list[threading.Thread] = []
         self.started_at = time.time()
         from repro.service.http import build_server
@@ -174,6 +178,7 @@ class CampaignService:
         self.server.shutdown()
         self.server.server_close()
         self._stop.set()  # a local runner finishes its job first
+        self.queue.wake()  # a held local claim returns at once
         for thread in self._threads:
             thread.join()
         self._threads = []
@@ -273,16 +278,19 @@ class CampaignService:
 
     # -- reads --------------------------------------------------------------------
 
-    def job_document(self, job_id: str, payload: bool = True) -> dict:
+    def job_document(self, job_id: str, payload: bool = True,
+                     wait: float = 0.0) -> dict:
         """One job record, with its result payload served from the store.
 
         The queue only records *where* results live; a ``done`` job's
         payload is reassembled here — the single-run outcome document
         straight from the store entry, or the sweep document rebuilt
         from the per-point entries in grid order (byte-identical, minus
-        volatile keys, to the same sweep run directly).
+        volatile keys, to the same sweep run directly).  An unfinished
+        job is waited on for up to ``wait`` seconds first (a held read).
         """
-        job = self.queue.get(job_id)
+        job = (self.queue.wait_terminal(job_id, wait) if wait > 0
+               else self.queue.get(job_id))
         if job is None:
             raise KeyError(f"no job {job_id!r}")
         document = dict(job)

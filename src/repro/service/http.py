@@ -9,7 +9,8 @@ Routes (all under ``/v1``, all JSON in and out)::
     GET    /v1/jobs/<id>     one job (unique id prefixes accepted);
                              done jobs carry their result payload served
                              straight from the campaign store
-                             (?payload=0 to omit it)
+                             (?payload=0 to omit it); ?wait=S holds the
+                             read up to S seconds until the job finishes
     DELETE /v1/jobs/<id>     cancel a *queued* job (409 otherwise)
     POST   /v1/prune         drop terminal job records (?keep_last=N);
                              results stay in the store — a pruned spec
@@ -24,9 +25,12 @@ Routes (all under ``/v1``, all JSON in and out)::
 
 Fleet runner protocol (see :mod:`repro.fleet`)::
 
-    POST   /v1/claim             {"runner", "ttl"} -> {"job": record|null};
-                                 the record carries the lease (id, TTL,
-                                 expiry) and the claim's generation
+    POST   /v1/claim             {"runner", "ttl", "wait"} ->
+                                 {"job": record|null}; the record carries
+                                 the lease (id, TTL, expiry) and the
+                                 claim's generation; "wait" holds a claim
+                                 on a drained queue up to that many
+                                 seconds until a job is queued
     POST   /v1/heartbeat         {"job_id", "lease_id", "generation"}
                                  extends the lease; 409 when it was lost
     POST   /v1/jobs/<id>/result  {"lease_id", "generation", "verdict",
@@ -37,7 +41,10 @@ Fleet runner protocol (see :mod:`repro.fleet`)::
 Errors are ``{"error": {"type": ..., "message": ...}}`` with the obvious
 status codes (400 malformed, 404 unknown, 409 conflict/stale-lease, 429
 back-pressured — with a ``Retry-After`` header and a ``retry_after``
-field).  The server is a ``ThreadingHTTPServer``: requests are served
+field).  A ``wait`` is in seconds, clamped to :data:`MAX_WAIT_S`; a
+non-number or a negative one is a 400, and 0 (or none) answers at once.
+A held request answers on the queue's event — a submit, a finish — not
+on a timer.  The server is a ``ThreadingHTTPServer``: requests are served
 concurrently with each other and with the local runners, which is safe
 because every queue mutation goes through
 :class:`~repro.service.queue.JobQueue`'s lock and every store read is of
@@ -48,6 +55,8 @@ from __future__ import annotations
 
 import json
 import logging
+import selectors
+import socket
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Optional
 from urllib.parse import parse_qs, urlsplit
@@ -64,6 +73,25 @@ MAX_BODY_BYTES = 4 * 1024 * 1024
 #: Result uploads carry whole store entries for every point of a sweep,
 #: so they get a far larger (but still bounded) allowance.
 MAX_UPLOAD_BYTES = 64 * 1024 * 1024
+#: Longest a held claim or status read waits (seconds); a longer
+#: ``wait`` is clamped to it.
+MAX_WAIT_S = 30.0
+
+
+def _wait_seconds(raw) -> float:
+    """A request's ``wait`` (seconds, clamped to :data:`MAX_WAIT_S`);
+    0 when absent.  Query strings carry it as text, JSON as a number."""
+    if raw is None:
+        return 0.0
+    try:
+        seconds = float(raw) if isinstance(raw, str) else raw
+    except ValueError:
+        seconds = None
+    if (isinstance(seconds, bool) or not isinstance(seconds, (int, float))
+            or not seconds >= 0):  # NaN fails this too
+        raise SubmissionError(
+            f"wait must be a non-negative number of seconds, got {raw!r}")
+    return min(float(seconds), MAX_WAIT_S)
 
 
 class ServiceRequestHandler(BaseHTTPRequestHandler):
@@ -130,7 +158,7 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
     def _resolve_job_id(self, raw_id: str) -> str:
         """Full ids pass through; unique prefixes resolve (CLI comfort).
 
-        Exact ids hit one file read — the polling hot path must not pay
+        Exact ids hit one file read — the status-read hot path must not pay
         ``resolve``'s whole-directory prefix scan per request.
         """
         if self.service.queue.get(raw_id) is not None:
@@ -139,12 +167,31 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
 
     # -- verbs --------------------------------------------------------------------
 
+    def _client_present(self) -> bool:
+        """Whether the client still waits for this response: a peer that
+        closed its socket reads as EOF without blocking.  (A selector,
+        not ``select.select``, which refuses descriptors past 1023.)"""
+        try:
+            with selectors.DefaultSelector() as selector:
+                selector.register(self.connection, selectors.EVENT_READ)
+                if not selector.select(0):
+                    return True
+            return self.connection.recv(1, socket.MSG_PEEK) != b""
+        except OSError:
+            return False
+
     def _guarded(self, handler) -> None:
         """Run one verb handler; any unexpected failure (disk full while
         journaling, a store race) still answers with the documented JSON
-        error envelope instead of a dropped connection."""
+        error envelope instead of a dropped connection.  A client that
+        left (say, mid held request) is no failure: the request ends
+        quietly."""
         try:
             handler()
+        except ConnectionError:
+            self.close_connection = True
+            logger.debug("client gone before %s %s was answered",
+                         self.command, self.path)
         except Exception:
             logger.exception("unhandled error serving %s %s",
                              self.command, self.path)
@@ -184,11 +231,12 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
                     workload=query.get("workload"))
                 self._send_json(200, document)
             elif len(parts) == 3 and parts[:2] == ["v1", "jobs"]:
+                wait = _wait_seconds(query.get("wait"))
                 job_id = self._resolve_job_id(parts[2])
                 include_payload = query.get("payload", "1") not in ("0",
                                                                     "false")
                 self._send_json(200, self.service.job_document(
-                    job_id, payload=include_payload))
+                    job_id, payload=include_payload, wait=wait))
             else:
                 self._send_error_json(404, "NotFound",
                                       f"no route for GET {url.path}")
@@ -267,8 +315,10 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
     def _post_claim(self) -> None:
         try:
             body = self._read_body()
-            job = self.service.fleet.claim(body.get("runner"),
-                                           ttl=body.get("ttl"))
+            job = self.service.fleet.claim(
+                body.get("runner"), ttl=body.get("ttl"),
+                wait=_wait_seconds(body.get("wait")),
+                present=self._client_present)
         except (SubmissionError, ValueError, TypeError) as exc:
             self._send_error_json(400, "BadRequest", str(exc))
             return

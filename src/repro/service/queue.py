@@ -134,13 +134,18 @@ class JobQueue:
     finish jobs under the same lock the submit path uses.  The files are
     the durability story: every transition is journaled before the call
     returns, so a restarted daemon resumes from exactly the on-disk
-    state.
+    state.  Every journaled record also notifies one condition over that
+    lock, so a held claim (:meth:`wait_queued`) and a held status read
+    (:meth:`wait_terminal`) answer on the event, not on a timer.
     """
 
     def __init__(self, root, create: bool = True):
         self.root = Path(root)
         self.jobs_dir = self.root / "jobs"
         self._lock = threading.RLock()
+        #: notified whenever a record is journaled (and by :meth:`wake`):
+        #: what held claims and held status reads wait on
+        self._changed = threading.Condition(self._lock)
         manifest_path = self.root / "queue.json"
         if create:
             self.jobs_dir.mkdir(parents=True, exist_ok=True)
@@ -175,7 +180,11 @@ class JobQueue:
         return self.jobs_dir / f"{job_id}.json"
 
     def _save(self, job: dict) -> dict:
-        self._write_json(self._job_path(job["id"]), job)
+        # Takes the lock itself: a caller holding it already re-enters
+        # (RLock), and notifying needs it held.
+        with self._changed:
+            self._write_json(self._job_path(job["id"]), job)
+            self._changed.notify_all()
         return job
 
     def _next_seq(self) -> int:
@@ -195,6 +204,24 @@ class JobQueue:
         if not JobRecord.is_valid(document, job_id):
             return None
         return document
+
+    def wait_terminal(self, job_id: str, timeout: float) -> Optional[dict]:
+        """The job record once it is terminal, or as it stands after
+        ``timeout`` seconds (None when missing): a held status read.
+
+        Woken whenever a record is journaled, it re-reads only this
+        job's record.
+        """
+        deadline = time.monotonic() + timeout
+        with self._changed:
+            job = self.get(job_id)
+            while job is not None and job["status"] not in TERMINAL_STATES:
+                remaining = deadline - time.monotonic()
+                if remaining <= 0:
+                    break
+                self._changed.wait(remaining)
+                job = self.get(job_id)
+        return job
 
     def resolve(self, prefix: str) -> str:
         """The unique job id starting with ``prefix`` (CLI convenience)."""
@@ -348,6 +375,22 @@ class JobQueue:
             _CLAIMED.inc()
             _DEPTH.set(len(self._queued))
             return job
+
+    def wait_queued(self, timeout: float) -> None:
+        """Wait up to ``timeout`` seconds for a job to be queued.
+
+        Returns early whenever a record is journaled or :meth:`wake` is
+        called, so a held claim re-checks its claimant and re-claims;
+        like an idle :meth:`claim`, it reads no job file.
+        """
+        with self._changed:
+            if not self._queued and timeout > 0:
+                self._changed.wait(timeout)
+
+    def wake(self) -> None:
+        """Wake every held claim and status read to re-check."""
+        with self._changed:
+            self._changed.notify_all()
 
     def heartbeat(self, job_id: str, lease_id: str,
                   generation: Optional[int] = None) -> dict:

@@ -10,6 +10,8 @@ HTTP, as a remote runner does, and in-process, as the daemon's own
 workers do.
 """
 
+import json
+import socket
 import sys
 import threading
 import time
@@ -107,6 +109,16 @@ def wait_for_status(queue, job_id, status, timeout=30.0):
     while queue.get(job_id)["status"] != status:
         assert time.monotonic() < deadline, f"job never became {status}"
         time.sleep(0.01)
+
+
+def wait_for_runner(service, name, timeout=30.0):
+    """Until the coordinator has seen ``name`` claim (a held claim has
+    reached it), plus a beat for the claim to start waiting."""
+    deadline = time.monotonic() + timeout
+    while name not in service.fleet.state.snapshot()["runners"]:
+        assert time.monotonic() < deadline, f"{name} never claimed"
+        time.sleep(0.01)
+    time.sleep(0.1)
 
 
 class TestLeaseLifecycle:
@@ -257,8 +269,9 @@ class TestCoordinator:
 
     def test_idle_claim_reads_no_job_file(self, coordinator, queue,
                                           monkeypatch):
-        """Local workers poll every 50 ms for the daemon's lifetime, so
-        a claim on a drained queue must not scan the finished jobs."""
+        """Local workers claim for the daemon's lifetime, and a held
+        claim re-claims on every journaled record, so a claim on a
+        drained queue — held or not — must not scan the finished jobs."""
         for index in range(50):
             job, _ = queue.submit(SPEC.replace(name=f"done-{index}"))
             claimed = queue.claim("r0")
@@ -273,6 +286,7 @@ class TestCoordinator:
 
         monkeypatch.setattr(queue, "_read_json", counting)
         assert coordinator.claim("r1") is None
+        assert coordinator.claim("r1", wait=0.2) is None
         assert reads == []
 
     def test_finished_counts_survive_concurrent_runners(self):
@@ -460,6 +474,127 @@ class TestRunnerLeases:
         assert service.fleet.stats()["zombie_drops"] == 1
 
 
+class TestHeldClaims:
+    """A claim on a drained queue waits for work instead of returning
+    empty: a submit or an expiry re-queue answers it at once."""
+
+    def test_idle_local_agents_answer_a_duplicate_at_once(self, tmp_path):
+        """With a 60 s poll, only the submit's wake-up can get the
+        duplicate done within 5 s."""
+        svc = CampaignService(tmp_path / "svc", workers=1)
+        for agent in svc.agents:
+            agent.poll_interval = 60.0
+        svc.start()
+        try:
+            client = ServiceClient(svc.url)
+            job = client.submit(SPEC.to_dict())
+            assert client.wait(job["id"], timeout=30)["status"] == "done"
+            submitted = time.monotonic()
+            client.submit(SPEC.to_dict())
+            warm = client.wait(job["id"], timeout=30)
+            assert time.monotonic() - submitted < 5.0
+            assert warm["status"] == "done"
+            assert warm["result"]["store_resume"]["executed"] == []
+        finally:
+            stopping = time.monotonic()
+            svc.stop()
+        # stop() wakes the held local claims instead of waiting 60 s.
+        assert time.monotonic() - stopping < 5.0
+
+    def test_held_claim_returns_a_job_submitted_while_held(self, service):
+        client = ServiceClient(service.url)
+        claimed = {}
+        thread = in_background(lambda: claimed.update(
+            job=client.claim("holder", wait=10.0)))
+        wait_for_runner(service, "holder")
+        submitted = time.monotonic()
+        job = client.submit(SPEC.to_dict())
+        thread.join(timeout=10)
+        assert not thread.is_alive()
+        assert time.monotonic() - submitted < 5.0
+        assert claimed["job"]["id"] == job["id"]
+        assert claimed["job"]["lease"]["runner"] == "holder"
+
+    def test_expiry_requeue_wakes_a_held_claim(self, service):
+        job, _ = service.queue.submit(SPEC)
+        assert service.fleet.claim("doomed")["generation"] == 1
+        claimed = {}
+        thread = in_background(lambda: claimed.update(
+            job=service.fleet.claim("survivor", wait=10.0)))
+        wait_for_runner(service, "survivor")
+        service.queue.expire_leases(now=time.time() + 3600.0)
+        thread.join(timeout=10)
+        assert not thread.is_alive()
+        assert claimed["job"]["id"] == job["id"]
+        assert claimed["job"]["generation"] == 2
+
+    def test_held_claim_of_a_departed_client_leases_nothing(
+            self, service, caplog):
+        """The claimant closed its socket while held: the submit that
+        wakes the claim must not lease the job to nobody."""
+        body = json.dumps({"runner": "departed", "wait": 10}).encode()
+        host, port = service.server.server_address[:2]
+        with socket.create_connection((host, port), timeout=10) as sock:
+            sock.sendall(b"POST /v1/claim HTTP/1.1\r\nHost: x\r\n"
+                         b"Content-Type: application/json\r\n"
+                         b"Content-Length: %d\r\n\r\n%s"
+                         % (len(body), body))
+            wait_for_runner(service, "departed")
+        job, _ = service.queue.submit(SPEC)
+        time.sleep(0.5)
+        record = service.queue.get(job["id"])
+        assert record["status"] == "queued" and record["generation"] == 0
+        assert not [line for line in caplog.messages
+                    if "unhandled error" in line]
+
+
+class TestClientTimeouts:
+    """A server that accepts a connection but never answers is
+    unreachable, not a bare ``TimeoutError``."""
+
+    @pytest.fixture
+    def silent_url(self):
+        with socket.socket() as listener:
+            listener.bind(("127.0.0.1", 0))
+            listener.listen(16)  # never accepted: requests go unanswered
+            host, port = listener.getsockname()
+            yield f"http://{host}:{port}"
+
+    def test_silent_server_raises_service_error(self, silent_url):
+        client = ServiceClient(silent_url, timeout=0.3)
+        for call in (lambda: client.get("a" * 64),
+                     lambda: client.heartbeat("a" * 64, "b" * 32),
+                     client.metrics):
+            with pytest.raises(ServiceError) as excinfo:
+                call()
+            assert excinfo.value.status == 0
+            assert "timed out" in str(excinfo.value)
+
+    def test_heartbeat_loop_outlives_a_timed_out_beat(self, silent_url,
+                                                      tmp_path):
+        client = ServiceClient(silent_url, timeout=0.3)
+        beats = []
+        beat = client.heartbeat
+
+        def counting(*args, **kwargs):
+            beats.append(time.monotonic())
+            return beat(*args, **kwargs)
+
+        client.heartbeat = counting
+        agent = RunnerAgent(None, tmp_path / "store", name="beater",
+                            client=client)
+        cancel, hb_stop = threading.Event(), threading.Event()
+        thread = in_background(lambda: agent._heartbeat_loop(
+            "a" * 64, {"id": "b" * 32, "ttl": 0.6}, 1, cancel, hb_stop))
+        time.sleep(1.5)
+        still_beating = thread.is_alive()
+        hb_stop.set()
+        thread.join(timeout=10)
+        assert not thread.is_alive()
+        assert still_beating and len(beats) >= 2
+        assert not cancel.is_set()
+
+
 class TestBackpressure:
     def test_full_queue_answers_429_with_retry_after(self, tmp_path):
         svc = CampaignService(tmp_path / "svc", workers=0,
@@ -533,8 +668,8 @@ class TestClientBackoff:
         client = ServiceClient("http://unused.invalid")
         monkeypatch.setattr(
             client, "get",
-            lambda job_id, payload=True: {"id": "a" * 64,
-                                          "status": "queued"})
+            lambda job_id, payload=True, wait=0.0: {"id": "a" * 64,
+                                                    "status": "queued"})
         with pytest.raises(TimeoutError):
             client.wait("a" * 64, timeout=10.0, interval=0.2,
                         max_interval=2.0)
@@ -561,8 +696,8 @@ class TestClientBackoff:
         client = ServiceClient("http://unused.invalid")
         monkeypatch.setattr(
             client, "get",
-            lambda job_id, payload=True: {"id": "a" * 64,
-                                          "status": "queued"})
+            lambda job_id, payload=True, wait=0.0: {"id": "a" * 64,
+                                                    "status": "queued"})
         with pytest.raises(TimeoutError):
             client.wait("a" * 64, timeout=5.0, interval=0.4,
                         max_interval=1.0)

@@ -9,6 +9,7 @@ a sweep submitted over HTTP must return a payload byte-identical
 from the store — 100% hits, zero points executed.
 """
 
+import threading
 import time
 
 import pytest
@@ -232,6 +233,57 @@ class TestRoutes:
         client = ServiceClient(idle_service.url)
         job = client.submit(FAST.to_dict())
         assert client.get(job["id"][:12], payload=False)["id"] == job["id"]
+
+
+class TestHeldReads:
+    """``GET /v1/jobs/<id>?wait=S`` answers when the job finishes, not
+    at the client's next poll."""
+
+    def test_held_read_returns_when_the_job_finishes(self, idle_service):
+        client = ServiceClient(idle_service.url)
+        job = client.submit(FAST.to_dict())
+        queue = idle_service.queue
+
+        def finish():
+            time.sleep(1.0)
+            claimed = queue.claim("finisher")
+            queue.complete(claimed["id"], {"passed": True},
+                           lease_id=claimed["lease"]["id"],
+                           generation=claimed["generation"])
+
+        finisher = threading.Thread(target=finish, daemon=True)
+        finisher.start()
+        start = time.monotonic()
+        record = client._request(
+            "GET", f"/v1/jobs/{job['id']}?payload=0&wait=5")
+        elapsed = time.monotonic() - start
+        finisher.join(timeout=10)
+        assert not finisher.is_alive()
+        assert record["status"] == "done"
+        assert 0.5 <= elapsed < 4.0  # held until the finish, not to 5 s
+
+    def test_held_read_returns_the_unfinished_record_at_its_bound(
+            self, idle_service):
+        client = ServiceClient(idle_service.url)
+        job = client.submit(FAST.to_dict())
+        start = time.monotonic()
+        record = client.get(job["id"], payload=False, wait=0.5)
+        elapsed = time.monotonic() - start
+        assert record["status"] == "queued"
+        assert 0.45 <= elapsed < 2.5
+
+    @pytest.mark.parametrize("wait", ["soon", -1, True])
+    def test_bad_wait_is_a_400_on_both_routes(self, idle_service, wait):
+        client = ServiceClient(idle_service.url)
+        job = client.submit(FAST.to_dict())
+        with pytest.raises(ServiceError) as excinfo:
+            client._request("GET", f"/v1/jobs/{job['id']}?wait={wait}")
+        assert excinfo.value.status == 400
+        with pytest.raises(ServiceError) as excinfo:
+            client._request("POST", "/v1/claim",
+                            {"runner": "r", "wait": wait})
+        assert excinfo.value.status == 400
+        assert client.get(job["id"])["status"] == "queued"
 
 
 class TestDaemonLifecycle:
