@@ -17,8 +17,7 @@ Quick tour::
     spec = CampaignSpec(identities=4, poses=2, size=32, frames=2)
     session = Session(spec)
     session.run("level2")          # pulls reference/level1/profile/partition
-                                   # and the level2_sim simulation
-    session.run("level3")          # reuses the first four from the cache
+    session.run("level3")          # reuses all four from the cache
     report = session.report()      # the classic four-level FlowReport
 
     outcome = Campaign(spec).run()              # gates + serializable result

@@ -15,16 +15,20 @@ application-specific artifact.
 both the workload artifacts (when the workload fields are untouched) and
 every cached stage result whose declared spec sensitivity does not
 intersect the change — the unit of reuse architecture sweeps are built
-on.  Level 2 is two stages for this reason: its timed simulation
-(``level2_sim``, keyed by the CPU) carries across a deadline-only change,
-and only the deadline check (``level2``) re-runs.
+on.  The derived session also shares its parent's :meth:`Session.shared`
+memo, which keys a stage's costly part by the values it reads rather
+than by the spec fields the stage is sensitive to: level 2's timed
+simulation is keyed by the CPU model, so every deadline on that CPU
+re-runs only LPV's check, and level 3's by the CPU model, engine and
+mapped contexts, so FPGA capacities that map to the same contexts
+simulate once, in any grid order.
 """
 
 from __future__ import annotations
 
 from dataclasses import fields
 from dataclasses import replace as _dataclass_replace
-from typing import Any, Iterable, Optional
+from typing import Any, Callable, Iterable, Optional
 
 from repro import telemetry
 from repro.api.spec import CampaignSpec
@@ -82,6 +86,9 @@ class Session:
         #: times each stage was reloaded from the configured store
         #: (those runs are *not* computes and don't count above)
         self.store_hits: dict[str, int] = {}
+        #: (stage, key, reads, value) entries of :meth:`shared`, one per
+        #: stage and key; :meth:`with_spec` passes the list on
+        self._shared: list[tuple[str, tuple, tuple, Any]] = []
 
     # -- shared workload artifacts (built lazily, owned by the session) -----------
 
@@ -188,6 +195,35 @@ class Session:
             if name in get_stage(other).requires:
                 self.invalidate(other)
 
+    def shared(self, stage: str, key: tuple,
+               compute: Callable[[], Any]) -> Any:
+        """``compute()``, or what it returned for ``stage`` and ``key``
+        earlier in this session's lineage (see :meth:`with_spec`).
+
+        A stage keys here the costly part of its work that reads fewer
+        spec fields than the stage is ``sensitive_to``.  ``key`` holds
+        the values that part reads besides the workload, compared with
+        ``==``: a custom CPU model matches by value, not by name.  An
+        entry also records the workload artifacts and the values of the
+        stage's ``requires``, and answers only while they are the same
+        objects, so after a ``put``, an ``invalidate`` or a rebuilt
+        artifact the stage recomputes.  Forcing ``stage`` recomputes too,
+        and the new value replaces the entry.
+        """
+        reads = (self.graph, self.frames) + tuple(
+            self._results[dep].value for dep in get_stage(stage).requires)
+        for index, (name, entry_key, entry_reads, value) in \
+                enumerate(self._shared):
+            if name == stage and entry_key == key:
+                if self.forcing != stage and all(
+                        a is b for a, b in zip(entry_reads, reads)):
+                    return value
+                del self._shared[index]
+                break
+        value = compute()
+        self._shared.append((stage, key, reads, value))
+        return value
+
     def run_levels(self, levels: Iterable[int]) -> dict[int, StageResult]:
         """Run a subset of refinement levels, in level order."""
         out: dict[int, StageResult] = {}
@@ -242,9 +278,10 @@ class Session:
     def with_spec(self, **changes: Any) -> "Session":
         """A session for a modified spec, reusing everything unaffected.
 
-        Workload artifacts carry over when no workload field changed;
-        a cached stage result carries over when neither it nor any stage
-        it depends on is ``sensitive_to`` a changed field.
+        Workload artifacts, and the :meth:`shared` memo, carry over when
+        no workload field changed; a cached stage result carries over
+        when neither it nor any stage it depends on is ``sensitive_to`` a
+        changed field.
         """
         spec = self.spec.replace(**changes)
         cpu_model = None if "cpu" in changes else self._cpu_model
@@ -255,6 +292,7 @@ class Session:
         }
         if not changed & set(WORKLOAD_FIELDS):
             derived._artifacts = dict(self._artifacts)
+            derived._shared = self._shared
 
         carryable: dict[str, bool] = {}
 

@@ -23,7 +23,7 @@ from typing import Any, Protocol, TYPE_CHECKING, runtime_checkable
 
 from repro.flow.level1 import run_level1
 from repro.flow.level2 import run_level2, with_deadline
-from repro.flow.level3 import run_level3
+from repro.flow.level3 import map_contexts, run_level3, with_capacity
 from repro.flow.level4 import run_level4
 from repro.flow.methodology import REFERENCE_CHANNELS  # noqa: F401  (compat re-export)
 
@@ -230,17 +230,21 @@ class Level1Stage(FlowStage):
 
 
 @register
-class Level2SimStage(FlowStage):
-    """Level 2 but its deadline check: timed TL simulation, consistency
-    with level 1, FIFO sizing.  Keyed by the CPU, so sweep points that
-    differ only in ``deadline_ms`` share it (``Session.with_spec``)."""
+class Level2Stage(FlowStage):
+    """Architecture mapping: the timed TL simulation, consistency with
+    level 1 and FIFO sizing, plus LPV's deadline check.
 
-    name = "level2_sim"
+    The simulation does not read the deadline: it is shared per CPU
+    model (``Session.shared``), and each deadline gets its own result
+    sharing the simulation's metrics.
+    """
+
+    name = "level2"
     requires = ("level1", "profile", "partition")
-    sensitive_to = WORKLOAD_FIELDS + ("cpu",)
+    sensitive_to = WORKLOAD_FIELDS + ("cpu", "deadline_ms")
 
     def compute(self, ctx: "Session"):
-        return run_level2(
+        simulation = ctx.shared(self.name, (ctx.cpu,), lambda: run_level2(
             ctx.graph,
             ctx.value("partition")["timed"],
             ctx.stimuli(),
@@ -248,45 +252,42 @@ class Level2SimStage(FlowStage):
             profile=ctx.value("profile"),
             level1_trace=ctx.value("level1").trace,
             deadline_ps=None,
-        )
-
-
-@register
-class Level2Stage(FlowStage):
-    """Architecture mapping: ``level2_sim`` plus LPV's deadline check.
-
-    Each deadline gets its own result, sharing the simulation's metrics.
-    ``run("level2", force=True)`` re-runs only the deadline check.
-    """
-
-    name = "level2"
-    requires = ("level2_sim",)
-    sensitive_to = WORKLOAD_FIELDS + ("cpu", "deadline_ms")
-
-    def compute(self, ctx: "Session"):
-        return with_deadline(ctx.value("level2_sim"), ctx.graph,
-                             ctx.spec.deadline_ps)
+        ))
+        return with_deadline(simulation, ctx.graph, ctx.spec.deadline_ps)
 
 
 @register
 class Level3Stage(FlowStage):
-    """Reconfiguration refinement: FPGA contexts + SymbC consistency."""
+    """Reconfiguration refinement: FPGA contexts + SymbC consistency.
+
+    The context mapper runs at every capacity (an infeasible one fails
+    here).  The rest, SymbC, the shadow run, the timed simulation and the
+    trace comparison, reads the capacity only through the contexts: it is
+    shared per CPU model, engine and contexts (``Session.shared``), and
+    each capacity gets its own result sharing it.
+    """
 
     name = "level3"
     requires = ("level1", "profile", "partition")
     sensitive_to = WORKLOAD_FIELDS + ("cpu", "capacity_gates", "engine")
 
     def compute(self, ctx: "Session"):
-        return run_level3(
+        partition = ctx.value("partition")["reconfigurable"]
+        choice = map_contexts(ctx.graph, partition, len(ctx.frames),
+                              ctx.spec.capacity_gates)
+        key = (ctx.cpu, ctx.spec.engine, choice.contexts)
+        simulation = ctx.shared(self.name, key, lambda: run_level3(
             ctx.graph,
-            ctx.value("partition")["reconfigurable"],
+            partition,
             ctx.stimuli(),
             capacity_gates=ctx.spec.capacity_gates,
+            contexts=list(choice.contexts),
             cpu=ctx.cpu,
             profile=ctx.value("profile"),
             reference_trace=ctx.value("level1").trace,
             engine=ctx.spec.engine,
-        )
+        ))
+        return with_capacity(simulation, ctx.spec.capacity_gates, choice)
 
 
 @register

@@ -11,7 +11,7 @@ record its FPGA call journal.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any, Iterable, Optional
 
 from repro.facerec.tracing import Trace, TraceMismatch, compare_traces
@@ -182,13 +182,11 @@ def run_level3(
         profile = profile_graph(graph, stimuli)
     bitstream_model = bitstream_model or BitstreamModel()
 
-    schedule = [t for t in graph.topological_order() if t in partition.fpga_tasks]
     mapping_choice = None
     if contexts is None:
-        gate_counts = {t: graph.tasks[t].gate_count for t in partition.fpga_tasks}
-        mapper = ContextMapper(gate_counts, capacity_gates, bitstream_model)
-        frames = len(next(iter(stimuli.values())))
-        mapping_choice = mapper.best(sorted(partition.fpga_tasks), schedule * frames)
+        mapping_choice = map_contexts(graph, partition,
+                                      len(next(iter(stimuli.values()))),
+                                      capacity_gates, bitstream_model)
         contexts = list(mapping_choice.contexts)
 
     # The SW instrumentation (and its formal check).
@@ -238,6 +236,39 @@ def run_level3(
         )
         result.consistency_checked = True
     return result
+
+
+def map_contexts(graph: AppGraph, partition: Partition, frames: int,
+                 capacity_gates: int,
+                 bitstream_model: Optional[BitstreamModel] = None,
+                 ) -> MappingChoice:
+    """The context mapper's minimum-download feasible partition of the
+    FPGA tasks over ``frames`` iterations of the per-frame schedule.
+
+    Raises :class:`~repro.fpga.context.ContextError` when no partition
+    fits ``capacity_gates``.
+    """
+    if not partition.fpga_tasks:
+        raise ValueError("level 3 requires a partition with FPGA tasks")
+    schedule = [t for t in graph.topological_order() if t in partition.fpga_tasks]
+    gate_counts = {t: graph.tasks[t].gate_count for t in partition.fpga_tasks}
+    mapper = ContextMapper(gate_counts, capacity_gates, bitstream_model)
+    return mapper.best(sorted(partition.fpga_tasks), schedule * frames)
+
+
+def with_capacity(result: Level3Result, capacity_gates: int,
+                  mapping_choice: MappingChoice) -> Level3Result:
+    """A copy of ``result`` (sharing its simulation, SymbC verdict and
+    shadow run) for an FPGA of ``capacity_gates`` gates on which the
+    context mapper chose ``mapping_choice``.
+
+    The capacity reaches the simulation only through the contexts, so two
+    capacities that map to the same contexts differ in these two fields
+    alone: the FPGA report's ``capacity_gates`` and the mapping choice.
+    """
+    metrics = replace(result.metrics, fpga_report=dict(
+        result.metrics.fpga_report, capacity_gates=capacity_gates))
+    return replace(result, mapping_choice=mapping_choice, metrics=metrics)
 
 
 def task_call_sites(program: Program):

@@ -207,6 +207,62 @@ class TestSweepSharesLevel2Simulation:
         assert canonical_json(serial.to_dict()) == \
             canonical_json(parallel.to_dict())
 
+    def test_cpu_inside_deadline_still_simulates_once_per_cpu(
+            self, monkeypatch):
+        """Reuse does not follow grid order: with the CPU varying fastest,
+        consecutive points never share a CPU, yet each CPU simulates once."""
+        from repro.api import stages
+
+        simulated = []
+        original = stages.run_level2
+
+        def counting_run_level2(*args, **kwargs):
+            simulated.append(kwargs["cpu"].name)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(stages, "run_level2", counting_run_level2)
+        grid = {"deadline_ms": [500, 1000], "cpu": ["ARM7TDMI", "ARM9TDMI"]}
+        sweep = Campaign.sweep(SMALL.replace(levels=(1, 2)), grid)
+        assert simulated == ["ARM7TDMI", "ARM9TDMI"]
+        assert [o.results["level2"].value.deadline.deadline_ps
+                for o in sweep.outcomes] == \
+            [500 * 10**9, 500 * 10**9, 1000 * 10**9, 1000 * 10**9]
+
+
+class TestSweepSharesLevel3Simulation:
+    """Level 3's simulation is keyed by the CPU, the engine and the mapped
+    contexts: FPGA capacities that map to the same contexts share it, and
+    the answers stay those of points run from scratch."""
+
+    #: At SMALL's size, 12k/16k gates give two contexts and 24k/32k one.
+    GRID = {"capacity_gates": [12_000, 16_000, 24_000, 32_000],
+            "cpu": ["ARM7TDMI", "ARM9TDMI"]}
+
+    def test_one_simulation_per_cpu_and_context_set(self, monkeypatch):
+        from repro.api import stages
+        from repro.serialize import canonical_json
+
+        simulated = []
+        original = stages.run_level3
+
+        def counting_run_level3(*args, **kwargs):
+            simulated.append((kwargs["cpu"].name, kwargs["capacity_gates"]))
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(stages, "run_level3", counting_run_level3)
+        base = SMALL.replace(levels=(1, 2, 3))
+        serial = Campaign.sweep(base, self.GRID)
+        assert simulated == [("ARM7TDMI", 12_000), ("ARM9TDMI", 12_000),
+                             ("ARM7TDMI", 24_000), ("ARM9TDMI", 24_000)]
+        for outcome in serial.outcomes:
+            level3 = outcome.results["level3"].value
+            assert level3.metrics.fpga_report["capacity_gates"] == \
+                outcome.spec.capacity_gates
+        # Every pool point runs in a fresh session: the no-reuse oracle.
+        parallel = Campaign.sweep(base, self.GRID, jobs=2)
+        assert canonical_json(serial.to_dict()) == \
+            canonical_json(parallel.to_dict())
+
 
 class TestGridOrder:
     """Cartesian-product ordering is part of the sweep contract."""

@@ -25,7 +25,7 @@ class TestCaching:
         counts_after_level2 = dict(session.compute_counts)
         assert counts_after_level2 == {
             "reference": 1, "level1": 1, "profile": 1, "partition": 1,
-            "level2_sim": 1, "level2": 1,
+            "level2": 1,
         }
         result = session.run("level3")
         assert result.from_cache is False
@@ -63,6 +63,50 @@ class TestCaching:
         assert len(calls) == 1
         assert other.run("level4", force=True).value != first
         assert len(calls) == 2
+
+    @pytest.mark.parametrize("stage, change", [
+        ("level2", {"deadline_ms": 1000.0}),
+        ("level3", {"capacity_gates": 12_000}),
+    ])
+    def test_force_bypasses_shared_simulation(self, monkeypatch, stage,
+                                              change):
+        """A timed simulation is shared across a session lineage, but
+        force must re-simulate."""
+        from repro.api import stages
+
+        calls = []
+        original = getattr(stages, f"run_{stage}")
+
+        def counting_run(*args, **kwargs):
+            calls.append(stage)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(stages, f"run_{stage}", counting_run)
+        session = Session(SMALL)
+        first = session.value(stage)
+        derived = session.with_spec(**change)
+        # Shared: the simulated trace is the same object.
+        assert derived.value(stage).metrics.trace is first.metrics.trace
+        assert len(calls) == 1
+        forced = derived.run(stage, force=True).value
+        assert len(calls) == 2
+        assert forced.metrics.trace is not first.metrics.trace
+        assert forced.to_dict() == derived.value(stage).to_dict()
+
+    @pytest.mark.parametrize("stage", ["level2", "level3"])
+    def test_put_of_a_read_value_resimulates(self, stage):
+        """A shared simulation never answers for other inputs: after level 1
+        is replaced, the timed levels compare against the new trace."""
+        other_level1 = Session(SMALL.replace(seed=99)).value("level1")
+        fresh = Session(SMALL)
+        fresh.put("level1", other_level1)
+        expected = fresh.value(stage).consistency_mismatches
+        assert expected  # the seed-99 trace differs from this spec's
+        session = Session(SMALL)
+        assert not session.value(stage).consistency_mismatches
+        session.invalidate("level1")
+        session.put("level1", other_level1)
+        assert session.value(stage).consistency_mismatches == expected
 
     def test_put_seeds_cache(self):
         session = Session(SMALL)
@@ -123,8 +167,9 @@ class TestWithSpec:
         assert derived.has("level1")
         assert derived.has("level3")
         assert not derived.has("level2")
-        # The timed simulation does not read the deadline: carried over.
-        assert derived.has("level2_sim")
+        # The timed simulation does not read the deadline: shared.
+        assert derived.value("level2").metrics is \
+            session.value("level2").metrics
 
     def test_capacity_change_only_drops_level3(self, session):
         derived = session.with_spec(capacity_gates=20_000)

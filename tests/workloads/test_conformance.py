@@ -87,3 +87,32 @@ class TestConformance:
         """Level 3 must actually download bitstreams for every workload."""
         metrics = outcomes[name].results["level3"].value.metrics
         assert metrics.fpga_report["reconfigurations"] >= 1
+
+
+@pytest.mark.parametrize("name", ALL_WORKLOADS)
+def test_serial_sweep_matches_fresh_sessions(monkeypatch, name):
+    """A serial ``cpu x capacity_gates`` sweep shares each level-3
+    simulation between the capacities that map to the same contexts, and
+    every point still answers exactly as it does in a fresh session."""
+    from repro.api import stages
+
+    simulated = []
+    original = stages.run_level3
+
+    def counting_run_level3(*args, **kwargs):
+        simulated.append(kwargs["capacity_gates"])
+        return original(*args, **kwargs)
+
+    grid = {"cpu": ["ARM7TDMI", "ARM9TDMI"],
+            "capacity_gates": [12_000, 16_000, 24_000, 32_000]}
+    base = conformance_spec(name)
+    fresh = [Campaign(spec).run().to_dict()
+             for spec in Campaign.sweep_specs(base, grid)]
+    monkeypatch.setattr(stages, "run_level3", counting_run_level3)
+    serial = Campaign.sweep(base, grid)
+    assert [canonical_json(run) for run in serial.runs()] == \
+        [canonical_json(run) for run in fresh]
+    distinct = {(run["spec"]["cpu"],
+                 canonical_json(run["stages"]["level3"]["value"]["contexts"]))
+                for run in fresh}
+    assert len(simulated) == len(distinct)
