@@ -14,7 +14,7 @@ from typing import Optional
 from repro import telemetry
 from repro.kernel.scheduler import Simulator
 from repro.rtl.netlist import Netlist
-from repro.rtl.synth import run_fsmd, synthesize
+from repro.rtl.synth import synthesize
 from repro.rtl.wrapper import RtlWrapper
 from repro.swir.ast import Function
 from repro.verify.mc.bmc import BmcResult, BoundedModelChecker

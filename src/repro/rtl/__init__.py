@@ -4,7 +4,7 @@ Level 4 of the flow produces RTL.  Our RTL is an FSMD (finite state
 machine + datapath) netlist:
 
 - :mod:`~repro.rtl.netlist` — signals, registers, combinational
-  expressions; cycle-accurate evaluation;
+  expressions; cycle-accurate evaluation by compiled drivers;
 - :mod:`~repro.rtl.synth` — behavioural synthesis-lite: compile a
   software-IR function into an FSMD with a start/done handshake (the
   paper's "Behavioral Synthesis and IP reuse" box);

@@ -6,16 +6,19 @@ cycle-accurate: wires are computed in dependency order from the current
 register/input values, then registers update simultaneously — the
 standard synchronous-RTL semantics a VHDL description would have.
 
-All values are unsigned integers masked to the signal width (two's
-complement views are applied by comparison operators where relevant).
-The same expression trees are interpreted here for simulation and
+All values are unsigned integers masked to the signal width; comparisons
+are unsigned.  Simulation runs compiled code, as Verilator does for
+Verilog: each driver (a wire's expression or a register's next-value
+expression) is compiled once into a Python function, with the word
+width, masks and operator dispatch resolved at compile time, and a
+clock cycle makes one call per driver.  The same expression trees are
 bit-blasted by :mod:`repro.verify.mc.bmc` for SAT-based checking.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass
+from typing import Callable, Optional
 
 
 class NetlistError(ValueError):
@@ -24,11 +27,6 @@ class NetlistError(ValueError):
 
 def mask(value: int, width: int) -> int:
     return value & ((1 << width) - 1)
-
-
-def to_signed(value: int, width: int) -> int:
-    value = mask(value, width)
-    return value - (1 << width) if value & (1 << (width - 1)) else value
 
 
 # -- expressions ---------------------------------------------------------------
@@ -139,6 +137,24 @@ class Netlist:
         self.wires: dict[str, tuple[int, Expr]] = {}
         self.outputs: list[str] = []
         self._order: Optional[list[str]] = None
+        self._plan: Optional[_Plan] = None
+
+    def copy(self) -> "Netlist":
+        """A copy with its own signal tables.
+
+        Expressions are shared, and so are the compiled drivers: the copy
+        compiles only the drivers that are changed on it.
+        """
+        clone = Netlist(self.name)
+        clone.inputs = dict(self.inputs)
+        clone.registers = {
+            name: Register(reg.name, reg.width, reg.reset, reg.next_expr)
+            for name, reg in self.registers.items()
+        }
+        clone.wires = dict(self.wires)
+        clone.outputs = list(self.outputs)
+        clone._plan = self._plan
+        return clone
 
     # -- construction -----------------------------------------------------------
 
@@ -182,7 +198,7 @@ class Netlist:
         Every operation result and constant is wrapped modulo
         ``2**word_width`` (the widest declared signal), and narrower
         operands are zero-extended.
-        This makes interpreted simulation bit-exact with the SAT
+        This makes compiled simulation bit-exact with the SAT
         bit-blasting used by bounded model checking.
         """
         widths = [1]
@@ -253,50 +269,37 @@ class Netlist:
     def eval_combinational(self, state: dict[str, int],
                            inputs: dict[str, int]) -> dict[str, int]:
         """All signal values (inputs, registers, wires) for one cycle."""
-        values: dict[str, int] = {}
-        for name, width in self.inputs.items():
-            if name not in inputs:
-                raise NetlistError(f"missing input {name!r}")
-            values[name] = mask(inputs[name], width)
-        word = self.word_width
-        for name, value in state.items():
-            values[name] = mask(value, self.registers[name].width)
-        for name in self.wire_order():
-            width, expr = self.wires[name]
-            values[name] = mask(self._eval(expr, values, word), width)
-        return values
+        return self._evaluate(state, inputs)[1]
 
     def step(self, state: dict[str, int],
              inputs: dict[str, int]) -> tuple[dict[str, int], dict[str, int]]:
         """One clock cycle: returns (next register state, signal values)."""
-        values = self.eval_combinational(state, inputs)
-        word = self.word_width
-        next_state = {}
-        for reg in self.registers.values():
-            next_state[reg.name] = mask(self._eval(reg.next_expr, values, word),
-                                        reg.width)
+        plan, values = self._evaluate(state, inputs)
+        try:
+            next_state = {name: driver(values) for name, driver in plan.registers}
+        except KeyError as unset:
+            raise _unset_signal(unset) from None
         return next_state, values
 
-    def _eval(self, expr: Expr, values: dict[str, int], word: int) -> int:
-        if isinstance(expr, ConstExpr):
-            return mask(expr.value, min(expr.width, word))
-        if isinstance(expr, SigExpr):
-            if expr.name not in values:
-                raise NetlistError(f"evaluation of undeclared signal {expr.name!r}")
-            return values[expr.name]
-        if isinstance(expr, UnExpr):
-            operand = self._eval(expr.operand, values, word)
-            if expr.op == "~":
-                return mask(~operand, word)
-            return 0 if operand else 1
-        if isinstance(expr, MuxExpr):
-            sel = self._eval(expr.sel, values, word)
-            return self._eval(expr.then if sel else expr.other, values, word)
-        if isinstance(expr, BinExpr):
-            left = self._eval(expr.left, values, word)
-            right = self._eval(expr.right, values, word)
-            return mask(_apply(expr.op, left, right), word)
-        raise NetlistError(f"cannot evaluate {expr!r}")  # pragma: no cover
+    def _evaluate(self, state: dict[str, int], inputs: dict[str, int]
+                  ) -> tuple["_Plan", dict[str, int]]:
+        values: dict[str, int] = {}
+        for name, width in self.inputs.items():
+            if name not in inputs:
+                raise NetlistError(f"missing input {name!r}")
+            values[name] = inputs[name] & ((1 << width) - 1)
+        plan = self._plan
+        if plan is None or not plan.describes(self):
+            plan = self._plan = _Plan(self, plan)
+        masks = plan.masks
+        for name, value in state.items():
+            values[name] = value & masks[name]
+        try:
+            for name, driver in plan.wires:
+                values[name] = driver(values)
+        except KeyError as unset:
+            raise _unset_signal(unset) from None
+        return plan, values
 
     # -- introspection -------------------------------------------------------------------
 
@@ -309,29 +312,157 @@ class Netlist:
         }
 
 
-def _apply(op: str, left: int, right: int) -> int:
-    if op == "+":
-        return left + right
-    if op == "-":
-        return left - right
-    if op == "*":
-        return left * right
-    if op == "&":
-        return left & right
-    if op == "|":
-        return left | right
-    if op == "^":
-        return left ^ right
-    if op == "<<":
-        return left << min(right, 64)
-    if op == ">>":
-        return left >> min(right, 64)
-    if op == "==":
-        return 1 if left == right else 0
-    if op == "!=":
-        return 1 if left != right else 0
-    if op == "<":
-        return 1 if left < right else 0
-    if op == "<=":
-        return 1 if left <= right else 0
-    raise NetlistError(f"unknown operator {op!r}")  # pragma: no cover
+# -- compiled drivers ------------------------------------------------------------
+
+Driver = Callable[[dict[str, int]], int]
+
+#: Operator nesting at which a driver's source moves a subtree into a
+#: helper function: Python does not parse source nested ~200 parentheses
+#: deep, and each operator nests at most three.
+_MAX_NESTING = 32
+
+_COMPARISONS = ("==", "!=", "<", "<=")
+
+
+def _unset_signal(unset: KeyError) -> NetlistError:
+    return NetlistError(f"evaluation of undeclared signal {unset.args[0]!r}")
+
+
+class _Source:
+    """Python source of one driver at one word width.
+
+    Every value a driver reads or computes lies in ``[0, 2**word)``, so
+    ``&``, ``|``, ``^`` and ``>>`` need no mask, and ``~x`` is
+    ``x ^ (2**word - 1)``.  A mux is a conditional expression, so only
+    the selected branch is evaluated.
+    """
+
+    def __init__(self, word: int):
+        self.word = word
+        self.full = f"{(1 << word) - 1:#x}"
+        self.helpers: list[str] = []
+
+    def const(self, expr: ConstExpr) -> int:
+        return mask(expr.value, min(expr.width, self.word))
+
+    def of(self, expr: Expr, depth: int = 0) -> str:
+        if isinstance(expr, ConstExpr):
+            return f"{self.const(expr):#x}"
+        if isinstance(expr, SigExpr):
+            return f"v[{expr.name!r}]"
+        if depth == _MAX_NESTING:
+            return self.helper(expr)
+        depth += 1
+        if isinstance(expr, UnExpr):
+            if expr.op == "~":
+                return f"({self.of(expr.operand, depth)} ^ {self.full})"
+            return f"(0 if {self.test(expr.operand, depth)} else 1)"
+        if isinstance(expr, MuxExpr):
+            sel = self.test(expr.sel, depth)
+            return (f"({self.of(expr.then, depth)} if {sel} "
+                    f"else {self.of(expr.other, depth)})")
+        if isinstance(expr, BinExpr):
+            return self.binary(expr, depth)
+        return f"_fail({f'cannot evaluate {expr!r}'!r})"
+
+    def test(self, expr: Expr, depth: int) -> str:
+        """Source whose truth value is whether ``expr`` is nonzero."""
+        if isinstance(expr, BinExpr) and expr.op in _COMPARISONS \
+                and depth < _MAX_NESTING:
+            return (f"({self.of(expr.left, depth + 1)} {expr.op} "
+                    f"{self.of(expr.right, depth + 1)})")
+        return self.of(expr, depth)
+
+    def binary(self, expr: BinExpr, depth: int) -> str:
+        op, left = expr.op, self.of(expr.left, depth)
+        if op in ("<<", ">>"):
+            if isinstance(expr.right, ConstExpr):
+                amount = min(self.const(expr.right), 64)
+            else:
+                amount = f"_min({self.of(expr.right, depth)}, 64)"
+            if op == ">>":
+                return f"({left} >> {amount})"
+            return f"(({left} << {amount}) & {self.full})"
+        right = self.of(expr.right, depth)
+        if op in ("+", "-", "*"):
+            return f"(({left} {op} {right}) & {self.full})"
+        if op in ("&", "|", "^"):
+            return f"({left} {op} {right})"
+        return f"(1 if {left} {op} {right} else 0)"
+
+    def helper(self, expr: Expr) -> str:
+        body = self.of(expr)
+        name = f"_h{len(self.helpers)}"
+        self.helpers.append(f"def {name}(v):\n    return {body}\n")
+        return f"{name}(v)"
+
+
+def _fail(message: str) -> int:
+    raise NetlistError(message)
+
+
+def compile_driver(expr: Expr, width: int, word: int) -> Driver:
+    """A function from signal values to ``expr``'s value at ``width``.
+
+    A signal read with no value raises ``KeyError``.
+    """
+    source = _Source(word)
+    body = source.of(expr)
+    if width < word:
+        body = f"{body} & {(1 << width) - 1:#x}"
+    namespace = {"_min": min, "_fail": _fail}
+    exec("".join(source.helpers) + f"def driver(v):\n    return {body}\n",
+         namespace)
+    return namespace.pop("driver")
+
+
+class _Plan:
+    """The compiled drivers of a netlist, in evaluation order.
+
+    A plan describes its netlist while the netlist holds the inputs,
+    wire entries, registers, register widths and next-value expressions
+    it was built from.  Every evaluation checks that first and otherwise
+    builds a new plan, which recompiles only the drivers whose
+    expression, width or word width changed.
+    """
+
+    __slots__ = ("inputs", "wire_table", "register_table", "masks",
+                 "compiled", "wires", "registers")
+
+    def __init__(self, net: Netlist, previous: Optional["_Plan"]):
+        self.inputs = dict(net.inputs)
+        self.wire_table = dict(net.wires)
+        self.register_table = [(reg, reg.next_expr, reg.width)
+                               for reg in net.registers.values()]
+        self.masks = {name: (1 << reg.width) - 1
+                      for name, reg in net.registers.items()}
+        word = net.word_width
+        reuse = previous.compiled if previous is not None else {}
+        #: driver name -> (expression, width, word, compiled driver)
+        self.compiled: dict[str, tuple[Expr, int, int, Driver]] = {}
+
+        def driver(name: str, width: int, expr: Expr) -> Driver:
+            entry = reuse.get(name)
+            if entry is None or entry[0] is not expr or entry[1:3] != (width, word):
+                entry = (expr, width, word, compile_driver(expr, width, word))
+            self.compiled[name] = entry
+            return entry[3]
+
+        self.wires = [(name, driver(name, *net.wires[name]))
+                      for name in net.wire_order()]
+        self.registers = [(reg.name, driver(reg.name, width, expr))
+                          for reg, expr, width in self.register_table]
+
+    def describes(self, net: Netlist) -> bool:
+        if (self.inputs != net.inputs or len(self.wire_table) != len(net.wires)
+                or len(self.register_table) != len(net.registers)):
+            return False
+        wires = net.wires
+        for name, entry in self.wire_table.items():
+            if wires.get(name) is not entry:
+                return False
+        for reg, (planned, expr, width) in zip(net.registers.values(),
+                                               self.register_table):
+            if reg is not planned or reg.next_expr is not expr or reg.width != width:
+                return False
+        return True

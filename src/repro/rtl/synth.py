@@ -19,8 +19,6 @@ intermediate values non-negative (true of the case-study ROOT module).
 
 from __future__ import annotations
 
-from typing import Optional
-
 from repro.swir import ast as sw
 from repro.rtl.netlist import (
     BinExpr,
@@ -251,12 +249,14 @@ def synthesize(function: sw.Function, width: int = 16) -> Netlist:
     return _Synthesizer(function, width).build()
 
 
-def run_fsmd(net: Netlist, args: dict[str, int], max_cycles: int = 10_000,
-             width: Optional[int] = None) -> tuple[int, int]:
+def run_fsmd(net: Netlist, args: dict[str, int],
+             max_cycles: int = 10_000) -> tuple[int, int]:
     """Drive an FSMD through one start/done handshake.
 
-    Returns ``(result, cycles)``.  Utility shared by tests, the TL
-    wrapper and the PCC mutation analysis.
+    Returns ``(result, cycles)``, where ``cycles`` counts the clock
+    edges before ``done`` rose.  A test and benchmark utility; the TL
+    wrapper (:class:`repro.rtl.wrapper.RtlWrapper`) drives the same
+    handshake on the simulation kernel's clock.
     """
     state = net.reset_state()
     inputs = {"start": 1}
@@ -267,9 +267,9 @@ def run_fsmd(net: Netlist, args: dict[str, int], max_cycles: int = 10_000,
                 raise ValueError(f"missing argument {param!r}")
             inputs[name] = args[param]
     for cycle in range(max_cycles):
-        values = net.eval_combinational(state, inputs)
+        next_state, values = net.step(state, inputs)
         if values["done"]:
             return values["result"], cycle
-        state, __ = net.step(state, inputs)
+        state = next_state
         inputs["start"] = 0
     raise RuntimeError(f"FSMD {net.name} did not finish in {max_cycles} cycles")

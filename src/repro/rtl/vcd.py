@@ -141,8 +141,7 @@ def dump_fsmd_run(
     vcd.begin()
     state = netlist.reset_state()
     for cycle, inputs in enumerate(stimulus):
-        values = netlist.eval_combinational(state, inputs)
+        state, values = netlist.step(state, inputs)
         vcd.snapshot(cycle * clock_ns, values)
-        state, __ = netlist.step(state, inputs)
     vcd.close()
     return len(stimulus)

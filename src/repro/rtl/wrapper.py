@@ -83,10 +83,10 @@ class RtlWrapper:
             inputs[f"arg_{arg}"] = int(args[arg])
         cycles = 0
         while True:
-            values = self.netlist.eval_combinational(self._state, inputs)
+            next_state, values = self.netlist.step(self._state, inputs)
             if values["done"]:
                 break
-            self._state, __ = self.netlist.step(self._state, inputs)
+            self._state = next_state
             inputs["start"] = 0
             cycles += 1
             if cycles > self.max_cycles:
@@ -96,7 +96,7 @@ class RtlWrapper:
             yield wait(self.clock_ps)
         result = values["result"] if "result" in values else 0
         # Advance past DONE so the FSMD returns to idle for the next call.
-        self._state, __ = self.netlist.step(self._state, inputs)
+        self._state = next_state
         self.calls += 1
         self.total_cycles += cycles
         # Result transfer over the bus.

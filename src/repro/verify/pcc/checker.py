@@ -6,7 +6,10 @@ For every mutation of the design:
    sequences against the original's outputs (simulated once per
    sequence); a mutant whose observable outputs never differ is
    *silent* (possibly equivalent) and excluded from the denominator,
-   as PCC's fault model prescribes;
+   as PCC's fault model prescribes.  A mutant shares the original's
+   compiled drivers and compiles only the one it rewrites.  The phase
+   runs under a ``level4.pcc.simulate`` span counting ``mutants`` and
+   ``silent`` ones;
 2. **formal phase** — bounded-model-check the property set on the
    observable mutant; if every property still passes, the mutant
    *survives*: the properties do not constrain the behaviour the
@@ -38,6 +41,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Iterator, Optional
 
+from repro import telemetry
 from repro.rtl.netlist import Netlist, NetlistError
 from repro.verify.mc.bmc import BoundedModelChecker
 from repro.verify.pcc.mutation import Mutation, MutationError, enumerate_mutations
@@ -200,8 +204,6 @@ class PropertyCoverageChecker:
         self.rng = random.Random(seed)
         self.mutation_limit = mutation_limit
         self._stimuli = self._build_stimuli()
-        #: the original design's observed outputs, per stimulus sequence
-        self._expected: dict[int, list[tuple[int, ...]]] = {}
         self._session = BoundedModelChecker(netlist)
         self.cuts = self.cut_settled = 0
 
@@ -233,14 +235,13 @@ class PropertyCoverageChecker:
             state, values = netlist.step(state, step)
             yield tuple(values[s] for s in observed)
 
-    def _differs(self, mutant: Netlist) -> bool:
-        for index, sequence in enumerate(self._stimuli):
-            expected = self._expected.get(index)
-            if expected is None:
-                expected = self._expected[index] = list(
-                    self._observe(self.netlist, sequence))
+    def _differs(self, mutant: Netlist,
+                 expected: list[list[tuple[int, ...]]]) -> bool:
+        """Whether ``mutant``'s outputs differ from the original's
+        (``expected``, per stimulus sequence) on some sequence."""
+        for sequence, outputs in zip(self._stimuli, expected):
             if any(got != want for got, want
-                   in zip(self._observe(mutant, sequence), expected)):
+                   in zip(self._observe(mutant, sequence), outputs)):
                 return True
         return False
 
@@ -273,15 +274,23 @@ class PropertyCoverageChecker:
         )
         #: observable verdicts per driver, in enumeration order
         groups: dict[str, list[MutantVerdict]] = {}
-        for mutation in mutations:
-            try:
-                mutant = mutation.apply(self.netlist)
-            except (MutationError, NetlistError):
-                continue  # structurally inapplicable: skip
-            verdict = MutantVerdict(mutation, self._differs(mutant))
-            if verdict.observable:
-                groups.setdefault(mutation.driver, []).append(verdict)
-            report.verdicts.append(verdict)
+        with telemetry.span("level4.pcc.simulate") as tspan:
+            # The original runs first, so every mutant starts from its
+            # compiled drivers.
+            expected = [list(self._observe(self.netlist, sequence))
+                        for sequence in self._stimuli]
+            for mutation in mutations:
+                try:
+                    mutant = mutation.apply(self.netlist)
+                except (MutationError, NetlistError):
+                    continue  # structurally inapplicable: skip
+                verdict = MutantVerdict(mutation,
+                                        self._differs(mutant, expected))
+                if verdict.observable:
+                    groups.setdefault(mutation.driver, []).append(verdict)
+                report.verdicts.append(verdict)
+            tspan.set_attr("mutants", len(report.verdicts))
+            tspan.set_attr("silent", len(report.verdicts) - report.observable_count)
 
         self.cuts = len(groups)
         self.cut_settled = 0

@@ -8,8 +8,9 @@ of one driver (a wire or a register next-value expression):
 - ``stuck-bit``: bit 0 of one signal read stuck at 1 (the read ORed with 1);
 - ``mux-invert``: a mux's branches exchanged.
 
-Mutants are built lazily (:meth:`Mutation.apply`) as rebuilt netlists;
-the original is never modified.
+Mutants are built lazily (:meth:`Mutation.apply`) as copies of the
+netlist that share its compiled drivers, so a mutant compiles only the
+driver it rewrites; the original is never modified.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ from repro.rtl.netlist import (
     Expr,
     MuxExpr,
     Netlist,
-    Register,
     SigExpr,
     UnExpr,
 )
@@ -70,31 +70,18 @@ class Mutation:
     def apply(self, netlist: Netlist) -> Netlist:
         """A fresh netlist with this single mutation applied."""
         rewritten = self.rewritten_driver(netlist)
-        mutant = _clone(netlist)
+        mutant = netlist.copy()
         mutant.name = f"{netlist.name}~{self.kind}@{self.driver}:{self.position}"
         if self.driver in mutant.wires:
             width, __ = mutant.wires[self.driver]
             mutant.wires[self.driver] = (width, rewritten)
         else:
             mutant.registers[self.driver].next_expr = rewritten
-        mutant._order = None
         mutant.validate()
         return mutant
 
     def describe(self) -> str:
         return f"{self.kind} at {self.driver}[{self.position}]: {self.detail}"
-
-
-def _clone(netlist: Netlist) -> Netlist:
-    clone = Netlist(netlist.name)
-    clone.inputs = dict(netlist.inputs)
-    clone.registers = {
-        name: Register(reg.name, reg.width, reg.reset, reg.next_expr)
-        for name, reg in netlist.registers.items()
-    }
-    clone.wires = dict(netlist.wires)
-    clone.outputs = list(netlist.outputs)
-    return clone
 
 
 def _walk(expr: Expr):

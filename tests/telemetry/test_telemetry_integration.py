@@ -79,6 +79,23 @@ class TestLevel4Spans:
             assert cuts > 0
             assert 0 <= cut_settled <= observable - killed
 
+    def test_pcc_simulate_spans_split_off_the_functional_phase(self, tmp_path,
+                                                               traced):
+        """Each module's ``level4.pcc`` span has one ``level4.pcc.simulate``
+        child counting the simulated mutants and the silent ones."""
+        spec = FAST.replace(levels=(4,), run_pcc=True)
+        Campaign(spec).run(store=CampaignStore(tmp_path / "store"))
+        records = telemetry.read_spans(traced)
+        pcc = {r["span_id"]: r for r in records if r["name"] == "level4.pcc"}
+        simulate = [r for r in records if r["name"] == "level4.pcc.simulate"]
+        assert sorted(pcc[r["parent_id"]]["attrs"]["module"]
+                      for r in simulate) == ["SBOX_STEP", "XTIME_STEP"]
+        for record in simulate:
+            attrs = record["attrs"]
+            assert type(attrs["mutants"]) is int and type(attrs["silent"]) is int
+            observable = pcc[record["parent_id"]]["attrs"]["observable"]
+            assert attrs["silent"] == attrs["mutants"] - observable
+
 
 class TestPoolPropagation:
     def test_pool_children_reparent_under_the_sweep_span(self, traced):
