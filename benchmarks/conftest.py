@@ -45,7 +45,7 @@ def workload(flow_session):
         flow_session.graph,
         flow_session.frames,
         flow_session.shots,
-        flow_session.database,
+        flow_session.environment,
         flow_session.value("profile"),
     )
 

@@ -1,6 +1,6 @@
-"""SWIR-BATCH: the execution-engine A/B microbench.
+"""SWIR-BATCH: the execution engine against its oracle.
 
-The microbench anchoring the default engine's headline claim on the
+The microbench anchoring the production engine's headline claim on the
 largest workload program (the blockcipher scenario's instrumented
 level-3 frame loop — the deepest task chain of the three registered
 workloads, twelve tasks plus reconfiguration downloads per frame): the
@@ -24,7 +24,8 @@ from repro.api import CampaignSpec, Session
 from repro.flow.level3 import build_sw_program, task_call_sites
 from repro.swir.ast import BinOp, Call, Const, FpgaCall, Var
 from repro.swir.builder import FunctionBuilder, ProgramBuilder
-from repro.swir.engine import create_engine
+from repro.swir.engine_batched import BatchedEngine
+from repro.swir.interp import Interpreter
 from repro.workloads.blockcipher import (
     sbox_step_function,
     xtime_step_function,
@@ -105,9 +106,8 @@ def test_swir_batched_engine_speedup(benchmark):
     """SWIR-BATCH: batched >= 2x over ast, bit-identical results."""
     program, context_map = _largest_workload_program()
     engines = {
-        name: create_engine(program, name, context_map=context_map,
-                            max_steps=10**9)
-        for name in ("ast", "batched")
+        name: cls(program, context_map=context_map, max_steps=10**9)
+        for name, cls in (("ast", Interpreter), ("batched", BatchedEngine))
     }
 
     # Equivalence first: the speedup only counts on identical results

@@ -27,7 +27,7 @@ from benchmarks.test_bench_engine import FRAMES, _largest_workload_program
 from repro import telemetry
 from repro.api import Campaign, CampaignSpec
 from repro.serialize import canonical_json
-from repro.swir.engine import create_engine
+from repro.swir.engine_batched import BatchedEngine
 from repro.telemetry import metrics
 
 #: Interleaved rounds per mode (off/on alternate, cancelling drift).
@@ -84,7 +84,7 @@ def _telemetry_off():
 def test_engine_metrics_overhead(tmp_path):
     """SWIR-BATCH leg: enabled telemetry costs < 5% best-of-N."""
     program, context_map = _largest_workload_program()
-    engine = create_engine(program, "batched", context_map=context_map,
+    engine = BatchedEngine(program, context_map=context_map,
                            max_steps=10**9)
 
     def enable():

@@ -1,9 +1,9 @@
-"""Batched SWIR execution: the default engine, lockstep lanes, the oracle.
+"""Batched SWIR execution: the engine, lockstep lanes, the oracle.
 
-Demonstrates the ``batched`` execution engine end to end:
+Demonstrates the SWIR execution engine end to end:
 
-1. select engines by name — ``"batched"`` (the default) or ``"ast"``
-   (the reference interpreter, the bit-identity oracle);
+1. build the :class:`BatchedEngine` every production path runs, and the
+   reference :class:`Interpreter` that is its bit-identity oracle;
 2. run a whole sweep of input vectors through **one** generated-Python
    program with :meth:`run_batch`, each lane bit-identical to a
    standalone interpreter run (including lanes that fail);
@@ -14,11 +14,11 @@ Demonstrates the ``batched`` execution engine end to end:
 Run:  PYTHONPATH=src python examples/engine_batched.py
 """
 
-from repro.swir import DEFAULT_ENGINE, ENGINES, engine_batched
+from repro.swir import engine_batched
 from repro.swir.ast import BinOp, Call, Const, Var
 from repro.swir.builder import FunctionBuilder, ProgramBuilder
-from repro.swir.engine import create_engine
-from repro.swir.interp import Fault
+from repro.swir.engine_batched import BatchedEngine
+from repro.swir.interp import Fault, Interpreter
 
 
 def build_program():
@@ -41,11 +41,11 @@ def build_program():
 def main() -> None:
     program = build_program()
 
-    # --- Selection by name -------------------------------------------
-    print(f"engines            : {', '.join(ENGINES)} "
-          f"(default: {DEFAULT_ENGINE})")
-    engine = create_engine(program)
-    reference = create_engine(program, "ast")
+    # --- The engine and its oracle -----------------------------------
+    engine = BatchedEngine(program)
+    reference = Interpreter(program)
+    print(f"engine             : {type(engine).__name__} "
+          f"(oracle: {type(reference).__name__})")
 
     # --- A sweep as one batch ----------------------------------------
     # 100 (seed, words) points, one generated program, lockstep lanes.
@@ -62,7 +62,7 @@ def main() -> None:
         assert outcome.result.fingerprint() == expected.fingerprint()
         matched += 1
     print(f"batch lanes        : {len(batch)} "
-          f"({matched} ok, bit-identical to the ast engine)")
+          f"({matched} ok, bit-identical to the interpreter)")
     print(f"lane 7 (malformed) : error={outcomes[7].error!r}")
 
     # --- Per-lane fault injection ------------------------------------
@@ -82,7 +82,7 @@ def main() -> None:
     # --- The in-process code memo ------------------------------------
     # The translation is compiled once per program (keyed by its AST
     # fingerprint); a second engine only binds the cached code object.
-    second = create_engine(program)
+    second = BatchedEngine(program)
     code = engine_batched._CODE_CACHE[engine.program_key]
     assert engine_batched._CODE_CACHE[second.program_key] is code
     print(f"code memo          : second engine reused program "

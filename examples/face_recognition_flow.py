@@ -47,7 +47,7 @@ def main() -> None:
           f"{spec.poses} poses at {spec.size}x{spec.size} ...")
     start = time.perf_counter()
     session = Session(spec)
-    session.database  # force the enrollment now, for honest timing below
+    session.environment  # force the enrollment now, for honest timing below
     print(f"  done in {time.perf_counter() - start:.1f}s\n")
 
     print(topology_figure(session.graph))

@@ -45,7 +45,6 @@ from repro.store import CampaignStore
 from repro.api.stages import (
     FlowStage,
     LEVEL_STAGES,
-    REFERENCE_CHANNELS,
     Stage,
     StageResult,
     WORKLOAD_FIELDS,
@@ -69,7 +68,6 @@ __all__ = [
     "FlowStage",
     "LEVEL_GATES",
     "LEVEL_STAGES",
-    "REFERENCE_CHANNELS",
     "SPEC_SCHEMA",
     "SPEC_SCHEMA_V1",
     "Session",

@@ -19,9 +19,9 @@ on.  The derived session also shares its parent's :meth:`Session.shared`
 memo, which keys a stage's costly part by the values it reads rather
 than by the spec fields the stage is sensitive to: level 2's timed
 simulation is keyed by the CPU model, so every deadline on that CPU
-re-runs only LPV's check, and level 3's by the CPU model, engine and
-mapped contexts, so FPGA capacities that map to the same contexts
-simulate once, in any grid order.
+re-runs only LPV's check, and level 3's by the CPU model and mapped
+contexts, so FPGA capacities that map to the same contexts simulate
+once, in any grid order.
 """
 
 from __future__ import annotations
@@ -102,11 +102,6 @@ class Session:
         """The workload's enrolled/derived data (database, keys, ...)."""
         return self._artifact("environment", lambda: (
             self.workload.build_environment(self.spec)))
-
-    @property
-    def database(self):
-        """Historical alias for :attr:`environment`."""
-        return self.environment
 
     @property
     def graph(self):
@@ -237,10 +232,6 @@ class Session:
         """The workload's application-level score over the level-1 run."""
         results = self.value("level1").results
         return self.workload.score(self.shots, results)
-
-    def recognition_accuracy(self) -> float:
-        """Historical alias for :meth:`accuracy`."""
-        return self.accuracy()
 
     def report(self):
         """Run all four levels and assemble the :class:`FlowReport`."""

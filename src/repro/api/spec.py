@@ -15,7 +15,6 @@ from dataclasses import dataclass, field, fields
 from dataclasses import replace as _dataclass_replace
 from typing import Any, Mapping, Optional
 
-from repro.swir.engine import DEFAULT_ENGINE, validate_engine
 from repro.workloads import get_workload
 
 SPEC_SCHEMA = "repro.campaign_spec/v2"
@@ -56,11 +55,6 @@ class CampaignSpec:
     levels: tuple[int, ...] = ALL_LEVELS
     run_pcc: bool = False
     params: Mapping[str, Any] = field(default_factory=dict)
-    #: SWIR execution engine name, ``"batched"`` or ``"ast"``.  Both
-    #: produce byte-identical result documents — the selector exists for
-    #: A/B equivalence runs.  Serialized only when non-default, so
-    #: default-engine v2 documents carry no ``engine`` key.
-    engine: str = DEFAULT_ENGINE
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "levels", tuple(self.levels))
@@ -78,7 +72,6 @@ class CampaignSpec:
             raise ValueError("capacity_gates must be >= 1")
         if not self.cpu:
             raise ValueError("cpu must name a CPU model")
-        validate_engine(self.engine)
         # Resolve the workload (raises on unknown names) and delegate
         # parameter validation to it.
         self.workload_config()
@@ -110,7 +103,7 @@ class CampaignSpec:
         return _dataclass_replace(self, **changes)
 
     def to_dict(self) -> dict:
-        document = {
+        return {
             "schema": SPEC_SCHEMA,
             "name": self.name,
             "workload": self.workload,
@@ -127,11 +120,6 @@ class CampaignSpec:
             "run_pcc": self.run_pcc,
             "params": dict(self.params),
         }
-        # Optional, schema-compatible: default-engine documents stay
-        # byte-identical to pre-engine ones; from_dict defaults it back.
-        if self.engine != DEFAULT_ENGINE:
-            document["engine"] = self.engine
-        return document
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "CampaignSpec":
@@ -144,7 +132,7 @@ class CampaignSpec:
         payload = dict(data)
         schema = payload.pop("schema", SPEC_SCHEMA)
         if schema == SPEC_SCHEMA_V1:
-            v2_only = {"workload", "params", "engine"} & set(payload)
+            v2_only = {"workload", "params"} & set(payload)
             if v2_only:
                 raise ValueError(
                     f"v1 spec documents cannot carry {sorted(v2_only)}; "

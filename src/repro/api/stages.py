@@ -25,7 +25,6 @@ from repro.flow.level1 import run_level1
 from repro.flow.level2 import run_level2, with_deadline
 from repro.flow.level3 import map_contexts, run_level3, with_capacity
 from repro.flow.level4 import run_level4
-from repro.flow.methodology import REFERENCE_CHANNELS  # noqa: F401  (compat re-export)
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.api.session import Session
@@ -219,9 +218,6 @@ class Level1Stage(FlowStage):
     requires = ("reference",)
 
     def compute(self, ctx: "Session"):
-        # Levels 1-2 contain no SWIR execution, so they are deliberately
-        # NOT sensitive_to "engine" (an engine A/B sweep reuses the
-        # cached simulations).
         return run_level1(
             ctx.graph, ctx.stimuli(),
             reference_trace=ctx.value("reference"),
@@ -263,19 +259,19 @@ class Level3Stage(FlowStage):
     The context mapper runs at every capacity (an infeasible one fails
     here).  The rest, SymbC, the shadow run, the timed simulation and the
     trace comparison, reads the capacity only through the contexts: it is
-    shared per CPU model, engine and contexts (``Session.shared``), and
+    shared per CPU model and contexts (``Session.shared``), and
     each capacity gets its own result sharing it.
     """
 
     name = "level3"
     requires = ("level1", "profile", "partition")
-    sensitive_to = WORKLOAD_FIELDS + ("cpu", "capacity_gates", "engine")
+    sensitive_to = WORKLOAD_FIELDS + ("cpu", "capacity_gates")
 
     def compute(self, ctx: "Session"):
         partition = ctx.value("partition")["reconfigurable"]
         choice = map_contexts(ctx.graph, partition, len(ctx.frames),
                               ctx.spec.capacity_gates)
-        key = (ctx.cpu, ctx.spec.engine, choice.contexts)
+        key = (ctx.cpu, choice.contexts)
         simulation = ctx.shared(self.name, key, lambda: run_level3(
             ctx.graph,
             partition,
@@ -285,7 +281,6 @@ class Level3Stage(FlowStage):
             cpu=ctx.cpu,
             profile=ctx.value("profile"),
             reference_trace=ctx.value("level1").trace,
-            engine=ctx.spec.engine,
         ))
         return with_capacity(simulation, ctx.spec.capacity_gates, choice)
 

@@ -28,15 +28,13 @@ the pluggable :mod:`repro.workloads` registry:
 - ``verify``    — the level-1 LPV deadlock proof;
 - ``wave``      — synthesise the ROOT module, run it, dump a VCD trace.
 
-Every simulating command takes ``--workload`` (any registered name),
-``--param key=value`` for workload-specific knobs and ``--engine`` to
-pick the SWIR execution engine (``batched``, the default, or ``ast``,
-the reference interpreter) — results are byte-identical whichever
-engine runs.  ``flow`` and ``campaign`` take ``--store PATH`` to
-persist results in a :mod:`repro.store` directory; ``campaign
---resume`` skips grid points already completed there and retries
-recorded failures.  Commands that produce results accept ``--json`` to
-emit the schema-stable machine-readable document instead of prose.
+Every simulating command takes ``--workload`` (any registered name)
+and ``--param key=value`` for workload-specific knobs.  ``flow`` and
+``campaign`` take ``--store PATH`` to persist results in a
+:mod:`repro.store` directory; ``campaign --resume`` skips grid points
+already completed there and retries recorded failures.  Commands that
+produce results accept ``--json`` to emit the schema-stable
+machine-readable document instead of prose.
 """
 
 from __future__ import annotations
@@ -49,7 +47,6 @@ import sys
 from typing import Optional
 
 from repro.api import Campaign, CampaignSpec, Session, get_workload, workload_names
-from repro.swir import DEFAULT_ENGINE, ENGINES
 
 #: Valid ``--log-level`` / ``REPRO_LOG_LEVEL`` spellings.
 _LOG_LEVELS = ("debug", "info", "warning", "error", "critical")
@@ -118,9 +115,6 @@ def _add_workload_args(parser: argparse.ArgumentParser,
                         type=_parse_param, metavar="KEY=VALUE",
                         help="workload-specific parameter (repeatable); "
                              "values parse as JSON, falling back to string")
-    parser.add_argument("--engine", default=DEFAULT_ENGINE, choices=ENGINES,
-                        help="SWIR execution engine (A/B-identical results; "
-                             f"default: {DEFAULT_ENGINE})")
     parser.add_argument("--identities", type=int, default=10,
                         help="[facerec] database identities (paper: 20)")
     parser.add_argument("--poses", type=int, default=2,
@@ -144,7 +138,6 @@ def _spec(args, **extra) -> CampaignSpec:
         "poses": args.poses,
         "size": args.size,
         "params": dict(args.param),
-        "engine": args.engine,
     }
     if hasattr(args, "frames"):
         fields["frames"] = args.frames

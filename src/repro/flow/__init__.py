@@ -15,8 +15,7 @@ Figure 1 of the paper, as executable code:
   proof.
 - :mod:`~repro.flow.level4` — RTL generation: behavioural synthesis of
   FPGA modules, wrapper (interface) synthesis, model checking, PCC.
-- :mod:`~repro.flow.methodology` — the end-to-end driver producing the
-  flow report.
+- :mod:`~repro.flow.methodology` — the end-to-end flow report.
 """
 
 from repro.flow.level1 import Level1Result, UntimedModel, run_level1
@@ -25,7 +24,7 @@ from repro.flow.level3 import (Level3Result, build_sw_program,
                                run_level3, stub_task_externals,
                                task_call_sites)
 from repro.flow.level4 import Level4Result, run_level4
-from repro.flow.methodology import FlowReport, SymbadFlow
+from repro.flow.methodology import FlowReport
 from repro.flow.reportgen import flow_figure, topology_figure
 
 __all__ = [
@@ -42,7 +41,6 @@ __all__ = [
     "Level4Result",
     "run_level4",
     "FlowReport",
-    "SymbadFlow",
     "flow_figure",
     "topology_figure",
 ]

@@ -4,9 +4,9 @@ The FPGA is instantiated, the chosen HW modules move inside it as
 contexts, the SW is instrumented with reconfiguration calls, and the
 level-2 analyses are re-run with bitstream downloads on the bus.  SymbC
 then proves the instrumented SW's reconfiguration consistency, and a
-dynamic shadow run executes that SW under the selected SWIR engine
-(``"batched"`` by default, ``"ast"`` as the bit-identity oracle) to
-record its FPGA call journal.
+dynamic shadow run executes that SW on the
+:class:`~repro.swir.engine_batched.BatchedEngine` to record its FPGA
+call journal.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from repro.platform.profiler import Profile, profile_graph
 from repro.platform.taskgraph import AppGraph
 from repro.swir.ast import Assign, BinOp, Call, Const, FpgaCall, Program, Var
 from repro.swir.builder import FunctionBuilder, ProgramBuilder
-from repro.swir.engine import DEFAULT_ENGINE, create_engine, validate_engine
+from repro.swir.engine_batched import BatchedEngine
 from repro.swir.instrument import instrument_reconfiguration
 from repro.verify.symbc import ConfigInfo, SymbcAnalyzer, SymbcVerdict
 
@@ -88,11 +88,8 @@ class Level3Result:
     symbc: SymbcVerdict
     consistency_mismatches: list[TraceMismatch] = field(default_factory=list)
     consistency_checked: bool = False
-    #: SWIR engine the dynamic shadow execution ran under, plus its FPGA
-    #: journal — the run-time counterpart of SymbC's static certificate.
-    #: Deliberately not serialized: `to_dict` documents are engine-
-    #: independent (byte-identical for "ast" and "batched" by contract).
-    engine: str = DEFAULT_ENGINE
+    #: FPGA journal of the dynamic shadow execution — the run-time
+    #: counterpart of SymbC's static certificate.  Not serialized.
     dynamic_journal: list = field(default_factory=list)
     dynamic_consistency_violations: list[str] = field(default_factory=list)
     dynamic_checked: bool = False
@@ -158,7 +155,6 @@ def run_level3(
     reference_trace: Optional[Trace] = None,
     skip_instrumentation: Optional[set[str]] = None,
     bitstream_model: Optional[BitstreamModel] = None,
-    engine: str = DEFAULT_ENGINE,
     **arch_kwargs,
 ) -> Level3Result:
     """Execute the full level-3 activity set.
@@ -167,14 +163,10 @@ def run_level3(
     minimum-download feasible partition of the FPGA tasks for the
     per-frame schedule.
 
-    ``engine`` names the SWIR execution engine (``"batched"`` or
-    ``"ast"``) for the dynamic shadow run of the instrumented SW
-    program: the whole frame loop is executed concretely and its FPGA
-    call journal recorded, the run-time complement of SymbC's static
-    consistency proof.  Both engines produce identical results; the
-    selector exists for A/B equivalence testing.
+    The dynamic shadow run executes the instrumented SW program's whole
+    frame loop concretely and records its FPGA call journal, the
+    run-time complement of SymbC's static consistency proof.
     """
-    validate_engine(engine)
     if not partition.fpga_tasks:
         raise ValueError("level 3 requires a partition with FPGA tasks")
     stimuli = {k: list(v) for k, v in stimuli.items()}
@@ -205,7 +197,7 @@ def run_level3(
         sw_program, context_map = _rebuild_with_owner(graph, partition, owner,
                                                       skip_instrumentation)
     symbc = SymbcAnalyzer(sw_program, config_info).check()
-    dynamic = _dynamic_shadow_run(sw_program, context_map, stimuli, engine)
+    dynamic = _dynamic_shadow_run(sw_program, context_map, stimuli)
 
     annotator = annotator or TimingAnnotator(cpu)
     plan = FpgaPlan(
@@ -225,7 +217,6 @@ def run_level3(
         metrics=metrics,
         sw_program=sw_program,
         symbc=symbc,
-        engine=engine,
         dynamic_journal=dynamic.fpga_journal,
         dynamic_consistency_violations=dynamic.consistency_violations,
         dynamic_checked=True,
@@ -294,8 +285,8 @@ def stub_task_externals(program: Program) -> dict:
 
 
 def _dynamic_shadow_run(sw_program: Program, context_map: dict[str, str],
-                        stimuli: dict, engine: str):
-    """Run the instrumented frame loop concretely under ``engine``.
+                        stimuli: dict):
+    """Run the instrumented frame loop concretely.
 
     Task bodies are stubbed (the architecture model simulates the real
     data path); what matters here is the dynamic reconfiguration
@@ -308,7 +299,7 @@ def _dynamic_shadow_run(sw_program: Program, context_map: dict[str, str],
     # statements per frame, never less than the interpreter default.
     max_steps = max(200_000,
                     (frames + 1) * (sw_program.statement_count() + 4) * 2)
-    executor = create_engine(sw_program, engine=engine,
+    executor = BatchedEngine(sw_program,
                              externals=stub_task_externals(sw_program),
                              context_map=context_map, max_steps=max_steps)
     return executor.run([frames])

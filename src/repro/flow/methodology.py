@@ -1,32 +1,19 @@
-"""The end-to-end Symbad flow on the face-recognition case study.
+"""The end-to-end Symbad flow report.
 
 :class:`FlowReport` is everything one complete four-level campaign
 produces, with the cross-level pass gates and a schema-stable
-``to_dict``.  :class:`SymbadFlow` is the historical driver interface,
-kept as a thin shim over :class:`repro.api.session.Session` — new code
-should use :mod:`repro.api` directly, which exposes the levels as
-composable, individually-runnable, cached stages.
+``to_dict``.  :meth:`repro.api.session.Session.report` assembles it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
-from repro.facerec.pipeline import FacerecConfig
-from repro.facerec.tracing import Trace
 from repro.flow.level1 import Level1Result
 from repro.flow.level2 import Level2Result
 from repro.flow.level3 import Level3Result
 from repro.flow.level4 import Level4Result
-from repro.flow.reportgen import flow_figure, topology_figure
-from repro.platform.cpu import CpuModel, ARM7TDMI
-
-#: Channels the reference model traces (internal trigger excluded).
-REFERENCE_CHANNELS = [
-    "c_gray", "c_eroded", "c_edges", "c_border", "c_lines",
-    "c_feat", "c_diffs", "c_sq", "c_dist",
-]
+from repro.flow.reportgen import flow_figure
 
 
 @dataclass
@@ -110,88 +97,3 @@ class FlowReport:
             "(paper: 200 kHz / 30 kHz = 6.7x)",
         ]
         return "\n".join(sections)
-
-
-class SymbadFlow:
-    """Driver for the complete case study (compatibility shim).
-
-    Delegates to a :class:`repro.api.session.Session`; the historical
-    attribute surface (``config``, ``graph``, ``frames``, ...) is
-    preserved.
-    """
-
-    def __init__(
-        self,
-        config: Optional[FacerecConfig] = None,
-        frames: int = 5,
-        noise_sigma: float = 2.0,
-        cpu: CpuModel = ARM7TDMI,
-        capacity_gates: int = 16_000,
-        seed: int = 2004,
-    ):
-        from repro.api.session import Session
-        from repro.api.spec import CampaignSpec
-
-        config = config if config is not None else FacerecConfig()
-        spec = CampaignSpec(
-            identities=config.identities,
-            poses=config.poses,
-            size=config.size,
-            frames=frames,
-            noise_sigma=noise_sigma,
-            cpu=cpu.name,
-            capacity_gates=capacity_gates,
-            seed=seed,
-        )
-        self.session = Session(spec, cpu_model=cpu)
-
-    # -- the historical attribute surface, backed by the session ------------------
-
-    @property
-    def config(self) -> FacerecConfig:
-        return self.session.config
-
-    @property
-    def cpu(self) -> CpuModel:
-        return self.session.cpu
-
-    @property
-    def capacity_gates(self) -> int:
-        return self.session.spec.capacity_gates
-
-    @property
-    def database(self):
-        return self.session.database
-
-    @property
-    def graph(self):
-        return self.session.graph
-
-    @property
-    def reference(self):
-        return self.session.reference
-
-    @property
-    def shots(self) -> list[tuple[int, int]]:
-        return self.session.shots
-
-    @property
-    def frames(self) -> list:
-        return self.session.frames
-
-    # -- the historical methods ---------------------------------------------------
-
-    def reference_trace(self) -> Trace:
-        return self.session.value("reference")
-
-    def run(self, deadline_ms: Optional[float] = 500.0,
-            run_pcc: bool = False) -> FlowReport:
-        """Walk all four levels; returns the flow report."""
-        spec = self.session.spec
-        if deadline_ms != spec.deadline_ms or run_pcc != spec.run_pcc:
-            self.session = self.session.with_spec(deadline_ms=deadline_ms,
-                                                  run_pcc=run_pcc)
-        return self.session.report()
-
-    def topology(self) -> str:
-        return topology_figure(self.graph)

@@ -25,8 +25,9 @@ relation                fields
 
 The engine a result was computed under comes from each envelope's
 store identity (``entry``/``produced_by``), never from the spec
-document: spec documents omit the default engine, and the default has
-changed over time, so campaigns filter by engine on ``entry``::
+document: current spec documents carry no engine, and older ones
+omitted the default, which has changed over time, so campaigns filter
+by engine on ``entry``::
 
     entry where engine == 'ast'
 
@@ -47,9 +48,9 @@ The two ROADMAP exemplar questions::
 ``journal_touched`` is extracted from the serialized level-3 stage
 document inside each ok campaign payload (``stages.level3.value
 .contexts``): the live reconfiguration journal is deliberately *not*
-serialized (it is engine-dependent), but the FPGA context configurations
-it drove are, and those are exactly the "which contexts did this spec's
-run ever touch" facts.
+serialized, but the FPGA context configurations it drove are, and
+those are exactly the "which contexts did this spec's run ever touch"
+facts.
 
 ``span`` rows come from the telemetry sink sidecar files under
 ``<store root>/spans/`` (:func:`repro.telemetry.read_spans`) — traced

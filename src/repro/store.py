@@ -108,18 +108,6 @@ def read_json_document(path: Path) -> Optional[dict]:
     return document if isinstance(document, dict) else None
 
 
-def engine_identity(engine: str) -> dict:
-    """The execution-engine part of an entry's content address.
-
-    Always records the engine name, so ast-vs-batched campaigns address
-    — and are ledger-filterable — distinctly.
-    """
-    from repro.swir.engine import ENGINE_REVISION, validate_engine
-
-    return {"engine": validate_engine(engine),
-            "engine_revision": ENGINE_REVISION}
-
-
 def workload_identity(name: str) -> dict:
     """The workload part of an entry's content address.
 
@@ -135,10 +123,19 @@ def workload_identity(name: str) -> dict:
 
 
 def campaign_identity(spec) -> dict:
-    """Everything besides the spec itself that shapes a campaign result."""
+    """Everything besides the spec itself that shapes a campaign result.
+
+    The engine name is a constant: production runs one SWIR engine.  It
+    stays in the address so every stored entry keeps its key, and
+    entries stored under the retired ``ast`` selector keep an identity
+    of their own (the ledger's ``engine`` column).
+    """
+    from repro.swir.engine import ENGINE_REVISION
+
     return {
         "store_version": STORE_VERSION,
-        **engine_identity(spec.engine),
+        "engine": "batched",
+        "engine_revision": ENGINE_REVISION,
         **workload_identity(spec.workload),
     }
 

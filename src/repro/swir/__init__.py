@@ -7,14 +7,15 @@ is our stand-in for C: a small structured imperative IR with
   conditionals, loops, calls, FPGA reconfiguration calls);
 - :mod:`~repro.swir.builder` — a fluent DSL for writing programs;
 - :mod:`~repro.swir.cfg` — control-flow graph construction;
-- :mod:`~repro.swir.interp` — a concrete interpreter with coverage and
-  memory-initialisation tracking (the Laerte++ substrate, and the
-  ``"ast"`` engine: the bit-identity oracle);
-- :mod:`~repro.swir.engine_batched` — the default ``"batched"`` engine:
-  per-program generated-Python execution with lockstep batch runs,
-  bit-identical to the interpreter per lane;
-- :mod:`~repro.swir.engine` — engine selection by name
-  (``create_engine(program, engine="ast")``);
+- :mod:`~repro.swir.interp` — the reference tree-walking interpreter
+  with coverage and memory-initialisation tracking, kept as the
+  bit-identity oracle of the engine;
+- :mod:`~repro.swir.engine_batched` — the execution engine every
+  production path runs (the Laerte++ substrate and level 3's shadow
+  run): per-program generated-Python execution with lockstep batch
+  runs, bit-identical to the interpreter per lane;
+- :mod:`~repro.swir.engine` — the engine's ``ENGINE_REVISION``, part of
+  every store address;
 - :mod:`~repro.swir.instrument` — automatic insertion of reconfiguration
   calls before FPGA function calls (the step the paper performs by hand,
   plus fault injection for the SymbC experiments).
@@ -38,13 +39,7 @@ from repro.swir.ast import (
 )
 from repro.swir.builder import FunctionBuilder, ProgramBuilder
 from repro.swir.cfg import BasicBlock, Cfg, build_cfg
-from repro.swir.engine import (
-    DEFAULT_ENGINE,
-    ENGINE_REVISION,
-    ENGINES,
-    create_engine,
-    validate_engine,
-)
+from repro.swir.engine import ENGINE_REVISION
 from repro.swir.engine_batched import (
     BatchedEngine,
     LaneOutcome,
@@ -77,11 +72,7 @@ __all__ = [
     "ExecutionResult",
     "Interpreter",
     "InterpError",
-    "DEFAULT_ENGINE",
     "ENGINE_REVISION",
-    "ENGINES",
-    "create_engine",
-    "validate_engine",
     "BatchedEngine",
     "LaneOutcome",
     "program_fingerprint",

@@ -43,8 +43,8 @@ from repro.swir.ast import (
 
 from repro.telemetry import metrics as _metrics
 
-# The same instruments every engine shares (the registry dedups by
-# name); bound here directly because engine.py imports this module.
+# The same instruments the batched engine binds (the registry dedups
+# by name), labelled ``engine="ast"``.
 _RUNS = _metrics.counter("repro_swir_runs_total",
                          "SWIR engine run() calls")
 _STEPS = _metrics.counter("repro_swir_steps_total",

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from repro.swir.ast import Program
-from repro.swir.engine import DEFAULT_ENGINE, create_engine
+from repro.swir.engine_batched import BatchedEngine
 from repro.verify.atpg.coverage import (
     CoverageReport,
     coverage_totals,
@@ -77,14 +77,11 @@ class Laerte:
         fault_bit_width: int = 8,
         sat_width: int = 16,
         seed: int = 7,
-        engine: str = DEFAULT_ENGINE,
     ):
         self.program = program
-        self.engine = engine
         #: the execution engine every campaign phase simulates through —
         #: the hot loop of the whole campaign (GA fitness + fault grading)
-        self.interpreter = create_engine(program, engine=engine,
-                                         externals=externals)
+        self.interpreter = BatchedEngine(program, externals=externals)
         self.ga_config = ga_config
         self.random_vectors = random_vectors
         self.fault_bit_width = fault_bit_width
@@ -116,8 +113,7 @@ class Laerte:
         unreached: list[tuple[int, bool]] = []
         uncovered = report.uncovered_branches()
         if uncovered:
-            tpg = SatTpg(self.program, width=self.sat_width,
-                         engine=self.engine)
+            tpg = SatTpg(self.program, width=self.sat_width)
             for sid, outcome in uncovered:
                 vector = tpg.generate_for_branch(sid, outcome)
                 if vector is not None:

@@ -15,9 +15,8 @@ driver it rewrites; the original is never modified.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 from repro.rtl.netlist import (
     BinExpr,
@@ -68,7 +67,13 @@ class Mutation:
         return rewritten
 
     def apply(self, netlist: Netlist) -> Netlist:
-        """A fresh netlist with this single mutation applied."""
+        """A fresh netlist with this single mutation applied.
+
+        The mutant is not re-validated: every kind rewrites one driver
+        over the signals it already reads (``stuck-bit`` ORs in a
+        constant, the others swap or perturb existing nodes), so a
+        mutant of a valid netlist is valid.
+        """
         rewritten = self.rewritten_driver(netlist)
         mutant = netlist.copy()
         mutant.name = f"{netlist.name}~{self.kind}@{self.driver}:{self.position}"
@@ -77,7 +82,6 @@ class Mutation:
             mutant.wires[self.driver] = (width, rewritten)
         else:
             mutant.registers[self.driver].next_expr = rewritten
-        mutant.validate()
         return mutant
 
     def describe(self) -> str:

@@ -23,12 +23,13 @@ from repro.facerec.swmodels import (
     root_function,
 )
 from repro.facerec.tracing import Trace
-from repro.flow.methodology import REFERENCE_CHANNELS as _REFERENCE_CHANNELS
 from repro.workloads.base import VerifyPlan, register_workload
 
-#: Channels the reference model traces (internal trigger excluded) —
-#: the single definition lives in :mod:`repro.flow.methodology`.
-REFERENCE_CHANNELS = tuple(_REFERENCE_CHANNELS)
+#: Channels the reference model traces (internal trigger excluded).
+REFERENCE_CHANNELS = (
+    "c_gray", "c_eroded", "c_edges", "c_border", "c_lines",
+    "c_feat", "c_diffs", "c_sq", "c_dist",
+)
 
 
 @register_workload

@@ -230,9 +230,9 @@ class TestSweepSharesLevel2Simulation:
 
 
 class TestSweepSharesLevel3Simulation:
-    """Level 3's simulation is keyed by the CPU, the engine and the mapped
-    contexts: FPGA capacities that map to the same contexts share it, and
-    the answers stay those of points run from scratch."""
+    """Level 3's simulation is keyed by the CPU and the mapped contexts:
+    FPGA capacities that map to the same contexts share it, and the
+    answers stay those of points run from scratch."""
 
     #: At SMALL's size, 12k/16k gates give two contexts and 24k/32k one.
     GRID = {"capacity_gates": [12_000, 16_000, 24_000, 32_000],
@@ -328,44 +328,52 @@ class TestParallelSweep:
 
 
 class TestEngineField:
-    def test_default_engine_not_serialized(self):
-        """Default-engine documents are byte-identical to pre-engine ones."""
-        assert "engine" not in CampaignSpec().to_dict()
+    """The spec has no engine field: production runs one SWIR engine,
+    and the reference interpreter is reached only by tests that
+    substitute it."""
 
-    def test_non_default_engine_round_trips(self):
-        spec = SMALL.replace(engine="ast")
-        payload = spec.to_dict()
-        assert payload["engine"] == "ast"
-        assert CampaignSpec.from_dict(json.loads(json.dumps(payload))) == spec
+    def test_default_engine_not_serialized(self):
+        """Spec documents carry no engine key, so they keep the content
+        addresses of documents written while the default engine was
+        omitted."""
+        assert "engine" not in CampaignSpec().to_dict()
+        assert "engine" not in SMALL.to_dict()
 
     def test_documents_without_engine_default_batched(self):
+        """A document without an engine loads, and the store addresses
+        it under the batched identity, as it always did."""
+        from repro.store import campaign_identity
+
         spec = CampaignSpec.from_dict(SMALL.to_dict())
-        assert spec.engine == "batched"
+        assert spec == SMALL
+        assert campaign_identity(spec)["engine"] == "batched"
 
     def test_rejects_unknown_engine(self):
-        with pytest.raises(ValueError, match="unknown engine"):
-            SMALL.replace(engine="jit")
+        payload = dict(SMALL.to_dict(), engine="jit")
+        with pytest.raises(ValueError,
+                           match=r"unknown spec fields: \['engine'\]"):
+            CampaignSpec.from_dict(payload)
+        with pytest.raises(TypeError, match="engine"):
+            SMALL.replace(engine="batched")
 
     @pytest.mark.parametrize("engine", [
         "compiled", "batched:batch_width=8",
-        {"name": "batched", "batch_width": 8}])
+        {"name": "batched", "batch_width": 8}, "ast", "batched"])
     def test_rejects_retired_engine_forms(self, engine):
-        """The compiled engine and engine options are gone: documents
-        carrying them fail naming the two engines that remain."""
+        """Every engine form, the once selectable ``ast`` and
+        ``batched`` included, is an unknown spec field."""
         payload = dict(SMALL.to_dict(), engine=engine)
-        with pytest.raises(ValueError, match="'ast', 'batched'"):
+        with pytest.raises(ValueError, match="unknown spec fields"):
             CampaignSpec.from_dict(payload)
 
-    @pytest.mark.parametrize("engine", ["ast", "batched"])
-    def test_recorded_run_stores_campaign_and_level4_only(self, tmp_path,
-                                                           engine):
-        """No engine persists anything of its own: a recorded run leaves
+    def test_recorded_run_stores_campaign_and_level4_only(self, tmp_path):
+        """The engine persists nothing of its own: a recorded run leaves
         exactly the campaign entry and the level-4 stage entry."""
         from repro.api.campaign import run_recorded
         from repro.store import CampaignStore
 
         store = CampaignStore(tmp_path / "store")
-        run_recorded(SMALL.replace(engine=engine), store)
+        run_recorded(SMALL, store)
         assert sorted((row["kind"], row["name"]) for row in store.ls()) == \
             [("campaign", SMALL.name), ("stage", "level4")]
 
@@ -374,30 +382,39 @@ class TestEngineField:
                        engine="ast")
         del payload["workload"]
         del payload["params"]
-        with pytest.raises(ValueError, match="v1 spec documents"):
+        with pytest.raises(ValueError, match="unknown spec fields"):
             CampaignSpec.from_dict(payload)
 
-    def test_engine_ab_outcomes_identical(self):
-        """The A/B contract from the campaign layer: same documents."""
+    def test_engine_ab_outcomes_identical(self, monkeypatch):
+        """The A/B contract from the campaign layer: level 3's shadow run
+        on the reference interpreter yields the same documents and the
+        same FPGA journal."""
+        from repro.flow import level3
         from repro.serialize import canonical_json
+        from repro.swir.interp import Interpreter
+
+        built = []
+
+        class CountingInterpreter(Interpreter):
+            def __init__(self, program, **kwargs):
+                built.append(program)
+                super().__init__(program, **kwargs)
 
         spec = SMALL.replace(levels=(1, 3))
-        runs = {
-            engine: Campaign(spec.replace(engine=engine)).run().to_dict()
-            for engine in ("ast", "batched")
-        }
-        # The spec documents differ only in the engine field itself.
-        for engine, payload in runs.items():
-            payload["spec"].pop("engine", None)
-            for stage in payload["stages"].values():
-                assert "engine" not in stage["value"].get("spec", {})
-        assert canonical_json(runs["ast"]) == canonical_json(runs["batched"])
+        batched = Campaign(spec).run()
+        monkeypatch.setattr(level3, "BatchedEngine", CountingInterpreter)
+        oracle = Campaign(spec).run()
+        assert len(built) == 1
+        assert canonical_json(oracle.to_dict()) == \
+            canonical_json(batched.to_dict())
+        journals = [outcome.results["level3"].value.dynamic_journal
+                    for outcome in (oracle, batched)]
+        assert journals[0] and journals[0] == journals[1]
 
     def test_level3_dynamic_journal_recorded(self):
         outcome = Campaign(SMALL.replace(levels=(1, 3))).run()
         level3 = outcome.results["level3"].value
         assert level3.dynamic_checked
-        assert level3.engine == "batched"
         assert level3.dynamic_journal  # FPGA calls actually executed
         assert level3.dynamic_consistency_violations == []
         # The dynamic shadow agrees with SymbC's static certificate.

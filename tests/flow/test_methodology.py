@@ -1,16 +1,22 @@
-"""Tests for the end-to-end methodology driver and report generation."""
+"""Tests for the end-to-end flow report and report generation."""
+
+import math
 
 import pytest
 
+from repro.api import CampaignSpec, Session
 from repro.facerec import FacerecConfig, build_graph
-from repro.flow import SymbadFlow, flow_figure, topology_figure
+from repro.flow import flow_figure, topology_figure
 
 
 @pytest.fixture(scope="module")
-def report():
-    flow = SymbadFlow(config=FacerecConfig(identities=3, poses=2, size=32),
-                      frames=2)
-    return flow.run(run_pcc=False)
+def session():
+    return Session(CampaignSpec(identities=3, poses=2, size=32, frames=2))
+
+
+@pytest.fixture(scope="module")
+def report(session):
+    return session.report()
 
 
 class TestSymbadFlow:
@@ -34,9 +40,15 @@ class TestSymbadFlow:
     def test_recognition_accuracy(self, report):
         assert report.recognition_accuracy >= 0.5
 
-    def test_speed_ratio_shape(self, report):
-        """Level 3 must be slower to simulate than level 2 (paper: 6.7x)."""
-        assert report.sim_speed_ratio > 1.0
+    def test_speed_ratio_shape(self, session, report):
+        """The ratio is level 2's simulation speed over level 3's (paper:
+        6.7x).  That level 3 is the slower one is a wall-clock claim,
+        gated on medians by benchmarks/test_bench_levels.py."""
+        assert report.sim_speed_ratio == \
+            report.level2.sim_speed_hz(session.cpu) / \
+            report.level3.sim_speed_hz(session.cpu)
+        assert math.isfinite(report.sim_speed_ratio)
+        assert report.sim_speed_ratio > 0
 
     def test_describe_contains_all_levels(self, report):
         text = report.describe()
@@ -45,9 +57,9 @@ class TestSymbadFlow:
             assert marker in text
 
     def test_topology_figure(self):
-        flow = SymbadFlow(config=FacerecConfig(identities=2, poses=1, size=32),
-                          frames=1)
-        text = flow.topology()
+        session = Session(CampaignSpec(identities=2, poses=1, size=32,
+                                       frames=1))
+        text = topology_figure(session.graph)
         assert "CAMERA" in text and "WINNER" in text
         assert "13 modules" in text
 

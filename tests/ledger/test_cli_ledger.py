@@ -21,7 +21,7 @@ SUBMISSION = {
         "name": "ledger-e2e",
         "workload": "facerec",
         "identities": 2, "poses": 1, "size": 16, "frames": 1,
-        "params": {}, "engine": "ast",
+        "params": {},
         "levels": [1, 2, 3], "run_pcc": False, "deadline_ms": 500.0,
     },
     "sweep": {"frames": [1, 2]},
@@ -77,14 +77,15 @@ class TestExemplarQueries:
         """The entry relation carries the engine from each envelope's
         store identity, so campaigns are filterable by engine."""
         code, document = run_json(
-            capsys, "query", "entry where engine == 'ast' select name, engine",
+            capsys, "query",
+            "entry where engine == 'batched' select name, engine",
             "--store", str(swept["store"]))
         assert code == 0
         assert document["count"] == 2
-        assert all(row["engine"] == "ast" for row in document["rows"])
-        # The other direction comes back empty, not erroring.
+        assert all(row["engine"] == "batched" for row in document["rows"])
+        # The retired engine's name comes back empty, not erroring.
         code, none = run_json(
-            capsys, "query", "entry where engine == 'batched'",
+            capsys, "query", "entry where engine == 'ast'",
             "--store", str(swept["store"]))
         assert code == 0 and none["count"] == 0
 

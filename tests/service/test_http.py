@@ -163,6 +163,14 @@ class TestRoutes:
         assert excinfo.value.status == 400
         assert "holograms" in str(excinfo.value)
 
+    def test_spec_carrying_an_engine_is_a_400(self, service, client):
+        """No spec field selects a SWIR engine: a submission naming one
+        is refused like any unknown field."""
+        with pytest.raises(ServiceError) as excinfo:
+            client.submit(dict(FAST.to_dict(), engine="ast"))
+        assert excinfo.value.status == 400
+        assert "unknown spec fields" in str(excinfo.value)
+
     def test_invalid_sweep_grid_is_a_400(self, service, client):
         with pytest.raises(ServiceError) as excinfo:
             client.submit(FAST.to_dict(), sweep={"warp_factor": [9]})

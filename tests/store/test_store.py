@@ -61,7 +61,7 @@ class TestKeys:
         assert identity["store_version"] == STORE_VERSION
         assert identity["workload"] == "facerec"
         assert identity["workload_revision"] == 1
-        assert identity["engine"] == SPEC.engine == "batched"
+        assert identity["engine"] == "batched"
         assert "engine_options" not in identity
         assert identity["engine_revision"] >= 1
 

@@ -1,7 +1,9 @@
 """Differential fuzzing: the batched engine vs the interpreter oracle.
 
-The engines' contract is *bit-identical* execution: for any program and
-any inputs, ``batched`` must agree with ``ast`` on the returned value,
+Production executes SWIR through one engine, :class:`BatchedEngine`;
+the tree-walking :class:`Interpreter` is its reference.  The contract is
+*bit-identical* execution: for any program and any inputs, the engine
+must agree with the interpreter on the returned value,
 the final environment, every coverage set, the defect reports
 (uninitialised reads, in order), the FPGA journal with its consistency
 violations, and the step count — or raise the same ``InterpError``.
@@ -9,7 +11,7 @@ The batched engine is additionally checked lane-wise: ``run_batch``
 outcomes (including per-lane faults/errors) must equal standalone
 runs.
 
-Three layers of evidence:
+Four layers of evidence:
 
 - hypothesis-generated random programs (expressions over the full
   operator set, nested if/while, function calls, FPGA calls and
@@ -18,7 +20,9 @@ Three layers of evidence:
   input grids;
 - the full instrumented level-3 SW program of every workload (correct
   and deliberately broken instrumentation, so consistency-violation
-  reporting is exercised).
+  reporting is exercised);
+- a whole Laerte++ campaign re-run with the interpreter substituted,
+  and the production paths pinned to the engine alone.
 """
 
 from __future__ import annotations
@@ -42,7 +46,7 @@ from repro.swir.ast import (
     Var,
     While,
 )
-from repro.swir.engine import ENGINES, create_engine
+from repro.swir.builder import FunctionBuilder, ProgramBuilder
 from repro.swir.engine_batched import BatchedEngine
 from repro.swir.interp import Fault, InterpError, Interpreter
 
@@ -54,19 +58,17 @@ VAR_NAMES = ("p0", "p1", "a", "b", "c")
 FPGA_FUNCS = ("F0", "F1")
 CONTEXTS = {"F0": "config1", "F1": "config2"}
 
-#: Every engine, differentially pinned against the "ast" oracle.
-ALL_ENGINES = ("ast", "batched")
+#: The oracle, then the engine pinned against it.
+ALL_ENGINES = (Interpreter, BatchedEngine)
 
 
 def run_both(program, inputs, externals=None, context_map=None, fault=None,
-             max_steps=FUZZ_MAX_STEPS, engines=ALL_ENGINES):
-    """Run under every engine; return the normalized outcomes."""
+             max_steps=FUZZ_MAX_STEPS):
+    """Run under the oracle and the engine; return the normalized outcomes."""
     outcomes = []
-    for engine in engines:
-        executor = create_engine(program, engine=engine,
-                                 externals=externals,
-                                 context_map=context_map,
-                                 max_steps=max_steps)
+    for engine in ALL_ENGINES:
+        executor = engine(program, externals=externals,
+                          context_map=context_map, max_steps=max_steps)
         try:
             result = executor.run(list(inputs) if isinstance(inputs, list)
                                   else inputs, fault=fault)
@@ -78,12 +80,10 @@ def run_both(program, inputs, externals=None, context_map=None, fault=None,
 
 
 def assert_equivalent(program, inputs, **kwargs):
-    outcomes = run_both(program, inputs, **kwargs)
-    reference = outcomes[0]
-    for engine, outcome in zip(ALL_ENGINES[1:], outcomes[1:]):
-        assert outcome == reference, (
-            f"engines diverged on inputs {inputs}:\n ast: {reference}\n "
-            f"{engine}: {outcome}")
+    oracle, engine = run_both(program, inputs, **kwargs)
+    assert engine == oracle, (
+        f"engines diverged on inputs {inputs}:\n Interpreter: {oracle}\n "
+        f"BatchedEngine: {engine}")
 
 
 # -- hypothesis strategies ----------------------------------------------------
@@ -237,17 +237,6 @@ def test_level3_sw_programs_agree(workload, broken):
     assert bool(violations) == broken
 
 
-# -- selection ----------------------------------------------------------------
-
-def test_create_engine_rejects_unknown_names():
-    program = Program({"main": Function("main", (), [Return(Const(1))])})
-    for name in ("jit", "compiled", "batched:batch_width=8"):
-        with pytest.raises(ValueError, match="'ast', 'batched'"):
-            create_engine(program, engine=name)
-    assert ENGINES == ALL_ENGINES
-    assert isinstance(create_engine(program, "ast"), Interpreter)
-
-
 # -- batched execution: lane semantics + the code memo -------------------------
 
 def _batch_program():
@@ -371,15 +360,55 @@ class TestJitCache:
             oracle.run([3, 1]).fingerprint()
 
 
-def test_batched_engine_via_create_engine_spec():
-    """No selector and the "batched" name both build the default engine."""
-    program = _batch_program()
-    externals = TestRunBatch.EXTERNALS
-    oracle = Interpreter(program, externals=externals, context_map=CONTEXTS)
-    for engine in (create_engine(program, externals=externals,
-                                 context_map=CONTEXTS),
-                   create_engine(program, "batched", externals=externals,
-                                 context_map=CONTEXTS)):
-        assert isinstance(engine, BatchedEngine)
-        assert engine.run([3, 1]).fingerprint() == \
-            oracle.run([3, 1]).fingerprint()
+# -- whole campaigns: the oracle substituted, and the production path pinned ----
+
+def _atpg_program():
+    """Two decisions, one of them an equality only SAT reaches, and a
+    read of a variable one path leaves unset (memory inspection)."""
+    fb = FunctionBuilder("main", ["x", "y"])
+    fb.assign("r", Const(0))
+    with fb.if_(BinOp("==", BinOp("-", BinOp("*", Var("x"), Const(5)),
+                                 Var("y")), Const(12345))):
+        fb.assign("r", Const(1))
+    with fb.if_(BinOp(">", Var("x"), Var("y"))):
+        fb.assign("buf", BinOp("+", Var("x"), Const(3)))
+    fb.ret(BinOp("+", Var("r"), Var("buf")))
+    return ProgramBuilder().add(fb).build()
+
+
+def test_laerte_report_identical_on_the_oracle(monkeypatch):
+    """A Laerte++ campaign (random, GA, SAT validation and fault
+    grading) reports the same on the interpreter as on the engine."""
+    from dataclasses import asdict
+
+    from repro.serialize import canonical_json
+    from repro.verify.atpg import laerte, sat_tpg
+
+    program = _atpg_program()
+    engine_report = laerte.Laerte(program).run()
+    monkeypatch.setattr(laerte, "BatchedEngine", Interpreter)
+    monkeypatch.setattr(sat_tpg, "BatchedEngine", Interpreter)
+    campaign = laerte.Laerte(program)
+    assert isinstance(campaign.interpreter, Interpreter)
+    oracle_report = campaign.run()
+    assert engine_report.sat_vectors >= 1
+    assert engine_report.coverage.uninitialized_reads
+    assert canonical_json(asdict(oracle_report)) == \
+        canonical_json(asdict(engine_report))
+
+
+def test_production_paths_never_build_the_interpreter(monkeypatch):
+    """A small campaign (level 3's shadow run) and a Laerte++ campaign
+    run on the engine alone."""
+    from repro.api import Campaign, CampaignSpec
+    from repro.verify.atpg import Laerte
+
+    def refuse(self, *args, **kwargs):
+        raise AssertionError("production built the reference Interpreter")
+
+    monkeypatch.setattr(Interpreter, "__init__", refuse)
+    outcome = Campaign(CampaignSpec(identities=2, poses=1, size=32,
+                                    frames=1)).run()
+    assert outcome.passed
+    assert outcome.results["level3"].value.dynamic_journal
+    assert Laerte(_atpg_program()).run().sat_vectors >= 1

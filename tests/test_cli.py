@@ -47,14 +47,16 @@ class TestParser:
             assert args.frames == 3
 
     def test_engine_selector(self, capsys):
+        """No command selects a SWIR engine: ``--engine`` is a usage
+        error."""
         parser = build_parser()
-        assert parser.parse_args(["flow"]).engine == "batched"
-        assert parser.parse_args(["flow", "--engine", "ast"]).engine == "ast"
-        for retired in ("jit", "compiled", "batched:batch_width=8"):
-            with pytest.raises(SystemExit):
-                parser.parse_args(["flow", "--engine", retired])
-            err = capsys.readouterr().err
-            assert "'ast'" in err and "'batched'" in err
+        assert not hasattr(parser.parse_args(["flow"]), "engine")
+        for command in ("topology", "flow", "explore", "verify"):
+            with pytest.raises(SystemExit) as excinfo:
+                parser.parse_args([command, "--engine", "ast"])
+            assert excinfo.value.code == 2
+            assert "unrecognized arguments: --engine ast" in \
+                capsys.readouterr().err
 
 
 class TestCommands:
@@ -153,14 +155,17 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "blockcipher" in out and "12 modules" in out
 
-    def test_flow_engine_ab_identical(self, capsys):
-        """--engine ast and the default engine emit the same document."""
+    def test_flow_engine_ab_identical(self, capsys, monkeypatch):
+        """Level 3's shadow run on the reference interpreter emits the
+        same flow document as the production engine."""
+        from repro.flow import level3
         from repro.serialize import documents_equal
+        from repro.swir.interp import Interpreter
 
         documents = []
-        for engine_args in (["--engine", "ast"], []):
-            assert main(["flow", *SIM_WORKLOAD, *engine_args,
-                         "--json"]) == 0
+        for executor in (level3.BatchedEngine, Interpreter):
+            monkeypatch.setattr(level3, "BatchedEngine", executor)
+            assert main(["flow", *SIM_WORKLOAD, "--json"]) == 0
             documents.append(json.loads(capsys.readouterr().out))
         assert documents_equal(*documents)
 

@@ -44,12 +44,15 @@ class TestConvert:
                          "workload": "facerec"}
 
     def test_untagged_label_is_the_program_default_engine(self):
-        """Untagged benches ran the default engine: the label must follow
-        the program's default instead of a copy that can go stale."""
+        """Untagged benches ran the production engine: the label must
+        follow the engine name the store identity records instead of a
+        copy that can go stale."""
         from benchmarks import trajectory
-        from repro.swir.engine import DEFAULT_ENGINE
+        from repro.api import CampaignSpec
+        from repro.store import campaign_identity
 
-        assert trajectory.DEFAULT_ENGINE == DEFAULT_ENGINE
+        assert trajectory.DEFAULT_ENGINE == \
+            campaign_identity(CampaignSpec())["engine"]
 
 
 class TestRegressionGate:

@@ -1,14 +1,19 @@
 """Tests for PCC: mutations and property-coverage measurement."""
 
 import pytest
+from hypothesis import HealthCheck, given, settings
 
+from repro.api.spec import CampaignSpec
 from repro.rtl.netlist import BinExpr, ConstExpr, MuxExpr, Netlist, SigExpr
+from repro.rtl.synth import synthesize
 from repro.verify.pcc import (
     Mutation,
     MutationError,
     PropertyCoverageChecker,
     enumerate_mutations,
 )
+from repro.workloads import get_workload, workload_names
+from test_bmc_oracle import small_netlists
 
 
 def handshake_netlist():
@@ -104,6 +109,43 @@ class TestMutations:
         __, values_o = net.step(state_o, {"req": 0})
         __, values_m = mutant.step(state_m, {"req": 0})
         assert values_o["done"] != values_m["done"]
+
+
+def driver_expr(net: Netlist, name: str):
+    if name in net.wires:
+        return net.wires[name][1]
+    return net.registers[name].next_expr
+
+
+def assert_mutants_stay_valid(net: Netlist) -> None:
+    mutations = enumerate_mutations(net)
+    assert mutations
+    for mutation in mutations:
+        rewritten = mutation.rewritten_driver(net)
+        assert rewritten.refs() <= driver_expr(net, mutation.driver).refs(), \
+            mutation.describe()
+        mutation.apply(net).validate()
+
+
+class TestMutantsStayValid:
+    """``Mutation.apply`` does not re-validate: every kind rewrites one
+    driver over signals that driver already reads, so a mutant of a
+    valid netlist is valid."""
+
+    @settings(max_examples=100, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(small_netlists())
+    def test_random_netlists(self, case):
+        net, __ = case
+        assert_mutants_stay_valid(net)
+
+    def test_workload_modules(self):
+        for workload in workload_names():
+            plan = get_workload(workload).verify_plan(
+                CampaignSpec(workload=workload))
+            for function in plan.functions.values():
+                assert_mutants_stay_valid(
+                    synthesize(function, width=plan.width))
 
 
 class TestPropertyCoverage:

@@ -58,11 +58,6 @@ class TestSessionWorkloadPlumbing:
         assert session.stimuli().keys() == {"SOURCE"}
         assert session.graph.name == "blockcipher"
 
-    def test_environment_database_alias(self):
-        session = Session(CampaignSpec(identities=2, poses=1, size=32,
-                                       frames=1))
-        assert session.database is session.environment
-
     def test_workload_change_invalidates_cache(self):
         facerec = Session(CampaignSpec(identities=2, poses=1, size=32,
                                        frames=1))
