@@ -366,14 +366,31 @@ class TestEngineField:
         with pytest.raises(ValueError, match="unknown spec fields"):
             CampaignSpec.from_dict(payload)
 
-    def test_recorded_run_stores_campaign_and_level4_only(self, tmp_path):
-        """The engine persists nothing of its own: a recorded run leaves
-        exactly the campaign entry and the level-4 stage entry."""
+    @pytest.mark.parametrize("engine", ["ast", "batched"])
+    def test_recorded_run_stores_campaign_and_level4_only(self, tmp_path,
+                                                           monkeypatch,
+                                                           engine):
+        """Neither engine persists anything of its own: a recorded run
+        leaves exactly the campaign entry and the level-4 stage entry,
+        whether level 3's shadow run uses the production engine or the
+        substituted reference interpreter."""
         from repro.api.campaign import run_recorded
+        from repro.flow import level3
         from repro.store import CampaignStore
+        from repro.swir.interp import Interpreter
 
+        built = []
+
+        class CountingInterpreter(Interpreter):
+            def __init__(self, program, **kwargs):
+                built.append(program)
+                super().__init__(program, **kwargs)
+
+        if engine == "ast":
+            monkeypatch.setattr(level3, "BatchedEngine", CountingInterpreter)
         store = CampaignStore(tmp_path / "store")
         run_recorded(SMALL, store)
+        assert len(built) == (engine == "ast")
         assert sorted((row["kind"], row["name"]) for row in store.ls()) == \
             [("campaign", SMALL.name), ("stage", "level4")]
 
