@@ -41,15 +41,18 @@ def main() -> None:
     grid = {"frames": [1, 2]}
     try:
         # Any code can open its own spans around the instrumented ones.
-        with telemetry.span("example.sweep", grid_points=2):
+        with telemetry.span("example.sweep", grid_points=2) as root:
             sweep = Campaign.sweep(base, grid, store=store, jobs=2)
     finally:
         telemetry.disable()
     print(f"sweep {'passed' if sweep.passed else 'FAILED'}; spans in "
           f"{spans_dir}\n")
 
-    # The raw sink: one JSON object per completed span.
-    records = telemetry.read_spans(spans_dir)
+    # The raw sink: one JSON object per completed span.  A store keeps
+    # the spans of every earlier run too, so select this run's by the
+    # trace id its example.sweep span gave everything under it.
+    records = [record for record in telemetry.read_spans(spans_dir)
+               if record["trace_id"] == root.trace_id]
     print(f"{len(records)} spans recorded:")
     for record in sorted(records, key=lambda r: r["start_unix"])[:8]:
         print(f"  {record['name']:<20} {record['duration_ms']:9.2f} ms "
@@ -59,11 +62,13 @@ def main() -> None:
     # The same spans as a ledger relation — the ISSUE exemplar.  The
     # CLI spelling: repro query "span where ..." --store traced-store
     ledger = Ledger.from_store(store)
-    rows = ledger.run("span where name == 'level4.pcc' "
-                      "order by duration_ms desc")
+    rows = ledger.run("span where name == 'level4.pcc' and "
+                      f"trace == '{root.trace_id}' order by duration_ms desc")
     print("level-4 proof-carrying-code checks, slowest first:")
     for row in rows:
         print(f"  {row['duration_ms']:9.2f} ms  trace {row['trace']:.12}")
+    if not rows:
+        print("  none in this run: the store already held level 4")
     print()
 
     # Cross-process parentage: sweep points ran in pool children but

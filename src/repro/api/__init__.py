@@ -30,57 +30,40 @@ Quick tour::
     store = CampaignStore("campaign-store")      # durable result store
     Campaign.sweep(spec, {"frames": [1, 2]},
                    store=store, resume=True)     # skips completed points
+
+The names below resolve on first use (PEP 562 module ``__getattr__``),
+each loading only its own module: ``CampaignSpec`` and ``Campaign``
+leave the flow unloaded until a point is actually computed, while
+``Session`` and the stage registry import all four levels.
 """
 
-from repro.api.campaign import (
-    Campaign,
-    CampaignOutcome,
-    LEVEL_GATES,
-    SweepPointError,
-    SweepResult,
-)
-from repro.api.session import Session
-from repro.api.spec import ALL_LEVELS, CampaignSpec, SPEC_SCHEMA, SPEC_SCHEMA_V1
-from repro.store import CampaignStore
-from repro.api.stages import (
-    FlowStage,
-    LEVEL_STAGES,
-    Stage,
-    StageResult,
-    WORKLOAD_FIELDS,
-    get_stage,
-    register,
-    stage_names,
-)
-from repro.workloads import (
-    Workload,
-    get_workload,
-    register_workload,
-    workload_names,
-)
+from importlib import import_module
 
-__all__ = [
-    "ALL_LEVELS",
-    "Campaign",
-    "CampaignOutcome",
-    "CampaignSpec",
-    "CampaignStore",
-    "FlowStage",
-    "LEVEL_GATES",
-    "LEVEL_STAGES",
-    "SPEC_SCHEMA",
-    "SPEC_SCHEMA_V1",
-    "Session",
-    "Stage",
-    "StageResult",
-    "SweepPointError",
-    "SweepResult",
-    "WORKLOAD_FIELDS",
-    "Workload",
-    "get_stage",
-    "get_workload",
-    "register",
-    "register_workload",
-    "stage_names",
-    "workload_names",
-]
+#: Exported name -> defining module; ``__all__`` is the sorted names.
+_EXPORTS = {
+    name: module
+    for module, names in (
+        ("repro.api.campaign", ("Campaign", "CampaignOutcome", "LEVEL_GATES",
+                                "SweepPointError", "SweepResult")),
+        ("repro.api.session", ("Session",)),
+        ("repro.api.spec", ("ALL_LEVELS", "CampaignSpec", "SPEC_SCHEMA",
+                            "SPEC_SCHEMA_V1")),
+        ("repro.store", ("CampaignStore",)),
+        ("repro.api.stages", ("FlowStage", "LEVEL_STAGES", "Stage",
+                              "StageResult", "WORKLOAD_FIELDS", "get_stage",
+                              "register", "stage_names")),
+        ("repro.workloads", ("Workload", "get_workload", "register_workload",
+                             "workload_names")),
+    )
+    for name in names
+}
+
+__all__ = sorted(_EXPORTS)
+
+
+def __getattr__(name: str):
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(_EXPORTS[name]), name)
+    globals()[name] = value
+    return value

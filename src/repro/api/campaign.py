@@ -8,6 +8,10 @@ a field grid into specs and fans them out over sessions — serially (one
 derived session per point, maximising cache reuse) or, with ``jobs=N``,
 over a :mod:`multiprocessing` pool where every grid point runs in its
 own process and the results are merged from their ``to_dict`` payloads.
+
+Only computing a point loads the flow (:mod:`repro.api.session` and the
+stage registry): a sweep whose points all merge from the store never
+imports it.
 """
 
 from __future__ import annotations
@@ -16,12 +20,14 @@ import itertools
 import logging
 import time as _time
 from dataclasses import dataclass, field
-from typing import Any, Mapping, Optional, Sequence
+from typing import TYPE_CHECKING, Any, Mapping, Optional, Sequence
 
 from repro import telemetry
-from repro.api.session import Session
 from repro.api.spec import ALL_LEVELS, CampaignSpec
-from repro.api.stages import LEVEL_STAGES, StageResult
+
+if TYPE_CHECKING:
+    from repro.api.session import Session
+    from repro.api.stages import StageResult
 
 logger = logging.getLogger("repro.campaign")
 
@@ -207,6 +213,8 @@ def run_recorded(
     """
     try:
         if session is None:
+            from repro.api.session import Session
+
             session = Session(spec, store=store)
         outcome = Campaign(spec).run(session=session)
         payload = outcome.to_dict()
@@ -233,6 +241,9 @@ class Campaign:
         session to disk-backed stage persistence; pass either a session
         or a store, not both — a caller-built session already decided.
         """
+        from repro.api.session import Session
+        from repro.api.stages import LEVEL_STAGES
+
         if session is not None and store is not None:
             raise ValueError("pass either session= or store=, not both "
                              "(build the session with store= instead)")
@@ -350,6 +361,8 @@ class Campaign:
                 payloads = cls._pool_payloads(specs, jobs)
                 return SweepResult(base=base, grid=grid_doc, outcomes=[],
                                    payloads=payloads, jobs=jobs)
+            from repro.api.session import Session
+
             outcomes: list[CampaignOutcome] = []
             session: Optional[Session] = None
             for spec in specs:
@@ -376,7 +389,13 @@ class Campaign:
     @staticmethod
     def _pool_payloads(specs: Sequence[CampaignSpec], jobs: int,
                        store_root: Optional[str] = None) -> list[dict]:
-        """Run ``specs`` over a fork pool, returning outcome payloads."""
+        """Run ``specs`` over a fork pool, returning outcome payloads.
+
+        The flow is imported here, before the fork, so the children
+        inherit it instead of each importing it again.
+        """
+        import repro.api.session  # noqa: F401
+
         ctx = fork_context()
         processes = max(1, min(jobs, len(specs), _available_cpus()))
         # Captured once, outside the workers: every pool child adopts
@@ -411,7 +430,9 @@ class Campaign:
                                           store_root=str(store.root))
             for index, payload in zip(pending, payloads):
                 slots[index] = payload
-        else:
+        elif pending:
+            from repro.api.session import Session
+
             session: Optional[Session] = None
             for index in pending:
                 spec = specs[index]

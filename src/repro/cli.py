@@ -35,6 +35,10 @@ and ``--param key=value`` for workload-specific knobs.  ``flow`` and
 already completed there and retries recorded failures.  Commands that
 produce results accept ``--json`` to emit the schema-stable
 machine-readable document instead of prose.
+
+Each command imports what it runs, inside its ``cmd_*`` function: the
+module itself loads only the workload registry, so ``repro workloads``
+or a sweep answered from the store never loads the simulation flow.
 """
 
 from __future__ import annotations
@@ -44,9 +48,12 @@ import json
 import logging
 import os
 import sys
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
-from repro.api import Campaign, CampaignSpec, Session, get_workload, workload_names
+from repro.workloads import get_workload, workload_names
+
+if TYPE_CHECKING:
+    from repro.api.spec import CampaignSpec
 
 #: Valid ``--log-level`` / ``REPRO_LOG_LEVEL`` spellings.
 _LOG_LEVELS = ("debug", "info", "warning", "error", "critical")
@@ -132,6 +139,8 @@ def _add_json_arg(parser: argparse.ArgumentParser) -> None:
 
 
 def _spec(args, **extra) -> CampaignSpec:
+    from repro.api.spec import CampaignSpec
+
     fields = {
         "workload": args.workload,
         "identities": args.identities,
@@ -153,6 +162,7 @@ def _emit(args, document: dict, text: str) -> None:
 
 
 def cmd_topology(args) -> int:
+    from repro.api.session import Session
     from repro.flow.reportgen import topology_figure
 
     session = Session(_spec(args))
@@ -169,6 +179,8 @@ def _open_store(args):
 
 
 def cmd_flow(args) -> int:
+    from repro.api.session import Session
+
     _maybe_enable_tracing(args)
     spec = _spec(args, run_pcc=args.pcc, deadline_ms=args.deadline_ms)
     report = Session(spec, store=_open_store(args)).report()
@@ -177,6 +189,9 @@ def cmd_flow(args) -> int:
 
 
 def cmd_campaign(args) -> int:
+    from repro.api.campaign import Campaign
+    from repro.api.spec import CampaignSpec
+
     _maybe_enable_tracing(args)
     payload, sweep_grid = _load_submission(args.spec_file)
     spec = CampaignSpec.from_dict(payload)
@@ -762,6 +777,7 @@ def cmd_workloads(args) -> int:
 
 
 def cmd_explore(args) -> int:
+    from repro.api.session import Session
     from repro.platform import Explorer
 
     session = Session(_spec(args))
@@ -779,6 +795,7 @@ def cmd_explore(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from repro.api.session import Session
     from repro.verify.lpv import check_deadlock_freedom, graph_to_petri
 
     session = Session(_spec(args))

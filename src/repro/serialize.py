@@ -16,11 +16,6 @@ from __future__ import annotations
 import json
 from typing import Any, Iterable
 
-try:  # numpy is a hard dependency of the case study, but keep this generic
-    import numpy as _np
-except ImportError:  # pragma: no cover
-    _np = None
-
 
 def json_safe(value: Any) -> Any:
     """Recursively coerce ``value`` into JSON-encodable builtins.
@@ -33,13 +28,6 @@ def json_safe(value: Any) -> Any:
         return value
     if isinstance(value, float):
         return value
-    if _np is not None:
-        if isinstance(value, _np.integer):
-            return int(value)
-        if isinstance(value, _np.floating):
-            return float(value)
-        if isinstance(value, _np.ndarray):
-            return json_safe(value.tolist())
     if isinstance(value, dict):
         return {str(k): json_safe(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
@@ -48,6 +36,17 @@ def json_safe(value: Any) -> Any:
         return sorted(json_safe(v) for v in value)
     if hasattr(value, "to_dict"):
         return value.to_dict()
+    # Only numpy values and unknown objects get here, so documents of
+    # builtins never load numpy.  An import statement (not a sys.modules
+    # probe) also waits while another thread is still importing it.
+    import numpy as np
+
+    if isinstance(value, np.integer):
+        return int(value)
+    if isinstance(value, np.floating):
+        return float(value)
+    if isinstance(value, np.ndarray):
+        return json_safe(value.tolist())
     return repr(value)
 
 

@@ -16,6 +16,11 @@ semantics: a job that reaches a child with some of its points already
 stored resumes from them rather than recomputing (a job with *every*
 point stored never gets this far — the coordinator completes it warm at
 claim).
+
+Importing this module imports the flow (:mod:`repro.api.session`).  The
+daemon and the fleet runner both import it before they start a thread
+or fork a job child, so every child inherits the flow instead of
+importing it again per job, and no two threads race a first import.
 """
 
 from __future__ import annotations
@@ -24,6 +29,7 @@ import threading
 import time
 from typing import Optional
 
+import repro.api.session  # noqa: F401
 from repro import telemetry
 from repro.api.campaign import Campaign, fork_context, run_recorded
 from repro.api.spec import CampaignSpec

@@ -58,6 +58,7 @@ except ImportError:  # pragma: no cover (no flock on platform)
 
 from repro.records import ENTRY_SCHEMA, StoreEntry
 from repro.serialize import canonical_json, json_safe
+from repro.swir import engine as _engine
 from repro.telemetry import metrics as _metrics
 
 # Process-wide twins of the per-handle hits/misses/writes counters.
@@ -130,12 +131,10 @@ def campaign_identity(spec) -> dict:
     entries stored under the retired ``ast`` selector keep an identity
     of their own (the ledger's ``engine`` column).
     """
-    from repro.swir.engine import ENGINE_REVISION
-
     return {
         "store_version": STORE_VERSION,
         "engine": "batched",
-        "engine_revision": ENGINE_REVISION,
+        "engine_revision": _engine.ENGINE_REVISION,
         **workload_identity(spec.workload),
     }
 

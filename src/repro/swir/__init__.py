@@ -19,63 +19,41 @@ is our stand-in for C: a small structured imperative IR with
 - :mod:`~repro.swir.instrument` — automatic insertion of reconfiguration
   calls before FPGA function calls (the step the paper performs by hand,
   plus fault injection for the SymbC experiments).
+
+The names below resolve on first use (PEP 562 module ``__getattr__``):
+``import repro.swir.engine`` for the revision every store key reads
+loads neither engine, and ``from repro.swir import Interpreter`` loads
+only the modules that name needs.
 """
 
-from repro.swir.ast import (
-    Assign,
-    BinOp,
-    Call,
-    Const,
-    FpgaCall,
-    Function,
-    If,
-    Program,
-    Reconfigure,
-    Return,
-    Stmt,
-    UnOp,
-    Var,
-    While,
-)
-from repro.swir.builder import FunctionBuilder, ProgramBuilder
-from repro.swir.cfg import BasicBlock, Cfg, build_cfg
-from repro.swir.engine import ENGINE_REVISION
-from repro.swir.engine_batched import (
-    BatchedEngine,
-    LaneOutcome,
-    program_fingerprint,
-)
-from repro.swir.interp import CoverageData, ExecutionResult, Interpreter, InterpError
-from repro.swir.instrument import instrument_reconfiguration, strip_reconfiguration
+from importlib import import_module
 
-__all__ = [
-    "Assign",
-    "BinOp",
-    "Call",
-    "Const",
-    "FpgaCall",
-    "Function",
-    "If",
-    "Program",
-    "Reconfigure",
-    "Return",
-    "Stmt",
-    "UnOp",
-    "Var",
-    "While",
-    "FunctionBuilder",
-    "ProgramBuilder",
-    "BasicBlock",
-    "Cfg",
-    "build_cfg",
-    "CoverageData",
-    "ExecutionResult",
-    "Interpreter",
-    "InterpError",
-    "ENGINE_REVISION",
-    "BatchedEngine",
-    "LaneOutcome",
-    "program_fingerprint",
-    "instrument_reconfiguration",
-    "strip_reconfiguration",
-]
+#: Exported name -> defining submodule, grouped in ``__all__`` order.
+_EXPORTS = {
+    name: f"repro.swir.{module}"
+    for module, names in (
+        ("ast", ("Assign", "BinOp", "Call", "Const", "FpgaCall", "Function",
+                 "If", "Program", "Reconfigure", "Return", "Stmt", "UnOp",
+                 "Var", "While")),
+        ("builder", ("FunctionBuilder", "ProgramBuilder")),
+        ("cfg", ("BasicBlock", "Cfg", "build_cfg")),
+        ("interp", ("CoverageData", "ExecutionResult", "Interpreter",
+                    "InterpError")),
+        ("engine", ("ENGINE_REVISION",)),
+        ("engine_batched", ("BatchedEngine", "LaneOutcome",
+                            "program_fingerprint")),
+        ("instrument", ("instrument_reconfiguration",
+                        "strip_reconfiguration")),
+    )
+    for name in names
+}
+
+__all__ = list(_EXPORTS)
+
+
+def __getattr__(name: str):
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(_EXPORTS[name]), name)
+    globals()[name] = value
+    return value

@@ -13,14 +13,20 @@ including fault and error paths.
 
 from __future__ import annotations
 
-from repro.swir.engine_batched import BatchedEngine
-
 #: Execution-semantics revision, part of every :mod:`repro.store`
 #: content address.  Bump whenever the engine's observable results
 #: (values, coverage, journals, step accounting) change, so stored
 #: campaign entries computed under the old semantics are retired
-#: instead of silently reused.
+#: instead of silently reused.  Reading it (every store key does) loads
+#: no engine.
 ENGINE_REVISION = 1
 
-# An alias kept only because the frozen perfbench/traced.py imports it.
-CompiledEngine = BatchedEngine
+
+def __getattr__(name: str):
+    # ``CompiledEngine``, an alias of the batched engine, is kept only
+    # because the frozen perfbench/traced.py imports it.
+    if name == "CompiledEngine":
+        from repro.swir.engine_batched import BatchedEngine
+
+        return BatchedEngine
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -11,6 +11,11 @@ everything application-specific lives behind the
 A :class:`~repro.api.spec.CampaignSpec` selects one via its ``workload``
 field; adding a scenario is implementing the protocol and calling
 :func:`register_workload` (see README, "Workloads").
+
+Importing the registry loads metadata only: the built-in workload
+modules import numpy, their models and the flow's types inside the
+methods that use them, so ``repro workloads``, argument parsing and
+store keys never pay for a simulation.
 """
 
 from repro.workloads.base import (

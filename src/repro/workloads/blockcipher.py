@@ -16,21 +16,24 @@ SOURCE -> WHITEN -> SUB -> ROT -> MIX -> SEAL ->
 The SUB and MIX byte datapaths are the FPGA candidates; their level-4
 models are the GF(2^8) doubling step (``xtime``) and the affine S-box
 step built on it.
+
+numpy and the flow's graph, partition, trace and SWIR types are imported
+inside the functions that use them, so registering the workload loads
+none of them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
-import numpy as np
-
-from repro.facerec.tracing import Trace
-from repro.platform.partition import Partition, Side
-from repro.platform.taskgraph import AppGraph, ChannelSpec, TaskSpec
-from repro.swir.ast import BinOp, Const, Var
-from repro.swir.builder import FunctionBuilder
 from repro.workloads.base import VerifyPlan, register_workload, validated_params
+
+if TYPE_CHECKING:
+    import numpy as np
+
+    from repro.facerec.tracing import Trace
+    from repro.platform.taskgraph import AppGraph
 
 #: The modules this workload carries into the FPGA at level 3.
 FPGA_TASKS = frozenset({"SUB", "MIX"})
@@ -66,11 +69,15 @@ def sub_byte(value: int) -> int:
 
 
 def _xtime_vec(block: np.ndarray) -> np.ndarray:
+    import numpy as np
+
     doubled = (block.astype(np.int32) << 1) & 0xFF
     return (doubled ^ np.where(block & 0x80, 0x1B, 0)).astype(np.uint8)
 
 
 def sub_bytes(block: np.ndarray) -> np.ndarray:
+    import numpy as np
+
     return _xtime_vec(block) ^ np.uint8(0x63)
 
 
@@ -104,6 +111,8 @@ class CipherEnv:
 
 def derive_env(block_words: int, key_seed: int, rotation: int) -> CipherEnv:
     """Derive the key schedule deterministically from ``key_seed``."""
+    import numpy as np
+
     rng = np.random.default_rng(90_000 + key_seed)
     k0 = rng.integers(0, 256, block_words, dtype=np.uint8)
     k1 = rng.integers(0, 256, block_words, dtype=np.uint8)
@@ -121,6 +130,8 @@ class CipherReference:
         self.env = env
 
     def recognize(self, block: np.ndarray, trace: list | None = None):
+        import numpy as np
+
         env = self.env
 
         def emit(stage: str, channel: str, token) -> None:
@@ -155,6 +166,10 @@ class CipherReference:
 
 def build_cipher_graph(env: CipherEnv) -> AppGraph:
     """The level-1 application graph of the streaming link."""
+    import numpy as np
+
+    from repro.platform.taskgraph import AppGraph, ChannelSpec, TaskSpec
+
     block_words = max(1, env.block_words // 4)
     graph = AppGraph("blockcipher")
 
@@ -241,6 +256,9 @@ def build_cipher_graph(env: CipherEnv) -> AppGraph:
 
 def xtime_step_function():
     """GF(2^8) doubling: shift, conditional reduction, byte mask."""
+    from repro.swir.ast import BinOp, Const, Var
+    from repro.swir.builder import FunctionBuilder
+
     fb = FunctionBuilder("xtime_step", ["b"])
     fb.assign("d", BinOp("<<", Var("b"), Const(1)))
     with fb.if_(BinOp("!=", BinOp("&", Var("b"), Const(128)), Const(0))):
@@ -251,6 +269,9 @@ def xtime_step_function():
 
 def sbox_step_function():
     """The affine S-box step: ``xtime(b) ^ 0x63`` (inlined doubling)."""
+    from repro.swir.ast import BinOp, Const, Var
+    from repro.swir.builder import FunctionBuilder
+
     fb = FunctionBuilder("sbox_step", ["b"])
     fb.assign("d", BinOp("<<", Var("b"), Const(1)))
     with fb.if_(BinOp("!=", BinOp("&", Var("b"), Const(128)), Const(0))):
@@ -306,6 +327,8 @@ class BlockCipherWorkload:
         return list(range(spec.frames))
 
     def sample_inputs(self, spec: Any, shots: list) -> list:
+        import numpy as np
+
         p = self.config(spec)
         rng = np.random.default_rng(spec.seed)
         return [rng.integers(0, 256, p["block_words"], dtype=np.uint8)
@@ -313,6 +336,8 @@ class BlockCipherWorkload:
 
     def reference_trace(self, spec: Any, environment: CipherEnv,
                         inputs: list) -> Trace:
+        from repro.facerec.tracing import Trace
+
         model = self.reference_model(spec, environment)
         events: list = []
         for block in inputs:
@@ -320,6 +345,8 @@ class BlockCipherWorkload:
         return Trace.from_reference_events("reference", events)
 
     def partitions(self, graph: AppGraph) -> dict:
+        from repro.platform.partition import Partition, Side
+
         hw = {"SUB", "MIX", "INVSUB", "INVMIX"}
         assignment = {
             name: (Side.HW if name in hw else Side.SW) for name in graph.tasks

@@ -15,20 +15,23 @@ CAMERA -> GAUSS -> SOBELX --+
    |                                                           |
    +--> SIGDB ---------------------------------------------> MATCH
                                         MATCH -> SCOREACC -> CLASSIFY
+
+numpy and the flow's graph, partition, trace and SWIR types are imported
+inside the functions that use them, so registering the workload loads
+none of them.
 """
 
 from __future__ import annotations
 
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
-import numpy as np
-
-from repro.facerec.tracing import Trace
-from repro.platform.partition import Partition, Side
-from repro.platform.taskgraph import AppGraph, ChannelSpec, TaskSpec
-from repro.swir.ast import BinOp, Const, Var
-from repro.swir.builder import FunctionBuilder
 from repro.workloads.base import VerifyPlan, register_workload, validated_params
+
+if TYPE_CHECKING:
+    import numpy as np
+
+    from repro.facerec.tracing import Trace
+    from repro.platform.taskgraph import AppGraph
 
 #: The modules this workload carries into the FPGA at level 3.
 FPGA_TASKS = frozenset({"MAG", "THRESH"})
@@ -53,6 +56,8 @@ GATE_COUNTS = {
 
 def smooth(image: np.ndarray) -> np.ndarray:
     """3x3 box smoothing (integer mean), the convolution front end."""
+    import numpy as np
+
     padded = np.pad(image.astype(np.int32), 1, mode="edge")
     acc = np.zeros(image.shape, dtype=np.int32)
     for dy in range(3):
@@ -63,6 +68,8 @@ def smooth(image: np.ndarray) -> np.ndarray:
 
 def sobel_x(image: np.ndarray) -> np.ndarray:
     """Horizontal Sobel gradient (signed int32)."""
+    import numpy as np
+
     img = image.astype(np.int32)
     padded = np.pad(img, 1, mode="edge")
 
@@ -75,6 +82,8 @@ def sobel_x(image: np.ndarray) -> np.ndarray:
 
 def sobel_y(image: np.ndarray) -> np.ndarray:
     """Vertical Sobel gradient (signed int32)."""
+    import numpy as np
+
     img = image.astype(np.int32)
     padded = np.pad(img, 1, mode="edge")
 
@@ -87,16 +96,22 @@ def sobel_y(image: np.ndarray) -> np.ndarray:
 
 def grad_mag(gx: np.ndarray, gy: np.ndarray) -> np.ndarray:
     """Saturating L1 gradient magnitude — the MAG FPGA datapath, per pixel."""
+    import numpy as np
+
     return np.minimum(np.abs(gx) + np.abs(gy), 255).astype(np.uint8)
 
 
 def binarize(mag: np.ndarray, threshold: int) -> np.ndarray:
     """Threshold compare — the THRESH FPGA datapath, per pixel."""
+    import numpy as np
+
     return np.where(mag >= threshold, 255, 0).astype(np.uint8)
 
 
 def edge_profile(binary: np.ndarray) -> np.ndarray:
     """Row + column edge counts: the shape's projection signature."""
+    import numpy as np
+
     rows = (binary.astype(np.int64) // 255).sum(axis=1)
     cols = (binary.astype(np.int64) // 255).sum(axis=0)
     return np.concatenate([rows, cols]).astype(np.int32)
@@ -104,6 +119,8 @@ def edge_profile(binary: np.ndarray) -> np.ndarray:
 
 def absdiff(signature: np.ndarray, db_matrix: np.ndarray) -> np.ndarray:
     """Per-entry absolute signature differences (the streaming compare)."""
+    import numpy as np
+
     if signature.shape[0] != db_matrix.shape[1]:
         raise ValueError(
             f"signature length {signature.shape[0]} != "
@@ -114,11 +131,15 @@ def absdiff(signature: np.ndarray, db_matrix: np.ndarray) -> np.ndarray:
 
 def score_acc(diffs: np.ndarray) -> np.ndarray:
     """L1 distance per DB entry."""
+    import numpy as np
+
     return diffs.astype(np.int64).sum(axis=1)
 
 
 def classify(scores: np.ndarray, labels: list) -> tuple[int, int, int]:
     """Select the best match: ``(shape, scale, score)``."""
+    import numpy as np
+
     if len(scores) != len(labels):
         raise ValueError("score vector and label list disagree")
     best = int(np.argmin(scores))
@@ -135,6 +156,8 @@ def render_shape(shape: int, scale: int, size: int) -> np.ndarray:
     diamond); higher shape indices recycle the primitives with rotated
     placement so any ``shapes`` count stays separable.
     """
+    import numpy as np
+
     yy, xx = np.mgrid[0:size, 0:size]
     cx = cy = size / 2 + ((shape // 6) % 3 - 1) * size * 0.08
     r = size * (0.24 + 0.05 * scale + 0.02 * ((shape // 6) % 2))
@@ -178,6 +201,8 @@ class SignatureDb:
 def enroll_signatures(shapes: int, scales: int, size: int,
                       threshold: int) -> SignatureDb:
     """Enroll noise-free renders of every part through the front end."""
+    import numpy as np
+
     rows, labels = [], []
     for shape in range(shapes):
         for scale in range(scales):
@@ -193,11 +218,15 @@ class ConveyorSampler:
     """Deterministic stream of noisy part frames."""
 
     def __init__(self, size: int, noise_sigma: float, seed: int):
+        import numpy as np
+
         self.size = size
         self.noise_sigma = noise_sigma
         self._rng = np.random.default_rng(seed)
 
     def capture(self, shape: int, scale: int) -> np.ndarray:
+        import numpy as np
+
         frame = render_shape(shape, scale, self.size).astype(np.float64)
         if self.noise_sigma > 0:
             frame += self._rng.normal(0, self.noise_sigma, frame.shape)
@@ -240,6 +269,8 @@ class EdgeScanReference:
 
 def build_edgescan_graph(db: SignatureDb, size: int) -> AppGraph:
     """The level-1 application graph of the inspection pipeline."""
+    from repro.platform.taskgraph import AppGraph, ChannelSpec, TaskSpec
+
     frame_words = size * size // 4
     sig_words = 2 * size
     graph = AppGraph("edgescan")
@@ -379,6 +410,9 @@ def build_edgescan_graph(db: SignatureDb, size: int) -> AppGraph:
 
 def mag_step_function():
     """Saturating magnitude of pre-rectified gradients: ``min(ax+ay, 255)``."""
+    from repro.swir.ast import BinOp, Const, Var
+    from repro.swir.builder import FunctionBuilder
+
     fb = FunctionBuilder("mag_step", ["ax", "ay"])
     fb.assign("s", BinOp("+", Var("ax"), Var("ay")))
     with fb.if_(BinOp(">", Var("s"), Const(255))):
@@ -393,6 +427,9 @@ def mag_step_reference(ax: int, ay: int) -> int:
 
 def thresh_step_function():
     """Threshold compare: 255 when ``x >= t``, else 0."""
+    from repro.swir.ast import BinOp, Const, Var
+    from repro.swir.builder import FunctionBuilder
+
     fb = FunctionBuilder("thresh_step", ["x", "t"])
     with fb.if_else(BinOp(">=", Var("x"), Var("t"))) as orelse:
         fb.assign("out", Const(255))
@@ -463,6 +500,8 @@ class EdgeScanWorkload:
 
     def reference_trace(self, spec: Any, environment: SignatureDb,
                         inputs: list) -> Trace:
+        from repro.facerec.tracing import Trace
+
         model = self.reference_model(spec, environment)
         events: list = []
         for frame in inputs:
@@ -470,6 +509,8 @@ class EdgeScanWorkload:
         return Trace.from_reference_events("reference", events)
 
     def partitions(self, graph: AppGraph) -> dict:
+        from repro.platform.partition import Partition, Side
+
         hw = {"CAMERA", "GAUSS", "SOBELX", "SOBELY", "MAG", "THRESH"}
         assignment = {
             name: (Side.HW if name in hw else Side.SW) for name in graph.tasks

@@ -5,25 +5,21 @@ behaviour: the Figure-2 pipeline, the enrolled face database, the
 sequential C-style reference model, the DISTANCE/ROOT FPGA partition and
 the level-4 ROOT + DISTANCE_STEP verification plan — now packaged behind
 the :class:`~repro.workloads.base.Workload` protocol so the flow no
-longer hard-codes it.
+longer hard-codes it.  The model lives in :mod:`repro.facerec`; each
+method imports the part it runs, so registering the workload loads none
+of it.
 """
 
 from __future__ import annotations
 
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
-from repro.facerec.camera import CameraConfig, FaceSampler
-from repro.facerec.database import enroll_database
-from repro.facerec.pipeline import FacerecConfig, build_graph, case_study_partition
-from repro.facerec.reference import ReferenceModel
-from repro.facerec.stages import isqrt
-from repro.facerec.swmodels import (
-    distance_step_function,
-    distance_step_reference,
-    root_function,
-)
-from repro.facerec.tracing import Trace
 from repro.workloads.base import VerifyPlan, register_workload
+
+if TYPE_CHECKING:
+    from repro.facerec.pipeline import FacerecConfig
+    from repro.facerec.reference import ReferenceModel
+    from repro.facerec.tracing import Trace
 
 #: Channels the reference model traces (internal trigger excluded).
 REFERENCE_CHANNELS = (
@@ -50,6 +46,8 @@ class FacerecWorkload:
     WIDTH = 16
 
     def config(self, spec: Any) -> FacerecConfig:
+        from repro.facerec.pipeline import FacerecConfig
+
         if spec.params:
             raise ValueError(
                 "workload 'facerec' takes no free-form params; use the "
@@ -59,12 +57,18 @@ class FacerecWorkload:
                              size=spec.size)
 
     def build_environment(self, spec: Any):
+        from repro.facerec.database import enroll_database
+
         return enroll_database(spec.identities, spec.poses, spec.size)
 
     def build_graph(self, spec: Any, environment: Any):
+        from repro.facerec.pipeline import build_graph
+
         return build_graph(self.config(spec), environment)
 
     def reference_model(self, spec: Any, environment: Any) -> ReferenceModel:
+        from repro.facerec.reference import ReferenceModel
+
         return ReferenceModel(environment)
 
     def shots(self, spec: Any) -> list[tuple[int, int]]:
@@ -72,11 +76,15 @@ class FacerecWorkload:
                 for i in range(spec.frames)]
 
     def sample_inputs(self, spec: Any, shots: list) -> list:
+        from repro.facerec.camera import CameraConfig, FaceSampler
+
         sampler = FaceSampler(CameraConfig(
             size=spec.size, noise_sigma=spec.noise_sigma, seed=spec.seed))
         return sampler.frames(shots)
 
     def reference_trace(self, spec: Any, environment: Any, inputs: list) -> Trace:
+        from repro.facerec.tracing import Trace
+
         model = self.reference_model(spec, environment)
         events: list = []
         for frame in inputs:
@@ -84,12 +92,21 @@ class FacerecWorkload:
         return Trace.from_reference_events("reference", events)
 
     def partitions(self, graph: Any) -> dict:
+        from repro.facerec.pipeline import case_study_partition
+
         return {
             "timed": case_study_partition(graph),
             "reconfigurable": case_study_partition(graph, with_fpga=True),
         }
 
     def verify_plan(self, spec: Any) -> VerifyPlan:
+        from repro.facerec.stages import isqrt
+        from repro.facerec.swmodels import (
+            distance_step_function,
+            distance_step_reference,
+            root_function,
+        )
+
         width = self.WIDTH
         max_value = (1 << (width - 1)) - 1
         return VerifyPlan(

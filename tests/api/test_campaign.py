@@ -1,9 +1,13 @@
 """Tests for CampaignSpec serialization and Campaign runs/sweeps."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import repro
 from repro.api import Campaign, CampaignSpec, SweepPointError, SweepResult
 
 SMALL = CampaignSpec(name="t", identities=2, poses=1, size=32, frames=1)
@@ -325,6 +329,38 @@ class TestParallelSweep:
     def test_rejects_bad_jobs(self):
         with pytest.raises(ValueError, match="jobs"):
             Campaign.sweep(SMALL, {"seed": [1]}, jobs=0)
+
+    def test_parent_loads_the_flow_before_creating_the_pool(self):
+        """``repro.api.campaign`` leaves the flow unloaded until a point
+        is computed; a pool's parent must import it before forking, or
+        every child imports it again.  Probed in a fresh interpreter,
+        where nothing has loaded the flow yet."""
+        probe = """
+import json, sys
+from repro.api import Campaign, CampaignSpec
+from repro.api import campaign
+
+seen = {"before the sweep": "repro.api.session" in sys.modules}
+original = campaign.fork_context
+
+def recording_fork_context():
+    seen["at fork_context"] = "repro.api.session" in sys.modules
+    return original()
+
+campaign.fork_context = recording_fork_context
+base = CampaignSpec(name="preload", workload="blockcipher", frames=1,
+                    levels=(1,), params={"block_words": 4})
+seen["passed"] = Campaign.sweep(base, {"seed": [1, 2]}, jobs=2).passed
+print(json.dumps(seen))
+"""
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        out = subprocess.run([sys.executable, "-c", probe],
+                             env=dict(os.environ, PYTHONPATH=src),
+                             capture_output=True, text=True, check=True,
+                             timeout=300)
+        assert json.loads(out.stdout.splitlines()[-1]) == {
+            "before the sweep": False, "at fork_context": True,
+            "passed": True}
 
 
 class TestEngineField:

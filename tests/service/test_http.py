@@ -9,12 +9,17 @@ a sweep submitted over HTTP must return a payload byte-identical
 from the store — 100% hits, zero points executed.
 """
 
+import json
+import os
+import subprocess
+import sys
 import threading
 import time
 
 import pytest
 
-from repro.api import Campaign, CampaignSpec
+import repro
+from repro.api import Campaign, CampaignSpec, get_workload, workload_names
 from repro.serialize import documents_equal
 from repro.service import CampaignService, ServiceClient, ServiceError
 
@@ -292,6 +297,57 @@ class TestHeldReads:
                             {"runner": "r", "wait": wait})
         assert excinfo.value.status == 400
         assert client.get(job["id"])["status"] == "queued"
+
+
+#: Run in a fresh interpreter: a daemon on a new root, and one thread
+#: per spec (argv[2:]) submitting at the same moment and waiting for its
+#: job; prints the terminal statuses.  A job child that deadlocks on an
+#: import lock it inherited mid-import is killed by the job timeout.
+FIRST_SUBMISSIONS = """
+import json, sys, threading
+from repro.service import CampaignService, ServiceClient
+
+specs = [json.loads(arg) for arg in sys.argv[2:]]
+statuses = [None] * len(specs)
+barrier = threading.Barrier(len(specs))
+
+def submit(index, url):
+    client = ServiceClient(url)
+    barrier.wait()
+    try:
+        job = client.submit(specs[index])
+        statuses[index] = client.wait(job["id"], timeout=90)["status"]
+    except Exception as exc:
+        statuses[index] = f"{type(exc).__name__}: {exc}"
+
+with CampaignService(sys.argv[1], workers=2, job_timeout=60) as service:
+    threads = [threading.Thread(target=submit, args=(index, service.url))
+               for index in range(len(specs))]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join()
+print(json.dumps(statuses))
+"""
+
+
+class TestFirstSubmissions:
+    def test_concurrent_first_submissions_all_finish(self, tmp_path):
+        """The first request of each workload to a new daemon, all at
+        once from their own threads: no handler may see a module another
+        thread is still importing."""
+        specs = [CampaignSpec(name=f"first-{name}", workload=name,
+                              levels=(1,),
+                              **get_workload(name).conformance_overrides)
+                 for name in workload_names()]
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        out = subprocess.run(
+            [sys.executable, "-c", FIRST_SUBMISSIONS, str(tmp_path / "svc"),
+             *(json.dumps(spec.to_dict()) for spec in specs)],
+            env=dict(os.environ, PYTHONPATH=src), capture_output=True,
+            text=True, check=True, timeout=300)
+        assert json.loads(out.stdout.splitlines()[-1]) == \
+            ["done"] * len(specs)
 
 
 class TestDaemonLifecycle:

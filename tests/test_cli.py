@@ -170,17 +170,38 @@ class TestCommands:
         assert documents_equal(*documents)
 
 
-#: Run in a fresh interpreter: which heavy libraries each entry point
-#: loads, printed as one JSON line after the flow's own output.
+#: Modules a command that computes nothing must not load.
+FLOW_MODULES = ("numpy", "repro.flow", "repro.api.session", "repro.kernel",
+                "repro.verify")
+
+#: Run in a fresh interpreter with a grid file and a store that already
+#: holds every point of it: which heavy libraries each entry point loads,
+#: and which flow modules the CLI start, ``repro workloads`` and a
+#: store-answered sweep load, printed as one JSON line after the flow's
+#: own output.
 IMPORT_PROBE = f"""
 import contextlib, io, json, sys
 
 def heavy():
     return sorted(m for m in ("scipy", "networkx") if m in sys.modules)
 
+def flow():
+    return sorted(m for m in {FLOW_MODULES!r} if m in sys.modules)
+
 seen = {{}}
 import repro.cli
 seen["import repro.cli"] = heavy()
+seen["flow after import repro.cli"] = flow()
+with contextlib.redirect_stdout(io.StringIO()):
+    seen["workloads exit"] = repro.cli.main(["workloads"])
+seen["flow after workloads"] = flow()
+with contextlib.redirect_stdout(io.StringIO()) as out:
+    seen["resumed sweep exit"] = repro.cli.main(
+        ["campaign", sys.argv[1], "--store", sys.argv[2], "--resume",
+         "--json"])
+seen["resumed sweep executed"] = \
+    json.loads(out.getvalue())["store_resume"]["executed"]
+seen["flow after resumed sweep"] = flow()
 with contextlib.redirect_stdout(io.StringIO()):
     seen["flow exit"] = repro.cli.main(
         ["flow", "--workload", "blockcipher", "--frames", "2",
@@ -194,24 +215,96 @@ seen["after verify"] = heavy()
 print(json.dumps(seen))
 """
 
+#: Run in a fresh interpreter: ``from <package> import <name>`` for
+#: every name a lazily resolving package exports, then ``import *``.
+EXPORTS_PROBE = """
+import importlib, json
+
+failures = []
+for package in ("repro.api", "repro.swir"):
+    names = importlib.import_module(package).__all__
+    for name in names:
+        namespace = {}
+        try:
+            exec(f"from {package} import {name}", namespace)
+        except Exception as exc:
+            failures.append(f"{package}.{name}: {exc!r}")
+    namespace = {}
+    exec(f"from {package} import *", namespace)
+    failures += [f"{package} import * misses {name}"
+                 for name in names if name not in namespace]
+print(json.dumps(failures))
+"""
+
+
+def _probe(script: str, *args: str) -> object:
+    """The last stdout line of ``script`` run in a fresh interpreter."""
+    src = os.path.dirname(os.path.dirname(repro.__file__))
+    out = subprocess.run([sys.executable, "-c", script, *args],
+                         env=dict(os.environ, PYTHONPATH=src),
+                         capture_output=True, text=True, check=True,
+                         timeout=300)
+    return json.loads(out.stdout.splitlines()[-1])
+
+
+@pytest.fixture(scope="module")
+def import_probe(tmp_path_factory):
+    """One run of :data:`IMPORT_PROBE` over a store holding its grid."""
+    import contextlib
+    import io
+
+    work = tmp_path_factory.mktemp("import-probe")
+    grid = work / "grid.json"
+    grid.write_text(json.dumps({
+        "spec": {"name": "probe", "workload": "blockcipher", "frames": 2,
+                 "params": {"block_words": 8}},
+        "sweep": {"cpu": ["ARM7TDMI", "ARM9TDMI"]}}))
+    store = str(work / "store")
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["campaign", str(grid), "--store", store]) == 0
+    return _probe(IMPORT_PROBE, str(grid), store)
+
 
 class TestImportBoundary:
-    def test_flow_and_daemon_load_neither_scipy_nor_networkx(self):
+    def test_flow_and_daemon_load_neither_scipy_nor_networkx(
+            self, import_probe):
         """scipy loads on the first LP (level-1 ``verify``), networkx
         only in ``AppGraph.to_networkx``: neither is paid by a CLI
         start, a flow or a service daemon."""
-        src = os.path.dirname(os.path.dirname(repro.__file__))
-        out = subprocess.run([sys.executable, "-c", IMPORT_PROBE],
-                             env=dict(os.environ, PYTHONPATH=src),
-                             capture_output=True, text=True, check=True,
-                             timeout=300)
-        seen = json.loads(out.stdout.splitlines()[-1])
+        seen = import_probe
         assert seen["import repro.cli"] == []
         assert seen["flow exit"] == 0
         assert seen["after flow"] == []
         assert seen["import repro.service, repro.fleet"] == []
         assert seen["verify exit"] == 0
         assert seen["after verify"] == ["scipy"]
+
+    def test_commands_that_compute_nothing_load_no_flow(self, import_probe):
+        """The CLI start, ``repro workloads`` and a sweep whose every
+        point merges from the store load neither numpy nor the flow."""
+        seen = import_probe
+        assert seen["workloads exit"] == 0
+        assert seen["resumed sweep exit"] == 0
+        assert seen["resumed sweep executed"] == []
+        assert seen["flow after import repro.cli"] == []
+        assert seen["flow after workloads"] == []
+        assert seen["flow after resumed sweep"] == []
+
+    @pytest.mark.parametrize("package", ["repro.service", "repro.fleet"])
+    def test_daemon_and_runner_load_the_flow_up_front(self, package):
+        """Both fork job children and serve threads: the flow must be
+        loaded before either starts, not imported per job child or raced
+        by two threads."""
+        loaded = _probe(
+            f"import json, sys, {package}\n"
+            f"print(json.dumps([m in sys.modules for m in "
+            f"('repro.api.session', 'repro.flow.level4')]))")
+        assert loaded == [True, True]
+
+    def test_every_exported_name_resolves(self):
+        """``repro.api`` and ``repro.swir`` resolve their names on first
+        use (PEP 562): each one must still import by name and by ``*``."""
+        assert _probe(EXPORTS_PROBE) == []
 
 
 class TestCampaignCommand:
