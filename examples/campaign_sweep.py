@@ -25,8 +25,9 @@ def main() -> None:
     )
 
     # CPU x FPGA-capacity grid: 4 architectures, each in its own session.
-    # (Pass jobs=4 to fan the grid points out over a process pool; the
-    # merged result is identical, minus cross-point cache reuse.)
+    # (Pass jobs=2 to run the grid as two contiguous slices over a
+    # process pool; each child keeps the reuse within its slice, and the
+    # merged result is identical.)
     sweep = Campaign.sweep(base, {
         "cpu": ["ARM7TDMI", "ARM9TDMI"],
         "capacity_gates": [13_000, 20_000],

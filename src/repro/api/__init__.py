@@ -7,8 +7,8 @@ resolution and caching; a :class:`~repro.api.spec.CampaignSpec` is the
 declarative, serializable description of one run — including which
 registered :mod:`repro.workloads` scenario it drives — and
 :class:`~repro.api.campaign.Campaign` executes specs (or grids of them,
-via :meth:`~repro.api.campaign.Campaign.sweep`, serially or over a
-process pool with ``jobs=N``) into JSON-ready outcomes.
+via :meth:`~repro.api.campaign.Campaign.sweep`, serially or as ``jobs=N``
+serial slices over a process pool) into JSON-ready outcomes.
 
 Quick tour::
 

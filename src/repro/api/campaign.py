@@ -4,10 +4,11 @@ A :class:`Campaign` executes one :class:`~repro.api.spec.CampaignSpec`
 in a fresh :class:`~repro.api.session.Session`, evaluates the paper's
 per-level pass gates plus the workload's accuracy threshold, and returns
 a serializable :class:`CampaignOutcome`.  :meth:`Campaign.sweep` expands
-a field grid into specs and fans them out over sessions — serially (one
-derived session per point, maximising cache reuse) or, with ``jobs=N``,
-over a :mod:`multiprocessing` pool where every grid point runs in its
-own process and the results are merged from their ``to_dict`` payloads.
+a field grid into specs and runs them through one loop that derives each
+point's session from the previous one, maximising cache reuse.  With
+``jobs=N`` a :mod:`multiprocessing` pool runs that loop on N contiguous
+slices of the grid, and the results are merged from the children's
+``to_dict`` payloads.
 
 Only computing a point loads the flow (:mod:`repro.api.session` and the
 stage registry): a sweep whose points all merge from the store never
@@ -162,55 +163,92 @@ class SweepPointError(RuntimeError):
         )
 
 
-def _run_spec_payload(spec_doc: dict, store_root: Optional[str] = None,
-                      trace: Optional[dict] = None) -> dict:
-    """Pool worker: run one spec document, return the outcome payload.
+def _run_points(specs: Sequence[CampaignSpec], keys: Sequence[str],
+                store: Optional[Any] = None
+                ) -> list[tuple["CampaignOutcome", Optional[dict]]]:
+    """Run grid points in order in this process: the one sweep loop.
+
+    Each session is derived from the previous point's with
+    :meth:`~repro.api.session.Session.with_spec`; every grid key in
+    ``keys`` is set at every point, so no stale grid field is left
+    behind.  Returns :func:`run_recorded`'s pair per point: with a
+    ``store`` each point is recorded as it finishes.  A failing point
+    raises :class:`SweepPointError` naming it; one whose session cannot
+    build or derive also records its failure envelope, so a resumed
+    sweep retries it.
+    """
+    results = []
+    session: Optional[Session] = None
+    for spec in specs:
+        with telemetry.span("sweep.point", spec=spec.name,
+                            workload=spec.workload):
+            try:
+                if session is None:
+                    from repro.api.session import Session
+
+                    session = Session(spec, store=store)
+                else:
+                    session = session.with_spec(
+                        name=spec.name, **{k: getattr(spec, k) for k in keys})
+            except Exception as exc:
+                if store is not None:
+                    store.put_campaign_failure(spec, exc)
+                raise SweepPointError.wrap(spec, exc) from exc
+            try:
+                results.append(run_recorded(spec, store, session=session))
+            except Exception as exc:
+                raise SweepPointError.wrap(spec, exc) from exc
+    return results
+
+
+def _run_slice(spec_docs: list[dict], keys: list[str],
+               store_root: Optional[str], trace: Optional[dict]) -> list[dict]:
+    """Pool worker: one slice of the grid through :func:`_run_points`.
 
     Module-level (picklable by name) on purpose; live outcomes carry
     unpicklable artifacts (task lambdas, numpy closures), so only the
-    serialized form crosses the process boundary.  Failures are wrapped
-    in :class:`SweepPointError` so the parent sees which grid point (and
-    which parameters) died, not just a bare pool traceback.
-
-    With ``store_root`` the worker opens the shared
-    :class:`repro.store.CampaignStore` (atomic per-entry writes make
-    concurrent workers safe), persists the outcome — or the failure
-    envelope — under the spec's content address, and runs its session
-    against the store so the level-4 artifact is shared across workers.
-
-    ``trace`` is a :func:`repro.telemetry.handoff` package: adopting it
-    re-parents this worker's ``sweep.point`` span (and everything under
-    it) under the submitting sweep's span, across the process boundary.
+    points' ``to_dict`` payloads cross the process boundary.  Adopting
+    ``trace`` (a :func:`repro.telemetry.handoff` package) re-parents the
+    ``sweep.point`` spans under the submitting sweep's span.
     """
     telemetry.adopt(trace)
-    spec = CampaignSpec.from_dict(spec_doc)
     store = None
     if store_root is not None:
         from repro.store import CampaignStore
 
         store = CampaignStore(store_root)
-    with telemetry.span("sweep.point", spec=spec.name,
-                        workload=spec.workload):
-        try:
-            _outcome, payload = run_recorded(spec, store)
-        except Exception as exc:
-            raise SweepPointError.wrap(spec, exc) from exc
-    return payload
+    specs = [CampaignSpec.from_dict(doc) for doc in spec_docs]
+    return [payload if payload is not None else outcome.to_dict()
+            for outcome, payload in _run_points(specs, keys, store)]
+
+
+def _slices(points: Sequence[Any], jobs: int) -> list[Sequence[Any]]:
+    """``points`` cut into ``min(jobs, len(points), _available_cpus())``
+    contiguous runs in order, one per pool child, whose sizes differ by
+    at most one."""
+    count = min(jobs, len(points), _available_cpus())
+    size, extra = divmod(len(points), count)
+    bounds = [index * size + min(index, extra) for index in range(count + 1)]
+    return [points[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
 
 
 def run_recorded(
     spec: CampaignSpec,
     store: Optional[Any],
     session: Optional[Session] = None,
-) -> tuple["CampaignOutcome", dict]:
+) -> tuple["CampaignOutcome", Optional[dict]]:
     """Run one spec, recording the outcome — or the failure — in the store.
 
     The single definition of the store persistence protocol, shared by
-    the CLI single-run path, the serial store-backed sweep and the pool
-    workers: a completed run persists its outcome document under the
-    spec's content address; a raising run persists its error envelope
-    (so ``resume`` retries it) and re-raises unwrapped.
+    the CLI single-run path, the sweep loop and the service's job
+    children: a completed run persists its outcome document under the
+    spec's content address and returns it beside the outcome; a raising
+    run persists its error envelope (so ``resume`` retries it) and
+    re-raises unwrapped.  Without a store nothing is serialized and the
+    document is None.
     """
+    if store is None:
+        return Campaign(spec).run(session=session), None
     try:
         if session is None:
             from repro.api.session import Session
@@ -219,11 +257,9 @@ def run_recorded(
         outcome = Campaign(spec).run(session=session)
         payload = outcome.to_dict()
     except Exception as exc:
-        if store is not None:
-            store.put_campaign_failure(spec, exc)
+        store.put_campaign_failure(spec, exc)
         raise
-    if store is not None:
-        store.put_campaign(spec, payload)
+    store.put_campaign(spec, payload)
     return outcome, payload
 
 
@@ -314,24 +350,24 @@ class Campaign:
 
         ``grid`` maps spec field names to candidate values; the cartesian
         product is run in the order :meth:`sweep_specs` documents (last
-        key varying fastest), each point in its own session.
+        key varying fastest).
 
-        With ``jobs=1`` (default) points run serially and consecutive
-        sessions are derived with
+        Every point runs through one loop that derives each session from
+        the previous point's with
         :meth:`~repro.api.session.Session.with_spec`, so stage results
         not sensitive to the grid fields (and the workload artifacts,
         when the grid does not touch the workload) are computed once and
         carried across points instead of recomputed.
 
-        With ``jobs>1`` the points fan out over a ``multiprocessing``
-        pool, one fresh process-hosted session per point, and the merged
-        :class:`SweepResult` is built from the workers' ``to_dict``
-        payloads (order preserved).  Cross-point cache reuse does not
-        apply, but independent points use all cores.  ``jobs`` is a
-        ceiling: the pool never exceeds the grid size or the CPUs
-        actually available to this process (oversubscribing a CPU quota
-        makes the simulation-heavy points dramatically slower, not
-        faster).
+        With ``jobs>1`` a ``multiprocessing`` pool runs that loop on
+        contiguous slices of the grid, one per child, and the merged
+        :class:`SweepResult` is built from the children's ``to_dict``
+        payloads (order preserved).  Grid order keeps the points sharing
+        the outer grid keys together, so each child keeps the reuse of
+        its slice.  ``jobs`` is a ceiling: the pool never exceeds the
+        grid size or the CPUs actually available to this process
+        (oversubscribing a CPU quota makes the simulation-heavy points
+        dramatically slower, not faster).
 
         ``store`` (a :class:`repro.store.CampaignStore`) makes the sweep
         durable: every completed point's outcome document is persisted
@@ -354,130 +390,77 @@ class Campaign:
         grid_doc = {k: list(v) for k, v in grid.items()}
         with telemetry.span("campaign.sweep", base=base.name,
                             points=len(specs), jobs=jobs):
-            if store is not None:
-                return cls._sweep_stored(base, grid, grid_doc, specs, jobs,
-                                         store, resume)
-            if jobs > 1:
-                payloads = cls._pool_payloads(specs, jobs)
-                return SweepResult(base=base, grid=grid_doc, outcomes=[],
-                                   payloads=payloads, jobs=jobs)
-            from repro.api.session import Session
-
-            outcomes: list[CampaignOutcome] = []
-            session: Optional[Session] = None
-            for spec in specs:
-                # Every grid key is set explicitly at every point, so
-                # deriving from the previous point leaves no stale grid
-                # field behind.  Session construction is inside the try:
-                # a point whose spec validates but whose session cannot
-                # build (unknown CPU, bad workload state) is still named
-                # by SweepPointError.
-                with telemetry.span("sweep.point", spec=spec.name,
-                                    workload=spec.workload):
-                    try:
-                        if session is None:
-                            session = Session(spec)
-                        else:
-                            session = session.with_spec(
-                                name=spec.name,
-                                **{k: getattr(spec, k) for k in grid})
-                        outcomes.append(cls(session.spec).run(session=session))
-                    except Exception as exc:
-                        raise SweepPointError.wrap(spec, exc) from exc
-            return SweepResult(base=base, grid=grid_doc, outcomes=outcomes)
+            slots: list[Optional[dict]] = [None] * len(specs)
+            hits: list[str] = []
+            retried: list[str] = []
+            for index, spec in enumerate(specs if resume else ()):
+                entry = store.get_campaign(spec)
+                if entry is not None and entry["status"] == "ok":
+                    slots[index] = entry["payload"]
+                    hits.append(spec.name)
+                elif entry is not None:  # a recorded failure: retry it
+                    retried.append(spec.name)
+            points = [spec for spec, slot in zip(specs, slots) if slot is None]
+            if jobs > 1 and points:
+                payloads = cls._pool_payloads(points, list(grid), jobs, store)
+            else:
+                ran = _run_points(points, list(grid), store)
+                if store is None:
+                    return SweepResult(base=base, grid=grid_doc, outcomes=[
+                        outcome for outcome, _payload in ran])
+                payloads = [payload for _outcome, payload in ran]
+            done = iter(payloads)
+            slots = [slot if slot is not None else next(done)
+                     for slot in slots]
+            if resume:
+                # One auditable line per resumed sweep: nightly CI logs
+                # show at a glance whether the store was warm or work
+                # happened.
+                logger.info(
+                    "sweep %r resumed: %d/%d points merged from store, "
+                    "%d executed (%d retried failures)", base.name,
+                    len(hits), len(specs), len(points), len(retried))
+        return SweepResult(base=base, grid=grid_doc, payloads=slots,
+                           jobs=jobs, store_used=store is not None,
+                           store_hits=hits,
+                           executed=[point.name for point in points],
+                           retried=retried)
 
     @staticmethod
-    def _pool_payloads(specs: Sequence[CampaignSpec], jobs: int,
-                       store_root: Optional[str] = None) -> list[dict]:
-        """Run ``specs`` over a fork pool, returning outcome payloads.
+    def _pool_payloads(points: Sequence[CampaignSpec], keys: list[str],
+                       jobs: int, store: Optional[Any]) -> list[dict]:
+        """Run ``points`` over a fork pool, returning outcome payloads.
 
-        The flow is imported here, before the fork, so the children
-        inherit it instead of each importing it again.
+        Each child runs one of :func:`_slices`' contiguous runs through
+        :func:`_run_points`.  The flow is imported here, before the fork,
+        so the children inherit it instead of each importing it again.
         """
         import repro.api.session  # noqa: F401
 
         ctx = fork_context()
-        processes = max(1, min(jobs, len(specs), _available_cpus()))
+        runs = _slices(points, jobs)
+        store_root = str(store.root) if store is not None else None
         # Captured once, outside the workers: every pool child adopts
         # the submitting span (normally the open campaign.sweep) so its
         # sweep.point spans re-parent under it across the fork.
         trace = telemetry.handoff()
-        with ctx.Pool(processes=processes) as pool:
-            return pool.starmap(
-                _run_spec_payload,
-                [(spec.to_dict(), store_root, trace) for spec in specs])
-
-    @classmethod
-    def _sweep_stored(cls, base, grid, grid_doc, specs, jobs, store,
-                      resume) -> "SweepResult":
-        """The store-backed sweep: skip completed points, retry failures."""
-        slots: list[Optional[dict]] = [None] * len(specs)
-        hits: list[str] = []
-        retried: list[str] = []
-        pending: list[int] = []
-        for index, spec in enumerate(specs):
-            entry = store.get_campaign(spec) if resume else None
-            if entry is not None and entry["status"] == "ok":
-                slots[index] = entry["payload"]
-                hits.append(spec.name)
-                continue
-            if entry is not None:  # a recorded failure: retry this point
-                retried.append(spec.name)
-            pending.append(index)
-        executed = [specs[index].name for index in pending]
-        if pending and jobs > 1:
-            payloads = cls._pool_payloads([specs[i] for i in pending], jobs,
-                                          store_root=str(store.root))
-            for index, payload in zip(pending, payloads):
-                slots[index] = payload
-        elif pending:
-            from repro.api.session import Session
-
-            session: Optional[Session] = None
-            for index in pending:
-                spec = specs[index]
-                with telemetry.span("sweep.point", spec=spec.name,
-                                    workload=spec.workload):
-                    try:
-                        if session is None:
-                            session = Session(spec, store=store)
-                        else:
-                            session = session.with_spec(
-                                name=spec.name,
-                                **{k: getattr(spec, k) for k in grid})
-                    except Exception as exc:
-                        # A point whose *session* cannot build still
-                        # records its failure envelope, so a resumed
-                        # sweep retries it.
-                        store.put_campaign_failure(spec, exc)
-                        raise SweepPointError.wrap(spec, exc) from exc
-                    try:
-                        _outcome, payload = run_recorded(session.spec, store,
-                                                         session=session)
-                    except Exception as exc:
-                        raise SweepPointError.wrap(session.spec, exc) from exc
-                    slots[index] = payload
-        if resume:
-            # One auditable line per resumed sweep: nightly CI logs show
-            # at a glance whether the store was warm or work happened.
-            logger.info(
-                "sweep %r resumed: %d/%d points merged from store, "
-                "%d executed (%d retried failures)", base.name,
-                len(hits), len(specs), len(executed), len(retried))
-        return SweepResult(base=base, grid=grid_doc, outcomes=[],
-                           payloads=slots, jobs=jobs, store_hits=hits,
-                           executed=executed, retried=retried,
-                           store_used=True)
+        with ctx.Pool(processes=len(runs)) as pool:
+            done = pool.starmap(
+                _run_slice,
+                [([spec.to_dict() for spec in run], keys, store_root, trace)
+                 for run in runs])
+        return [payload for run in done for payload in run]
 
 
 @dataclass
 class SweepResult:
     """Outcomes of one spec-grid sweep, in grid order.
 
-    Serial sweeps carry live :class:`CampaignOutcome` objects in
-    ``outcomes``; parallel (``jobs>1``) and store-backed sweeps carry
-    serialized payloads in ``payloads`` instead.  ``runs()`` exposes the
-    uniform serialized view for both.
+    An unstored serial sweep carries live :class:`CampaignOutcome`
+    objects in ``outcomes``, serialized only when asked; parallel
+    (``jobs>1``) and store-backed sweeps carry in ``payloads`` the
+    documents their points were serialized to, once.  ``runs()`` exposes
+    the uniform serialized view for both.
 
     Store-backed sweeps additionally record the resume bookkeeping:
     which grid points merged straight from the store (``store_hits``),

@@ -223,7 +223,7 @@ def _run_single_campaign(args, spec: CampaignSpec, store) -> int:
                   f"{entry['key'][:12]}: {verdict}")
             return 0 if payload["passed"] else 1
     outcome, payload = run_recorded(spec, store)
-    _emit(args, payload, outcome.describe())
+    _emit(args, payload or outcome.to_dict(), outcome.describe())
     return 0 if outcome.passed else 1
 
 
@@ -522,8 +522,7 @@ def cmd_service(args) -> int:
         if args.service_command == "submit":
             spec_doc, sweep = _load_submission(args.spec_file)
             job = client.submit(spec_doc, sweep=sweep,
-                                priority=args.priority, jobs=args.jobs,
-                                tenant=args.tenant)
+                                priority=args.priority, tenant=args.tenant)
             note = " (coalesced onto existing job)" if job.get("coalesced") \
                 else ""
             if not args.watch:
@@ -1019,8 +1018,6 @@ def build_parser() -> argparse.ArgumentParser:
              '{"spec": {...}, "sweep": {field: [values, ...]}}')
     p_svc_submit.add_argument("--priority", type=int, default=0,
                               help="queue priority (higher runs first)")
-    p_svc_submit.add_argument("--jobs", type=int, default=1, metavar="N",
-                              help="worker processes within the job's sweep")
     p_svc_submit.add_argument("--watch", action="store_true",
                               help="wait until the job finishes; exit 0 "
                                    "only if it passed")

@@ -18,14 +18,13 @@ sees realistic traffic shapes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from repro.facerec import stages
 from repro.facerec.database import FaceDatabase, enroll_database
 from repro.platform.partition import Partition, Side
 from repro.platform.taskgraph import AppGraph, ChannelSpec, TaskSpec
+from repro.workloads.facerec import FacerecConfig
 
 #: The modules the case study carries into the FPGA (Section 4.1):
 #: "it has been quite reasonable that modules DISTANCE and ROOT be mapped
@@ -48,25 +47,6 @@ GATE_COUNTS = {
     "ROOT": 5_000,
     "WINNER": 2_000,
 }
-
-
-@dataclass(frozen=True)
-class FacerecConfig:
-    """Workload parameters of the case study."""
-
-    identities: int = 20
-    poses: int = 3
-    size: int = 64
-
-    def __post_init__(self) -> None:
-        if self.identities < 1 or self.poses < 1:
-            raise ValueError("identities and poses must be >= 1")
-        if self.size < 16 or self.size % 2:
-            raise ValueError("size must be an even integer >= 16")
-
-    @property
-    def entries(self) -> int:
-        return self.identities * self.poses
 
 
 def build_graph(

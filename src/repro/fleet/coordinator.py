@@ -276,8 +276,7 @@ class FleetCoordinator:
             from repro.api.spec import CampaignSpec
 
             spec = CampaignSpec.from_dict(job["spec"])
-            points = (Campaign.sweep_specs(spec, job["sweep"])
-                      if job.get("sweep") else [spec])
+            points = Campaign.sweep_specs(spec, job.get("sweep") or {})
         except Exception:  # noqa: BLE001 — let a runner surface the error
             return None
         runs = []

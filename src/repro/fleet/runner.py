@@ -275,11 +275,12 @@ class RunnerAgent:
         address.
 
         The union of the child's recorded writes (``store_keys`` in the
-        result document — only serial writes survive the fork boundary)
-        and the job's own campaign keys recomputed here, so parallel
-        sweep points are uploaded too.  Keys the local store cannot
-        produce a valid envelope for are skipped — the coordinator
-        re-queues on expiry if the result was thereby incomplete.
+        result document) and the job's own campaign keys recomputed
+        here, which also cover points the runner's store already held
+        (a resumed job's hits, which the child did not write).  Keys the
+        local store cannot produce a valid envelope for are skipped —
+        the coordinator re-queues on expiry if the result was thereby
+        incomplete.
         """
         keys = set((result or {}).get("store_keys") or [])
         try:
@@ -287,10 +288,8 @@ class RunnerAgent:
             from repro.api.spec import CampaignSpec
 
             spec = CampaignSpec.from_dict(job["spec"])
-            points = (Campaign.sweep_specs(spec, job["sweep"])
-                      if job.get("sweep") else [spec])
-            keys.update(self.store.campaign_key(point)
-                        for point in points)
+            keys.update(self.store.campaign_key(point) for point in
+                        Campaign.sweep_specs(spec, job.get("sweep") or {}))
         except Exception:  # noqa: BLE001 — an unparseable spec already
             pass           # failed in the child; upload what we have
         entries = {}

@@ -95,7 +95,7 @@ def export_bundle(store, spec_doc: Mapping[str, Any],
 
     try:
         spec = CampaignSpec.from_dict(spec_doc)
-        points = (Campaign.sweep_specs(spec, sweep) if sweep else [spec])
+        points = Campaign.sweep_specs(spec, sweep or {})
     except (ValueError, KeyError, TypeError) as exc:
         raise ExportError(f"invalid export spec: {exc}") from exc
     out_dir = Path(out_dir)

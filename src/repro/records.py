@@ -193,7 +193,6 @@ class JobRecord:
     seq: int
     spec: dict
     sweep: Optional[dict]
-    jobs: int
     name: str
     workload: str
     tenant: Optional[str]
@@ -217,7 +216,9 @@ class JobRecord:
             "seq": self.seq,
             "spec": self.spec,
             "sweep": self.sweep,
-            "jobs": self.jobs,
+            # Always 1 (a job's sweep runs serially in its child); kept so
+            # records, queue directories and GET /v1/jobs keep one shape.
+            "jobs": 1,
             "name": self.name,
             "workload": self.workload,
             "tenant": self.tenant,
@@ -259,7 +260,6 @@ class JobRecord:
             seq=int(document.get("seq", 0) or 0),
             spec=dict(document.get("spec") or {}),
             sweep=document.get("sweep"),
-            jobs=int(document.get("jobs", 1) or 1),
             name=str(document.get("name", "")),
             workload=str(document.get("workload", "")),
             tenant=document.get("tenant"),

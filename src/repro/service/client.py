@@ -87,8 +87,7 @@ class ServiceClient:
 
     def submit(self, spec: Mapping[str, Any],
                sweep: Optional[Mapping[str, list]] = None,
-               priority: int = 0, jobs: int = 1,
-               tenant: Optional[str] = None) -> dict:
+               priority: int = 0, tenant: Optional[str] = None) -> dict:
         """POST one submission; returns the job record (+ ``coalesced``).
 
         ``tenant`` is the optional submitter token the server keys its
@@ -102,8 +101,6 @@ class ServiceClient:
                              for key, values in sweep.items()}
         if priority:
             body["priority"] = priority
-        if jobs != 1:
-            body["jobs"] = jobs
         if tenant is not None:
             body["tenant"] = tenant
         return self._request("POST", "/v1/jobs", body)

@@ -25,7 +25,7 @@ from pathlib import Path
 from typing import Any, Mapping, Optional
 
 from repro import telemetry
-from repro.api.campaign import Campaign, _available_cpus
+from repro.api.campaign import Campaign, SweepResult, _available_cpus
 from repro.api.spec import CampaignSpec
 from repro.service.queue import JobQueue, job_key, job_summary
 from repro.store import CampaignStore
@@ -198,7 +198,7 @@ class CampaignService:
 
         Accepts either a bare campaign-spec document or the envelope the
         ``campaign`` CLI already reads: ``{"spec": {...}, "sweep":
-        {field: [values, ...]}, "priority": N, "jobs": N}``.  Returns
+        {field: [values, ...]}, "priority": N, "tenant": T}``.  Returns
         ``(record, coalesced)``; raises :class:`SubmissionError` with a
         client-facing message on anything malformed.
         """
@@ -210,20 +210,17 @@ class CampaignService:
             spec_doc, payload = payload, {}
         sweep = payload.pop("sweep", None)
         priority = payload.pop("priority", 0)
-        jobs = payload.pop("jobs", 1)
         tenant = payload.pop("tenant", None)
         unknown = set(payload)
         if unknown:
             raise SubmissionError(
                 f"unknown submission fields: {sorted(unknown)} "
-                f"(expected spec/sweep/priority/jobs/tenant)")
+                f"(expected spec/sweep/priority/tenant)")
         if tenant is not None and (not isinstance(tenant, str)
                                    or not tenant):
             raise SubmissionError("tenant must be a non-empty string")
         if not isinstance(priority, int) or isinstance(priority, bool):
             raise SubmissionError("priority must be an integer")
-        if not isinstance(jobs, int) or isinstance(jobs, bool) or jobs < 1:
-            raise SubmissionError("jobs must be an integer >= 1")
         try:
             spec = CampaignSpec.from_dict(spec_doc)
         except (ValueError, KeyError, TypeError) as exc:
@@ -242,7 +239,7 @@ class CampaignService:
                 raise SubmissionError(f"invalid sweep grid: {exc}") from exc
         self._check_backpressure(spec, sweep, tenant)
         return self.queue.submit(spec, sweep=sweep, priority=priority,
-                                 jobs=jobs, tenant=tenant)
+                                 tenant=tenant)
 
     def _check_backpressure(self, spec, sweep,
                             tenant: Optional[str]) -> None:
@@ -305,25 +302,18 @@ class CampaignService:
             if entry is None or entry["status"] != "ok":
                 return None
             return entry["payload"]
-        grid = job["sweep"]
         runs = []
-        for point in Campaign.sweep_specs(spec, grid):
+        for point in Campaign.sweep_specs(spec, job["sweep"]):
             entry = self.store.get_campaign(point)
             if entry is None or entry["status"] != "ok":
                 return None  # store gc'd under a done job: no payload
             runs.append(entry["payload"])
-        result = job.get("result") or {}
-        return {
-            "schema": "repro.campaign_sweep/v1",
-            "base": spec.to_dict(),
-            "grid": {key: list(values) for key, values in grid.items()},
-            "jobs": job.get("jobs", 1),
-            "passed": all(run["passed"] for run in runs),
-            "runs": runs,
-            "store_resume": result.get("store_resume",
-                                       {"hits": [], "executed": [],
-                                        "retried": []}),
-        }
+        resume = (job.get("result") or {}).get("store_resume", {})
+        return SweepResult(
+            base=spec, grid=job["sweep"], payloads=runs, store_used=True,
+            store_hits=resume.get("hits", []),
+            executed=resume.get("executed", []),
+            retried=resume.get("retried", [])).to_dict()
 
     def query_document(self, body: Mapping[str, Any]) -> dict:
         """One ``POST /v1/query`` ledger query over the daemon's state.

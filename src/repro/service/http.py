@@ -3,7 +3,7 @@
 Routes (all under ``/v1``, all JSON in and out)::
 
     POST   /v1/jobs          submit a spec (or {"spec", "sweep", "priority",
-                             "jobs"}); 201 on a new/re-queued job, 200 when
+                             "tenant"}); 201 on a new/re-queued job, 200 when
                              the submission coalesced onto an existing one
     GET    /v1/jobs          list jobs; ?status=queued&workload=facerec
     GET    /v1/jobs/<id>     one job (unique id prefixes accepted);

@@ -48,7 +48,7 @@ import threading
 import time
 import uuid
 from pathlib import Path
-from typing import Any, Iterable, Mapping, Optional
+from typing import Any, Mapping, Optional
 
 from repro.records import (
     JOB_SCHEMA,
@@ -268,8 +268,8 @@ class JobQueue:
     # -- submission ---------------------------------------------------------------
 
     def submit(self, spec, sweep: Optional[Mapping[str, Any]] = None,
-               priority: int = 0, jobs: int = 1,
-               tenant: Optional[str] = None) -> tuple[dict, bool]:
+               priority: int = 0, tenant: Optional[str] = None
+               ) -> tuple[dict, bool]:
         """Enqueue one request; returns ``(record, coalesced)``.
 
         ``coalesced=True`` means an identical request was already queued
@@ -277,9 +277,7 @@ class JobQueue:
         raised to the maximum of the two — a duplicate can expedite a
         job, never demote it).  A request matching a *terminal* job
         re-queues the same job id with ``attempts`` bumped; its next
-        claim answers it warm from the store.  ``jobs`` is the worker
-        process fan-out *within* the job's sweep (clamped downstream by
-        :func:`repro.api.campaign._available_cpus`).  ``tenant`` is the
+        claim answers it warm from the store.  ``tenant`` is the
         (optional) submitter token the per-tenant quota is charged to; a
         coalesced duplicate stays on the original submitter's budget.
         """
@@ -306,7 +304,6 @@ class JobQueue:
                 seq=self._next_seq(),
                 spec=spec.to_dict(),
                 sweep=sweep_doc,
-                jobs=max(1, int(jobs)),
                 name=spec.name,
                 workload=spec.workload,
                 tenant=tenant,
@@ -647,9 +644,8 @@ def active_store_keys(queue: JobQueue) -> frozenset[str]:
             continue
         try:
             spec = CampaignSpec.from_dict(job["spec"])
-            points: Iterable = (Campaign.sweep_specs(spec, job["sweep"])
-                                if job.get("sweep") else (spec,))
-            keys.update(campaign_key(point) for point in points)
+            keys.update(campaign_key(point) for point in
+                        Campaign.sweep_specs(spec, job.get("sweep") or {}))
         except Exception:  # noqa: BLE001 — stale/foreign spec: skip
             continue
     return frozenset(keys)

@@ -15,7 +15,9 @@ Every execution goes through the campaign store with ``resume=True``
 semantics: a job that reaches a child with some of its points already
 stored resumes from them rather than recomputing (a job with *every*
 point stored never gets this far — the coordinator completes it warm at
-claim).
+claim).  A job's sweep runs serially in its child, which is daemonic
+and so cannot start a pool of its own; the service runs jobs in
+parallel one per runner agent instead.
 
 Importing this module imports the flow (:mod:`repro.api.session`).  The
 daemon and the fleet runner both import it before they start a thread
@@ -69,9 +71,8 @@ def execute_job(job_doc: dict, store_root: str) -> dict:
     store = CampaignStore(store_root)
     spec = CampaignSpec.from_dict(job_doc["spec"])
     if job_doc.get("sweep"):
-        sweep = Campaign.sweep(spec, job_doc["sweep"],
-                               jobs=int(job_doc.get("jobs", 1)),
-                               store=store, resume=True)
+        sweep = Campaign.sweep(spec, job_doc["sweep"], store=store,
+                               resume=True)
         return {
             "schema": RESULT_SCHEMA,
             "passed": sweep.passed,
@@ -79,9 +80,6 @@ def execute_job(job_doc: dict, store_root: str) -> dict:
             "store_resume": {"hits": list(sweep.store_hits),
                              "executed": list(sweep.executed),
                              "retried": list(sweep.retried)},
-            # Parallel sweeps write through per-worker handles, so this
-            # only captures serial writes; the runner adds the job's
-            # campaign keys itself, making the upload complete anyway.
             "store_keys": sorted(set(store.written_keys)),
         }
     entry = store.get_campaign(spec)

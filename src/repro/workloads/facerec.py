@@ -7,17 +7,19 @@ the level-4 ROOT + DISTANCE_STEP verification plan — now packaged behind
 the :class:`~repro.workloads.base.Workload` protocol so the flow no
 longer hard-codes it.  The model lives in :mod:`repro.facerec`; each
 method imports the part it runs, so registering the workload loads none
-of it.
+of it.  The workload's parameter record, :class:`FacerecConfig`, is
+defined here instead: validating every facerec spec builds one, so a
+sweep answered from the store loads none of the model either.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any
 
 from repro.workloads.base import VerifyPlan, register_workload
 
 if TYPE_CHECKING:
-    from repro.facerec.pipeline import FacerecConfig
     from repro.facerec.reference import ReferenceModel
     from repro.facerec.tracing import Trace
 
@@ -26,6 +28,25 @@ REFERENCE_CHANNELS = (
     "c_gray", "c_eroded", "c_edges", "c_border", "c_lines",
     "c_feat", "c_diffs", "c_sq", "c_dist",
 )
+
+
+@dataclass(frozen=True)
+class FacerecConfig:
+    """Workload parameters of the case study."""
+
+    identities: int = 20
+    poses: int = 3
+    size: int = 64
+
+    def __post_init__(self) -> None:
+        if self.identities < 1 or self.poses < 1:
+            raise ValueError("identities and poses must be >= 1")
+        if self.size < 16 or self.size % 2:
+            raise ValueError("size must be an even integer >= 16")
+
+    @property
+    def entries(self) -> int:
+        return self.identities * self.poses
 
 
 @register_workload
@@ -46,8 +67,6 @@ class FacerecWorkload:
     WIDTH = 16
 
     def config(self, spec: Any) -> FacerecConfig:
-        from repro.facerec.pipeline import FacerecConfig
-
         if spec.params:
             raise ValueError(
                 "workload 'facerec' takes no free-form params; use the "

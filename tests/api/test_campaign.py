@@ -13,6 +13,13 @@ from repro.api import Campaign, CampaignSpec, SweepPointError, SweepResult
 SMALL = CampaignSpec(name="t", identities=2, poses=1, size=32, frames=1)
 
 
+def fresh_runs(base, grid):
+    """Every grid point run alone by ``Campaign(spec).run()`` in its own
+    fresh session: the no-reuse oracle for the sweep's documents."""
+    return [Campaign(spec).run().to_dict()
+            for spec in Campaign.sweep_specs(base, grid)]
+
+
 class TestSpecRoundTrip:
     def test_default_round_trip(self):
         spec = CampaignSpec()
@@ -206,7 +213,8 @@ class TestSweepSharesLevel2Simulation:
         assert first.metrics is second.metrics
         assert (first.deadline.deadline_ps, second.deadline.deadline_ps) \
             == (500 * 10**9, 1000 * 10**9)
-        # Every pool point runs in a fresh session: the no-reuse oracle.
+        assert canonical_json(serial.runs()) == \
+            canonical_json(fresh_runs(base, self.GRID))
         parallel = Campaign.sweep(base, self.GRID, jobs=2)
         assert canonical_json(serial.to_dict()) == \
             canonical_json(parallel.to_dict())
@@ -262,7 +270,8 @@ class TestSweepSharesLevel3Simulation:
             level3 = outcome.results["level3"].value
             assert level3.metrics.fpga_report["capacity_gates"] == \
                 outcome.spec.capacity_gates
-        # Every pool point runs in a fresh session: the no-reuse oracle.
+        assert canonical_json(serial.runs()) == \
+            canonical_json(fresh_runs(base, self.GRID))
         parallel = Campaign.sweep(base, self.GRID, jobs=2)
         assert canonical_json(serial.to_dict()) == \
             canonical_json(parallel.to_dict())
@@ -284,6 +293,16 @@ class TestGridOrder:
     def test_point_names_match_spec_order(self):
         specs = Campaign.sweep_specs(SMALL, {"seed": [2, 1]})
         assert [s.name for s in specs] == ["t[seed=2]", "t[seed=1]"]
+
+    def test_empty_grid_is_the_spec_itself(self):
+        """A job's points are ``sweep_specs(spec, sweep or {})``: an
+        empty grid gives back the one spec, name and store key alike."""
+        from repro.store import campaign_key
+
+        assert Campaign.sweep_specs(SMALL, {}) == [SMALL]
+        [point] = Campaign.sweep_specs(SMALL, {})
+        assert point.name == SMALL.name
+        assert campaign_key(point) == campaign_key(SMALL)
 
     def test_serial_and_parallel_order_identical(self):
         base = SMALL.replace(levels=(1,))
@@ -329,6 +348,51 @@ class TestParallelSweep:
     def test_rejects_bad_jobs(self):
         with pytest.raises(ValueError, match="jobs"):
             Campaign.sweep(SMALL, {"seed": [1]}, jobs=0)
+
+    def test_each_child_simulates_level2_once(self, tmp_path, monkeypatch):
+        """The pool runs the serial loop on contiguous slices of the
+        grid: with the CPU outermost each child gets one CPU's points, so
+        level 2 simulates once per child, not once per point.  The fork
+        children inherit the patched ``run_level2``, which logs each
+        simulation's pid and CPU to a file."""
+        from repro.api import stages
+
+        log = tmp_path / "level2.log"
+        original = stages.run_level2
+
+        def logging_run_level2(*args, **kwargs):
+            with open(log, "a") as handle:
+                handle.write(f"{os.getpid()} {kwargs['cpu'].name}\n")
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(stages, "run_level2", logging_run_level2)
+        monkeypatch.setenv("REPRO_JOBS", "2")
+        grid = {"cpu": ["ARM7TDMI", "ARM9TDMI"], "deadline_ms": [500, 1000]}
+        sweep = Campaign.sweep(SMALL.replace(levels=(1, 2)), grid, jobs=2)
+        assert len(sweep.runs()) == 4
+        rows = [line.split() for line in log.read_text().splitlines()]
+        assert sorted(cpu for _pid, cpu in rows) == ["ARM7TDMI", "ARM9TDMI"]
+        pids = {pid for pid, _cpu in rows}
+        assert len(pids) == 2 and str(os.getpid()) not in pids
+
+    def test_slices_are_contiguous_balanced_and_bounded(self, monkeypatch):
+        """Each child's run is a contiguous stretch of grid order; sizes
+        differ by at most one; never more runs than points, ``jobs`` or
+        available CPUs."""
+        from repro.api.campaign import _slices
+
+        monkeypatch.setenv("REPRO_JOBS", "64")
+        for points in range(1, 10):
+            items = list(range(points))
+            for jobs in range(1, 6):
+                runs = _slices(items, jobs)
+                assert [item for run in runs for item in run] == items
+                assert len(runs) == min(points, jobs)
+                sizes = [len(run) for run in runs]
+                assert min(sizes) >= 1 and max(sizes) - min(sizes) <= 1
+        monkeypatch.setenv("REPRO_JOBS", "2")
+        assert _slices(list(range(16)), 8) == [list(range(8)),
+                                               list(range(8, 16))]
 
     def test_parent_loads_the_flow_before_creating_the_pool(self):
         """``repro.api.campaign`` leaves the flow unloaded until a point

@@ -176,6 +176,15 @@ class TestRoutes:
         assert excinfo.value.status == 400
         assert "unknown spec fields" in str(excinfo.value)
 
+    def test_submission_carrying_jobs_is_a_400(self, service, client):
+        """Jobs do not fan out within themselves: the retired ``jobs``
+        field is refused like any unknown submission field."""
+        with pytest.raises(ServiceError) as excinfo:
+            client._request("POST", "/v1/jobs", {
+                "spec": FAST.to_dict(), "sweep": GRID, "jobs": 2})
+        assert excinfo.value.status == 400
+        assert "unknown submission fields: ['jobs']" in str(excinfo.value)
+
     def test_invalid_sweep_grid_is_a_400(self, service, client):
         with pytest.raises(ServiceError) as excinfo:
             client.submit(FAST.to_dict(), sweep={"warp_factor": [9]})

@@ -5,6 +5,7 @@ The daemon's local workers are runner agents claiming in-process
 through :class:`CampaignService`, the way the daemon runs them.
 """
 
+import json
 import os
 import signal
 import threading
@@ -156,6 +157,21 @@ class TestPool:
         assert stats["total"] == len(service.agents)
         assert stats["jobs_done"] == 2 and stats["jobs_failed"] == 0
         assert stats["points_executed"] == 2
+
+    def test_record_written_with_jobs_runs_serially(self, tmp_path):
+        """A queued sweep recorded by a build whose jobs could ask for a
+        pool (``"jobs": 2``) runs serially in its job child."""
+        root = tmp_path / "svc"
+        queue = JobQueue(root / "queue")
+        job, _ = queue.submit(FAST, sweep={"frames": [1, 2]})
+        path = queue.jobs_dir / f"{job['id']}.json"
+        path.write_text(json.dumps(dict(json.loads(path.read_text()),
+                                        jobs=2)))
+        with CampaignService(root, workers=1) as service:
+            drain(service.queue)
+            done = service.queue.get(job["id"])
+        assert done["status"] == "done", done["error"]
+        assert done["result"]["points"] == 2
 
     def test_raising_campaign_becomes_failure_envelope(self, serve):
         # An unknown CPU passes spec validation (the CPU library is

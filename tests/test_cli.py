@@ -174,11 +174,11 @@ class TestCommands:
 FLOW_MODULES = ("numpy", "repro.flow", "repro.api.session", "repro.kernel",
                 "repro.verify")
 
-#: Run in a fresh interpreter with a grid file and a store that already
-#: holds every point of it: which heavy libraries each entry point loads,
-#: and which flow modules the CLI start, ``repro workloads`` and a
-#: store-answered sweep load, printed as one JSON line after the flow's
-#: own output.
+#: Run in a fresh interpreter with two grid files (blockcipher, facerec)
+#: and a store that already holds every point of both: which heavy
+#: libraries each entry point loads, and which flow modules the CLI
+#: start, ``repro workloads`` and a store-answered sweep of each grid
+#: load, printed as one JSON line after the flow's own output.
 IMPORT_PROBE = f"""
 import contextlib, io, json, sys
 
@@ -195,13 +195,14 @@ seen["flow after import repro.cli"] = flow()
 with contextlib.redirect_stdout(io.StringIO()):
     seen["workloads exit"] = repro.cli.main(["workloads"])
 seen["flow after workloads"] = flow()
-with contextlib.redirect_stdout(io.StringIO()) as out:
-    seen["resumed sweep exit"] = repro.cli.main(
-        ["campaign", sys.argv[1], "--store", sys.argv[2], "--resume",
-         "--json"])
-seen["resumed sweep executed"] = \
-    json.loads(out.getvalue())["store_resume"]["executed"]
-seen["flow after resumed sweep"] = flow()
+for label, grid in (("resumed sweep", sys.argv[1]),
+                    ("resumed facerec sweep", sys.argv[2])):
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        seen[label + " exit"] = repro.cli.main(
+            ["campaign", grid, "--store", sys.argv[3], "--resume", "--json"])
+    seen[label + " executed"] = \
+        json.loads(out.getvalue())["store_resume"]["executed"]
+    seen["flow after " + label] = flow()
 with contextlib.redirect_stdout(io.StringIO()):
     seen["flow exit"] = repro.cli.main(
         ["flow", "--workload", "blockcipher", "--frames", "2",
@@ -249,20 +250,27 @@ def _probe(script: str, *args: str) -> object:
 
 @pytest.fixture(scope="module")
 def import_probe(tmp_path_factory):
-    """One run of :data:`IMPORT_PROBE` over a store holding its grid."""
+    """One run of :data:`IMPORT_PROBE` over a store holding its grids."""
     import contextlib
     import io
 
     work = tmp_path_factory.mktemp("import-probe")
-    grid = work / "grid.json"
-    grid.write_text(json.dumps({
-        "spec": {"name": "probe", "workload": "blockcipher", "frames": 2,
-                 "params": {"block_words": 8}},
-        "sweep": {"cpu": ["ARM7TDMI", "ARM9TDMI"]}}))
+    grids = []
+    for name, spec in (
+            ("blockcipher", {"workload": "blockcipher", "frames": 2,
+                             "params": {"block_words": 8}}),
+            ("facerec", {"identities": 2, "poses": 1, "size": 32,
+                         "frames": 1, "levels": [1]})):
+        grid = work / f"{name}.json"
+        grid.write_text(json.dumps({
+            "spec": {"name": f"probe-{name}", **spec},
+            "sweep": {"cpu": ["ARM7TDMI", "ARM9TDMI"]}}))
+        grids.append(str(grid))
     store = str(work / "store")
     with contextlib.redirect_stdout(io.StringIO()):
-        assert main(["campaign", str(grid), "--store", store]) == 0
-    return _probe(IMPORT_PROBE, str(grid), store)
+        for grid in grids:
+            assert main(["campaign", grid, "--store", store]) == 0
+    return _probe(IMPORT_PROBE, *grids, store)
 
 
 class TestImportBoundary:
@@ -281,14 +289,17 @@ class TestImportBoundary:
 
     def test_commands_that_compute_nothing_load_no_flow(self, import_probe):
         """The CLI start, ``repro workloads`` and a sweep whose every
-        point merges from the store load neither numpy nor the flow."""
+        point merges from the store load neither numpy nor the flow.
+        A facerec grid included: validating its specs needs only the
+        numpy-free ``FacerecConfig``, not the face model."""
         seen = import_probe
         assert seen["workloads exit"] == 0
-        assert seen["resumed sweep exit"] == 0
-        assert seen["resumed sweep executed"] == []
         assert seen["flow after import repro.cli"] == []
         assert seen["flow after workloads"] == []
-        assert seen["flow after resumed sweep"] == []
+        for label in ("resumed sweep", "resumed facerec sweep"):
+            assert seen[label + " exit"] == 0
+            assert seen[label + " executed"] == []
+            assert seen["flow after " + label] == []
 
     @pytest.mark.parametrize("package", ["repro.service", "repro.fleet"])
     def test_daemon_and_runner_load_the_flow_up_front(self, package):
@@ -666,6 +677,14 @@ class TestServiceCommands:
         with pytest.raises(SystemExit, match="workers"):
             main(["service", "start", "--root", str(tmp_path / "svc"),
                   "--workers", "-1"])
+
+    def test_submit_has_no_jobs_option(self, tmp_path, capsys):
+        spec_file = self._write(tmp_path, self.SPEC)
+        with pytest.raises(SystemExit) as excinfo:
+            main(["service", "submit", spec_file, "--jobs", "2",
+                  "--url", "http://127.0.0.1:9"])
+        assert excinfo.value.code == 2  # argparse's usage error
+        assert "unrecognized arguments: --jobs 2" in capsys.readouterr().err
 
     def test_unreachable_service_is_a_clean_error(self, tmp_path):
         spec_file = self._write(tmp_path, self.SPEC)
