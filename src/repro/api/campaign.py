@@ -6,9 +6,10 @@ per-level pass gates plus the workload's accuracy threshold, and returns
 a serializable :class:`CampaignOutcome`.  :meth:`Campaign.sweep` expands
 a field grid into specs and runs them through one loop that derives each
 point's session from the previous one, maximising cache reuse.  With
-``jobs=N`` a :mod:`multiprocessing` pool runs that loop on N contiguous
-slices of the grid, and the results are merged from the children's
-``to_dict`` payloads.
+``jobs=N`` the parent builds the stages no grid key can change, then a
+:mod:`multiprocessing` fork pool runs that loop on N contiguous slices
+of the grid from that session, and the results are merged from the
+children's ``to_dict`` payloads.
 
 Only computing a point loads the flow (:mod:`repro.api.session` and the
 stage registry): a sweep whose points all merge from the store never
@@ -129,10 +130,13 @@ def fork_context():
     """The multiprocessing context campaign children run under.
 
     Prefer fork where available: workers inherit the parent's workload
-    registry, so runtime-registered custom workloads run correctly.
-    Under spawn (Windows), workloads must be registered at import time
-    of an importable module.  Shared by the sweep and PCC pools and the
-    runners' job children so the policy can only change in one place.
+    registry, so runtime-registered custom workloads run correctly, and
+    a sweep pool's children inherit the parent's seed session.  Under
+    spawn (Windows), workloads must be registered at import time of an
+    importable module, and each sweep child builds its first session
+    itself.  Shared by the sweep pool and the runners' job children
+    (:func:`repro.service.workers.spawn_job_child`) so the policy can
+    only change in one place.
     """
     import multiprocessing
 
@@ -164,21 +168,23 @@ class SweepPointError(RuntimeError):
 
 
 def _run_points(specs: Sequence[CampaignSpec], keys: Sequence[str],
-                store: Optional[Any] = None
+                store: Optional[Any] = None,
+                session: Optional[Session] = None
                 ) -> list[tuple["CampaignOutcome", Optional[dict]]]:
     """Run grid points in order in this process: the one sweep loop.
 
-    Each session is derived from the previous point's with
-    :meth:`~repro.api.session.Session.with_spec`; every grid key in
-    ``keys`` is set at every point, so no stale grid field is left
-    behind.  Returns :func:`run_recorded`'s pair per point: with a
-    ``store`` each point is recorded as it finishes.  A failing point
-    raises :class:`SweepPointError` naming it; one whose session cannot
-    build or derive also records its failure envelope, so a resumed
-    sweep retries it.
+    Each session is derived with
+    :meth:`~repro.api.session.Session.with_spec` from the previous
+    point's, the first from ``session`` when one is given (a pool
+    child's inherited :func:`_seed_session`); every grid key in ``keys``
+    is set at every point, so no stale grid field is left behind.
+    Returns :func:`run_recorded`'s pair per point: with a ``store`` each
+    point is recorded as it finishes.  A failing point raises
+    :class:`SweepPointError` naming it; one whose session cannot build
+    or derive also records its failure envelope, so a resumed sweep
+    retries it.
     """
     results = []
-    session: Optional[Session] = None
     for spec in specs:
         with telemetry.span("sweep.point", spec=spec.name,
                             workload=spec.workload):
@@ -201,15 +207,64 @@ def _run_points(specs: Sequence[CampaignSpec], keys: Sequence[str],
     return results
 
 
+def _seed_session(spec: CampaignSpec, keys: Sequence[str],
+                  store: Optional[Any]) -> "Session":
+    """``spec``'s session with every stage its levels need built whose
+    result no grid key can change: the stages that neither are, nor
+    depend on a stage that is, ``sensitive_to`` a key in ``keys`` (the
+    rule :meth:`~repro.api.session.Session.with_spec` carries results
+    by).  A pool's parent builds it once before it forks, and each child
+    derives its first point from it instead of building those stages
+    again.  A failure is recorded and raised for ``spec``, the grid's
+    first point, as :func:`_run_points` would.
+    """
+    from repro.api.session import Session
+    from repro.api.stages import LEVEL_STAGES, get_stage
+
+    grid_keys = set(keys)
+
+    def independent(name: str) -> bool:
+        stage = get_stage(name)
+        return not grid_keys & set(stage.sensitive_to) and \
+            all(independent(dep) for dep in stage.requires)
+
+    try:
+        session = Session(spec, store=store)
+        pending = [LEVEL_STAGES[level] for level in sorted(spec.levels)]
+        while pending:
+            name = pending.pop(0)
+            if independent(name):
+                session.run(name)
+            else:
+                pending.extend(get_stage(name).requires)
+    except Exception as exc:
+        if store is not None:
+            store.put_campaign_failure(spec, exc)
+        raise SweepPointError.wrap(spec, exc) from exc
+    return session
+
+
+#: The parent's :func:`_seed_session`, in a pool child (set by the pool
+#: initializer, :func:`_adopt_seed`, from arguments a fork inherits).
+_inherited_seed: Optional[Session] = None
+
+
+def _adopt_seed(seed: Optional[Session]) -> None:
+    global _inherited_seed
+    _inherited_seed = seed
+
+
 def _run_slice(spec_docs: list[dict], keys: list[str],
                store_root: Optional[str], trace: Optional[dict]) -> list[dict]:
     """Pool worker: one slice of the grid through :func:`_run_points`.
 
     Module-level (picklable by name) on purpose; live outcomes carry
     unpicklable artifacts (task lambdas, numpy closures), so only the
-    points' ``to_dict`` payloads cross the process boundary.  Adopting
-    ``trace`` (a :func:`repro.telemetry.handoff` package) re-parents the
-    ``sweep.point`` spans under the submitting sweep's span.
+    points' ``to_dict`` payloads cross the process boundary.  The slice's
+    first session derives from the inherited seed session when there is
+    one.  Adopting ``trace`` (a :func:`repro.telemetry.handoff` package)
+    re-parents the ``sweep.point`` spans under the submitting sweep's
+    span.
     """
     telemetry.adopt(trace)
     store = None
@@ -219,7 +274,8 @@ def _run_slice(spec_docs: list[dict], keys: list[str],
         store = CampaignStore(store_root)
     specs = [CampaignSpec.from_dict(doc) for doc in spec_docs]
     return [payload if payload is not None else outcome.to_dict()
-            for outcome, payload in _run_points(specs, keys, store)]
+            for outcome, payload in _run_points(specs, keys, store,
+                                                session=_inherited_seed)]
 
 
 def _slices(points: Sequence[Any], jobs: int) -> list[Sequence[Any]]:
@@ -362,12 +418,14 @@ class Campaign:
         With ``jobs>1`` a ``multiprocessing`` pool runs that loop on
         contiguous slices of the grid, one per child, and the merged
         :class:`SweepResult` is built from the children's ``to_dict``
-        payloads (order preserved).  Grid order keeps the points sharing
-        the outer grid keys together, so each child keeps the reuse of
-        its slice.  ``jobs`` is a ceiling: the pool never exceeds the
-        grid size or the CPUs actually available to this process
-        (oversubscribing a CPU quota makes the simulation-heavy points
-        dramatically slower, not faster).
+        payloads (order preserved).  The stages no grid key can change
+        are built once, in the parent, and every child derives its
+        first session from that one.  Grid order keeps the points
+        sharing the outer grid keys together, so each child keeps the
+        reuse of its slice.  ``jobs`` is a ceiling: the pool never
+        exceeds the grid size or the CPUs actually available to this
+        process (oversubscribing a CPU quota makes the simulation-heavy
+        points dramatically slower, not faster).
 
         ``store`` (a :class:`repro.store.CampaignStore`) makes the sweep
         durable: every completed point's outcome document is persisted
@@ -432,19 +490,23 @@ class Campaign:
         """Run ``points`` over a fork pool, returning outcome payloads.
 
         Each child runs one of :func:`_slices`' contiguous runs through
-        :func:`_run_points`.  The flow is imported here, before the fork,
-        so the children inherit it instead of each importing it again.
+        :func:`_run_points`.  The parent first builds the grid-independent
+        stages once (:func:`_seed_session`, which also loads the flow),
+        and the fork children inherit them instead of each building them,
+        and importing the flow, again.
         """
-        import repro.api.session  # noqa: F401
-
+        seed = _seed_session(points[0], keys, store)
         ctx = fork_context()
+        if ctx.get_start_method() != "fork":  # pragma: no cover (no fork)
+            seed = None  # a spawned child cannot inherit a live session
         runs = _slices(points, jobs)
         store_root = str(store.root) if store is not None else None
         # Captured once, outside the workers: every pool child adopts
         # the submitting span (normally the open campaign.sweep) so its
         # sweep.point spans re-parent under it across the fork.
         trace = telemetry.handoff()
-        with ctx.Pool(processes=len(runs)) as pool:
+        with ctx.Pool(processes=len(runs), initializer=_adopt_seed,
+                      initargs=(seed,)) as pool:
             done = pool.starmap(
                 _run_slice,
                 [([spec.to_dict() for spec in run], keys, store_root, trace)

@@ -44,7 +44,7 @@ from repro.platform.cpu import CpuModel
 from repro.platform.memory import Memory
 from repro.platform.partition import Partition, Side
 from repro.tlm.sockets import InitiatorSocket
-from repro.tlm.transaction import Transaction
+from repro.tlm.transaction import Command, Transaction
 
 #: Address map of the reference platform.
 RAM_BASE = 0x1000_0000
@@ -303,29 +303,24 @@ class Architecture:
 
     # -- CPU behaviour ------------------------------------------------------------------
 
-    def _bus_words(self, socket, address: int, words: int, command: str,
-                   origin: str, kind: str = "data"):
-        """Move ``words`` over the bus in bursts (generator)."""
-        remaining = words
-        offset = 0
-        while remaining > 0:
-            chunk = min(self.burst_words, remaining)
-            if command == "write":
-                txn = Transaction.write(address + offset * 4, [0] * chunk,
-                                        origin=origin, kind=kind)
-            else:
-                txn = Transaction.read(address + offset * 4, burst_len=chunk,
-                                       origin=origin, kind=kind)
-            yield from socket.transport(txn)
-            remaining -= chunk
-            offset += chunk
+    def _bus_words(self, address: int, words: int, command: Command):
+        """Move ``words`` CPU data words over the bus (generator).
+
+        One run of bursts of at most ``burst_words``
+        (:meth:`~repro.platform.bus.Bus.transport_run`).  The CPU is the
+        bus's only master (hardwired blocks talk over FIFOs, and
+        reconfiguration runs inside the CPU's ``ensure_loaded``), and
+        each transfer decodes into one target that states its latency
+        up front (the RAM, a hardwired block's or the FPGA's mailbox),
+        so each costs one timed wait.
+        """
+        yield from self.bus.transport_run(command, address, words,
+                                          self.burst_words, "cpu")
 
     def _cpu_process(self, stimuli_seq: list, results: dict, done: list):
         graph = self.partition.graph
         partition = self.partition
         schedule = graph.topological_order()
-        socket = InitiatorSocket("cpu.data")
-        socket.bind(self.bus)
         ram_cursor = [0]
         token_addr: dict[str, int] = {}
         local_tokens: dict[str, list] = {c: [] for c in graph.channels}
@@ -349,15 +344,15 @@ class Architecture:
                 # SW->SW tokens also live in RAM; model the read traffic.
                 if src_side is Side.SW and chan.src not in partition.fpga_tasks:
                     yield from self._bus_words(
-                        socket, token_addr.get(chan_name, RAM_BASE),
-                        chan.words_per_token, "read", "cpu")
+                        token_addr.get(chan_name, RAM_BASE),
+                        chan.words_per_token, Command.READ)
                     self._sw_memory_words += chan.words_per_token
                 return local_tokens[chan_name].pop(0)
             # Hardwired HW producer: read back over the bus.
             block = self.hw_blocks[chan.src]
             token = yield from block.readback[chan_name].get()
-            yield from self._bus_words(socket, block.bus_base,
-                                       chan.words_per_token, "read", "cpu")
+            yield from self._bus_words(block.bus_base,
+                                       chan.words_per_token, Command.READ)
             return token
 
         def deliver_output(chan_name: str, token):
@@ -368,14 +363,14 @@ class Architecture:
                 if dst_side is Side.SW and chan.dst not in partition.fpga_tasks:
                     addr = alloc(chan_name)
                     token_addr[chan_name] = addr
-                    yield from self._bus_words(socket, addr,
-                                               chan.words_per_token, "write", "cpu")
+                    yield from self._bus_words(addr, chan.words_per_token,
+                                               Command.WRITE)
                     self._sw_memory_words += chan.words_per_token
                 local_tokens[chan_name].append(token)
                 return
             block = self.hw_blocks[chan.dst]
-            yield from self._bus_words(socket, block.bus_base,
-                                       chan.words_per_token, "write", "cpu")
+            yield from self._bus_words(block.bus_base,
+                                       chan.words_per_token, Command.WRITE)
             yield from block.in_fifos[chan_name].put(token)
 
         def fire_on_cpu(task_name: str, inputs):
@@ -394,7 +389,7 @@ class Architecture:
             task = graph.tasks[task_name]
             yield from self.controller.ensure_loaded(task_name)
             in_words = sum(graph.channels[c].words_per_token for c in task.reads) or 1
-            yield from self._bus_words(socket, FPGA_BASE, in_words, "write", "cpu")
+            yield from self._bus_words(FPGA_BASE, in_words, Command.WRITE)
             outputs = task.fire(sw_states[task_name], inputs)
             ops = task.ops(inputs)
             self._hw_ops += ops
@@ -402,7 +397,7 @@ class Architecture:
             yield wait(max(1, self.annotations[task_name].time_per_firing_ps))
             self.fpga.end_compute()
             out_words = sum(graph.channels[c].words_per_token for c in task.writes) or 1
-            yield from self._bus_words(socket, FPGA_BASE, out_words, "read", "cpu")
+            yield from self._bus_words(FPGA_BASE, out_words, Command.READ)
             for chan_name in task.writes:
                 self._record_trace(task_name, chan_name, outputs[chan_name])
             return outputs
@@ -415,8 +410,7 @@ class Architecture:
                 if side is Side.HW and not on_fpga:
                     block = self.hw_blocks[task_name]
                     if not task.reads:  # source block: trigger it
-                        yield from self._bus_words(socket, block.bus_base, 1,
-                                                   "write", "cpu")
+                        yield from self._bus_words(block.bus_base, 1, Command.WRITE)
                         yield from block.trigger.put(stimulus)
                     continue
                 # SW task or FPGA call: CPU gathers inputs.
@@ -495,9 +489,10 @@ class _MailboxTarget:
     """Bus-visible mailbox window of a HW block / the FPGA fabric.
 
     Transfers are purely time-modelled (one cycle per word is already
-    charged by the bus); the functional payload travels through kernel
-    FIFOs, keeping data and timing concerns separate as TL modelling
-    prescribes.
+    charged by the bus, plus ``latency_ps`` per burst); the functional
+    payload travels through kernel FIFOs, keeping data and timing
+    concerns separate as TL modelling prescribes.  Its latency is known
+    up front, so it serves the bus's one-wait runs.
     """
 
     def __init__(self, sim: Simulator, latency_ps: int = 0):
@@ -507,7 +502,13 @@ class _MailboxTarget:
     def transport(self, txn: Transaction):
         if self.latency_ps:
             yield wait(self.latency_ps)
-        if txn.command.value == "read":
+        if txn.command is Command.READ:
             txn.data = [0] * txn.burst_len
         return txn
-        yield  # pragma: no cover - keeps this a generator even if body changes
+
+    def run_latency(self, command: Command, address: int, words: int):
+        return self.latency_ps, 0
+
+    def book_run(self, command: Command, address: int, words: int, bursts,
+                 origin: str) -> None:
+        """Nothing to book: a mailbox keeps no counters."""

@@ -31,11 +31,19 @@ class Memory:
     """A word-addressable RAM/flash model with fixed access latency.
 
     ``base`` is the bus-visible base address; internally storage is
-    indexed by word offset.  ``latency_cycles`` applies once per beat.
+    indexed by word offset.  ``latency_ps`` applies once per beat.
 
     A read burst touching never-written words is recorded once: its
-    offsets, origin and time.  :attr:`uninitialized_reads` expands the
-    records into one :class:`UninitializedRead` per word on access.
+    offsets, origin and the burst's end time.  :attr:`uninitialized_reads`
+    expands the records into one :class:`UninitializedRead` per word on
+    access.  A read from a memory that was never written (every
+    bitstream burst from the read-only configuration store) builds no
+    per-word list.
+
+    The memory serves the bus's one-wait runs (see
+    :meth:`repro.platform.bus.Bus.transport_run`): :meth:`run_latency`
+    states a burst's latency up front and :meth:`book_run` books a
+    finished run exactly as :meth:`transport` would have, burst by burst.
     """
 
     def __init__(
@@ -110,25 +118,68 @@ class Memory:
             txn.response = Response.SLAVE_ERROR
             return txn
         yield wait(self.latency_ps * txn.burst_len)
-        storage = self._storage
-        offsets = range(start, start + txn.burst_len)
         if txn.command is Command.WRITE:
             if self.readonly:
                 txn.response = Response.SLAVE_ERROR
                 return txn
-            storage.update(zip(offsets, txn.data))
-            self.writes += txn.burst_len
+            self._write(start, txn.data)
         else:
-            txn.data = [storage.get(offset, 0) for offset in offsets]
-            unwritten = [offset for offset in offsets if offset not in storage]
-            if unwritten:
-                if len(unwritten) == txn.burst_len:
-                    unwritten = offsets  # every bitstream burst: O(1) memory
-                self._unwritten.append((unwritten, txn.origin, self.sim.now_ps))
-                self._unwritten_words += len(unwritten)
-            self.reads += txn.burst_len
+            storage = self._storage
+            txn.data = ([storage.get(offset, 0)
+                         for offset in range(start, start + txn.burst_len)]
+                        if storage else [0] * txn.burst_len)
+            self._read(start, txn.burst_len, txn.origin, self.sim.now_ps)
         txn.response = Response.OK
         return txn
+
+    def run_latency(self, command: Command, address: int, words: int):
+        """``(ps per burst, ps per word)`` of a run of ``words`` words from
+        ``address``, or None where :meth:`transport` would answer a
+        burst with an error (out of range, a write to read-only memory)."""
+        try:
+            self._offset(address)
+            self._offset(address + (words - 1) * self.word_bytes)
+        except ValueError:
+            return None
+        if command is Command.WRITE and self.readonly:
+            return None
+        return 0, self.latency_ps
+
+    def book_run(self, command: Command, address: int, words: int, bursts,
+                 origin: str) -> None:
+        """Book a run of ``words`` words from ``address`` that the bus moved
+        in one wait, as :meth:`transport` would have booked its ``bursts``
+        (``(address, burst_len, end_ps)``; written words are zeros).  Only
+        a read touching never-written words walks the bursts."""
+        start = self._offset(address)
+        if command is Command.WRITE:
+            self._write(start, [0] * words)
+        elif all(map(self._storage.__contains__,
+                     range(start, start + words))):
+            self.reads += words
+        else:
+            for burst_address, burst_len, end_ps in bursts:
+                self._read(self._offset(burst_address), burst_len, origin,
+                           end_ps)
+
+    def _write(self, start: int, data) -> None:
+        self._storage.update(zip(range(start, start + len(data)), data))
+        self.writes += len(data)
+
+    def _read(self, start: int, burst_len: int, origin: str,
+              time_ps: int) -> None:
+        """Count a read burst and record its never-written words."""
+        storage = self._storage
+        offsets = range(start, start + burst_len)
+        unwritten = offsets
+        if storage:
+            unwritten = [offset for offset in offsets if offset not in storage]
+            if len(unwritten) == burst_len:
+                unwritten = offsets  # one range, not a per-word list
+        if unwritten:
+            self._unwritten.append((unwritten, origin, time_ps))
+            self._unwritten_words += len(unwritten)
+        self.reads += burst_len
 
     def stats(self) -> dict:
         return {

@@ -375,6 +375,51 @@ class TestParallelSweep:
         pids = {pid for pid, _cpu in rows}
         assert len(pids) == 2 and str(os.getpid()) not in pids
 
+    def test_parent_builds_the_grid_independent_stages_once(
+            self, tmp_path, monkeypatch):
+        """Before it forks, the pool's parent builds every stage no grid
+        key can change (here all but levels 2 and 3), and each child
+        derives its first point from that session instead of building
+        them again; the result stays the serial sweep's.  The children
+        inherit the patched stages, which log each build's pid."""
+        from repro.api.stages import get_stage
+        from repro.serialize import canonical_json
+
+        log = tmp_path / "builds.log"
+        names = ("reference", "profile", "partition", "level1", "level2",
+                 "level3", "level4")
+
+        def logging_compute(name, compute):
+            def logged(self, ctx):
+                with open(log, "a") as handle:
+                    handle.write(f"{os.getpid()} {name}\n")
+                return compute(self, ctx)
+            return logged
+
+        for name in names:
+            stage = type(get_stage(name))
+            monkeypatch.setattr(stage, "compute",
+                                logging_compute(name, stage.compute))
+        monkeypatch.setenv("REPRO_JOBS", "2")
+        base = CampaignSpec(name="seeded", workload="blockcipher", frames=2,
+                            params={"block_words": 8})
+        grid = {"cpu": ["ARM7TDMI", "ARM9TDMI"],
+                "capacity_gates": [12_000, 24_000],
+                "deadline_ms": [500, 1000]}
+        pooled = Campaign.sweep(base, grid, jobs=2)
+        builds = {}
+        for line in log.read_text().splitlines():
+            pid, name = line.split()
+            builds.setdefault(name, []).append(pid)
+        parent = str(os.getpid())
+        for name in ("reference", "profile", "partition", "level1",
+                     "level4"):
+            assert builds[name] == [parent], name
+        for name in ("level2", "level3"):
+            assert builds[name] and parent not in builds[name], name
+        assert canonical_json(pooled.to_dict()) == \
+            canonical_json(Campaign.sweep(base, grid).to_dict())
+
     def test_slices_are_contiguous_balanced_and_bounded(self, monkeypatch):
         """Each child's run is a contiguous stretch of grid order; sizes
         differ by at most one; never more runs than points, ``jobs`` or

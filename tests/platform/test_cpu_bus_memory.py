@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.kernel import NS, Simulator, wait
+from repro.kernel import NS, SimulationError, Simulator, wait
 from repro.platform import (
     ARM7TDMI,
     ARM9TDMI,
@@ -14,6 +14,7 @@ from repro.platform import (
     Memory,
     UninitializedRead,
 )
+from repro.platform.architecture import _MailboxTarget
 from repro.tlm import Command, InitiatorSocket, Response, Transaction
 
 
@@ -359,3 +360,189 @@ class TestBus:
         bus = Bus("b", sim)
         with pytest.raises(TypeError):
             bus.attach("x", 0, 16, object())
+
+    def test_release_hands_the_bus_to_the_waiting_master(self):
+        """FIFO hand-over: a master that releases the bus and requests it
+        again in the same activation queues behind the master already
+        waiting, and the bus is never held twice at once."""
+        sim, bus, __ = self._setup()
+        finished = []
+
+        def master(name, bursts, delay_ps):
+            if delay_ps:
+                yield wait(delay_ps)
+            for __ in range(bursts):
+                txn = Transaction.write(0x1000, [0] * 8, origin=name)
+                yield from bus.transport(txn)
+                finished.append((name, txn.complete_ps))
+
+        sim.spawn("a", master("a", 2, 0))
+        sim.spawn("b", master("b", 1, 50 * NS))
+        sim.run()
+        # Each burst occupies 10 cycles = 200 ns.
+        assert finished == [("a", 200_000), ("b", 400_000), ("a", 600_000)]
+        assert bus.stats.busy_ps == 600_000 <= sim.now_ps
+        # b waited 150 ns for a's first burst, a's second 200 ns for b's.
+        assert bus.stats.wait_ps_total == 350_000
+
+    # A run holds the bus for its whole duration, so it may only move in
+    # one wait while no other master wants the bus; the arbiter, burst by
+    # burst, is the oracle of every timing below.
+
+    def _two_masters(self, oracle, run_delay_ps, other_delay_ps):
+        """Master ``cpu`` runs 16 words in bursts of 8 (two 200 ns bursts);
+        master ``dma`` issues one 8-word burst.  Returns completion times
+        and the bus report."""
+        sim, bus, __ = self._setup()
+        if oracle:
+            bus._run_plan = lambda *args: None
+        done = []
+
+        def cpu():
+            yield wait(run_delay_ps)
+            yield from bus.transport_run(Command.WRITE, 0x1000, 16, 8,
+                                         origin="cpu")
+            done.append(("cpu", sim.now_ps))
+
+        def dma():
+            yield wait(other_delay_ps)
+            yield from bus.transport(
+                Transaction.write(0x1040, [0] * 8, origin="dma"))
+            done.append(("dma", sim.now_ps))
+
+        sim.spawn("cpu", cpu())
+        sim.spawn("dma", dma())
+        sim.run()
+        return done, bus.loading_report()
+
+    def test_a_request_during_a_run_raises_naming_both_masters(self):
+        with pytest.raises(SimulationError) as excinfo:
+            self._two_masters(oracle=False, run_delay_ps=1,
+                              other_delay_ps=50 * NS)
+        message = str(excinfo.value)
+        assert "'dma'" in message and "'cpu'" in message
+        # Burst by burst, the arbiter hands the bus to dma after the
+        # run's first burst: one wait would have mis-timed dma.
+        done, __ = self._two_masters(oracle=True, run_delay_ps=1,
+                                     other_delay_ps=50 * NS)
+        assert done == [("dma", 400_001), ("cpu", 600_001)]
+
+    def test_a_run_behind_a_busy_bus_goes_burst_by_burst(self):
+        expected = self._two_masters(oracle=True, run_delay_ps=50 * NS,
+                                     other_delay_ps=1)
+        assert expected[0] == [("dma", 200_001), ("cpu", 600_001)]
+        assert self._two_masters(oracle=False, run_delay_ps=50 * NS,
+                                 other_delay_ps=1) == expected
+
+    def test_a_request_as_the_run_ends_is_served_after_it(self):
+        expected = self._two_masters(oracle=True, run_delay_ps=1,
+                                     other_delay_ps=400 * NS + 1)
+        assert expected[0] == [("cpu", 400_001), ("dma", 600_001)]
+        assert self._two_masters(oracle=False, run_delay_ps=1,
+                                 other_delay_ps=400 * NS + 1) == expected
+
+
+_RAM, _MAILBOX, _ROM = 0x1000, 0x1080, 0x2000
+
+
+def _run_platform(ram_latency_ps, rom_latency_ps, mailbox_latency_ps):
+    """A bus with a 32-word RAM, a mailbox mapped right after it (so a
+    run can cross from one slave into the next) and a 16-word read-only
+    memory in a 32-word window (so a run can decode but run past it)."""
+    sim = Simulator()
+    bus = Bus("amba", sim)
+    ram = Memory("ram", sim, _RAM, 32, latency_ps=ram_latency_ps)
+    rom = Memory("rom", sim, _ROM, 16, latency_ps=rom_latency_ps,
+                 readonly=True)
+    bus.attach("ram", _RAM, ram.size_bytes, ram)
+    bus.attach("mailbox", _MAILBOX, 64, _MailboxTarget(sim, mailbox_latency_ps))
+    bus.attach("rom", _ROM, 2 * rom.size_bytes, rom)
+    return sim, bus, ram, rom
+
+
+def _one_wait(command, address, words):
+    """Whether a run may move in one wait: it decodes into one slave that
+    serves every burst without an error."""
+    first, last = address, address + 4 * (words - 1)
+    for low, high, serves in ((_RAM, _MAILBOX, True),
+                              (_MAILBOX, _MAILBOX + 64, True),
+                              (_ROM, _ROM + 128,
+                               command == "read" and last < _ROM + 64)):
+        if low <= first and last < high:
+            return serves
+    return False
+
+
+#: One step of a single-master session: a RAM preload, an idle gap, or a
+#: run of ``words`` words in bursts of ``burst`` from word ``first`` of a
+#: slave, which may start before it or run past it.
+_RUN_STEPS = st.one_of(
+    st.tuples(st.just("preload"), st.integers(0, 31), st.integers(1, 8)),
+    st.tuples(st.just("idle"), st.integers(1, 50_000)),
+    st.tuples(st.sampled_from(["read", "write"]),
+              st.sampled_from([_RAM, _MAILBOX, _ROM]),
+              st.integers(-2, 40), st.integers(1, 40), st.integers(1, 16)),
+)
+
+
+def _drive_runs(steps, latencies, oracle):
+    """Run ``steps``; with ``oracle`` every run goes burst by burst.
+    Returns every observable outcome and the per-burst transports each
+    run issued."""
+    sim, bus, ram, rom = _run_platform(*latencies)
+    if oracle:
+        bus._run_plan = lambda *args: None
+    transports = []
+    per_burst = bus.transport
+
+    def counting_transport(txn):
+        transports[-1] += 1
+        return per_burst(txn)
+
+    bus.transport = counting_transport
+    ends = []
+
+    def master():
+        for step in steps:
+            if step[0] == "preload":
+                _, offset, count = step
+                ram.preload(_RAM + 4 * offset,
+                            [offset + i for i in range(min(count, 32 - offset))])
+            elif step[0] == "idle":
+                yield wait(step[1])
+            else:
+                command, base, first, words, burst = step
+                transports.append(0)
+                yield from bus.transport_run(
+                    Command(command), base + 4 * first, words, burst,
+                    origin="cpu", kind="data")
+                ends.append(sim.now_ps)
+
+    sim.spawn("master", master())
+    sim.run()
+    observed = (ends, sim.now_ps, bus.loading_report(),
+                ram.stats(), rom.stats(), ram.uninitialized_reads,
+                rom.uninitialized_reads, ram.peek(_RAM, 32))
+    return observed, transports
+
+
+class TestBusRunsMatchPerBurstModel:
+    """``Bus.transport_run`` against the per-burst path on random sessions:
+    a run in one wait books exactly what its bursts would have, and a run
+    that cannot (out of range, across slaves, a write to read-only memory)
+    goes burst by burst."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(steps=st.lists(_RUN_STEPS, max_size=16),
+           latencies=st.tuples(st.sampled_from([0, 10_000, 20_000]),
+                               st.sampled_from([0, 20_000]),
+                               st.sampled_from([0, 5_000])))
+    def test_identical_outcomes_and_records(self, steps, latencies):
+        observed, transports = _drive_runs(steps, latencies, oracle=False)
+        expected, __ = _drive_runs(steps, latencies, oracle=True)
+        assert observed == expected
+        runs = [step for step in steps if step[0] in ("read", "write")]
+        assert transports == [
+            0 if _one_wait(command, base + 4 * first, words)
+            else -(-words // burst)
+            for command, base, first, words, burst in runs]
