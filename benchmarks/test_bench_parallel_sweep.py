@@ -30,8 +30,9 @@ from repro.serialize import canonical_json
 
 #: A 4-point grid over a workload field, so the serial sweep cannot
 #: share cached stages across points and both modes do the same work.
-#: Paper-size points (~0.5s each) keep the per-point work well above the
-#: pool's fork/merge overhead.
+#: Paper-size points take ~0.2 s each (0.19-0.27 s serial on a 2-vCPU
+#: Xeon), so the pool's fork/merge overhead is a sizeable share of the
+#: pooled sweep.
 BASE = CampaignSpec(name="par-sweep", identities=20, poses=3, size=64,
                     frames=16, levels=(1, 2, 3))
 GRID = {"seed": [11, 22, 33, 44]}

@@ -8,5 +8,7 @@ setup(
     package_dir={"": "src"},
     packages=find_packages(where="src"),
     python_requires=">=3.10",
-    install_requires=["numpy", "scipy", "networkx"],
+    # Runtime dependencies only: networkx and the rest of
+    # requirements-dev.txt serve the tests.
+    install_requires=["numpy", "scipy"],
 )

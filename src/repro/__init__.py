@@ -19,6 +19,8 @@ Package map:
 - :mod:`repro.rtl` — FSMD netlists, synthesis-lite, wrappers, VCD;
 - :mod:`repro.verify` — SAT, ATPG (Laerte++), LPV, SymbC, model
   checking, PCC;
+- :mod:`repro.traces` — trace capture and comparison, for every
+  workload;
 - :mod:`repro.facerec` — the face-recognition case study;
 - :mod:`repro.flow` — the four-level methodology drivers.
 """

@@ -25,7 +25,8 @@ CALCLINE -> DISTANCE (with DATABASE) -> CALCDIST -> ROOT -> WINNER
 - :mod:`~repro.facerec.pipeline` — the level-1 application graph
   (Figure 2) built on :class:`repro.platform.AppGraph`.
 - :mod:`~repro.facerec.tracing` — trace capture and comparison ("match
-  of results consists of trace files comparison").
+  of results consists of trace files comparison"), re-exported from the
+  workload-agnostic :mod:`repro.traces`.
 """
 
 from repro.facerec.camera import CameraConfig, FaceSampler, synth_face, bayer_mosaic

@@ -24,7 +24,7 @@ from repro.kernel.channels import Fifo
 from repro.kernel.module import Module
 from repro.kernel.scheduler import Simulator
 from repro.platform.taskgraph import AppGraph
-from repro.facerec.tracing import Trace, TraceMismatch, compare_traces
+from repro.traces import Trace, TraceMismatch, compare_traces
 
 
 class _TaskModule(Module):

@@ -11,13 +11,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Any, Iterable, Optional
 
-from repro.facerec.tracing import Trace, TraceMismatch, compare_traces
 from repro.platform.annotation import TimingAnnotator
 from repro.platform.architecture import ArchitectureMetrics
 from repro.platform.cpu import CpuModel, ARM7TDMI
 from repro.platform.partition import Partition, transformation1
 from repro.platform.profiler import Profile, profile_graph
 from repro.platform.taskgraph import AppGraph
+from repro.traces import Trace, TraceMismatch, compare_traces
 from repro.verify.lpv.realtime import DeadlineReport, FifoSizingReport, check_deadline, size_fifos
 
 

@@ -14,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Any, Iterable, Optional
 
-from repro.facerec.tracing import Trace, TraceMismatch, compare_traces
 from repro.fpga.bitstream import BitstreamModel
 from repro.fpga.context import Configuration
 from repro.fpga.mapper import ContextMapper, MappingChoice
@@ -28,6 +27,7 @@ from repro.swir.ast import Assign, BinOp, Call, Const, FpgaCall, Program, Var
 from repro.swir.builder import FunctionBuilder, ProgramBuilder
 from repro.swir.engine_batched import BatchedEngine
 from repro.swir.instrument import instrument_reconfiguration
+from repro.traces import Trace, TraceMismatch, compare_traces
 from repro.verify.symbc import ConfigInfo, SymbcAnalyzer, SymbcVerdict
 
 
@@ -35,6 +35,7 @@ def build_sw_program(
     graph: AppGraph,
     partition: Partition,
     skip_instrumentation: Optional[set[str]] = None,
+    context_map: Optional[dict[str, str]] = None,
 ) -> tuple[Program, dict[str, str]]:
     """The embedded SW of the case study as an IR program.
 
@@ -45,13 +46,15 @@ def build_sw_program(
     designers did by hand; ``skip_instrumentation`` (task names) yields
     the faulty variants SymbC must reject.
 
-    Returns ``(instrumented program, context_map)`` where ``context_map``
-    maps FPGA function -> owning context name (config1, config2, ... in
-    schedule order of first use).
+    ``context_map`` maps each FPGA function to its owning context name;
+    by default each FPGA task gets a context of its own (config1,
+    config2, ... in schedule order).  Returns ``(instrumented program,
+    context_map)``.
     """
     schedule = graph.topological_order()
-    fpga_tasks = [t for t in schedule if t in partition.fpga_tasks]
-    context_map = {name: f"config{i + 1}" for i, name in enumerate(fpga_tasks)}
+    if context_map is None:
+        fpga_tasks = [t for t in schedule if t in partition.fpga_tasks]
+        context_map = {name: f"config{i + 1}" for i, name in enumerate(fpga_tasks)}
 
     fb = FunctionBuilder("main", ["frames"])
     fb.assign("frame", Const(0))
@@ -181,21 +184,14 @@ def run_level3(
                                       capacity_gates, bitstream_model)
         contexts = list(mapping_choice.contexts)
 
-    # The SW instrumentation (and its formal check).
+    # The SW instrumentation, against the contexts' ownership map (and
+    # its formal check).
+    owner = {fn: ctx.name for ctx in contexts for fn in ctx.functions}
     sw_program, context_map = build_sw_program(graph, partition,
-                                               skip_instrumentation)
+                                               skip_instrumentation, owner)
     config_info = ConfigInfo(
         {c.name: frozenset(c.functions) for c in contexts}
     )
-    # Align generated context names with the actual context objects.
-    owner = {}
-    for ctx in contexts:
-        for fn in ctx.functions:
-            owner[fn] = ctx.name
-    if owner != context_map:
-        # Rebuild the program against the real ownership map.
-        sw_program, context_map = _rebuild_with_owner(graph, partition, owner,
-                                                      skip_instrumentation)
     symbc = SymbcAnalyzer(sw_program, config_info).check()
     dynamic = _dynamic_shadow_run(sw_program, context_map, stimuli)
 
@@ -303,27 +299,3 @@ def _dynamic_shadow_run(sw_program: Program, context_map: dict[str, str],
                              externals=stub_task_externals(sw_program),
                              context_map=context_map, max_steps=max_steps)
     return executor.run([frames])
-
-
-def _rebuild_with_owner(graph, partition, owner, skip_instrumentation):
-    """Rebuild the SW program using the supplied function->context map."""
-    schedule = graph.topological_order()
-    fb = FunctionBuilder("main", ["frames"])
-    fb.assign("frame", Const(0))
-    with fb.while_(BinOp("<", Var("frame"), Var("frames"))):
-        for task_name in schedule:
-            if task_name in partition.fpga_tasks:
-                fb.fpga_call(task_name, (Var("frame"),), target=f"r_{task_name}")
-            else:
-                fb.assign(f"r_{task_name}", Call(f"run_{task_name}", (Var("frame"),)))
-        fb.assign("frame", BinOp("+", Var("frame"), Const(1)))
-    fb.ret(Var("frame"))
-    program = ProgramBuilder().add(fb).build()
-    skip_sids: set[int] = set()
-    if skip_instrumentation:
-        skip_sids = {
-            s.sid for s in program.walk()
-            if getattr(s, "func", None) in skip_instrumentation
-        }
-    instrumented = instrument_reconfiguration(program, owner, skip_sids=skip_sids)
-    return instrumented, owner

@@ -25,7 +25,7 @@ from repro.fpga.context import Configuration, ContextError
 from repro.fpga.bitstream import BitstreamModel
 from repro.fpga.device import FpgaDevice, FpgaStats
 from repro.fpga.controller import ReconfigController, ReconfigEvent
-from repro.fpga.mapper import ContextMapper, MappingChoice, count_switches
+from repro.fpga.mapper import ContextMapper, MappingChoice
 
 __all__ = [
     "Configuration",
@@ -37,5 +37,4 @@ __all__ = [
     "ReconfigEvent",
     "ContextMapper",
     "MappingChoice",
-    "count_switches",
 ]

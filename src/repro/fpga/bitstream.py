@@ -41,9 +41,3 @@ class BitstreamModel:
         if bits % self.word_bits:
             words += 1
         return max(1, words)
-
-    def download_cycles(self, words: int, words_per_cycle: float = 1.0) -> int:
-        """Bus cycles needed to ship ``words`` configuration words."""
-        if words_per_cycle <= 0:
-            raise ValueError("words_per_cycle must be positive")
-        return max(1, round(words / words_per_cycle))

@@ -36,12 +36,11 @@ class FpgaDevice:
     holds exactly one context at a time, as in the paper's platform where
     configurations "can be changed by the software at run-time").
 
-    Reconfiguration traffic is issued through ``bus_socket`` (an
-    initiator-socket-like object with a ``transport`` generator) reading
-    the bitstream from ``config_store_base`` in ``burst_len``-word
-    chunks.  Without a bus socket, reconfiguration still takes
-    ``fallback_ps_per_word`` per word — used by unit tests and analytic
-    sweeps.
+    Reconfiguration traffic is issued on ``bus`` (a
+    :class:`~repro.platform.bus.Bus`), reading the bitstream from
+    ``config_store_base`` in ``burst_len``-word chunks.  Without a bus,
+    reconfiguration still takes ``fallback_ps_per_word`` per word — the
+    unit tests' stand-in for the bus.
     """
 
     def __init__(
@@ -49,7 +48,7 @@ class FpgaDevice:
         name: str,
         sim: Simulator,
         capacity_gates: int,
-        bus_socket=None,
+        bus=None,
         config_store_base: int = 0x4000_0000,
         burst_len: int = 16,
         fallback_ps_per_word: int = 20_000,
@@ -59,7 +58,7 @@ class FpgaDevice:
         self.name = name
         self.sim = sim
         self.capacity_gates = capacity_gates
-        self.bus_socket = bus_socket
+        self.bus = bus
         self.config_store_base = config_store_base
         self.burst_len = burst_len
         self.fallback_ps_per_word = fallback_ps_per_word
@@ -129,14 +128,14 @@ class FpgaDevice:
             offset = 0
             while remaining > 0:
                 chunk = min(self.burst_len, remaining)
-                if self.bus_socket is not None:
+                if self.bus is not None:
                     txn = Transaction.read(
                         self.config_store_base + offset * 4,
                         burst_len=chunk,
                         origin=f"{self.name}.config",
                         kind="bitstream",
                     )
-                    yield from self.bus_socket.transport(txn)
+                    yield from self.bus.transport(txn)
                 else:
                     yield wait(chunk * self.fallback_ps_per_word)
                 remaining -= chunk

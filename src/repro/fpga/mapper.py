@@ -13,28 +13,10 @@ ablation bench.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 from repro.fpga.bitstream import BitstreamModel
 from repro.fpga.context import Configuration, ContextError
-
-
-def count_switches(schedule: list[str], owner: dict[str, str]) -> int:
-    """Context switches a demand-driven policy performs on ``schedule``.
-
-    ``owner`` maps each function to its context name.  The first call
-    always loads a context (counted), later calls switch only when the
-    owning context differs from the loaded one.
-    """
-    loaded = None
-    switches = 0
-    for function in schedule:
-        ctx = owner[function]
-        if ctx != loaded:
-            switches += 1
-            loaded = ctx
-    return switches
 
 
 def _set_partitions(items: list[str]):

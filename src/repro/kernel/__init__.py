@@ -1,22 +1,24 @@
 """Discrete-event simulation kernel (SystemC 2.0 substitute).
 
 The Symbad flow in the paper is built on the OSCI SystemC 2.0 simulator.
-This package provides the equivalent substrate in pure Python:
+This package provides the subset of it that the flow's models run, in
+pure Python:
 
-- :class:`~repro.kernel.simtime.SimTime` — integer picosecond time type
-  with unit helpers (``ns``, ``us`` ...).
+- :mod:`~repro.kernel.simtime` — integer picosecond time with unit
+  constants (``NS``, ``US`` ...).
 - :class:`~repro.kernel.events.Event` — notifiable synchronisation
   primitive with immediate, delta and timed notification.
 - :class:`~repro.kernel.process.Process` — a cooperative process wrapped
   around a Python generator; processes suspend by yielding wait requests.
 - :class:`~repro.kernel.scheduler.Simulator` — the event-driven scheduler
-  implementing the SystemC evaluate/update (delta-cycle) semantics.
-- :class:`~repro.kernel.module.Module` — hierarchical structural unit.
-- :mod:`~repro.kernel.channels` — ``Signal`` (delta-buffered) and
-  ``Fifo`` (blocking bounded queue) primitive channels.
+  with SystemC's delta-cycle semantics and a livelock guard.
+- :class:`~repro.kernel.module.Module` — a structural unit owning
+  processes.
+- :class:`~repro.kernel.channels.Fifo` — the blocking bounded queue
+  channel.
 
 A process is any generator function; it interacts with the kernel by
-yielding :func:`wait` requests::
+yielding :func:`wait` requests, for a duration or for one event::
 
     def producer(sim, fifo):
         for i in range(10):
@@ -27,7 +29,6 @@ See ``examples/quickstart.py`` for an end-to-end tour.
 """
 
 from repro.kernel.simtime import (
-    SimTime,
     PS,
     NS,
     US,
@@ -35,18 +36,13 @@ from repro.kernel.simtime import (
     SEC,
     time_ps,
 )
-from repro.kernel.events import Event, wait, wait_any, wait_all
+from repro.kernel.events import Event, wait
 from repro.kernel.process import Process, ProcessState
 from repro.kernel.scheduler import Simulator, SimulationError
 from repro.kernel.module import Module
-from repro.kernel.ports import Port, PortBindingError
-from repro.kernel.channels import Signal, Fifo, FifoFullError, FifoEmptyError
-from repro.kernel.sync import Mutex, Semaphore
+from repro.kernel.channels import Fifo, FifoFullError, FifoEmptyError
 
 __all__ = [
-    "Mutex",
-    "Semaphore",
-    "SimTime",
     "PS",
     "NS",
     "US",
@@ -55,16 +51,11 @@ __all__ = [
     "time_ps",
     "Event",
     "wait",
-    "wait_any",
-    "wait_all",
     "Process",
     "ProcessState",
     "Simulator",
     "SimulationError",
     "Module",
-    "Port",
-    "PortBindingError",
-    "Signal",
     "Fifo",
     "FifoFullError",
     "FifoEmptyError",

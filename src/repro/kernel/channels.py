@@ -1,8 +1,4 @@
-"""Primitive channels: delta-buffered signals and blocking FIFOs.
-
-``Signal`` follows SystemC's ``sc_signal`` update semantics: writes are
-buffered during the evaluate phase and applied in the update phase, so
-every reader in a delta cycle observes the same value.
+"""The primitive channel: a blocking bounded FIFO.
 
 ``Fifo`` is the bounded blocking queue (``sc_fifo``) that carries all
 point-to-point traffic in the level-1 face-recognition model.  Its
@@ -16,7 +12,7 @@ process::
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Generic, Optional, TypeVar
+from typing import Any, Generic, TypeVar
 
 from repro.kernel.events import wait
 from repro.kernel.scheduler import Simulator
@@ -30,45 +26,6 @@ class FifoFullError(RuntimeError):
 
 class FifoEmptyError(RuntimeError):
     """Non-blocking read on an empty FIFO."""
-
-
-class Signal(Generic[T]):
-    """A single-driver signal with evaluate/update semantics."""
-
-    def __init__(self, name: str, sim: Simulator, initial: T = None):
-        self.name = name
-        self.sim = sim
-        self._current: T = initial
-        self._next: T = initial
-        self._dirty = False
-        #: fires (delta) whenever the committed value changes
-        self.changed = sim.event(f"{name}.changed")
-        self.write_count = 0
-
-    def read(self) -> T:
-        """Current committed value."""
-        return self._current
-
-    def write(self, value: T) -> None:
-        """Buffer ``value``; committed at the next update phase."""
-        self._next = value
-        self.write_count += 1
-        if not self._dirty:
-            self._dirty = True
-            self.sim._request_update(self)
-
-    def _update(self) -> None:
-        self._dirty = False
-        if self._next != self._current:
-            self._current = self._next
-            self.changed.notify(0)
-
-    @property
-    def value(self) -> T:
-        return self._current
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"Signal({self.name!r}={self._current!r})"
 
 
 class Fifo(Generic[T]):

@@ -6,13 +6,12 @@ notified.  Notification can be immediate (same evaluate phase), delta
 (next delta cycle) or timed.
 
 Processes do not call the scheduler directly; they *yield* wait requests,
-small descriptor objects built by :func:`wait`, :func:`wait_any` and
-:func:`wait_all`.
+small descriptor objects built by :func:`wait`.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterable, Optional
+from typing import TYPE_CHECKING, Optional
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.kernel.process import Process
@@ -59,10 +58,6 @@ class Event:
             raise RuntimeError(f"event {self.name!r} is not attached to a simulator")
         self._fire()
 
-    def cancel(self) -> None:
-        """Cancel any pending timed/delta notification."""
-        self._pending_ps = None
-
     def _fire(self) -> None:
         self._pending_ps = None
         waiters, self._waiters = self._waiters, []
@@ -72,23 +67,11 @@ class Event:
     def _subscribe(self, proc: "Process") -> None:
         self._waiters.append(proc)
 
-    def _unsubscribe(self, proc: "Process") -> None:
-        try:
-            self._waiters.remove(proc)
-        except ValueError:
-            pass
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"Event({self.name!r}, waiters={len(self._waiters)})"
 
 
-class WaitRequest:
-    """Base class for the descriptors a process yields to suspend itself."""
-
-    __slots__ = ()
-
-
-class TimeWait(WaitRequest):
+class TimeWait:
     """Suspend for a fixed duration."""
 
     __slots__ = ("duration_ps",)
@@ -99,42 +82,22 @@ class TimeWait(WaitRequest):
         self.duration_ps = duration_ps
 
 
-class EventWait(WaitRequest):
-    """Suspend until one (any-of) or all (all-of) events fire.
+class EventWait:
+    """Suspend until ``event`` is notified."""
 
-    ``timeout_ps`` optionally bounds the wait; on timeout the process
-    resumes with ``None`` instead of the triggering event.
-    """
+    __slots__ = ("event",)
 
-    __slots__ = ("events", "mode", "timeout_ps")
-
-    def __init__(self, events: tuple[Event, ...], mode: str, timeout_ps: Optional[int] = None):
-        if not events:
-            raise ValueError("EventWait requires at least one event")
-        if mode not in ("any", "all"):
-            raise ValueError(f"bad mode {mode!r}")
-        self.events = events
-        self.mode = mode
-        self.timeout_ps = timeout_ps
+    def __init__(self, event: Event):
+        self.event = event
 
 
-def wait(duration_or_event, unit: int = 1, timeout_ps: Optional[int] = None) -> WaitRequest:
+def wait(duration_or_event, unit: int = 1) -> TimeWait | EventWait:
     """Build a wait request: ``yield wait(10, NS)`` or ``yield wait(event)``.
 
     With a numeric first argument the process sleeps for that duration
     (scaled by ``unit``).  With an :class:`Event` it blocks until the
-    event is notified, optionally bounded by ``timeout_ps``.
+    event is notified, and resumes with the event as the yield's value.
     """
     if isinstance(duration_or_event, Event):
-        return EventWait((duration_or_event,), "any", timeout_ps)
+        return EventWait(duration_or_event)
     return TimeWait(int(round(duration_or_event * unit)))
-
-
-def wait_any(events: Iterable[Event], timeout_ps: Optional[int] = None) -> EventWait:
-    """Block until *any* of ``events`` fires (sc ``wait(e1 | e2)``)."""
-    return EventWait(tuple(events), "any", timeout_ps)
-
-
-def wait_all(events: Iterable[Event], timeout_ps: Optional[int] = None) -> EventWait:
-    """Block until *all* of ``events`` have fired (sc ``wait(e1 & e2)``)."""
-    return EventWait(tuple(events), "all", timeout_ps)

@@ -1,17 +1,15 @@
-"""Hierarchical modules.
+"""Modules.
 
 A :class:`Module` is the structural unit of a design — the equivalent of
-``sc_module``.  It owns ports, child modules and processes, and carries
-the metadata (estimated gate count, mapping target) that the architecture
-exploration and FPGA mapping layers read.
+``sc_module``.  It owns the processes it spawns and records where the
+architecture mapping put it.
 """
 
 from __future__ import annotations
 
 import enum
-from typing import Generator, Optional
+from typing import Generator
 
-from repro.kernel.ports import Port
 from repro.kernel.process import Process
 from repro.kernel.scheduler import Simulator
 
@@ -33,36 +31,15 @@ class MappingTarget(enum.Enum):
 class Module:
     """Base class for all design modules.
 
-    Subclasses declare ports in ``__init__`` and register behaviour with
-    :meth:`spawn`.  ``gate_count`` is the area proxy used by exploration;
-    ``work_estimate`` the per-activation computational weight used by the
-    profiler when ranking partitioning candidates.
+    Subclasses create their channels in ``__init__`` and register
+    behaviour with :meth:`spawn`.
     """
 
-    def __init__(self, name: str, sim: Simulator, parent: "Optional[Module]" = None):
+    def __init__(self, name: str, sim: Simulator):
         self.name = name
         self.sim = sim
-        self.parent = parent
-        self.children: list[Module] = []
-        self.ports: dict[str, Port] = {}
         self.processes: list[Process] = []
         self.mapping = MappingTarget.UNMAPPED
-        #: area proxy (equivalent NAND2 gates) for HW implementations
-        self.gate_count = 0
-        #: rough operations per activation, used for profiling-based ranking
-        self.work_estimate = 0
-        if parent is not None:
-            parent.children.append(self)
-
-    # -- construction ----------------------------------------------------------
-
-    def add_port(self, name: str, interface: Optional[type] = None) -> Port:
-        """Declare a named port on this module."""
-        if name in self.ports:
-            raise ValueError(f"module {self.name!r} already has port {name!r}")
-        port = Port(f"{self.name}.{name}", interface)
-        self.ports[name] = port
-        return port
 
     def spawn(self, name: str, generator: Generator) -> Process:
         """Register a behaviour process owned by this module."""
@@ -70,30 +47,5 @@ class Module:
         self.processes.append(proc)
         return proc
 
-    # -- hierarchy -------------------------------------------------------------
-
-    @property
-    def full_name(self) -> str:
-        if self.parent is None:
-            return self.name
-        return f"{self.parent.full_name}.{self.name}"
-
-    def walk(self):
-        """Yield this module and all descendants, depth-first."""
-        yield self
-        for child in self.children:
-            yield from child.walk()
-
-    def leaves(self) -> "list[Module]":
-        """All leaf modules under (and including) this one."""
-        return [m for m in self.walk() if not m.children]
-
-    def find(self, name: str) -> "Optional[Module]":
-        """Find a descendant (or self) by simple name."""
-        for module in self.walk():
-            if module.name == name:
-                return module
-        return None
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"{type(self).__name__}({self.full_name!r}, {self.mapping.value})"
+        return f"{type(self).__name__}({self.name!r}, {self.mapping.value})"

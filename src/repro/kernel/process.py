@@ -1,9 +1,9 @@
 """Cooperative processes.
 
 A process wraps a Python generator.  The scheduler resumes the generator;
-the generator yields :class:`~repro.kernel.events.WaitRequest` descriptors
-to suspend.  This mirrors SystemC's ``SC_THREAD`` model: straight-line
-code with blocking waits, no explicit state machines.
+the generator suspends by yielding a request built by
+:func:`~repro.kernel.events.wait`.  This mirrors SystemC's ``SC_THREAD``
+model: straight-line code with blocking waits, no explicit state machines.
 """
 
 from __future__ import annotations
@@ -11,7 +11,7 @@ from __future__ import annotations
 import enum
 from typing import TYPE_CHECKING, Generator, Optional
 
-from repro.kernel.events import Event, EventWait, TimeWait, WaitRequest
+from repro.kernel.events import Event, EventWait, TimeWait
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.kernel.scheduler import Simulator
@@ -39,9 +39,6 @@ class Process:
         "generator",
         "state",
         "exception",
-        "_wait_events",
-        "_pending_all",
-        "_timeout_event",
         "_resume_value",
         "finished",
     )
@@ -52,9 +49,6 @@ class Process:
         self.generator = generator
         self.state = ProcessState.READY
         self.exception: Optional[BaseException] = None
-        self._wait_events: tuple[Event, ...] = ()
-        self._pending_all: set[Event] = set()
-        self._timeout_event: Optional[Event] = None
         self._resume_value = None
         #: notified when the process terminates (normally or not)
         self.finished = Event(f"{name}.finished", sim)
@@ -63,67 +57,30 @@ class Process:
 
     def _step(self) -> None:
         """Advance the generator until it suspends or terminates."""
-        if self.state in (ProcessState.FINISHED, ProcessState.FAILED):
-            return
         try:
             request = self.generator.send(self._resume_value)
         except StopIteration:
             self._finish(ProcessState.FINISHED)
             return
         except Exception as exc:
-            self.exception = exc
-            self._finish(ProcessState.FAILED)
-            self.sim._on_process_failure(self, exc)
+            self._fail(exc)
             return
         self._resume_value = None
-        try:
-            self._handle_request(request)
-        except Exception as exc:
-            self.exception = exc
-            self._finish(ProcessState.FAILED)
-            self.sim._on_process_failure(self, exc)
-
-    def _handle_request(self, request) -> None:
         if isinstance(request, TimeWait):
             self.state = ProcessState.WAITING
             self.sim._schedule_resume(self, request.duration_ps)
-            return
-        if isinstance(request, EventWait):
+        elif isinstance(request, EventWait):
             self.state = ProcessState.WAITING
-            self._wait_events = request.events
-            for event in request.events:
-                event._subscribe(self)
-            if request.mode == "all":
-                self._pending_all = set(request.events)
-            else:
-                self._pending_all = set()
-            if request.timeout_ps is not None:
-                self._timeout_event = Event(f"{self.name}.timeout", self.sim)
-                self._timeout_event._subscribe(self)
-                self._timeout_event.notify(request.timeout_ps)
-            return
-        if isinstance(request, WaitRequest):  # pragma: no cover - future kinds
-            raise TypeError(f"unhandled wait request {request!r}")
-        raise TypeError(
-            f"process {self.name!r} yielded {request!r}; processes must yield "
-            "wait()/wait_any()/wait_all() requests (did you forget 'yield from' "
-            "on a channel operation?)"
-        )
+            request.event._subscribe(self)
+        else:
+            self._fail(TypeError(
+                f"process {self.name!r} yielded {request!r}; processes must "
+                "yield wait() requests (did you forget 'yield from' on a "
+                "channel operation?)"
+            ))
 
     def _on_event(self, event: Event) -> None:
-        """Called by an event this process subscribed to."""
-        if self.state is not ProcessState.WAITING:
-            return
-        if event is self._timeout_event:
-            self._clear_subscriptions()
-            self._resume_value = None
-            self._make_ready()
-            return
-        if self._pending_all:
-            self._pending_all.discard(event)
-            if self._pending_all:
-                return
-        self._clear_subscriptions()
+        """Called by the event this process waits on."""
         self._resume_value = event
         self._make_ready()
 
@@ -131,33 +88,14 @@ class Process:
         self.state = ProcessState.READY
         self.sim._schedule_run(self)
 
-    def _clear_subscriptions(self) -> None:
-        for event in self._wait_events:
-            event._unsubscribe(self)
-        self._wait_events = ()
-        self._pending_all = set()
-        if self._timeout_event is not None:
-            self._timeout_event._unsubscribe(self)
-            self._timeout_event.cancel()
-            self._timeout_event = None
+    def _fail(self, exc: Exception) -> None:
+        self.exception = exc
+        self._finish(ProcessState.FAILED)
+        self.sim._on_process_failure(self, exc)
 
     def _finish(self, state: ProcessState) -> None:
         self.state = state
-        self._clear_subscriptions()
         self.finished.notify(0)
-
-    # -- public --------------------------------------------------------------
-
-    def kill(self) -> None:
-        """Terminate the process without running it further."""
-        if self.state in (ProcessState.FINISHED, ProcessState.FAILED):
-            return
-        self.generator.close()
-        self._finish(ProcessState.FINISHED)
-
-    @property
-    def is_alive(self) -> bool:
-        return self.state in (ProcessState.READY, ProcessState.WAITING)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"Process({self.name!r}, {self.state.value})"

@@ -1,10 +1,9 @@
 """The event-driven simulation scheduler.
 
-Implements SystemC's two-phase (evaluate/update) delta-cycle semantics:
+Implements SystemC's delta-cycle semantics for processes and events:
 
 1. *Evaluate*: run every ready process until it suspends.
-2. *Update*: apply buffered primitive-channel writes (signals).
-3. Delta notifications produced by 1-2 start the next delta cycle at the
+2. Delta notifications produced by 1 start the next delta cycle at the
    same simulated time; when no deltas remain, time advances to the next
    timed notification.
 
@@ -25,8 +24,8 @@ unchanged; the BENCH trajectory guards the speedups):
   ready list out and iterates it, instead of popping one process at a
   time through a deque; processes readied mid-phase land in the fresh
   list and still run within the same evaluate phase.
-- **Skipped delta bookkeeping**: update/delta structures are only
-  touched when something is actually buffered in them.
+- **Skipped delta bookkeeping**: the delta list is only swapped out
+  when something is actually pending in it.
 """
 
 from __future__ import annotations
@@ -78,13 +77,8 @@ class Simulator:
         self._ready: list[Process] = []
         #: callables to run at the next delta cycle (event fires)
         self._next_delta: list[Callable[[], None]] = []
-        #: channels with buffered writes awaiting the update phase
-        self._update_queue: list = []
-        self._update_set: set[int] = set()
         self.processes: list[Process] = []
         self._failure: Optional[tuple[Process, BaseException]] = None
-        self._running = False
-        self._stop_requested = False
 
     # -- construction helpers --------------------------------------------------
 
@@ -121,22 +115,16 @@ class Simulator:
     def _schedule_resume(self, proc: Process, delay_ps: int) -> None:
         if delay_ps == 0:
             # A zero-time wait still yields to the next delta cycle.
-            self._next_delta.append(lambda: self._resume(proc))
+            self._next_delta.append(proc._make_ready)
         else:
-            self._schedule_timed(self.now_ps + delay_ps,
-                                 lambda: self._resume(proc))
-
-    def _resume(self, proc: Process) -> None:
-        if proc.state is ProcessState.WAITING:
-            proc._resume_value = None
-            proc._make_ready()
+            self._schedule_timed(self.now_ps + delay_ps, proc._make_ready)
 
     def _schedule_event_fire(self, event: Event, delay_ps: int) -> None:
         expected = self.now_ps + delay_ps
 
         def fire() -> None:
-            # Skip stale notifications (cancelled or superseded by an
-            # earlier one; SystemC earliest-wins semantics).
+            # Skip a stale notification, superseded by an earlier one
+            # (SystemC earliest-wins semantics).
             if event._pending_ps == expected:
                 event._fire()
 
@@ -145,37 +133,29 @@ class Simulator:
         else:
             self._schedule_timed(expected, fire)
 
-    def _request_update(self, channel) -> None:
-        if id(channel) not in self._update_set:
-            self._update_set.add(id(channel))
-            self._update_queue.append(channel)
-
     def _on_process_failure(self, proc: Process, exc: BaseException) -> None:
         if self._failure is None:
             self._failure = (proc, exc)
-        self._stop_requested = True
 
     # -- run loop ------------------------------------------------------------------
 
-    def run(self, until_ps: Optional[int] = None, max_deltas_per_step: int = 100_000) -> int:
-        """Run until no activity remains or simulated time exceeds ``until_ps``.
+    def run(self, max_deltas_per_step: int = 100_000) -> int:
+        """Run until no activity remains.
 
         Returns the final simulated time in picoseconds.  Raises
         :class:`SimulationError` if a process raised, or if a single
         timestep spins for more than ``max_deltas_per_step`` delta cycles
-        (a combinational loop / livelock guard).
+        (a livelock guard).
         """
-        self._running = True
-        self._stop_requested = False
         ready_state = ProcessState.READY
         activations_before = self.activation_count
         deltas_before = self.delta_count
         try:
-            while not self._stop_requested:
+            while self._failure is None:
                 deltas_here = 0
                 # Delta loop at the current time point.
-                while self._ready or self._next_delta or self._update_queue:
-                    if self._stop_requested:
+                while self._ready or self._next_delta:
+                    if self._failure is not None:
                         break
                     # Evaluate phase: swap the ready list out and walk it;
                     # processes readied mid-phase land in the fresh list
@@ -183,23 +163,14 @@ class Simulator:
                     while self._ready:
                         batch = self._ready
                         self._ready = []
-                        for index, proc in enumerate(batch):
+                        for proc in batch:
                             if proc.state is ready_state:
                                 self.activation_count += 1
                                 proc._step()
-                                if self._stop_requested:
-                                    # Keep not-yet-run processes queued,
-                                    # ahead of any newly readied ones.
-                                    self._ready[:0] = batch[index + 1:]
+                                if self._failure is not None:
                                     break
-                        if self._stop_requested:
+                        if self._failure is not None:
                             break
-                    # Update phase.
-                    if self._update_queue:
-                        updates, self._update_queue = self._update_queue, []
-                        self._update_set.clear()
-                        for channel in updates:
-                            channel._update()
                     # Delta notifications begin the next delta cycle.
                     if self._next_delta:
                         fires, self._next_delta = self._next_delta, []
@@ -213,22 +184,18 @@ class Simulator:
                             f"t={format_time(self.now_ps)}: livelock or "
                             "combinational loop"
                         )
-                if self._stop_requested:
+                if self._failure is not None:
                     break
                 # Advance time: one heap pop drains the whole timestamp.
                 if not self._timed:
                     break
                 next_ps = self._timed[0]
-                if until_ps is not None and next_ps > until_ps:
-                    self.now_ps = until_ps
-                    break
                 self.now_ps = next_ps
                 while self._timed and self._timed[0] == next_ps:
                     heapq.heappop(self._timed)
                     for action in self._timed_buckets.pop(next_ps):
                         action()
         finally:
-            self._running = False
             if _metrics.enabled:
                 _RUNS.inc()
                 _ACTIVATIONS.inc(self.activation_count - activations_before)
@@ -240,19 +207,15 @@ class Simulator:
             ) from exc
         return self.now_ps
 
-    def stop(self) -> None:
-        """Request the run loop to stop at the next opportunity (sc_stop)."""
-        self._stop_requested = True
-
     # -- introspection ------------------------------------------------------------
 
     @property
     def starved_processes(self) -> list[Process]:
         """Processes still waiting when the simulation ran out of events.
 
-        A non-empty list after :meth:`run` returns (without ``until_ps``)
-        indicates a deadlock or starvation; the LPV verification layer
-        proves the absence of these situations statically.
+        A non-empty list after :meth:`run` returns indicates a deadlock
+        or starvation; the LPV verification layer proves the absence of
+        these situations statically.
         """
         return [p for p in self.processes if p.state is ProcessState.WAITING]
 

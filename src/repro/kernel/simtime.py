@@ -1,16 +1,15 @@
 """Simulation time representation.
 
-Time is kept as an integer number of picoseconds, mirroring SystemC's
-``sc_time`` with a fixed global resolution.  Integer arithmetic avoids the
-floating-point drift that plagues long multimedia simulations (a level-3
-face-recognition run simulates hundreds of milliseconds at nanosecond
-granularity).
+Time is kept as a plain integer number of picoseconds, mirroring
+SystemC's ``sc_time`` with a fixed global resolution.  Integer arithmetic
+avoids the floating-point drift that plagues long multimedia simulations
+(a level-3 face-recognition run simulates hundreds of milliseconds at
+nanosecond granularity).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 #: Picoseconds per unit, exposed so callers can write ``wait(10, NS)``.
 PS = 1
@@ -36,44 +35,6 @@ def time_ps(value: float, unit: int = PS) -> int:
     if value < 0:
         raise ValueError(f"negative time: {value}")
     return int(round(value * unit))
-
-
-@dataclass(frozen=True, order=True)
-class SimTime:
-    """A point in simulated time (picoseconds since elaboration).
-
-    Thin immutable wrapper used at module boundaries; the scheduler's hot
-    path works with raw integers for speed.
-    """
-
-    picoseconds: int
-
-    def __post_init__(self) -> None:
-        if self.picoseconds < 0:
-            raise ValueError(f"negative SimTime: {self.picoseconds}")
-
-    @classmethod
-    def of(cls, value: float, unit: int = PS) -> "SimTime":
-        """Build a ``SimTime`` from a value and unit, e.g. ``SimTime.of(5, NS)``."""
-        return cls(time_ps(value, unit))
-
-    def to(self, unit: int) -> float:
-        """Return this time expressed in ``unit`` as a float."""
-        return self.picoseconds / unit
-
-    def __add__(self, other: "SimTime | int") -> "SimTime":
-        other_ps = other.picoseconds if isinstance(other, SimTime) else int(other)
-        return SimTime(self.picoseconds + other_ps)
-
-    def __sub__(self, other: "SimTime | int") -> "SimTime":
-        other_ps = other.picoseconds if isinstance(other, SimTime) else int(other)
-        return SimTime(self.picoseconds - other_ps)
-
-    def __int__(self) -> int:
-        return self.picoseconds
-
-    def __str__(self) -> str:
-        return format_time(self.picoseconds)
 
 
 def format_time(ps: int) -> str:

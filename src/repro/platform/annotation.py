@@ -18,7 +18,6 @@ skipped for timing.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 from repro.platform.cpu import CpuModel
 from repro.platform.profiler import Profile
@@ -56,16 +55,8 @@ class TimingAnnotator:
         self.cpu = cpu
         self.hw_ops_per_cycle = hw_ops_per_cycle
         self.hw_cycle_ps = hw_cycle_ps
-        #: per-task manual HW overrides (designer experience), ps per firing
-        self.hw_overrides_ps: dict[str, int] = {}
         #: per-task ops marked as debug-only (excluded from timing)
         self.debug_ops: dict[str, int] = {}
-
-    def override_hw_latency(self, task_name: str, latency_ps: int) -> None:
-        """Manual HW annotation for one task (designer-supplied)."""
-        if latency_ps < 0:
-            raise ValueError("latency must be non-negative")
-        self.hw_overrides_ps[task_name] = latency_ps
 
     def mark_debug_ops(self, task_name: str, ops: int) -> None:
         """Declare ``ops`` of the task's work as debug-only (not timed)."""
@@ -87,11 +78,7 @@ class TimingAnnotator:
         )
 
     def annotate_hw(self, task_name: str, ops_per_firing: float) -> AnnotatedTask:
-        """HW annotation: manual override if given, else throughput model."""
-        override = self.hw_overrides_ps.get(task_name)
-        if override is not None:
-            cycles = max(1, override // self.hw_cycle_ps)
-            return AnnotatedTask(task_name, "hw", override, cycles)
+        """HW annotation from the throughput model."""
         cycles = max(1, round(ops_per_firing / self.hw_ops_per_cycle))
         return AnnotatedTask(task_name, "hw", cycles * self.hw_cycle_ps, cycles)
 

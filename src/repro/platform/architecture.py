@@ -43,7 +43,6 @@ from repro.platform.bus import Bus
 from repro.platform.cpu import CpuModel
 from repro.platform.memory import Memory
 from repro.platform.partition import Partition, Side
-from repro.tlm.sockets import InitiatorSocket
 from repro.tlm.transaction import Command, Transaction
 
 #: Address map of the reference platform.
@@ -269,13 +268,11 @@ class Architecture:
         self.controller = None
         if self.partition.fpga_tasks:
             plan = self.fpga_plan
-            socket = InitiatorSocket("fpga.config")
-            socket.bind(self.bus)
             self.fpga = FpgaDevice(
                 "efpga",
                 self.sim,
                 capacity_gates=plan.capacity_gates,
-                bus_socket=socket,
+                bus=self.bus,
                 config_store_base=CONFIG_STORE_BASE,
                 burst_len=self.burst_words,
             )

@@ -20,10 +20,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Callable, Iterable, Optional
-
-if TYPE_CHECKING:
-    import networkx as nx
+from typing import Callable
 
 
 class GraphError(ValueError):
@@ -160,16 +157,6 @@ class AppGraph:
         """Tasks with no output channels (results observed here)."""
         return [t for t in self.tasks.values() if not t.writes]
 
-    def to_networkx(self) -> nx.MultiDiGraph:
-        """Task-level digraph (parallel channels preserved)."""
-        import networkx as nx
-
-        graph = nx.MultiDiGraph(name=self.name)
-        graph.add_nodes_from(self.tasks)
-        for chan in self.channels.values():
-            graph.add_edge(chan.src, chan.dst, key=chan.name, channel=chan)
-        return graph
-
     def topological_order(self) -> list[str]:
         """Task names in a deterministic topological order.
 
@@ -210,70 +197,3 @@ class AppGraph:
 
     def out_channels(self, task_name: str) -> list[ChannelSpec]:
         return [self.channels[c] for c in self.tasks[task_name].writes]
-
-    # -- functional execution -----------------------------------------------------------
-
-    def run_functional(
-        self,
-        stimuli: dict[str, Iterable[Any]],
-        max_steps: int = 1_000_000,
-        trace: Optional[list] = None,
-    ) -> dict[str, list]:
-        """Reference (untimed, sequential) execution of the whole graph.
-
-        ``stimuli`` maps each source task to the sequence of tokens it
-        emits (e.g. camera frames).  Returns, per sink task, the list of
-        input-token dicts it consumed.  ``trace`` (if given) receives
-        ``(task, firing_index, channel, token_digest)`` tuples compatible
-        with :mod:`repro.facerec.tracing`.
-
-        This is the executable spec every level is checked against —
-        the "match of results consists of trace files comparison" step.
-        """
-        self.validate()
-        order = self.topological_order()
-        queues: dict[str, list] = {name: [] for name in self.channels}
-        results: dict[str, list] = {t.name: [] for t in self.sinks()}
-        states: dict[str, dict] = {name: {} for name in self.tasks}
-        firings: dict[str, int] = {name: 0 for name in self.tasks}
-
-        source_iters = {}
-        for src in self.sources():
-            if src.name not in stimuli:
-                raise GraphError(f"no stimuli for source task {src.name!r}")
-            source_iters[src.name] = iter(stimuli[src.name])
-
-        steps = 0
-        progress = True
-        while progress:
-            progress = False
-            for name in order:
-                task = self.tasks[name]
-                while True:
-                    steps += 1
-                    if steps > max_steps:
-                        raise GraphError(f"functional run exceeded {max_steps} firings")
-                    if task.reads:
-                        if not all(queues[c] for c in task.reads):
-                            break
-                        inputs = {c: queues[c].pop(0) for c in task.reads}
-                    else:
-                        nxt = next(source_iters[name], _EXHAUSTED)
-                        if nxt is _EXHAUSTED:
-                            break
-                        inputs = {"__stimulus__": nxt}
-                    outputs = task.fire(states[name], inputs)
-                    for chan_name, token in outputs.items():
-                        if chan_name == "__result__":
-                            continue
-                        queues[chan_name].append(token)
-                        if trace is not None:
-                            trace.append((name, firings[name], chan_name, token))
-                    if not task.writes:
-                        results[name].append(outputs.get("__result__", inputs))
-                    firings[name] += 1
-                    progress = True
-        return results
-
-
-_EXHAUSTED = object()

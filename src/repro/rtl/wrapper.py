@@ -7,18 +7,14 @@ resource — a week of manual work they note "could be significantly
 reduced by the automation of the phase".  :class:`RtlWrapper` is that
 automation: given any synthesised FSMD, it exposes a blocking
 transactional ``call`` that drives the handshake cycle by cycle on the
-simulation kernel's clock, and optionally charges the bus for argument
-and result transfers.
+simulation kernel's clock.
 """
 
 from __future__ import annotations
 
-from typing import Optional
-
 from repro.kernel.events import wait
 from repro.kernel.scheduler import Simulator
 from repro.rtl.netlist import Netlist
-from repro.tlm.transaction import Transaction
 
 
 class WrapperError(RuntimeError):
@@ -40,8 +36,6 @@ class RtlWrapper:
         sim: Simulator,
         netlist: Netlist,
         clock_ps: int = 20_000,
-        bus_socket=None,
-        bus_base: int = 0,
         max_cycles: int = 100_000,
     ):
         netlist.validate()
@@ -54,8 +48,6 @@ class RtlWrapper:
         self.sim = sim
         self.netlist = netlist
         self.clock_ps = clock_ps
-        self.bus_socket = bus_socket
-        self.bus_base = bus_base
         self.max_cycles = max_cycles
         self.arg_names = [n[4:] for n in netlist.inputs if n.startswith("arg_")]
         self._state = netlist.reset_state()
@@ -70,14 +62,6 @@ class RtlWrapper:
         missing = set(self.arg_names) - set(args)
         if missing:
             raise WrapperError(f"{self.name}: missing arguments {sorted(missing)}")
-        # Argument transfer over the bus (one word per argument).
-        if self.bus_socket is not None and self.arg_names:
-            txn = Transaction.write(
-                self.bus_base,
-                [args[a] for a in self.arg_names],
-                origin=self.name,
-            )
-            yield from self.bus_socket.transport(txn)
         inputs = {"start": 1}
         for arg in self.arg_names:
             inputs[f"arg_{arg}"] = int(args[arg])
@@ -99,10 +83,6 @@ class RtlWrapper:
         self._state = next_state
         self.calls += 1
         self.total_cycles += cycles
-        # Result transfer over the bus.
-        if self.bus_socket is not None:
-            txn = Transaction.read(self.bus_base, burst_len=1, origin=self.name)
-            yield from self.bus_socket.transport(txn)
         return result
 
     def stats(self) -> dict:

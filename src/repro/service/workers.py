@@ -19,10 +19,11 @@ claim).  A job's sweep runs serially in its child, which is daemonic
 and so cannot start a pool of its own; the service runs jobs in
 parallel one per runner agent instead.
 
-Importing this module imports the flow (:mod:`repro.api.session`).  The
-daemon and the fleet runner both import it before they start a thread
-or fork a job child, so every child inherits the flow instead of
-importing it again per job, and no two threads race a first import.
+Importing this module imports the flow (:mod:`repro.api.session`) and
+the face model (:mod:`repro.facerec`).  The daemon and the fleet runner
+both import it before they start a thread or fork a job child, so every
+child inherits both instead of importing them again per job, and no two
+threads race a first import.
 """
 
 from __future__ import annotations
@@ -32,6 +33,9 @@ import time
 from typing import Optional
 
 import repro.api.session  # noqa: F401
+# The flow does not load the face model, but facerec (the default workload)
+# jobs run it: loaded here, job children inherit it instead of importing it.
+import repro.facerec  # noqa: F401
 from repro import telemetry
 from repro.api.campaign import Campaign, fork_context, run_recorded
 from repro.api.spec import CampaignSpec

@@ -42,8 +42,7 @@ _EXPORTS = {
         ("engine", ("ENGINE_REVISION",)),
         ("engine_batched", ("BatchedEngine", "LaneOutcome",
                             "program_fingerprint")),
-        ("instrument", ("instrument_reconfiguration",
-                        "strip_reconfiguration")),
+        ("instrument", ("instrument_reconfiguration",)),
     )
     for name in names
 }

@@ -6,12 +6,12 @@ the FPGA before the functions that belong to it are called"* — and notes
 that automating it naively is undesirable because good instrumentation
 minimises the number of reconfigurations.
 
-We provide the mechanical baseline (:func:`instrument_reconfiguration`
+We provide the mechanical baseline: :func:`instrument_reconfiguration`
 inserts a :class:`~repro.swir.ast.Reconfigure` before every FPGA call
-whose context may differ from the running one) plus
-:func:`strip_reconfiguration` to remove calls — together they let the
-benches construct both correct and deliberately broken instrumentations
-for the SymbC experiments.
+whose context may differ from the running one, and its ``skip_sids``
+hook leaves chosen calls uninstrumented, so the benches construct both
+correct and deliberately broken instrumentations for the SymbC
+experiments.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ from typing import Optional
 
 from repro.swir.ast import (
     FpgaCall,
-    Function,
     If,
     Program,
     Reconfigure,
@@ -85,29 +84,4 @@ def _instrument_block(
             known = None
         else:
             out.append(stmt)
-    return out
-
-
-def strip_reconfiguration(program: Program) -> Program:
-    """Remove every ``Reconfigure`` statement (deep copy).
-
-    Produces the un-instrumented program the designer starts from.
-    """
-    program = copy.deepcopy(program)
-    for function in program.functions.values():
-        function.body[:] = _strip_block(function.body)
-    return program
-
-
-def _strip_block(stmts: list[Stmt]) -> list[Stmt]:
-    out: list[Stmt] = []
-    for stmt in stmts:
-        if isinstance(stmt, Reconfigure):
-            continue
-        if isinstance(stmt, If):
-            stmt.then_body[:] = _strip_block(stmt.then_body)
-            stmt.else_body[:] = _strip_block(stmt.else_body)
-        elif isinstance(stmt, While):
-            stmt.body[:] = _strip_block(stmt.body)
-        out.append(stmt)
     return out

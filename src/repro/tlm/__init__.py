@@ -7,24 +7,22 @@ the focus is on the data rather than on the way the transfer is executed*
 
 - :class:`~repro.tlm.transaction.Transaction` — a generic bus payload
   (command, address, data words, burst length).
-- :class:`~repro.tlm.sockets.InitiatorSocket` /
-  :class:`~repro.tlm.sockets.TargetSocket` — blocking-transport binding
-  points between masters and interconnect.
 - :class:`~repro.tlm.router.AddressMap` — address decoding for routing
   transactions to targets.
+
+Masters call the interconnect directly: ``yield from bus.transport(txn)``
+is the blocking transport (``b_transport``) of
+:class:`repro.platform.bus.Bus`, which decodes the address and passes the
+transaction to the target's own ``transport`` generator.
 """
 
 from repro.tlm.transaction import Command, Response, Transaction
-from repro.tlm.sockets import InitiatorSocket, TargetSocket, TransportError
 from repro.tlm.router import AddressMap, AddressRange, DecodeError
 
 __all__ = [
     "Command",
     "Response",
     "Transaction",
-    "InitiatorSocket",
-    "TargetSocket",
-    "TransportError",
     "AddressMap",
     "AddressRange",
     "DecodeError",

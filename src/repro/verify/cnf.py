@@ -372,10 +372,3 @@ class BitVector:
         return BitVector(self.cnf, [
             self.cnf.gate_ite(sel, a, b) for a, b in zip(self.bits, other.bits)
         ])
-
-    def assert_equals_const(self, value: int) -> None:
-        for i, lit in enumerate(self.bits):
-            if (value >> i) & 1:
-                self.cnf.assert_lit(lit)
-            else:
-                self.cnf.assert_lit(-lit)

@@ -27,7 +27,6 @@ from repro.verify.lpv.reach import (
     ReachabilityResult,
     ReachVerdict,
     check_submarking_unreachable,
-    place_invariants,
 )
 from repro.verify.lpv.deadlock import DeadlockReport, check_deadlock_freedom
 from repro.verify.lpv.realtime import (
@@ -35,12 +34,6 @@ from repro.verify.lpv.realtime import (
     FifoSizingReport,
     check_deadline,
     size_fifos,
-)
-from repro.verify.lpv.bounds import (
-    BoundsReport,
-    PlaceBound,
-    channel_bounds,
-    place_bound,
 )
 
 __all__ = [
@@ -50,15 +43,10 @@ __all__ = [
     "ReachabilityResult",
     "ReachVerdict",
     "check_submarking_unreachable",
-    "place_invariants",
     "DeadlockReport",
     "check_deadlock_freedom",
     "DeadlineReport",
     "FifoSizingReport",
     "check_deadline",
     "size_fifos",
-    "BoundsReport",
-    "PlaceBound",
-    "channel_bounds",
-    "place_bound",
 ]

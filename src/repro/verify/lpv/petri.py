@@ -2,8 +2,8 @@
 
 The LPV abstract model: places carry tokens, transitions consume and
 produce them.  The class keeps the incidence matrix for the LP machinery
-and provides token-game simulation for validating translations against
-the executable model.
+and plays the token game the deadlock hunt enumerates dead markings
+with.
 """
 
 from __future__ import annotations
@@ -120,21 +120,6 @@ class PetriNet:
     def is_dead(self, marking: dict[str, int]) -> bool:
         """No transition enabled: a deadlock marking."""
         return not self.enabled_transitions(marking)
-
-    def run_greedy(self, max_firings: int = 10_000) -> tuple[dict[str, int], int]:
-        """Fire deterministically (first enabled) until dead or budget.
-
-        Used to validate translations; returns (final marking, firings).
-        """
-        marking = dict(self.initial_marking)
-        fired = 0
-        while fired < max_firings:
-            enabled = self.enabled_transitions(marking)
-            if not enabled:
-                return marking, fired
-            marking = self.fire(marking, enabled[0])
-            fired += 1
-        return marking, fired
 
     def describe(self) -> str:
         lines = [

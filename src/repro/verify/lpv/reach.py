@@ -9,19 +9,16 @@ for some firing-count vector ``sigma``.  The equation is necessary but
 not sufficient; therefore **infeasibility of the LP relaxation proves
 unreachability** — exactly the one-sided reasoning the paper ascribes to
 LPV ("each deadlock situation being translated in an unreachability
-property").  Feasibility is inconclusive and reported as such.
-
-Place invariants (non-negative ``y`` with ``y^T C = 0``) are computed by
-the Farkas procedure; they both strengthen proofs and document the
-conservation laws of the model (e.g. ``data + free = capacity`` for every
-channel).
+property").  Feasibility is inconclusive and reported as such.  The
+state equation already carries every place invariant of the net (each
+``y`` with ``y^T C = 0``, such as ``data + free = capacity`` for every
+channel), so no invariant is added to the LP.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
-from fractions import Fraction
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -126,90 +123,3 @@ def check_submarking_unreachable(
         if result.x[i] > 1e-9
     }
     return ReachabilityResult(ReachVerdict.POSSIBLY_REACHABLE, frozen, sigma)
-
-
-def place_invariants(net: PetriNet, max_invariants: int = 200) -> list[dict[str, int]]:
-    """Non-negative integer place invariants (P-semiflows), Farkas style.
-
-    Returns minimal-support invariants ``y`` (as place->weight dicts)
-    satisfying ``y^T C = 0``.  Every invariant yields a conservation law
-    ``sum_p y_p M_p = const`` holding in all reachable markings.
-    """
-    c_matrix = net.incidence_matrix()
-    n_places, n_transitions = c_matrix.shape
-    # Rows: [y | y^T C] over the rationals; start with identity.
-    rows: list[tuple[list[Fraction], list[Fraction]]] = []
-    for p in range(n_places):
-        y = [Fraction(int(p == i)) for i in range(n_places)]
-        image = [Fraction(int(c_matrix[p, t])) for t in range(n_transitions)]
-        rows.append((y, image))
-    for t in range(n_transitions):
-        positive = [r for r in rows if r[1][t] > 0]
-        negative = [r for r in rows if r[1][t] < 0]
-        keep = [r for r in rows if r[1][t] == 0]
-        combos = []
-        for yp, ip in positive:
-            for yn, im in negative:
-                alpha, beta = -im[t], ip[t]
-                y = [alpha * a + beta * b for a, b in zip(yp, yn)]
-                image = [alpha * a + beta * b for a, b in zip(ip, im)]
-                combos.append((y, image))
-                if len(keep) + len(combos) > max_invariants * 4:
-                    break
-            else:
-                continue
-            break
-        rows = keep + combos
-        rows = _minimal_support(rows)
-        if len(rows) > max_invariants * 4:
-            rows = rows[: max_invariants * 4]
-    invariants = []
-    for y, image in rows:
-        if all(v == 0 for v in image) and any(v > 0 for v in y):
-            denom_lcm = 1
-            for v in y:
-                if v != 0:
-                    denom_lcm = denom_lcm * v.denominator // np.gcd(
-                        denom_lcm, v.denominator
-                    )
-            ints = [int(v * denom_lcm) for v in y]
-            g = 0
-            for v in ints:
-                g = int(np.gcd(g, v))
-            if g > 1:
-                ints = [v // g for v in ints]
-            invariants.append({
-                net.places[i]: ints[i] for i in range(n_places) if ints[i]
-            })
-    # Deduplicate.
-    unique = []
-    seen = set()
-    for inv in invariants:
-        key = tuple(sorted(inv.items()))
-        if key not in seen:
-            seen.add(key)
-            unique.append(inv)
-    return unique[:max_invariants]
-
-
-def _minimal_support(rows):
-    """Drop rows whose support strictly contains another row's support."""
-    supports = [frozenset(i for i, v in enumerate(y) if v != 0) for y, __ in rows]
-    keep = []
-    for i, row in enumerate(rows):
-        if not supports[i]:
-            continue
-        dominated = any(
-            j != i and supports[j] < supports[i] for j in range(len(rows))
-        )
-        if not dominated:
-            keep.append(row)
-    return keep
-
-
-def invariant_token_count(net: PetriNet, invariant: dict[str, int]) -> int:
-    """The conserved quantity ``y^T M0`` of an invariant."""
-    return sum(
-        weight * net.initial_marking.get(place, 0)
-        for place, weight in invariant.items()
-    )

@@ -9,7 +9,7 @@ function is present in which configuration)"*.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 class ConfigInfoError(ValueError):
@@ -48,12 +48,6 @@ class ConfigInfo:
         for functions in self.configurations.values():
             out |= functions
         return frozenset(out)
-
-    def owners(self, function: str) -> frozenset[str]:
-        """Configurations implementing ``function`` (may be several)."""
-        return frozenset(
-            name for name, fns in self.configurations.items() if function in fns
-        )
 
     def provides(self, configuration: str, function: str) -> bool:
         fns = self.configurations.get(configuration)

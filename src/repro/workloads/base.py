@@ -92,7 +92,7 @@ class Workload(Protocol):
         ...
 
     def reference_trace(self, spec: Any, environment: Any, inputs: list) -> Any:
-        """Golden :class:`~repro.facerec.tracing.Trace` over ``inputs``."""
+        """Golden :class:`~repro.traces.Trace` over ``inputs``."""
         ...
 
     def partitions(self, graph: Any) -> dict:

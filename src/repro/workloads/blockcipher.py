@@ -32,7 +32,7 @@ from repro.workloads.base import VerifyPlan, register_workload, validated_params
 if TYPE_CHECKING:
     import numpy as np
 
-    from repro.facerec.tracing import Trace
+    from repro.traces import Trace
     from repro.platform.taskgraph import AppGraph
 
 #: The modules this workload carries into the FPGA at level 3.
@@ -336,7 +336,7 @@ class BlockCipherWorkload:
 
     def reference_trace(self, spec: Any, environment: CipherEnv,
                         inputs: list) -> Trace:
-        from repro.facerec.tracing import Trace
+        from repro.traces import Trace
 
         model = self.reference_model(spec, environment)
         events: list = []

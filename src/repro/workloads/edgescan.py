@@ -30,7 +30,7 @@ from repro.workloads.base import VerifyPlan, register_workload, validated_params
 if TYPE_CHECKING:
     import numpy as np
 
-    from repro.facerec.tracing import Trace
+    from repro.traces import Trace
     from repro.platform.taskgraph import AppGraph
 
 #: The modules this workload carries into the FPGA at level 3.
@@ -500,7 +500,7 @@ class EdgeScanWorkload:
 
     def reference_trace(self, spec: Any, environment: SignatureDb,
                         inputs: list) -> Trace:
-        from repro.facerec.tracing import Trace
+        from repro.traces import Trace
 
         model = self.reference_model(spec, environment)
         events: list = []

@@ -21,7 +21,7 @@ from repro.workloads.base import VerifyPlan, register_workload
 
 if TYPE_CHECKING:
     from repro.facerec.reference import ReferenceModel
-    from repro.facerec.tracing import Trace
+    from repro.traces import Trace
 
 #: Channels the reference model traces (internal trigger excluded).
 REFERENCE_CHANNELS = (
@@ -102,7 +102,7 @@ class FacerecWorkload:
         return sampler.frames(shots)
 
     def reference_trace(self, spec: Any, environment: Any, inputs: list) -> Trace:
-        from repro.facerec.tracing import Trace
+        from repro.traces import Trace
 
         model = self.reference_model(spec, environment)
         events: list = []

@@ -20,6 +20,8 @@ from repro.facerec.database import extract_features
 from repro.facerec.pipeline import CASE_STUDY_FPGA_TASKS
 from repro.platform.partition import Side
 
+from oracles import run_functional
+
 CFG = FacerecConfig(identities=4, poses=2, size=32)
 
 
@@ -127,7 +129,7 @@ class TestGraph:
         sampler = FaceSampler(CameraConfig(size=CFG.size, noise_sigma=1.0))
         shots = [(0, 0), (2, 1), (3, 0)]
         frames = sampler.frames(shots)
-        results = graph.run_functional({"CAMERA": frames})
+        results = run_functional(graph, {"CAMERA": frames})
         expected = [ref.recognize(f) for f in frames]
         got = results["WINNER"]
         assert [(r[0], r[1], r[2]) for r in got] == [

@@ -25,6 +25,8 @@ from repro.workloads.facerec import REFERENCE_CHANNELS
 from repro.platform.profiler import profile_graph
 from repro.swir.ast import FpgaCall, Reconfigure
 
+from oracles import run_functional
+
 CFG = FacerecConfig(identities=3, poses=2, size=32)
 
 
@@ -48,7 +50,7 @@ class TestLevel1:
     def test_untimed_model_matches_functional(self, setup):
         graph, frames, __, __, __ = setup
         result = UntimedModel(graph).run({"CAMERA": frames})
-        functional = graph.run_functional({"CAMERA": frames})
+        functional = run_functional(graph, {"CAMERA": frames})
         assert result.results["WINNER"] == functional["WINNER"]
 
     def test_reference_trace_comparison(self, setup):

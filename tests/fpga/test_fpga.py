@@ -9,7 +9,6 @@ from repro.fpga import (
     ContextMapper,
     FpgaDevice,
     ReconfigController,
-    count_switches,
 )
 from repro.kernel import NS, Simulator, wait
 
@@ -40,12 +39,6 @@ class TestBitstreamModel:
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             BSM.words_for_gates(-1)
-
-    def test_download_cycles(self):
-        assert BSM.download_cycles(100) == 100
-        assert BSM.download_cycles(100, words_per_cycle=2) == 50
-        with pytest.raises(ValueError):
-            BSM.download_cycles(10, words_per_cycle=0)
 
     def test_invalid_model(self):
         with pytest.raises(ValueError):
@@ -211,10 +204,11 @@ class TestController:
 
 class TestMapper:
     def test_count_switches(self):
-        owner = {"A": "c1", "B": "c2"}
-        assert count_switches(["A", "B", "A", "B"], owner) == 4
-        assert count_switches(["A", "A", "B", "B"], owner) == 2
-        assert count_switches([], owner) == 0
+        mapper = ContextMapper({"A": 1_000, "B": 1_000}, capacity_gates=30_000)
+        blocks = [["A"], ["B"]]
+        assert mapper.evaluate(blocks, ["A", "B", "A", "B"]).switches == 4
+        assert mapper.evaluate(blocks, ["A", "A", "B", "B"]).switches == 2
+        assert mapper.evaluate(blocks, []).switches == 0
 
     def test_single_context_minimises_switches(self):
         mapper = ContextMapper(GATES, capacity_gates=30_000)

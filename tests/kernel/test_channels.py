@@ -1,4 +1,4 @@
-"""Unit and property tests for signals and FIFO channels."""
+"""Unit and property tests for FIFO channels."""
 
 import pytest
 from hypothesis import given, settings
@@ -9,66 +9,9 @@ from repro.kernel import (
     FifoEmptyError,
     FifoFullError,
     NS,
-    Signal,
     Simulator,
     wait,
 )
-
-
-class TestSignal:
-    def test_initial_value(self):
-        sim = Simulator()
-        sig = Signal("s", sim, initial=7)
-        assert sig.read() == 7
-
-    def test_write_commits_at_update_phase(self):
-        sim = Simulator()
-        sig = Signal("s", sim, initial=0)
-        observed = []
-
-        def writer():
-            sig.write(1)
-            observed.append(("in-phase", sig.read()))
-            yield wait(0)
-            observed.append(("after-delta", sig.read()))
-
-        sim.spawn("w", writer())
-        sim.run()
-        assert observed == [("in-phase", 0), ("after-delta", 1)]
-
-    def test_changed_event_only_on_change(self):
-        sim = Simulator()
-        sig = Signal("s", sim, initial=5)
-        wakeups = []
-
-        def watcher():
-            while True:
-                yield wait(sig.changed)
-                wakeups.append(sig.read())
-
-        def writer():
-            sig.write(5)  # no change: no event
-            yield wait(10, NS)
-            sig.write(6)
-            yield wait(10, NS)
-
-        sim.spawn("watch", watcher())
-        sim.spawn("write", writer())
-        sim.run()
-        assert wakeups == [6]
-
-    def test_last_write_wins_within_delta(self):
-        sim = Simulator()
-        sig = Signal("s", sim, initial=0)
-
-        def writer():
-            sig.write(1)
-            sig.write(2)
-            yield wait(0)
-            assert sig.read() == 2
-
-        sim.spawn("w", writer())
-        sim.run()
 
 
 class TestFifoNonBlocking:

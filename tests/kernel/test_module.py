@@ -1,73 +1,10 @@
-"""Tests for hierarchical modules and ports."""
+"""Tests for modules."""
 
-import pytest
-
-from repro.kernel import Fifo, Module, NS, Port, PortBindingError, Simulator, wait
+from repro.kernel import Fifo, Module, NS, Simulator, wait
 from repro.kernel.module import MappingTarget
 
 
-class TestPort:
-    def test_unbound_use_raises(self):
-        port = Port("p")
-        assert not port.bound
-        with pytest.raises(PortBindingError):
-            port.channel
-
-    def test_single_binding(self):
-        sim = Simulator()
-        port = Port("p")
-        fifo = Fifo("f", sim)
-        port.bind(fifo)
-        assert port.bound
-        assert port.channel is fifo
-        with pytest.raises(PortBindingError):
-            port.bind(fifo)
-
-    def test_rebind_allows_replacement(self):
-        sim = Simulator()
-        port = Port("p")
-        a, b = Fifo("a", sim), Fifo("b", sim)
-        port.bind(a)
-        port.rebind(b)
-        assert port.channel is b
-
-    def test_interface_check(self):
-        sim = Simulator()
-        port = Port("p", interface=Fifo)
-        with pytest.raises(PortBindingError):
-            port.bind("not a fifo")
-        port.bind(Fifo("f", sim))
-
-    def test_attribute_forwarding(self):
-        sim = Simulator()
-        port = Port("p")
-        port.bind(Fifo("f", sim, capacity=3))
-        assert port.capacity == 3
-        port.try_put(1)
-        assert port.try_get() == 1
-
-
 class TestModule:
-    def test_hierarchy(self):
-        sim = Simulator()
-        top = Module("top", sim)
-        a = Module("a", sim, parent=top)
-        b = Module("b", sim, parent=top)
-        leaf = Module("leaf", sim, parent=a)
-        assert top.children == [a, b]
-        assert leaf.full_name == "top.a.leaf"
-        assert [m.name for m in top.walk()] == ["top", "a", "leaf", "b"]
-        assert set(m.name for m in top.leaves()) == {"leaf", "b"}
-        assert top.find("leaf") is leaf
-        assert top.find("missing") is None
-
-    def test_duplicate_port_rejected(self):
-        sim = Simulator()
-        mod = Module("m", sim)
-        mod.add_port("out")
-        with pytest.raises(ValueError):
-            mod.add_port("out")
-
     def test_default_mapping_unmapped(self):
         sim = Simulator()
         mod = Module("m", sim)
@@ -89,35 +26,33 @@ class TestModule:
         assert ran == [True]
 
     def test_module_pipeline_end_to_end(self):
-        """Two modules talking through ports bound to a FIFO."""
+        """Two modules talking through a FIFO each is bound to."""
         sim = Simulator()
 
         class Producer(Module):
-            def __init__(self, name, sim):
+            def __init__(self, name, sim, out):
                 super().__init__(name, sim)
-                self.out = self.add_port("out")
+                self.out = out
                 self.spawn("run", self.run())
 
             def run(self):
                 for i in range(5):
-                    yield from self.out.channel.put(i * i)
+                    yield from self.out.put(i * i)
 
         class Consumer(Module):
-            def __init__(self, name, sim):
+            def __init__(self, name, sim, inp):
                 super().__init__(name, sim)
-                self.inp = self.add_port("in")
+                self.inp = inp
                 self.received = []
                 self.spawn("run", self.run())
 
             def run(self):
                 for _ in range(5):
-                    item = yield from self.inp.channel.get()
+                    item = yield from self.inp.get()
                     self.received.append(item)
 
-        producer = Producer("producer", sim)
-        consumer = Consumer("consumer", sim)
         link = Fifo("link", sim, capacity=2)
-        producer.out.bind(link)
-        consumer.inp.bind(link)
+        Producer("producer", sim, link)
+        consumer = Consumer("consumer", sim, link)
         sim.run()
         assert consumer.received == [0, 1, 4, 9, 16]

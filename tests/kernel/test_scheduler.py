@@ -2,15 +2,7 @@
 
 import pytest
 
-from repro.kernel import (
-    NS,
-    US,
-    Simulator,
-    SimulationError,
-    wait,
-    wait_all,
-    wait_any,
-)
+from repro.kernel import NS, Simulator, SimulationError, wait
 from repro.kernel.process import ProcessState
 
 
@@ -116,93 +108,6 @@ def test_earliest_notification_wins():
     assert seen == [10_000]
 
 
-def test_event_cancel():
-    sim = Simulator()
-    event = sim.event("e")
-    seen = []
-
-    def waiter():
-        got = yield wait(event, timeout_ps=50_000)
-        seen.append(got)
-
-    def notifier():
-        event.notify(10 * NS)
-        event.cancel()
-        yield wait(1, NS)
-
-    sim.spawn("w", waiter())
-    sim.spawn("n", notifier())
-    sim.run()
-    # Notification cancelled: waiter resumed by timeout with None.
-    assert seen == [None]
-
-
-def test_wait_any():
-    sim = Simulator()
-    e1, e2 = sim.event("e1"), sim.event("e2")
-    seen = []
-
-    def waiter():
-        got = yield wait_any([e1, e2])
-        seen.append(got)
-
-    def notifier():
-        yield wait(5, NS)
-        e2.notify()
-
-    sim.spawn("w", waiter())
-    sim.spawn("n", notifier())
-    sim.run()
-    assert seen == [e2]
-
-
-def test_wait_all():
-    sim = Simulator()
-    e1, e2 = sim.event("e1"), sim.event("e2")
-    seen = []
-
-    def waiter():
-        yield wait_all([e1, e2])
-        seen.append(sim.now_ps)
-
-    def notifier():
-        yield wait(5, NS)
-        e1.notify()
-        yield wait(5, NS)
-        e2.notify()
-
-    sim.spawn("w", waiter())
-    sim.spawn("n", notifier())
-    sim.run()
-    assert seen == [10_000]
-
-
-def test_wait_timeout_returns_none():
-    sim = Simulator()
-    event = sim.event("never")
-    seen = []
-
-    def waiter():
-        got = yield wait(event, timeout_ps=20_000)
-        seen.append((got, sim.now_ps))
-
-    sim.spawn("w", waiter())
-    sim.run()
-    assert seen == [(None, 20_000)]
-
-
-def test_run_until_stops_time():
-    sim = Simulator()
-
-    def proc():
-        while True:
-            yield wait(10, NS)
-
-    sim.spawn("p", proc())
-    end = sim.run(until_ps=95_000)
-    assert end == 95_000
-
-
 def test_process_failure_raises_simulation_error():
     sim = Simulator()
 
@@ -213,6 +118,28 @@ def test_process_failure_raises_simulation_error():
     sim.spawn("bad", bad())
     with pytest.raises(SimulationError, match="bad"):
         sim.run()
+
+
+def test_failure_mid_evaluate_runs_no_further_process():
+    """A process failure ends the evaluate phase: the rest of the batch
+    does not run."""
+    sim = Simulator()
+    ran = []
+
+    def failing():
+        ran.append("failing")
+        raise ValueError("boom")
+        yield wait(1, NS)
+
+    def bystander():
+        ran.append("bystander")
+        yield wait(1, NS)
+
+    sim.spawn("failing", failing())
+    sim.spawn("bystander", bystander())
+    with pytest.raises(SimulationError, match="failing"):
+        sim.run()
+    assert ran == ["failing"]
 
 
 def test_starved_processes_reported():
@@ -226,26 +153,6 @@ def test_starved_processes_reported():
     sim.run()
     assert sim.starved_processes == [proc]
     assert proc.state is ProcessState.WAITING
-
-
-def test_kill_process():
-    sim = Simulator()
-    seen = []
-
-    def proc():
-        yield wait(10, NS)
-        seen.append("resumed")
-
-    p = sim.spawn("p", proc())
-
-    def killer():
-        yield wait(1, NS)
-        p.kill()
-
-    sim.spawn("k", killer())
-    sim.run()
-    assert seen == []
-    assert p.state is ProcessState.FINISHED
 
 
 def test_finished_event_fires():
@@ -275,44 +182,6 @@ def test_yielding_garbage_fails_fast():
     sim.spawn("bad", bad())
     with pytest.raises(SimulationError, match="wait"):
         sim.run()
-
-
-def test_stop_mid_run():
-    sim = Simulator()
-    ticks = []
-
-    def ticker():
-        while True:
-            yield wait(1, US)
-            ticks.append(sim.now_ps)
-            if len(ticks) == 3:
-                sim.stop()
-
-    sim.spawn("t", ticker())
-    sim.run()
-    assert len(ticks) == 3
-
-
-def test_stop_mid_evaluate_keeps_remaining_ready_queued():
-    """stop() during an evaluate phase must not run the rest of the batch."""
-    sim = Simulator()
-    ran = []
-
-    def stopper():
-        ran.append("stopper")
-        sim.stop()
-        yield wait(1, NS)
-
-    def bystander():
-        ran.append("bystander")
-        yield wait(1, NS)
-
-    sim.spawn("stopper", stopper())
-    proc = sim.spawn("bystander", bystander())
-    sim.run()
-    assert ran == ["stopper"]
-    # The bystander is still queued ready, not silently dropped.
-    assert proc.state is ProcessState.READY
 
 
 def test_same_timestamp_actions_preserve_schedule_order():

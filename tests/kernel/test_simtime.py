@@ -1,10 +1,10 @@
-"""Unit tests for the simulation time type."""
+"""Unit tests for simulation time: picosecond conversion and formatting."""
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.kernel.simtime import MS, NS, PS, SEC, US, SimTime, format_time, time_ps
+from repro.kernel.simtime import MS, NS, PS, SEC, US, format_time, time_ps
 
 
 class TestTimePs:
@@ -22,35 +22,6 @@ class TestTimePs:
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             time_ps(-1, NS)
-
-
-class TestSimTime:
-    def test_construction_and_conversion(self):
-        t = SimTime.of(5, NS)
-        assert t.picoseconds == 5000
-        assert t.to(NS) == 5.0
-        assert int(t) == 5000
-
-    def test_arithmetic(self):
-        a = SimTime.of(10, NS)
-        b = SimTime.of(3, NS)
-        assert (a + b).picoseconds == 13_000
-        assert (a - b).picoseconds == 7_000
-        assert (a + 500).picoseconds == 10_500
-
-    def test_ordering(self):
-        assert SimTime.of(1, NS) < SimTime.of(2, NS)
-        assert SimTime.of(1, US) > SimTime.of(999, NS)
-
-    def test_negative_rejected(self):
-        with pytest.raises(ValueError):
-            SimTime(-1)
-        with pytest.raises(ValueError):
-            SimTime.of(1, NS) - SimTime.of(2, NS)
-
-    @given(st.integers(min_value=0, max_value=10**15), st.integers(min_value=0, max_value=10**15))
-    def test_addition_commutes(self, a, b):
-        assert (SimTime(a) + SimTime(b)) == (SimTime(b) + SimTime(a))
 
 
 class TestFormatTime:

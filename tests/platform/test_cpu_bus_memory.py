@@ -15,7 +15,7 @@ from repro.platform import (
     UninitializedRead,
 )
 from repro.platform.architecture import _MailboxTarget
-from repro.tlm import Command, InitiatorSocket, Response, Transaction
+from repro.tlm import Command, Response, Transaction
 
 
 class TestCpuModel:
@@ -278,13 +278,11 @@ class TestBus:
 
     def test_transport_timing(self):
         sim, bus, __ = self._setup()
-        socket = InitiatorSocket("cpu")
-        socket.bind(bus)
         done = []
 
         def master():
             txn = Transaction.write(0x1000, [1, 2, 3, 4], origin="cpu")
-            yield from socket.transport(txn)
+            yield from bus.transport(txn)
             done.append(sim.now_ps)
 
         sim.spawn("m", master())
@@ -294,13 +292,11 @@ class TestBus:
 
     def test_decode_error(self):
         sim, bus, __ = self._setup()
-        socket = InitiatorSocket("cpu")
-        socket.bind(bus)
         responses = []
 
         def master():
             txn = Transaction.read(0xDEAD0000)
-            yield from socket.transport(txn)
+            yield from bus.transport(txn)
             responses.append(txn.response)
 
         sim.spawn("m", master())
@@ -308,15 +304,33 @@ class TestBus:
         assert responses == [Response.DECODE_ERROR]
         assert bus.stats.decode_errors == 1
 
+    def test_incomplete_response_becomes_ok(self):
+        """A target that leaves the response unset has completed the
+        transfer: the bus marks it OK."""
+        sim, bus, __ = self._setup()
+
+        class Forgetful:
+            def transport(self, txn):
+                yield wait(1)
+                return txn
+
+        bus.attach("forgetful", 0x2000, 256, Forgetful())
+        txn = Transaction.read(0x2000)
+
+        def master():
+            yield from bus.transport(txn)
+
+        sim.spawn("m", master())
+        sim.run()
+        assert txn.response is Response.OK
+
     def test_arbitration_serialises_masters(self):
         sim, bus, __ = self._setup()
         times = []
 
         def master(name):
-            socket = InitiatorSocket(name)
-            socket.bind(bus)
             txn = Transaction.write(0x1000, [0] * 8, origin=name)
-            yield from socket.transport(txn)
+            yield from bus.transport(txn)
             times.append((name, sim.now_ps))
 
         sim.spawn("a", master("a"))
@@ -329,13 +343,11 @@ class TestBus:
 
     def test_traffic_accounting(self):
         sim, bus, __ = self._setup()
-        socket = InitiatorSocket("cpu")
-        socket.bind(bus)
 
         def master():
-            yield from socket.transport(
+            yield from bus.transport(
                 Transaction.write(0x1000, [0] * 4, origin="cpu", kind="data"))
-            yield from socket.transport(
+            yield from bus.transport(
                 Transaction.read(0x1010, burst_len=2, origin="fpga",
                                  kind="bitstream"))
 

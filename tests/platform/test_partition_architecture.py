@@ -15,6 +15,8 @@ from repro.platform import (
     transformation2,
 )
 
+from oracles import run_functional
+
 CFG = FacerecConfig(identities=3, poses=2, size=32)
 
 
@@ -92,7 +94,7 @@ class TestArchitecture:
         partition = Partition.all_sw(graph)
         arch = transformation1(partition, profile)
         metrics = arch.run({"CAMERA": frames})
-        functional = graph.run_functional({"CAMERA": frames})
+        functional = run_functional(graph, {"CAMERA": frames})
         assert metrics.results["WINNER"] == functional["WINNER"]
         assert metrics.elapsed_ps > 0
         assert metrics.cpu_cycles > 0
@@ -102,7 +104,7 @@ class TestArchitecture:
         partition = case_study_partition(graph)
         arch = transformation1(partition, profile)
         metrics = arch.run({"CAMERA": frames})
-        functional = graph.run_functional({"CAMERA": frames})
+        functional = run_functional(graph, {"CAMERA": frames})
         assert metrics.results["WINNER"] == functional["WINNER"]
         assert metrics.bus_report["words"] > 0
         assert metrics.hw_ops > 0
@@ -120,7 +122,7 @@ class TestArchitecture:
         arch = transformation1(case_study_partition(graph), profile)
         metrics = arch.run({"CAMERA": frames})
         functional_trace = []
-        graph.run_functional({"CAMERA": frames}, trace=functional_trace)
+        run_functional(graph, {"CAMERA": frames}, trace=functional_trace)
         mismatches = compare_traces(
             Trace.from_events("arch", metrics.trace),
             Trace.from_events("functional", functional_trace),
@@ -154,5 +156,5 @@ class TestArchitecture:
         moved, arch = transformation2(partition, "ELLIPSE", Side.HW, profile)
         assert moved.side("ELLIPSE") is Side.HW
         metrics = arch.run({"CAMERA": frames})
-        functional = graph.run_functional({"CAMERA": frames})
+        functional = run_functional(graph, {"CAMERA": frames})
         assert metrics.results["WINNER"] == functional["WINNER"]

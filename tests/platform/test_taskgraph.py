@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 from repro.api import CampaignSpec, Session, get_workload, workload_names
 from repro.platform.taskgraph import AppGraph, ChannelSpec, GraphError, TaskSpec
 
+from oracles import run_functional, to_networkx
+
 
 def make_chain(lengths=(3,)):
     """A simple source -> stage... -> sink chain graph."""
@@ -100,14 +102,14 @@ class TestQueries:
         assert [c.name for c in graph.out_channels("MID")] == ["c1"]
 
     def test_to_networkx(self):
-        nxg = make_chain().to_networkx()
+        nxg = to_networkx(make_chain())
         assert set(nxg.nodes) == {"SRC", "MID", "SINK"}
         assert nxg.number_of_edges() == 2
 
 
 def networkx_order(graph):
     """The schedule networkx gives: the oracle of ``topological_order``."""
-    return list(nx.lexicographical_topological_sort(graph.to_networkx()))
+    return list(nx.lexicographical_topological_sort(to_networkx(graph)))
 
 
 @st.composite
@@ -145,7 +147,7 @@ class TestFunctionalRun:
     def test_results_and_trace(self):
         graph = make_chain()
         trace = []
-        results = graph.run_functional({"SRC": [1, 2, 3]}, trace=trace)
+        results = run_functional(graph, {"SRC": [1, 2, 3]}, trace=trace)
         assert results["SINK"] == [3, 5, 7]
         channels = {c for __, __, c, __ in trace}
         assert channels == {"c0", "c1"}
@@ -153,7 +155,7 @@ class TestFunctionalRun:
     def test_missing_stimuli_rejected(self):
         graph = make_chain()
         with pytest.raises(GraphError):
-            graph.run_functional({})
+            run_functional(graph, {})
 
     def test_wrong_output_channels_rejected(self):
         graph = AppGraph("bad")
@@ -161,7 +163,7 @@ class TestFunctionalRun:
         graph.add_task(TaskSpec("B", lambda s, i: {}, reads=("c",)))
         graph.add_channel(ChannelSpec("c", "A", "B"))
         with pytest.raises(GraphError):
-            graph.run_functional({"A": [1]})
+            run_functional(graph, {"A": [1]})
 
     def test_state_persists_across_firings(self):
         graph = AppGraph("stateful")
@@ -174,7 +176,7 @@ class TestFunctionalRun:
         graph.add_task(TaskSpec("OUT", lambda s, i: {"__result__": i["c"]},
                                 reads=("c",)))
         graph.add_channel(ChannelSpec("c", "ACC", "OUT"))
-        results = graph.run_functional({"ACC": [1, 2, 3]})
+        results = run_functional(graph, {"ACC": [1, 2, 3]})
         assert results["OUT"] == [1, 3, 6]
 
     @settings(max_examples=25, deadline=None)
@@ -182,7 +184,7 @@ class TestFunctionalRun:
     def test_chain_matches_direct_computation(self, stimuli):
         """Property: graph execution == composing the stage functions."""
         graph = make_chain()
-        results = graph.run_functional({"SRC": stimuli})
+        results = run_functional(graph, {"SRC": stimuli})
         assert results["SINK"] == [x * 2 + 1 for x in stimuli]
 
 

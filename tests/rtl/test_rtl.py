@@ -244,22 +244,3 @@ class TestWrapper:
         sim = Simulator()
         with pytest.raises(WrapperError):
             RtlWrapper("w", sim, net)
-
-    def test_bus_traffic_accounted(self):
-        from repro.platform import Bus, Memory
-        from repro.tlm import InitiatorSocket
-        sim = Simulator()
-        bus = Bus("amba", sim)
-        ram = Memory("ram", sim, base=0x0, size_words=64)
-        bus.attach("ram", 0x0, 256, ram)
-        socket = InitiatorSocket("acc")
-        socket.bind(bus)
-        net = synthesize(root_function(16), width=16)
-        wrapper = RtlWrapper("root", sim, net, bus_socket=socket, bus_base=0x10)
-
-        def driver():
-            yield from wrapper.call({"n": 81})
-
-        sim.spawn("d", driver())
-        sim.run()
-        assert bus.stats.words == 2  # one arg word + one result word

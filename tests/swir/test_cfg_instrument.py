@@ -13,7 +13,6 @@ from repro.swir import (
     Var,
     build_cfg,
     instrument_reconfiguration,
-    strip_reconfiguration,
 )
 
 
@@ -132,11 +131,6 @@ class TestInstrumentation:
         before = program.statement_count()
         instrument_reconfiguration(program, CONTEXTS)
         assert program.statement_count() == before
-
-    def test_strip_removes_all(self):
-        program = instrument_reconfiguration(loop_program(), CONTEXTS)
-        stripped = strip_reconfiguration(program)
-        assert not [s for s in stripped.walk() if isinstance(s, Reconfigure)]
 
     def test_instrumented_program_runs_consistently(self):
         program = instrument_reconfiguration(loop_program(), CONTEXTS)

@@ -188,6 +188,10 @@ def heavy():
 def flow():
     return sorted(m for m in {FLOW_MODULES!r} if m in sys.modules)
 
+def facerec():
+    return sorted(m for m in sys.modules
+                  if m == "repro.facerec" or m.startswith("repro.facerec."))
+
 seen = {{}}
 import repro.cli
 seen["import repro.cli"] = heavy()
@@ -208,6 +212,7 @@ with contextlib.redirect_stdout(io.StringIO()):
         ["flow", "--workload", "blockcipher", "--frames", "2",
          "--param", "block_words=8", "--json"])
 seen["after flow"] = heavy()
+seen["facerec after flow"] = facerec()
 import repro.service, repro.fleet
 seen["import repro.service, repro.fleet"] = heavy()
 with contextlib.redirect_stdout(io.StringIO()):
@@ -276,9 +281,9 @@ def import_probe(tmp_path_factory):
 class TestImportBoundary:
     def test_flow_and_daemon_load_neither_scipy_nor_networkx(
             self, import_probe):
-        """scipy loads on the first LP (level-1 ``verify``), networkx
-        only in ``AppGraph.to_networkx``: neither is paid by a CLI
-        start, a flow or a service daemon."""
+        """scipy loads on the first LP (level-1 ``verify``); networkx is
+        a test-only dependency that no production path imports.  Neither
+        is paid by a CLI start, a flow or a service daemon."""
         seen = import_probe
         assert seen["import repro.cli"] == []
         assert seen["flow exit"] == 0
@@ -286,6 +291,14 @@ class TestImportBoundary:
         assert seen["import repro.service, repro.fleet"] == []
         assert seen["verify exit"] == 0
         assert seen["after verify"] == ["scipy"]
+
+    def test_non_facerec_flow_loads_no_face_model(self, import_probe):
+        """Trace comparison lives in the workload-agnostic
+        :mod:`repro.traces`: a blockcipher flow loads no
+        :mod:`repro.facerec` module."""
+        seen = import_probe
+        assert seen["flow exit"] == 0
+        assert seen["facerec after flow"] == []
 
     def test_commands_that_compute_nothing_load_no_flow(self, import_probe):
         """The CLI start, ``repro workloads`` and a sweep whose every
@@ -303,14 +316,16 @@ class TestImportBoundary:
 
     @pytest.mark.parametrize("package", ["repro.service", "repro.fleet"])
     def test_daemon_and_runner_load_the_flow_up_front(self, package):
-        """Both fork job children and serve threads: the flow must be
-        loaded before either starts, not imported per job child or raced
-        by two threads."""
+        """Both fork job children and serve threads: the flow and the
+        face model (which the flow does not load) must be loaded before
+        either starts, not imported per job child or raced by two
+        threads."""
         loaded = _probe(
             f"import json, sys, {package}\n"
             f"print(json.dumps([m in sys.modules for m in "
-            f"('repro.api.session', 'repro.flow.level4')]))")
-        assert loaded == [True, True]
+            f"('repro.api.session', 'repro.flow.level4', "
+            f"'repro.facerec.camera')]))")
+        assert loaded == [True, True, True]
 
     def test_every_exported_name_resolves(self):
         """``repro.api`` and ``repro.swir`` resolve their names on first

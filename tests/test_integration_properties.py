@@ -24,6 +24,8 @@ from repro.rtl.synth import run_fsmd, synthesize
 from repro.swir import BinOp, Const, FunctionBuilder, Interpreter, ProgramBuilder, Var
 from repro.verify.lpv import check_deadlock_freedom, graph_to_petri
 
+from oracles import run_functional
+
 CFG = FacerecConfig(identities=2, poses=1, size=32)
 
 
@@ -33,7 +35,7 @@ def workload():
     graph = build_graph(CFG, database)
     frames = FaceSampler(CameraConfig(size=CFG.size)).frames([(0, 0)])
     profile = profile_graph(graph, {"CAMERA": frames})
-    functional = graph.run_functional({"CAMERA": frames})
+    functional = run_functional(graph, {"CAMERA": frames})
     return graph, frames, profile, functional
 
 

@@ -1,18 +1,8 @@
-"""Tests for sockets and address decoding."""
+"""Tests for address decoding."""
 
 import pytest
 
-from repro.kernel import NS, Simulator, wait
-from repro.tlm import (
-    AddressMap,
-    AddressRange,
-    DecodeError,
-    InitiatorSocket,
-    Response,
-    TargetSocket,
-    Transaction,
-    TransportError,
-)
+from repro.tlm import AddressMap, AddressRange, DecodeError
 
 
 class TestAddressMap:
@@ -60,93 +50,3 @@ class TestAddressMap:
         amap.add(0x2000, 0x10, "b")
         amap.add(0x1000, 0x10, "a")
         assert [r.slave_name for r in amap.ranges] == ["a", "b"]
-
-
-class TestSockets:
-    def test_point_to_point_transport(self):
-        sim = Simulator()
-        served = []
-
-        def transport(txn):
-            yield wait(10, NS)
-            served.append(txn.address)
-            txn.data = [42] * txn.burst_len
-            txn.response = Response.OK
-            return txn
-
-        target = TargetSocket("mem", transport)
-        initiator = InitiatorSocket("cpu")
-        initiator.bind(target)
-        results = []
-
-        def master():
-            txn = Transaction.read(0x100, burst_len=2)
-            yield from initiator.transport(txn)
-            results.append((txn.data, txn.response, sim.now_ps))
-
-        sim.spawn("m", master())
-        sim.run()
-        assert served == [0x100]
-        assert results == [([42, 42], Response.OK, 10_000)]
-        assert initiator.issued_count == 1
-        assert target.served_count == 1
-
-    def test_unbound_initiator_raises(self):
-        initiator = InitiatorSocket("cpu")
-        with pytest.raises(TransportError):
-            list(initiator.transport(Transaction.read(0)))
-
-    def test_double_bind_rejected(self):
-        def transport(txn):
-            yield wait(1)
-            return txn
-
-        target = TargetSocket("t", transport)
-        initiator = InitiatorSocket("cpu")
-        initiator.bind(target)
-        with pytest.raises(TransportError):
-            initiator.bind(target)
-
-    def test_rebind_allows_retargeting(self):
-        def transport(txn):
-            yield wait(1)
-            return txn
-
-        a = TargetSocket("a", transport)
-        b = TargetSocket("b", transport)
-        initiator = InitiatorSocket("cpu")
-        initiator.bind(a)
-        initiator.rebind(b)
-        sim = Simulator()
-
-        def master():
-            yield from initiator.transport(Transaction.read(0))
-
-        sim.spawn("m", master())
-        sim.run()
-        assert b.served_count == 1
-        assert a.served_count == 0
-
-    def test_bind_requires_transport(self):
-        initiator = InitiatorSocket("cpu")
-        with pytest.raises(TransportError):
-            initiator.bind(object())
-
-    def test_default_ok_response(self):
-        """Initiator marks INCOMPLETE transactions OK after transport."""
-        def transport(txn):
-            yield wait(1)
-            return txn  # forgets to set response
-
-        target = TargetSocket("t", transport)
-        initiator = InitiatorSocket("cpu")
-        initiator.bind(target)
-        sim = Simulator()
-        txn = Transaction.read(0)
-
-        def master():
-            yield from initiator.transport(txn)
-
-        sim.spawn("m", master())
-        sim.run()
-        assert txn.response is Response.OK

@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 from repro.verify.cnf import BitVector, Cnf
 from repro.verify.sat import SatResult, SatSolver, solve
 
+from oracles import assert_equals_const
+
 
 def brute_force_sat(clauses, num_vars):
     for bits in range(1 << num_vars):
@@ -158,8 +160,8 @@ class TestBitVector:
         cnf = Cnf()
         a = BitVector.fresh(cnf, self.WIDTH)
         b = BitVector.fresh(cnf, self.WIDTH)
-        a.assert_equals_const(a_val & 0xFF)
-        b.assert_equals_const(b_val & 0xFF)
+        assert_equals_const(a, a_val & 0xFF)
+        assert_equals_const(b, b_val & 0xFF)
         return cnf, a, b
 
     @staticmethod

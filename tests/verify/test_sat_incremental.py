@@ -13,6 +13,8 @@ from hypothesis import strategies as st
 from repro.verify.cnf import BitVector, Cnf
 from repro.verify.sat import SatResult, SatSolver
 
+from oracles import assert_equals_const
+
 
 def fresh_verdict(clauses, assumptions=()):
     """One-shot reference: assumptions joined as unit clauses."""
@@ -207,8 +209,8 @@ class TestAttachedCnf:
             for pinned in (False, True):
                 if pinned:
                     a, b = BitVector.fresh(cnf, 5), BitVector.fresh(cnf, 5)
-                    a.assert_equals_const(a_val)
-                    b.assert_equals_const(b_val)
+                    assert_equals_const(a, a_val)
+                    assert_equals_const(b, b_val)
                 else:
                     a = BitVector.constant(cnf, a_val, 5)
                     b = BitVector.constant(cnf, b_val, 5)

@@ -32,7 +32,7 @@ def frame_loop_program():
 class TestConfigInfo:
     def test_from_sets(self):
         assert CONFIG.fpga_functions == {"DISTANCE", "ROOT"}
-        assert CONFIG.owners("ROOT") == {"config2"}
+        assert CONFIG.provides("config2", "ROOT")
         assert CONFIG.provides("config1", "DISTANCE")
         assert not CONFIG.provides("config1", "ROOT")
 

@@ -14,6 +14,8 @@ from repro.workloads.blockcipher import (
     xtime,
 )
 
+from oracles import run_functional
+
 
 class TestByteAlgebra:
     def test_xtime_matches_aes_examples(self):
@@ -69,7 +71,7 @@ class TestReferenceAndGraph:
         env = derive_env(8, key_seed=2, rotation=3)
         graph = build_cipher_graph(env)
         block = np.arange(8, dtype=np.uint8)
-        results = graph.run_functional({"SOURCE": [block]})
+        results = run_functional(graph, {"SOURCE": [block]})
         assert results["CHECK"] == [CipherReference(env).recognize(block)]
 
     def test_graph_shape(self):

@@ -19,6 +19,8 @@ from repro.workloads.edgescan import (
     thresh_step_reference,
 )
 
+from oracles import run_functional
+
 
 class TestAlgorithms:
     def test_render_is_deterministic_and_distinct(self):
@@ -89,7 +91,7 @@ class TestGraph:
         db = enroll_signatures(2, 1, 32, 64)
         graph = build_edgescan_graph(db, 32)
         frame = render_shape(1, 0, 32)
-        results = graph.run_functional({"CAMERA": [frame]})
+        results = run_functional(graph, {"CAMERA": [frame]})
         expected = EdgeScanReference(db).recognize(frame)
         assert results["CLASSIFY"] == [expected]
 
