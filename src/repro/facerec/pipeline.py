@@ -18,8 +18,6 @@ sees realistic traffic shapes.
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.facerec import stages
 from repro.facerec.database import FaceDatabase, enroll_database
 from repro.platform.partition import Partition, Side

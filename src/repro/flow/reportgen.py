@@ -31,7 +31,7 @@ Level 3  Refinement for reconfiguration (bitstreams on the bus)
              v   behavioural synthesis and IP reuse
 Level 4  RTL generation (FSMD netlists + TL wrappers)
          activities : synthesis-lite, interface (wrapper) synthesis
-         verification: model checking (explicit + SAT BMC), PCC completeness
+         verification: model checking (SAT-based BMC), PCC completeness
 """
 
 

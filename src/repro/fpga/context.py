@@ -8,7 +8,7 @@ split into two contexts named ``config1`` and ``config2``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 class ContextError(ValueError):

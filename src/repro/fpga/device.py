@@ -38,9 +38,9 @@ class FpgaDevice:
 
     Reconfiguration traffic is issued on ``bus`` (a
     :class:`~repro.platform.bus.Bus`), reading the bitstream from
-    ``config_store_base`` in ``burst_len``-word chunks.  Without a bus,
-    reconfiguration still takes ``fallback_ps_per_word`` per word — the
-    unit tests' stand-in for the bus.
+    ``config_store_base`` in ``burst_len``-word chunks, so a download
+    takes what the bus and the configuration store attached there
+    charge for its bursts.
     """
 
     def __init__(
@@ -48,10 +48,9 @@ class FpgaDevice:
         name: str,
         sim: Simulator,
         capacity_gates: int,
-        bus=None,
+        bus,
         config_store_base: int = 0x4000_0000,
         burst_len: int = 16,
-        fallback_ps_per_word: int = 20_000,
     ):
         if capacity_gates <= 0:
             raise ContextError("FPGA capacity must be positive")
@@ -61,7 +60,6 @@ class FpgaDevice:
         self.bus = bus
         self.config_store_base = config_store_base
         self.burst_len = burst_len
-        self.fallback_ps_per_word = fallback_ps_per_word
         self.contexts: dict[str, Configuration] = {}
         self.loaded: Optional[Configuration] = None
         self.stats = FpgaStats()
@@ -128,16 +126,12 @@ class FpgaDevice:
             offset = 0
             while remaining > 0:
                 chunk = min(self.burst_len, remaining)
-                if self.bus is not None:
-                    txn = Transaction.read(
-                        self.config_store_base + offset * 4,
-                        burst_len=chunk,
-                        origin=f"{self.name}.config",
-                        kind="bitstream",
-                    )
-                    yield from self.bus.transport(txn)
-                else:
-                    yield wait(chunk * self.fallback_ps_per_word)
+                yield from self.bus.transport(Transaction.read(
+                    self.config_store_base + offset * 4,
+                    burst_len=chunk,
+                    origin=f"{self.name}.config",
+                    kind="bitstream",
+                ))
                 remaining -= chunk
                 offset += chunk
             self.loaded = context

@@ -34,7 +34,6 @@ from repro.kernel.simtime import (
     US,
     MS,
     SEC,
-    time_ps,
 )
 from repro.kernel.events import Event, wait
 from repro.kernel.process import Process, ProcessState
@@ -48,7 +47,6 @@ __all__ = [
     "US",
     "MS",
     "SEC",
-    "time_ps",
     "Event",
     "wait",
     "Process",

@@ -23,15 +23,12 @@ class Event:
 
     __slots__ = ("name", "_sim", "_waiters", "_pending_ps")
 
-    def __init__(self, name: str = "event", sim: "Optional[Simulator]" = None):
+    def __init__(self, name: str, sim: "Simulator"):
         self.name = name
         self._sim = sim
         self._waiters: list[Process] = []
         #: absolute ps of a pending timed notification, or None
         self._pending_ps: Optional[int] = None
-
-    def _attach(self, sim: "Simulator") -> None:
-        self._sim = sim
 
     def notify(self, delay_ps: int = 0) -> None:
         """Notify this event after ``delay_ps`` picoseconds.
@@ -41,11 +38,6 @@ class Event:
         ``notify(SC_ZERO_TIME)``.  A later pending notification is
         cancelled by an earlier one (SystemC's earliest-wins rule).
         """
-        if self._sim is None:
-            raise RuntimeError(
-                f"event {self.name!r} is not attached to a simulator; "
-                "create it via Simulator.event() or Module helpers"
-            )
         when = self._sim.now_ps + delay_ps
         if self._pending_ps is not None and self._pending_ps <= when:
             return
@@ -54,8 +46,6 @@ class Event:
 
     def notify_immediate(self) -> None:
         """Wake waiters in the *current* evaluate phase (sc ``notify()``)."""
-        if self._sim is None:
-            raise RuntimeError(f"event {self.name!r} is not attached to a simulator")
         self._fire()
 
     def _fire(self) -> None:
@@ -94,9 +84,11 @@ class EventWait:
 def wait(duration_or_event, unit: int = 1) -> TimeWait | EventWait:
     """Build a wait request: ``yield wait(10, NS)`` or ``yield wait(event)``.
 
-    With a numeric first argument the process sleeps for that duration
-    (scaled by ``unit``).  With an :class:`Event` it blocks until the
-    event is notified, and resumes with the event as the yield's value.
+    With a numeric first argument the process sleeps for that duration,
+    scaled by ``unit`` and rounded to whole picoseconds (a negative one
+    raises :class:`ValueError`).  With an :class:`Event` it blocks until
+    the event is notified, and resumes with the event as the yield's
+    value.
     """
     if isinstance(duration_or_event, Event):
         return EventWait(duration_or_event)

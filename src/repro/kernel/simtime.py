@@ -21,22 +21,6 @@ SEC = 1_000_000_000_000
 _UNIT_NAMES = {PS: "ps", NS: "ns", US: "us", MS: "ms", SEC: "s"}
 
 
-def time_ps(value: float, unit: int = PS) -> int:
-    """Convert ``value`` expressed in ``unit`` into integer picoseconds.
-
-    Fractional picoseconds are rounded to the nearest integer; the kernel
-    never deals in sub-picosecond quantities.
-
-    >>> time_ps(10, NS)
-    10000
-    >>> time_ps(1.5, US)
-    1500000
-    """
-    if value < 0:
-        raise ValueError(f"negative time: {value}")
-    return int(round(value * unit))
-
-
 def format_time(ps: int) -> str:
     """Render a picosecond count with the largest unit that divides it nicely.
 

@@ -32,7 +32,7 @@ from typing import Any, Iterable, Optional
 
 from repro.kernel.channels import Fifo
 from repro.kernel.events import wait
-from repro.kernel.module import MappingTarget, Module
+from repro.kernel.module import Module
 from repro.kernel.scheduler import Simulator
 from repro.fpga.bitstream import BitstreamModel
 from repro.fpga.context import Configuration
@@ -148,7 +148,6 @@ class _HwBlock(Module):
 
     def __init__(self, name, sim, arch, task_name):
         super().__init__(name, sim)
-        self.mapping = MappingTarget.HW
         self.arch = arch
         self.task_name = task_name
         graph = arch.partition.graph

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.kernel.simtime import MS, NS, PS, SEC
+from repro.kernel.simtime import SEC
 
 
 #: Operation classes distinguished by the timing library.  ``ops_fn`` of a

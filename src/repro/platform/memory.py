@@ -30,8 +30,13 @@ class UninitializedRead:
 class Memory:
     """A word-addressable RAM/flash model with fixed access latency.
 
-    ``base`` is the bus-visible base address; internally storage is
-    indexed by word offset.  ``latency_ps`` applies once per beat.
+    ``base`` is the bus-visible base address; internally words are
+    indexed by offset.  ``latency_ps`` applies once per beat.
+
+    Payloads are not kept: the functional data of levels 2-3 travels
+    through kernel FIFOs, so the memory keeps only the set of written
+    word offsets, and a read burst returns zero words, as the mailbox
+    windows of the hardwired blocks and the FPGA do.
 
     A read burst touching never-written words is recorded once: its
     offsets, origin and the burst's end time.  :attr:`uninitialized_reads`
@@ -65,7 +70,8 @@ class Memory:
         self.latency_ps = latency_ps
         self.word_bytes = word_bytes
         self.readonly = readonly
-        self._storage: dict[int, int] = {}
+        #: offsets of the words written so far
+        self._written: set[int] = set()
         self.reads = 0
         self.writes = 0
         #: (unwritten offsets, origin, time_ps), one per read burst
@@ -94,19 +100,6 @@ class Memory:
             raise ValueError(f"memory {self.name!r}: address {address:#x} out of range")
         return offset
 
-    # -- direct (debug / preload) access; no timing ------------------------------
-
-    def preload(self, address: int, words: list[int]) -> None:
-        """Initialise memory contents without simulated traffic."""
-        start = self._offset(address)
-        for i, word in enumerate(words):
-            self._storage[start + i] = word
-
-    def peek(self, address: int, count: int = 1) -> list[int]:
-        """Read words without timing or statistics (debugger view)."""
-        start = self._offset(address)
-        return [self._storage.get(start + i, 0) for i in range(count)]
-
     # -- TLM target interface ------------------------------------------------------
 
     def transport(self, txn: Transaction):
@@ -122,12 +115,9 @@ class Memory:
             if self.readonly:
                 txn.response = Response.SLAVE_ERROR
                 return txn
-            self._write(start, txn.data)
+            self._write(start, txn.burst_len)
         else:
-            storage = self._storage
-            txn.data = ([storage.get(offset, 0)
-                         for offset in range(start, start + txn.burst_len)]
-                        if storage else [0] * txn.burst_len)
+            txn.data = [0] * txn.burst_len
             self._read(start, txn.burst_len, txn.origin, self.sim.now_ps)
         txn.response = Response.OK
         return txn
@@ -149,31 +139,30 @@ class Memory:
                  origin: str) -> None:
         """Book a run of ``words`` words from ``address`` that the bus moved
         in one wait, as :meth:`transport` would have booked its ``bursts``
-        (``(address, burst_len, end_ps)``; written words are zeros).  Only
-        a read touching never-written words walks the bursts."""
+        (``(address, burst_len, end_ps)``).  Only a read touching
+        never-written words walks the bursts."""
         start = self._offset(address)
         if command is Command.WRITE:
-            self._write(start, [0] * words)
-        elif all(map(self._storage.__contains__,
-                     range(start, start + words))):
+            self._write(start, words)
+        elif self._written.issuperset(range(start, start + words)):
             self.reads += words
         else:
             for burst_address, burst_len, end_ps in bursts:
                 self._read(self._offset(burst_address), burst_len, origin,
                            end_ps)
 
-    def _write(self, start: int, data) -> None:
-        self._storage.update(zip(range(start, start + len(data)), data))
-        self.writes += len(data)
+    def _write(self, start: int, words: int) -> None:
+        self._written.update(range(start, start + words))
+        self.writes += words
 
     def _read(self, start: int, burst_len: int, origin: str,
               time_ps: int) -> None:
         """Count a read burst and record its never-written words."""
-        storage = self._storage
+        written = self._written
         offsets = range(start, start + burst_len)
         unwritten = offsets
-        if storage:
-            unwritten = [offset for offset in offsets if offset not in storage]
+        if written:
+            unwritten = [offset for offset in offsets if offset not in written]
             if len(unwritten) == burst_len:
                 unwritten = offsets  # one range, not a per-word list
         if unwritten:

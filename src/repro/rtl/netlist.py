@@ -266,23 +266,10 @@ class Netlist:
     def reset_state(self) -> dict[str, int]:
         return {r.name: r.reset for r in self.registers.values()}
 
-    def eval_combinational(self, state: dict[str, int],
-                           inputs: dict[str, int]) -> dict[str, int]:
-        """All signal values (inputs, registers, wires) for one cycle."""
-        return self._evaluate(state, inputs)[1]
-
     def step(self, state: dict[str, int],
              inputs: dict[str, int]) -> tuple[dict[str, int], dict[str, int]]:
-        """One clock cycle: returns (next register state, signal values)."""
-        plan, values = self._evaluate(state, inputs)
-        try:
-            next_state = {name: driver(values) for name, driver in plan.registers}
-        except KeyError as unset:
-            raise _unset_signal(unset) from None
-        return next_state, values
-
-    def _evaluate(self, state: dict[str, int], inputs: dict[str, int]
-                  ) -> tuple["_Plan", dict[str, int]]:
+        """One clock cycle: returns (next register state, signal values:
+        every input, register and wire)."""
         values: dict[str, int] = {}
         for name, width in self.inputs.items():
             if name not in inputs:
@@ -297,9 +284,10 @@ class Netlist:
         try:
             for name, driver in plan.wires:
                 values[name] = driver(values)
+            next_state = {name: driver(values) for name, driver in plan.registers}
         except KeyError as unset:
             raise _unset_signal(unset) from None
-        return plan, values
+        return next_state, values
 
     # -- introspection -------------------------------------------------------------------
 

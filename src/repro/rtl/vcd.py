@@ -9,7 +9,7 @@ be debugged the way the paper's designers debugged their VHDL.
 from __future__ import annotations
 
 import string
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, TextIO
 
 from repro.rtl.netlist import Netlist

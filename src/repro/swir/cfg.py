@@ -17,7 +17,6 @@ from typing import Optional
 
 from repro.swir.ast import (
     Assign,
-    Expr,
     FpgaCall,
     Function,
     If,

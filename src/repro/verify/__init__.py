@@ -11,8 +11,8 @@ design levels" (Section 2):
 - **SymbC** (:mod:`~repro.verify.symbc`) — abstract interpretation
   proving reconfiguration consistency of the instrumented SW (level 3);
 - **Model checking + PCC** (:mod:`~repro.verify.mc`,
-  :mod:`~repro.verify.pcc`) — property checking of the RTL and property
-  coverage evaluation (level 4).
+  :mod:`~repro.verify.pcc`) — SAT-based bounded model checking of the
+  RTL and property coverage evaluation (level 4).
 
 The shared substrate lives here: a CDCL SAT solver
 (:mod:`~repro.verify.sat`) and Tseitin/bit-vector CNF construction

@@ -4,44 +4,13 @@
 defined to formally check the correctness of the HW/SW interface.  Model
 checking and SAT solving are used at this level [8][9]."*
 
-- :mod:`~repro.verify.mc.kripke` — Kripke structures, including
-  extraction from RTL netlists by explicit state enumeration;
-- :mod:`~repro.verify.mc.ctl` — a CTL property language (AG/AF/EF/EG/
-  EX/EU and Boolean combinations over atomic signal predicates);
-- :mod:`~repro.verify.mc.explicit` — fixpoint CTL checking with
-  counter-example paths for refuted universal properties;
-- :mod:`~repro.verify.mc.bmc` — SAT-based bounded model checking of
-  netlist invariants (the "SAT solving" of the paper's level 4).
+The flow's one model checker is SAT-based: :mod:`~repro.verify.mc.bmc`
+bounded-model-checks netlist invariants on one incremental solver
+session, which PCC (:mod:`repro.verify.pcc`) reuses for its mutants.
+Its verdicts are checked against exhaustive simulation in the
+test-suite.
 """
 
-from repro.verify.mc.kripke import KripkeStructure, kripke_from_netlist
-from repro.verify.mc.ctl import (
-    AF,
-    AG,
-    AU,
-    AX,
-    EF,
-    EG,
-    EU,
-    EX,
-    And,
-    Atom,
-    Formula,
-    Implies,
-    Not,
-    Or,
-    parse_atom,
-)
-from repro.verify.mc.explicit import CheckOutcome, ExplicitModelChecker
 from repro.verify.mc.bmc import BmcResult, BoundedModelChecker
 
-__all__ = [
-    "KripkeStructure",
-    "kripke_from_netlist",
-    "AF", "AG", "AU", "AX", "EF", "EG", "EU", "EX",
-    "And", "Atom", "Formula", "Implies", "Not", "Or", "parse_atom",
-    "CheckOutcome",
-    "ExplicitModelChecker",
-    "BmcResult",
-    "BoundedModelChecker",
-]
+__all__ = ["BmcResult", "BoundedModelChecker"]

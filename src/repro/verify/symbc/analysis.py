@@ -20,7 +20,6 @@ context-tagged graph search and returned as the counter-example.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 from repro.swir.ast import (
@@ -29,7 +28,6 @@ from repro.swir.ast import (
     Call,
     Expr,
     FpgaCall,
-    Function,
     Program,
     Reconfigure,
     Return,

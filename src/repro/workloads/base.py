@@ -16,7 +16,7 @@ registry (:mod:`repro.api.stages`): ``@register_workload`` on the class,
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Mapping, Protocol, runtime_checkable
 
 

@@ -11,15 +11,24 @@ from repro.fpga import (
     ReconfigController,
 )
 from repro.kernel import NS, Simulator, wait
+from repro.platform import Bus, Memory
+from repro.platform.architecture import CONFIG_STORE_BASE
 
 
 GATES = {"DISTANCE": 12_000, "ROOT": 5_000, "EDGE": 9_000}
 BSM = BitstreamModel()
+STORE_LATENCY_PS = 1_000
 
 
 def make_device(sim, capacity=20_000, contexts=("config1", "config2")):
-    device = FpgaDevice("efpga", sim, capacity_gates=capacity,
-                        fallback_ps_per_word=1_000)
+    """A device on a bus whose read-only configuration store holds the
+    bitstreams, wired as ``Architecture`` wires it."""
+    bus = Bus("amba", sim)
+    store = Memory("config_store", sim, CONFIG_STORE_BASE, 1 << 22,
+                   latency_ps=STORE_LATENCY_PS, readonly=True)
+    bus.attach("config_store", CONFIG_STORE_BASE, store.size_bytes, store)
+    device = FpgaDevice("efpga", sim, capacity, bus,
+                        config_store_base=CONFIG_STORE_BASE)
     if "config1" in contexts:
         device.define_context(
             Configuration.build("config1", {"DISTANCE"}, GATES, BSM))
@@ -64,7 +73,7 @@ class TestConfiguration:
 class TestDevice:
     def test_capacity_enforced(self):
         sim = Simulator()
-        device = FpgaDevice("f", sim, capacity_gates=1_000)
+        device = make_device(sim, capacity=1_000, contexts=())
         with pytest.raises(ContextError):
             device.define_context(
                 Configuration.build("big", {"DISTANCE"}, GATES, BSM))
@@ -90,7 +99,14 @@ class TestDevice:
         sim.spawn("d", driver())
         sim.run()
         ctx = device.contexts["config1"]
-        assert times == [ctx.bitstream_words * 1_000]
+        # Per burst of up to 16 words: arbitration and address cycles,
+        # then one bus cycle and one store latency per word.
+        bus = device.bus
+        bursts = -(-ctx.bitstream_words // device.burst_len)
+        overhead_ps = (bus.arbitration_cycles + bus.address_cycles) * bus.cycle_ps
+        word_ps = bus.cycle_ps + STORE_LATENCY_PS
+        assert times == [bursts * overhead_ps + ctx.bitstream_words * word_ps]
+        assert bus.stats.words_by_kind == {"bitstream": ctx.bitstream_words}
         assert device.stats.reconfigurations == 1
         assert device.stats.bitstream_words == ctx.bitstream_words
 

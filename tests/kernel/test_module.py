@@ -1,15 +1,9 @@
 """Tests for modules."""
 
 from repro.kernel import Fifo, Module, NS, Simulator, wait
-from repro.kernel.module import MappingTarget
 
 
 class TestModule:
-    def test_default_mapping_unmapped(self):
-        sim = Simulator()
-        mod = Module("m", sim)
-        assert mod.mapping is MappingTarget.UNMAPPED
-
     def test_spawn_registers_process(self):
         sim = Simulator()
         mod = Module("m", sim)

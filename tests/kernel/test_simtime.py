@@ -4,24 +4,27 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.kernel.simtime import MS, NS, PS, SEC, US, format_time, time_ps
+from repro.kernel import wait
+from repro.kernel.simtime import MS, NS, PS, SEC, US, format_time
 
 
 class TestTimePs:
+    """``wait(value, unit)`` converts to whole picoseconds."""
+
     def test_basic_units(self):
-        assert time_ps(1, PS) == 1
-        assert time_ps(1, NS) == 1_000
-        assert time_ps(1, US) == 1_000_000
-        assert time_ps(1, MS) == 1_000_000_000
-        assert time_ps(1, SEC) == 1_000_000_000_000
+        assert wait(1, PS).duration_ps == 1
+        assert wait(1, NS).duration_ps == 1_000
+        assert wait(1, US).duration_ps == 1_000_000
+        assert wait(1, MS).duration_ps == 1_000_000_000
+        assert wait(1, SEC).duration_ps == 1_000_000_000_000
 
     def test_fractional_rounds(self):
-        assert time_ps(1.5, NS) == 1500
-        assert time_ps(0.0001, NS) == 0
+        assert wait(1.5, NS).duration_ps == 1500
+        assert wait(0.0001, NS).duration_ps == 0
 
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
-            time_ps(-1, NS)
+            wait(-1, NS)
 
 
 class TestFormatTime:

@@ -59,21 +59,32 @@ class TestMemory:
         mem = Memory("ram", sim, base=0x1000, size_words=16, latency_ps=10_000)
         return sim, mem
 
-    def test_preload_and_peek(self):
-        __, mem = self._setup()
-        mem.preload(0x1000, [1, 2, 3])
-        assert mem.peek(0x1000, 3) == [1, 2, 3]
-        assert mem.peek(0x100C) == [0]
+    def _response(self, txn):
+        """A fresh memory's response to ``txn``, the time it came at and
+        the memory's counters."""
+        sim, mem = self._setup()
+        done = []
+
+        def master():
+            yield from mem.transport(txn)
+            done.append(sim.now_ps)
+
+        sim.spawn("m", master())
+        sim.run()
+        return txn.response, done[0], mem.stats()
 
     def test_unaligned_rejected(self):
-        __, mem = self._setup()
-        with pytest.raises(ValueError):
-            mem.peek(0x1002)
+        response, t, stats = self._response(Transaction.read(0x1002))
+        assert response is Response.SLAVE_ERROR and t == 0
+        assert stats["reads"] == 0 and stats["uninitialized_reads"] == 0
 
     def test_out_of_range_rejected(self):
-        __, mem = self._setup()
-        with pytest.raises(ValueError):
-            mem.preload(0x1040, [1])
+        # One word past the end, and a burst that runs off the end.
+        for txn in (Transaction.write(0x1040, [1]),
+                    Transaction.write(0x103C, [1, 2])):
+            response, t, stats = self._response(txn)
+            assert response is Response.SLAVE_ERROR and t == 0
+            assert stats["writes"] == 0
 
     def test_write_then_read_via_transport(self):
         sim, mem = self._setup()
@@ -90,7 +101,7 @@ class TestMemory:
         sim.run()
         response_w, response_r, data, t = log[0]
         assert response_w is Response.OK and response_r is Response.OK
-        assert data == [7, 8]
+        assert data == [0, 0]  # payloads are not kept
         assert t == 4 * 10_000  # 2 writes + 2 reads, latency per beat
         assert mem.uninitialized_reads == []
 
@@ -140,8 +151,6 @@ class ReferenceMemory:
     """
 
     _offset = Memory._offset
-    preload = Memory.preload
-    peek = Memory.peek
 
     def __init__(self, name, sim, base, size_words, latency_ps, readonly):
         self.name = name
@@ -151,7 +160,7 @@ class ReferenceMemory:
         self.latency_ps = latency_ps
         self.word_bytes = 4
         self.readonly = readonly
-        self._storage = {}
+        self._written = set()
         self.reads = 0
         self.writes = 0
         self.uninitialized_reads = []
@@ -168,14 +177,13 @@ class ReferenceMemory:
             if self.readonly:
                 txn.response = Response.SLAVE_ERROR
                 return txn
-            for i, word in enumerate(txn.data):
-                self._storage[start + i] = word
+            for i in range(txn.burst_len):
+                self._written.add(start + i)
             self.writes += txn.burst_len
         else:
-            data = []
             for i in range(txn.burst_len):
                 offset = start + i
-                if offset not in self._storage:
+                if offset not in self._written:
                     self.uninitialized_reads.append(
                         UninitializedRead(
                             address=self.base + offset * self.word_bytes,
@@ -183,8 +191,7 @@ class ReferenceMemory:
                             time_ps=self.sim.now_ps,
                         )
                     )
-                data.append(self._storage.get(offset, 0))
-            txn.data = data
+            txn.data = [0] * txn.burst_len
             self.reads += txn.burst_len
         txn.response = Response.OK
         return txn
@@ -201,12 +208,10 @@ class ReferenceMemory:
 _SIZE_WORDS = 16
 _BASE = 0x1000
 
-#: One step of a memory session: a preload, an idle gap, or a burst whose
-#: first word may lie before, inside or past the memory (out-of-range
-#: bursts and bursts running off the end are slave errors).
+#: One step of a memory session: an idle gap, or a burst whose first
+#: word may lie before, inside or past the memory (out-of-range bursts
+#: and bursts running off the end are slave errors).
 _STEPS = st.one_of(
-    st.tuples(st.just("preload"), st.integers(0, _SIZE_WORDS - 1),
-              st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=4)),
     st.tuples(st.just("idle"), st.integers(1, 50_000)),
     st.tuples(st.sampled_from(["read", "write"]),
               st.integers(-2, _SIZE_WORDS + 1), st.integers(1, 6),
@@ -220,11 +225,6 @@ def _drive(memory, sim, steps):
 
     def master():
         for step in steps:
-            if step[0] == "preload":
-                _, offset, words = step
-                words = words[:_SIZE_WORDS - offset]
-                memory.preload(_BASE + 4 * offset, words)
-                continue
             if step[0] == "idle":
                 yield wait(step[1])
                 continue
@@ -264,8 +264,7 @@ class TestMemoryMatchesPerWordModel:
             (reference.reads, reference.writes)
         assert memory.stats() == reference.stats()
         assert memory.uninitialized_reads == reference.uninitialized_reads
-        assert memory.peek(_BASE, _SIZE_WORDS) == \
-            reference.peek(_BASE, _SIZE_WORDS)
+        assert memory._written == reference._written
 
 
 class TestBus:
@@ -485,9 +484,10 @@ def _one_wait(command, address, words):
     return False
 
 
-#: One step of a single-master session: a RAM preload, an idle gap, or a
-#: run of ``words`` words in bursts of ``burst`` from word ``first`` of a
-#: slave, which may start before it or run past it.
+#: One step of a single-master session: a RAM preload (a write straight
+#: into the RAM, behind the bus), an idle gap, or a run of ``words``
+#: words in bursts of ``burst`` from word ``first`` of a slave, which may
+#: start before it or run past it.
 _RUN_STEPS = st.one_of(
     st.tuples(st.just("preload"), st.integers(0, 31), st.integers(1, 8)),
     st.tuples(st.just("idle"), st.integers(1, 50_000)),
@@ -518,8 +518,8 @@ def _drive_runs(steps, latencies, oracle):
         for step in steps:
             if step[0] == "preload":
                 _, offset, count = step
-                ram.preload(_RAM + 4 * offset,
-                            [offset + i for i in range(min(count, 32 - offset))])
+                yield from ram.transport(Transaction.write(
+                    _RAM + 4 * offset, [0] * min(count, 32 - offset)))
             elif step[0] == "idle":
                 yield wait(step[1])
             else:
@@ -534,7 +534,7 @@ def _drive_runs(steps, latencies, oracle):
     sim.run()
     observed = (ends, sim.now_ps, bus.loading_report(),
                 ram.stats(), rom.stats(), ram.uninitialized_reads,
-                rom.uninitialized_reads, ram.peek(_RAM, 32))
+                rom.uninitialized_reads, sorted(ram._written))
     return observed, transports
 
 

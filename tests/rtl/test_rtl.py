@@ -102,7 +102,7 @@ class TestNetlist:
         net.add_wire("inv", 4, UnExpr("~", SigExpr("a")))
         net.add_wire("nz", 1, UnExpr("!", SigExpr("a")))
         net.validate()
-        values = net.eval_combinational({}, {"a": 0b0101})
+        __, values = net.step({}, {"a": 0b0101})
         assert values["inv"] == 0b1010
         assert values["nz"] == 0
 

@@ -76,6 +76,20 @@ def small_netlists(draw):
     return net, clauses
 
 
+def counter_netlist(limit=3, width=2):
+    """A counter that saturates at ``limit``; input ``rst`` clears it."""
+    net = Netlist("counter")
+    net.add_input("rst", 1)
+    cnt = net.add_register("cnt", width, reset=0)
+    at_limit = BinExpr("==", cnt, ConstExpr(limit, width))
+    step = MuxExpr(at_limit, cnt, BinExpr("+", cnt, ConstExpr(1, width)))
+    net.set_next("cnt", MuxExpr(SigExpr("rst"), ConstExpr(0, width), step))
+    net.add_wire("saturated", 1, at_limit)
+    net.mark_output("saturated")
+    net.validate()
+    return net
+
+
 def handshake_netlist():
     net = Netlist("ctrl")
     net.add_input("req", 1)
@@ -267,6 +281,21 @@ class TestBoundedSemanticsOracle:
                                     bound)]
         assume(properties)
         assert_kills_match_the_oracle(net, properties, bound)
+
+    def test_saturating_counter_matches_the_oracle(self):
+        """``cnt <= k`` at bound 5: the counter reaches 3 at step 3, so
+        BMC and exhaustive simulation both refute k = 0-2 and hold k = 3."""
+        net = counter_netlist()
+        checker = BoundedModelChecker(net)
+        verdicts = []
+        for k in range(4):
+            clauses = [[("cnt", "<=", k)]]
+            result = checker.check_invariant(clauses[0], bound=5)
+            assert result.violated == expect(first_violation(net, clauses, 5), 5)
+            if result.violated:
+                assert_replays(net, clauses, result.trace, 5)
+            verdicts.append(result.violated)
+        assert verdicts == [True, True, True, False]
 
     def test_handshake_pcc_matches_the_oracle(self):
         net = handshake_netlist()

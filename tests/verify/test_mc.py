@@ -1,145 +1,9 @@
-"""Tests for the model checker: Kripke structures, CTL, explicit, BMC."""
+"""Tests for SAT-based bounded model checking on a saturating counter."""
 
 import pytest
 
-from repro.rtl.netlist import BinExpr, ConstExpr, MuxExpr, Netlist, SigExpr
-from repro.verify.mc import (
-    AF,
-    AG,
-    AX,
-    EF,
-    EG,
-    EX,
-    And,
-    BoundedModelChecker,
-    ExplicitModelChecker,
-    KripkeStructure,
-    Not,
-    Or,
-    kripke_from_netlist,
-    parse_atom,
-)
-from repro.verify.mc.ctl import AU, Implies, TRUE
-from repro.verify.sat import SatResult
-
-
-def counter_netlist(limit=3, width=2):
-    """A saturating counter with reset input."""
-    net = Netlist("counter")
-    net.add_input("rst", 1)
-    cnt = net.add_register("cnt", width, reset=0)
-    at_limit = BinExpr("==", cnt, ConstExpr(limit, width))
-    step = MuxExpr(at_limit, cnt, BinExpr("+", cnt, ConstExpr(1, width)))
-    net.set_next("cnt", MuxExpr(SigExpr("rst"), ConstExpr(0, width), step))
-    net.add_wire("saturated", 1, at_limit)
-    net.mark_output("saturated")
-    net.validate()
-    return net
-
-
-def tiny_kripke():
-    """s0 -> s1 -> s2 -> s2 (self loop), s0 initial."""
-    ks = KripkeStructure("tiny")
-    ks.add_state("s0", {"v": 0}, initial=True)
-    ks.add_state("s1", {"v": 1})
-    ks.add_state("s2", {"v": 2})
-    ks.add_transition("s0", "s1")
-    ks.add_transition("s1", "s2")
-    ks.add_transition("s2", "s2")
-    return ks
-
-
-class TestKripke:
-    def test_validation_requires_initial(self):
-        ks = KripkeStructure("bad")
-        ks.add_state("s", {"v": 0})
-        ks.add_transition("s", "s")
-        with pytest.raises(ValueError):
-            ks.validate()
-
-    def test_validation_requires_total_relation(self):
-        ks = KripkeStructure("bad")
-        ks.add_state("s", {"v": 0}, initial=True)
-        with pytest.raises(ValueError, match="successor"):
-            ks.validate()
-
-    def test_from_netlist_reachable_states(self):
-        ks = kripke_from_netlist(counter_netlist())
-        # States 0..3 reachable.
-        assert ks.stats()["states"] == 4
-
-    def test_from_netlist_respects_input_choices(self):
-        # Holding reset low removes the way back to 0 from above.
-        ks = kripke_from_netlist(counter_netlist(),
-                                 input_values={"rst": [0]})
-        mc = ExplicitModelChecker(ks)
-        outcome = mc.check(AF(parse_atom("cnt == 3")))
-        assert outcome.holds
-
-    def test_state_limit(self):
-        with pytest.raises(ValueError):
-            kripke_from_netlist(counter_netlist(limit=3), max_states=2)
-
-
-class TestAtoms:
-    def test_parse_atom_forms(self):
-        valuation = {"x": 5}
-        assert parse_atom("x == 5").predicate(valuation)
-        assert parse_atom("x != 4").predicate(valuation)
-        assert parse_atom("x >= 5").predicate(valuation)
-        assert not parse_atom("x < 5").predicate(valuation)
-
-    def test_parse_atom_rejects_garbage(self):
-        with pytest.raises(ValueError):
-            parse_atom("x + 1 == 2")
-
-    def test_unknown_signal_raises_at_eval(self):
-        atom = parse_atom("ghost == 1")
-        with pytest.raises(KeyError):
-            atom.predicate({"x": 0})
-
-
-class TestExplicitCtl:
-    def test_boolean_connectives(self):
-        mc = ExplicitModelChecker(tiny_kripke())
-        v0 = parse_atom("v == 0")
-        v2 = parse_atom("v == 2")
-        assert mc.check(Or(v0, Not(v0))).holds
-        assert not mc.check(And(v0, v2)).holds
-        assert mc.check(Implies(v2, v2)).holds
-
-    def test_temporal_operators(self):
-        mc = ExplicitModelChecker(tiny_kripke())
-        assert mc.check(EX(parse_atom("v == 1"))).holds
-        assert mc.check(EF(parse_atom("v == 2"))).holds
-        assert mc.check(AF(parse_atom("v == 2"))).holds
-        assert not mc.check(EG(parse_atom("v == 0"))).holds
-        assert mc.check(AX(parse_atom("v == 1"))).holds
-        assert mc.check(AU(TRUE, parse_atom("v == 2"))).holds
-
-    def test_eg_on_self_loop(self):
-        mc = ExplicitModelChecker(tiny_kripke())
-        assert mc.check(EF(EG(parse_atom("v == 2")))).holds
-
-    def test_ag_counter_example_path(self):
-        mc = ExplicitModelChecker(tiny_kripke())
-        outcome = mc.check(AG(parse_atom("v != 2")))
-        assert not outcome.holds
-        assert outcome.counter_example is not None
-        assert [s["v"] for s in outcome.counter_example] == [0, 1, 2]
-
-    def test_netlist_properties(self):
-        ks = kripke_from_netlist(counter_netlist())
-        mc = ExplicitModelChecker(ks)
-        assert mc.check(AG(parse_atom("cnt <= 3"))).holds
-        assert mc.check(EF(parse_atom("saturated == 1"))).holds
-        outcome = mc.check(AG(parse_atom("saturated == 0")))
-        assert not outcome.holds
-
-    def test_describe(self):
-        mc = ExplicitModelChecker(tiny_kripke())
-        text = mc.check(AG(parse_atom("v != 2"))).describe()
-        assert "FAILED" in text and "counter-example" in text
+from repro.verify.mc import BoundedModelChecker
+from test_bmc_oracle import counter_netlist
 
 
 class TestBmc:
@@ -197,15 +61,3 @@ class TestBmc:
         bmc = BoundedModelChecker(counter_netlist())
         with pytest.raises(ValueError):
             bmc.check_invariant_clauses([[]], bound=2)
-
-    def test_bmc_agrees_with_explicit_mc(self):
-        """Cross-validation: BMC and explicit MC agree on the counter."""
-        net = counter_netlist()
-        ks = kripke_from_netlist(net)
-        mc = ExplicitModelChecker(ks)
-        bmc = BoundedModelChecker(net)
-        for bound_value in (0, 1, 2, 3):
-            explicit = mc.check(AG(parse_atom(f"cnt <= {bound_value}"))).holds
-            bounded = not bmc.check_invariant(
-                [("cnt", "<=", bound_value)], bound=5).violated
-            assert explicit == bounded
