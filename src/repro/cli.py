@@ -156,7 +156,7 @@ def _spec(args, **extra) -> CampaignSpec:
 
 def _emit(args, document: dict, text: str) -> None:
     if getattr(args, "json", False):
-        print(json.dumps(document, indent=2))
+        print(json.dumps(document))
     else:
         print(text)
 

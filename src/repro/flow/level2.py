@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Any, Iterable, Optional
 
-from repro.platform.annotation import TimingAnnotator
 from repro.platform.architecture import ArchitectureMetrics
 from repro.platform.cpu import CpuModel, ARM7TDMI
 from repro.platform.partition import Partition, transformation1
@@ -19,6 +18,9 @@ from repro.platform.profiler import Profile, profile_graph
 from repro.platform.taskgraph import AppGraph
 from repro.traces import Trace, TraceMismatch, compare_traces
 from repro.verify.lpv.realtime import DeadlineReport, FifoSizingReport, check_deadline, size_fifos
+
+#: The per-word transfer time LPV charges each channel token.
+TRANSFER_PS_PER_WORD = 20_000
 
 
 @dataclass
@@ -91,12 +93,9 @@ def run_level2(
     partition: Partition,
     stimuli: dict[str, Iterable[Any]],
     cpu: CpuModel = ARM7TDMI,
-    annotator: Optional[TimingAnnotator] = None,
     profile: Optional[Profile] = None,
     level1_trace: Optional[Trace] = None,
     deadline_ps: Optional[int] = None,
-    transfer_ps_per_word: int = 20_000,
-    **arch_kwargs,
 ) -> Level2Result:
     """Execute the full level-2 activity set on one partition.
 
@@ -105,9 +104,7 @@ def run_level2(
     stimuli = {k: list(v) for k, v in stimuli.items()}
     if profile is None:
         profile = profile_graph(graph, stimuli)
-    annotator = annotator or TimingAnnotator(cpu)
-    arch = transformation1(partition, profile, cpu=cpu, annotator=annotator,
-                           **arch_kwargs)
+    arch = transformation1(partition, profile, cpu=cpu)
     metrics = arch.run(stimuli)
     result = Level2Result(partition=partition, profile=profile,
                           metrics=metrics)
@@ -116,18 +113,16 @@ def run_level2(
             Trace.from_events("level2", metrics.trace), level1_trace
         )
         result.consistency_checked = True
-    result.annotations = annotator.annotate(graph, profile, partition.sw_tasks,
-                                            partition.hw_tasks)
+    result.annotations = arch.annotations
     result.fifo_sizing = size_fifos(graph, result.annotations,
-                                    transfer_ps_per_word)
-    return with_deadline(result, graph, deadline_ps, transfer_ps_per_word)
+                                    TRANSFER_PS_PER_WORD)
+    return with_deadline(result, graph, deadline_ps)
 
 
 def with_deadline(result: Level2Result, graph: AppGraph,
-                  deadline_ps: Optional[int],
-                  transfer_ps_per_word: int = 20_000) -> Level2Result:
+                  deadline_ps: Optional[int]) -> Level2Result:
     """A copy of ``result`` (sharing its simulation, profile and partition)
     with LPV's verdict on ``deadline_ps``; ``None`` leaves it unchecked."""
     deadline = None if deadline_ps is None else check_deadline(
-        graph, result.annotations, deadline_ps, transfer_ps_per_word)
+        graph, result.annotations, deadline_ps, TRANSFER_PS_PER_WORD)
     return replace(result, deadline=deadline)

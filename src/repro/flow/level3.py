@@ -14,10 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Any, Iterable, Optional
 
-from repro.fpga.bitstream import BitstreamModel
 from repro.fpga.context import Configuration
 from repro.fpga.mapper import ContextMapper, MappingChoice
-from repro.platform.annotation import TimingAnnotator
 from repro.platform.architecture import ArchitectureMetrics, FpgaPlan
 from repro.platform.cpu import CpuModel, ARM7TDMI
 from repro.platform.partition import Partition, transformation1
@@ -153,12 +151,9 @@ def run_level3(
     capacity_gates: int = 16_000,
     contexts: Optional[list[Configuration]] = None,
     cpu: CpuModel = ARM7TDMI,
-    annotator: Optional[TimingAnnotator] = None,
     profile: Optional[Profile] = None,
     reference_trace: Optional[Trace] = None,
     skip_instrumentation: Optional[set[str]] = None,
-    bitstream_model: Optional[BitstreamModel] = None,
-    **arch_kwargs,
 ) -> Level3Result:
     """Execute the full level-3 activity set.
 
@@ -175,13 +170,12 @@ def run_level3(
     stimuli = {k: list(v) for k, v in stimuli.items()}
     if profile is None:
         profile = profile_graph(graph, stimuli)
-    bitstream_model = bitstream_model or BitstreamModel()
 
     mapping_choice = None
     if contexts is None:
         mapping_choice = map_contexts(graph, partition,
                                       len(next(iter(stimuli.values()))),
-                                      capacity_gates, bitstream_model)
+                                      capacity_gates)
         contexts = list(mapping_choice.contexts)
 
     # The SW instrumentation, against the contexts' ownership map (and
@@ -195,15 +189,12 @@ def run_level3(
     symbc = SymbcAnalyzer(sw_program, config_info).check()
     dynamic = _dynamic_shadow_run(sw_program, context_map, stimuli)
 
-    annotator = annotator or TimingAnnotator(cpu)
     plan = FpgaPlan(
         capacity_gates=capacity_gates,
         contexts=contexts,
-        bitstream_model=bitstream_model,
         skip_functions=set(skip_instrumentation or ()),
     )
-    arch = transformation1(partition, profile, cpu=cpu, annotator=annotator,
-                           fpga_plan=plan, **arch_kwargs)
+    arch = transformation1(partition, profile, cpu=cpu, fpga_plan=plan)
     metrics = arch.run(stimuli)
 
     result = Level3Result(
@@ -226,9 +217,7 @@ def run_level3(
 
 
 def map_contexts(graph: AppGraph, partition: Partition, frames: int,
-                 capacity_gates: int,
-                 bitstream_model: Optional[BitstreamModel] = None,
-                 ) -> MappingChoice:
+                 capacity_gates: int) -> MappingChoice:
     """The context mapper's minimum-download feasible partition of the
     FPGA tasks over ``frames`` iterations of the per-frame schedule.
 
@@ -239,7 +228,7 @@ def map_contexts(graph: AppGraph, partition: Partition, frames: int,
         raise ValueError("level 3 requires a partition with FPGA tasks")
     schedule = [t for t in graph.topological_order() if t in partition.fpga_tasks]
     gate_counts = {t: graph.tasks[t].gate_count for t in partition.fpga_tasks}
-    mapper = ContextMapper(gate_counts, capacity_gates, bitstream_model)
+    mapper = ContextMapper(gate_counts, capacity_gates)
     return mapper.best(sorted(partition.fpga_tasks), schedule * frames)
 
 

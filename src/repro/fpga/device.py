@@ -3,9 +3,11 @@
 Holds the set of defined contexts, tracks which one is loaded, and
 performs *timed* reconfiguration: a reconfiguration is a bitstream
 download — a burst of ``kind="bitstream"`` bus transactions read from
-the configuration store and pushed into the device, competing with
-application traffic for the connection resource exactly as in the
-paper's level-3 analysis.
+the configuration store and pushed into the device, loading the
+connection resource as in the paper's level-3 analysis.  The software
+alone initiates a download, from the CPU's own activity, between the
+FPGA calls it issues, so a download never overlaps a computation or
+another download.
 """
 
 from __future__ import annotations
@@ -13,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from repro.kernel.events import wait
 from repro.kernel.scheduler import Simulator
 from repro.fpga.context import Configuration, ContextError
 from repro.tlm.transaction import Transaction
@@ -49,8 +50,8 @@ class FpgaDevice:
         sim: Simulator,
         capacity_gates: int,
         bus,
-        config_store_base: int = 0x4000_0000,
-        burst_len: int = 16,
+        config_store_base: int,
+        burst_len: int,
     ):
         if capacity_gates <= 0:
             raise ContextError("FPGA capacity must be positive")
@@ -63,9 +64,6 @@ class FpgaDevice:
         self.contexts: dict[str, Configuration] = {}
         self.loaded: Optional[Configuration] = None
         self.stats = FpgaStats()
-        self.busy = False
-        self._reconfiguring = False
-        self._idle_event = sim.event(f"{name}.idle")
 
     # -- context management ------------------------------------------------------
 
@@ -91,53 +89,34 @@ class FpgaDevice:
                 return ctx
         return None
 
-    # -- computation occupancy -----------------------------------------------------
-
-    def begin_compute(self) -> None:
-        self.busy = True
-
-    def end_compute(self) -> None:
-        self.busy = False
-        self._idle_event.notify(0)
-
     # -- reconfiguration -------------------------------------------------------------
 
     def reconfigure(self, context_name: str):
         """Load ``context_name`` (generator; use with ``yield from``).
 
-        No-op when the context is already loaded.  Waits for any
-        in-flight computation to finish (a context switch must not rip
-        logic out from under a running function), then streams the
-        bitstream over the bus.
+        No-op when the context is already loaded.  Otherwise streams the
+        bitstream over the bus, burst by burst.
         """
         context = self.contexts.get(context_name)
         if context is None:
             raise ContextError(f"unknown context {context_name!r} on {self.name!r}")
-        # Serialise against computation AND other in-flight reconfigurations.
-        while self.busy or self._reconfiguring:
-            yield wait(self._idle_event)
         if self.loaded is context:
             return self.loaded
-        self._reconfiguring = True
-        try:
-            start_ps = self.sim.now_ps
-            self.loaded = None  # device is blank while the bitstream streams in
-            remaining = context.bitstream_words
-            offset = 0
-            while remaining > 0:
-                chunk = min(self.burst_len, remaining)
-                yield from self.bus.transport(Transaction.read(
-                    self.config_store_base + offset * 4,
-                    burst_len=chunk,
-                    origin=f"{self.name}.config",
-                    kind="bitstream",
-                ))
-                remaining -= chunk
-                offset += chunk
-            self.loaded = context
-        finally:
-            self._reconfiguring = False
-            self._idle_event.notify(0)
+        start_ps = self.sim.now_ps
+        self.loaded = None  # device is blank while the bitstream streams in
+        remaining = context.bitstream_words
+        offset = 0
+        while remaining > 0:
+            chunk = min(self.burst_len, remaining)
+            yield from self.bus.transport(Transaction.read(
+                self.config_store_base + offset * 4,
+                burst_len=chunk,
+                origin=f"{self.name}.config",
+                kind="bitstream",
+            ))
+            remaining -= chunk
+            offset += chunk
+        self.loaded = context
         self.stats.reconfigurations += 1
         self.stats.bitstream_words += context.bitstream_words
         self.stats.reconfig_time_ps += self.sim.now_ps - start_ps

@@ -7,7 +7,7 @@ pure Python:
 - :mod:`~repro.kernel.simtime` — integer picosecond time with unit
   constants (``NS``, ``US`` ...).
 - :class:`~repro.kernel.events.Event` — notifiable synchronisation
-  primitive with immediate, delta and timed notification.
+  primitive; a notification wakes its waiters in the next delta cycle.
 - :class:`~repro.kernel.process.Process` — a cooperative process wrapped
   around a Python generator; processes suspend by yielding wait requests.
 - :class:`~repro.kernel.scheduler.Simulator` — the event-driven scheduler

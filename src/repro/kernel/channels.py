@@ -61,14 +61,14 @@ class Fifo(Generic[T]):
         self.put_count += 1
         if len(self._items) > self.max_occupancy:
             self.max_occupancy = len(self._items)
-        self._data_written.notify(0)
+        self._data_written.notify()
 
     def try_get(self) -> T:
         if not self._items:
             raise FifoEmptyError(f"fifo {self.name!r} empty")
         item = self._items.popleft()
         self.get_count += 1
-        self._data_read.notify(0)
+        self._data_read.notify()
         return item
 
     # -- blocking (generator) ------------------------------------------------------

@@ -2,8 +2,8 @@
 
 An :class:`Event` is the kernel's synchronisation primitive, equivalent to
 SystemC's ``sc_event``: processes suspend on it and resume when it is
-notified.  Notification can be immediate (same evaluate phase), delta
-(next delta cycle) or timed.
+notified.  Every notification is a delta notification (the next delta
+cycle), the only kind the kernel's channels and processes issue.
 
 Processes do not call the scheduler directly; they *yield* wait requests,
 small descriptor objects built by :func:`wait`.
@@ -11,7 +11,7 @@ small descriptor objects built by :func:`wait`.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.kernel.process import Process
@@ -21,35 +21,25 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 class Event:
     """A notifiable event; processes block on it via ``yield wait(event)``."""
 
-    __slots__ = ("name", "_sim", "_waiters", "_pending_ps")
+    __slots__ = ("name", "_sim", "_waiters", "_pending")
 
     def __init__(self, name: str, sim: "Simulator"):
         self.name = name
         self._sim = sim
         self._waiters: list[Process] = []
-        #: absolute ps of a pending timed notification, or None
-        self._pending_ps: Optional[int] = None
+        #: whether a notification waits for the next delta cycle
+        self._pending = False
 
-    def notify(self, delay_ps: int = 0) -> None:
-        """Notify this event after ``delay_ps`` picoseconds.
-
-        ``delay_ps == 0`` is a *delta* notification: waiters wake in the
-        next delta cycle of the current time, as in SystemC's
-        ``notify(SC_ZERO_TIME)``.  A later pending notification is
-        cancelled by an earlier one (SystemC's earliest-wins rule).
-        """
-        when = self._sim.now_ps + delay_ps
-        if self._pending_ps is not None and self._pending_ps <= when:
-            return
-        self._pending_ps = when
-        self._sim._schedule_event_fire(self, delay_ps)
-
-    def notify_immediate(self) -> None:
-        """Wake waiters in the *current* evaluate phase (sc ``notify()``)."""
-        self._fire()
+    def notify(self) -> None:
+        """Wake this event's waiters in the next delta cycle of the current
+        time, as SystemC's ``notify(SC_ZERO_TIME)`` does.  A notification
+        already pending absorbs a second one."""
+        if not self._pending:
+            self._pending = True
+            self._sim._next_delta.append(self._fire)
 
     def _fire(self) -> None:
-        self._pending_ps = None
+        self._pending = False
         waiters, self._waiters = self._waiters, []
         for proc in waiters:
             proc._on_event(self)

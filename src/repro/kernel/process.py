@@ -95,7 +95,7 @@ class Process:
 
     def _finish(self, state: ProcessState) -> None:
         self.state = state
-        self.finished.notify(0)
+        self.finished.notify()
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"Process({self.name!r}, {self.state.value})"

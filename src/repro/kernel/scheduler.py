@@ -3,9 +3,9 @@
 Implements SystemC's delta-cycle semantics for processes and events:
 
 1. *Evaluate*: run every ready process until it suspends.
-2. Delta notifications produced by 1 start the next delta cycle at the
-   same simulated time; when no deltas remain, time advances to the next
-   timed notification.
+2. Event notifications and zero-time waits produced by 1 start the
+   next delta cycle at the same simulated time; when no deltas remain,
+   time advances to the next timed wait.
 
 The scheduler also keeps the activity counters (process activations,
 delta cycles, simulated time) that the Vista-style performance layer and
@@ -75,7 +75,8 @@ class Simulator:
         self._timed_buckets: dict[int, list[Callable[[], None]]] = {}
         #: processes ready in the current evaluate phase
         self._ready: list[Process] = []
-        #: callables to run at the next delta cycle (event fires)
+        #: callables to run at the next delta cycle (event fires and
+        #: zero-time wait resumes)
         self._next_delta: list[Callable[[], None]] = []
         self.processes: list[Process] = []
         self._failure: Optional[tuple[Process, BaseException]] = None
@@ -118,20 +119,6 @@ class Simulator:
             self._next_delta.append(proc._make_ready)
         else:
             self._schedule_timed(self.now_ps + delay_ps, proc._make_ready)
-
-    def _schedule_event_fire(self, event: Event, delay_ps: int) -> None:
-        expected = self.now_ps + delay_ps
-
-        def fire() -> None:
-            # Skip a stale notification, superseded by an earlier one
-            # (SystemC earliest-wins semantics).
-            if event._pending_ps == expected:
-                event._fire()
-
-        if delay_ps == 0:
-            self._next_delta.append(fire)
-        else:
-            self._schedule_timed(expected, fire)
 
     def _on_process_failure(self, proc: Process, exc: BaseException) -> None:
         if self._failure is None:

@@ -11,8 +11,8 @@ package is our equivalent:
   common input to all levels of the flow.
 - :mod:`~repro.platform.cpu` — CPU timing models (ARM7TDMI and friends)
   used for automatic SW annotation.
-- :mod:`~repro.platform.bus` — an AMBA AHB-like arbitrated bus with
-  per-origin/per-kind traffic statistics (bus loading).
+- :mod:`~repro.platform.bus` — an AMBA AHB-like bus with one master
+  and per-origin/per-kind traffic statistics (bus loading).
 - :mod:`~repro.platform.memory` — memory slaves, including the
   uninitialised-read tracking exploited by the Laerte++ memory
   inspection experiment.

@@ -24,10 +24,10 @@ from repro.platform.profiler import Profile
 from repro.platform.taskgraph import AppGraph
 
 
-#: Default HW datapath: ops completed per cycle by a dedicated block.
-DEFAULT_HW_OPS_PER_CYCLE = 8.0
-#: Default HW clock (same 50 MHz domain as the bus in the case study).
-DEFAULT_HW_CYCLE_PS = 20_000
+#: HW datapath: ops completed per cycle by a dedicated block.
+HW_OPS_PER_CYCLE = 8.0
+#: HW clock (same 50 MHz domain as the bus in the case study).
+HW_CYCLE_PS = 20_000
 
 
 @dataclass(frozen=True)
@@ -44,17 +44,8 @@ class AnnotatedTask:
 class TimingAnnotator:
     """Produces :class:`AnnotatedTask` records for a partitioned graph."""
 
-    def __init__(
-        self,
-        cpu: CpuModel,
-        hw_ops_per_cycle: float = DEFAULT_HW_OPS_PER_CYCLE,
-        hw_cycle_ps: int = DEFAULT_HW_CYCLE_PS,
-    ):
-        if hw_ops_per_cycle <= 0:
-            raise ValueError("hw_ops_per_cycle must be positive")
+    def __init__(self, cpu: CpuModel):
         self.cpu = cpu
-        self.hw_ops_per_cycle = hw_ops_per_cycle
-        self.hw_cycle_ps = hw_cycle_ps
         #: per-task ops marked as debug-only (excluded from timing)
         self.debug_ops: dict[str, int] = {}
 
@@ -79,8 +70,8 @@ class TimingAnnotator:
 
     def annotate_hw(self, task_name: str, ops_per_firing: float) -> AnnotatedTask:
         """HW annotation from the throughput model."""
-        cycles = max(1, round(ops_per_firing / self.hw_ops_per_cycle))
-        return AnnotatedTask(task_name, "hw", cycles * self.hw_cycle_ps, cycles)
+        cycles = max(1, round(ops_per_firing / HW_OPS_PER_CYCLE))
+        return AnnotatedTask(task_name, "hw", cycles * HW_CYCLE_PS, cycles)
 
     def annotate(
         self,

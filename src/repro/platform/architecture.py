@@ -10,7 +10,11 @@ while waits and bus transactions model time.
 At level 3 an :class:`~repro.fpga.device.FpgaDevice` joins the platform:
 FPGA-hosted tasks are invoked synchronously by the SW through a
 :class:`~repro.fpga.controller.ReconfigController`, and bitstream
-downloads compete with data traffic on the bus.
+downloads add their bursts to the bus traffic.
+
+The CPU is the bus's only master: hardwired blocks talk over FIFOs, and
+each bitstream download runs inside the CPU's ``ensure_loaded``.  The
+platform's parameters are the module constants below.
 
 Communication rules (reflecting the paper's platform):
 
@@ -34,7 +38,6 @@ from repro.kernel.channels import Fifo
 from repro.kernel.events import wait
 from repro.kernel.module import Module
 from repro.kernel.scheduler import Simulator
-from repro.fpga.bitstream import BitstreamModel
 from repro.fpga.context import Configuration
 from repro.fpga.controller import ReconfigController
 from repro.fpga.device import FpgaDevice
@@ -52,6 +55,15 @@ HW_WINDOW = 0x0001_0000
 FPGA_BASE = 0x3000_0000
 CONFIG_STORE_BASE = 0x4000_0000
 
+#: Words per burst of a CPU transfer or a bitstream download.
+BURST_WORDS = 64
+#: Depth of a hardwired block's input FIFOs.
+HW_FIFO_CAPACITY = 8
+#: Size of the main RAM (and of the configuration store), in words.
+RAM_WORDS = 1 << 22
+#: Access latency per word of the RAM and the configuration store.
+MEMORY_LATENCY_PS = 20_000
+
 
 @dataclass
 class FpgaPlan:
@@ -59,7 +71,6 @@ class FpgaPlan:
 
     capacity_gates: int
     contexts: list[Configuration]
-    bitstream_model: BitstreamModel = field(default_factory=BitstreamModel)
     #: emulate faulty SW instrumentation (SymbC's target bug class)
     skip_functions: set[str] = field(default_factory=set)
 
@@ -125,21 +136,17 @@ class ArchitectureMetrics:
             return float("inf")
         return self.simulated_cycles(cycle_ps) / self.wall_seconds
 
-    def energy_nj(
-        self,
-        cpu_nj_per_cycle: float = 0.5,
-        hw_nj_per_op: float = 0.05,
-        bus_nj_per_word: float = 0.2,
-        mem_nj_per_word: float = 0.3,
-    ) -> float:
-        """Power-consumption proxy for architecture grading."""
+    def energy_nj(self) -> float:
+        """Power-consumption proxy for architecture grading: 0.5 nJ per
+        CPU cycle, 0.05 per HW operation, 0.2 per bus word and 0.3 per
+        memory word."""
         bus_words = self.bus_report["words"]
         mem_words = self.memory_stats.get("reads", 0) + self.memory_stats.get("writes", 0)
         return (
-            self.cpu_cycles * cpu_nj_per_cycle
-            + self.hw_ops * hw_nj_per_op
-            + bus_words * bus_nj_per_word
-            + mem_words * mem_nj_per_word
+            self.cpu_cycles * 0.5
+            + self.hw_ops * 0.05
+            + bus_words * 0.2
+            + mem_words * 0.3
         )
 
 
@@ -155,7 +162,7 @@ class _HwBlock(Module):
         self.state: dict = {}
         #: one input FIFO per in-channel (fed by peers or by the CPU)
         self.in_fifos = {
-            c: Fifo(f"{name}.{c}", sim, capacity=arch.hw_fifo_capacity)
+            c: Fifo(f"{name}.{c}", sim, capacity=HW_FIFO_CAPACITY)
             for c in self.task.reads
         }
         #: SW-destined outputs parked here until the CPU reads them back
@@ -169,7 +176,7 @@ class _HwBlock(Module):
             self.spawn("run", self.run())
         else:
             # Source block: triggered once per frame by the CPU.
-            self.trigger = Fifo(f"{name}.trigger", sim, capacity=arch.hw_fifo_capacity)
+            self.trigger = Fifo(f"{name}.trigger", sim, capacity=HW_FIFO_CAPACITY)
             self.spawn("run", self.run_source())
 
     def _fire_and_emit(self, inputs):
@@ -210,11 +217,6 @@ class Architecture:
         partition: Partition,
         annotations: dict[str, AnnotatedTask],
         cpu: CpuModel,
-        bus_frequency_hz: int = 50_000_000,
-        burst_words: int = 64,
-        hw_fifo_capacity: int = 8,
-        ram_words: int = 1 << 22,
-        memory_latency_ps: int = 20_000,
         fpga_plan: Optional[FpgaPlan] = None,
     ):
         partition.validate()
@@ -223,11 +225,6 @@ class Architecture:
         self.partition = partition
         self.annotations = annotations
         self.cpu = cpu
-        self.bus_frequency_hz = bus_frequency_hz
-        self.burst_words = burst_words
-        self.hw_fifo_capacity = hw_fifo_capacity
-        self.ram_words = ram_words
-        self.memory_latency_ps = memory_latency_ps
         self.fpga_plan = fpga_plan
         # Per-run state, (re)created by run():
         self.sim: Optional[Simulator] = None
@@ -246,9 +243,9 @@ class Architecture:
         """Instantiate the platform for one run."""
         graph = self.partition.graph
         self.sim = Simulator(f"arch.{graph.name}")
-        self.bus = Bus("amba", self.sim, frequency_hz=self.bus_frequency_hz)
-        self.ram = Memory("ram", self.sim, RAM_BASE, self.ram_words,
-                          latency_ps=self.memory_latency_ps)
+        self.bus = Bus("amba", self.sim)
+        self.ram = Memory("ram", self.sim, RAM_BASE, RAM_WORDS,
+                          latency_ps=MEMORY_LATENCY_PS)
         self.bus.attach("ram", RAM_BASE, self.ram.size_bytes, self.ram)
         self._hw_ops = 0
         self._trace = []
@@ -259,7 +256,7 @@ class Architecture:
         for idx, task_name in enumerate(hardwired):
             block = _HwBlock(f"hw.{task_name}", self.sim, self, task_name)
             base = HW_BASE + idx * HW_WINDOW
-            self.bus.attach(task_name, base, HW_WINDOW, _MailboxTarget(self.sim))
+            self.bus.attach(task_name, base, HW_WINDOW, _MailboxTarget())
             block.bus_base = base
             self.hw_blocks[task_name] = block
 
@@ -273,7 +270,7 @@ class Architecture:
                 capacity_gates=plan.capacity_gates,
                 bus=self.bus,
                 config_store_base=CONFIG_STORE_BASE,
-                burst_len=self.burst_words,
+                burst_len=BURST_WORDS,
             )
             for context in plan.contexts:
                 self.fpga.define_context(context)
@@ -285,12 +282,12 @@ class Architecture:
                 raise ValueError(f"FPGA plan misses tasks: {sorted(missing)}")
             self.controller = ReconfigController(self.fpga, plan.skip_functions)
             config_store = Memory(
-                "config_store", self.sim, CONFIG_STORE_BASE, 1 << 22,
-                latency_ps=self.memory_latency_ps, readonly=True,
+                "config_store", self.sim, CONFIG_STORE_BASE, RAM_WORDS,
+                latency_ps=MEMORY_LATENCY_PS, readonly=True,
             )
             self.bus.attach("config_store", CONFIG_STORE_BASE,
                             config_store.size_bytes, config_store)
-            self.bus.attach("efpga", FPGA_BASE, HW_WINDOW, _MailboxTarget(self.sim))
+            self.bus.attach("efpga", FPGA_BASE, HW_WINDOW, _MailboxTarget())
 
     def _record_trace(self, task_name: str, chan_name: str, token) -> None:
         idx = self._trace_counts.get(task_name, 0)
@@ -302,16 +299,14 @@ class Architecture:
     def _bus_words(self, address: int, words: int, command: Command):
         """Move ``words`` CPU data words over the bus (generator).
 
-        One run of bursts of at most ``burst_words``
-        (:meth:`~repro.platform.bus.Bus.transport_run`).  The CPU is the
-        bus's only master (hardwired blocks talk over FIFOs, and
-        reconfiguration runs inside the CPU's ``ensure_loaded``), and
-        each transfer decodes into one target that states its latency
-        up front (the RAM, a hardwired block's or the FPGA's mailbox),
-        so each costs one timed wait.
+        One run of bursts of at most :data:`BURST_WORDS`
+        (:meth:`~repro.platform.bus.Bus.transport_run`).  Each transfer
+        decodes into one target that states its latency up front (the
+        RAM, a hardwired block's or the FPGA's mailbox), so each costs
+        one timed wait.
         """
         yield from self.bus.transport_run(command, address, words,
-                                          self.burst_words, "cpu")
+                                          BURST_WORDS, "cpu")
 
     def _cpu_process(self, stimuli_seq: list, results: dict, done: list):
         graph = self.partition.graph
@@ -328,7 +323,7 @@ class Architecture:
         def alloc(chan_name: str) -> int:
             words = graph.channels[chan_name].words_per_token
             addr = RAM_BASE + ram_cursor[0] * 4
-            ram_cursor[0] = (ram_cursor[0] + words) % (self.ram_words - 65_536)
+            ram_cursor[0] = (ram_cursor[0] + words) % (RAM_WORDS - 65_536)
             return addr
 
         def fetch_input(chan_name: str):
@@ -389,9 +384,7 @@ class Architecture:
             outputs = task.fire(sw_states[task_name], inputs)
             ops = task.ops(inputs)
             self._hw_ops += ops
-            self.fpga.begin_compute()
             yield wait(max(1, self.annotations[task_name].time_per_firing_ps))
-            self.fpga.end_compute()
             out_words = sum(graph.channels[c].words_per_token for c in task.writes) or 1
             yield from self._bus_words(FPGA_BASE, out_words, Command.READ)
             for chan_name in task.writes:
@@ -484,26 +477,20 @@ class Architecture:
 class _MailboxTarget:
     """Bus-visible mailbox window of a HW block / the FPGA fabric.
 
-    Transfers are purely time-modelled (one cycle per word is already
-    charged by the bus, plus ``latency_ps`` per burst); the functional
-    payload travels through kernel FIFOs, keeping data and timing
-    concerns separate as TL modelling prescribes.  Its latency is known
-    up front, so it serves the bus's one-wait runs.
+    Transfers are purely time-modelled: the bus's one cycle per word is
+    the whole cost, and the functional payload travels through kernel
+    FIFOs, keeping data and timing concerns separate as TL modelling
+    prescribes.  Its latency is known up front (none), so it serves the
+    bus's one-wait runs.
     """
 
-    def __init__(self, sim: Simulator, latency_ps: int = 0):
-        self.sim = sim
-        self.latency_ps = latency_ps
-
     def transport(self, txn: Transaction):
-        if self.latency_ps:
-            yield wait(self.latency_ps)
-        if txn.command is Command.READ:
-            txn.data = [0] * txn.burst_len
+        """Nothing to wait for or store (a generator, as the bus expects)."""
+        yield from ()
         return txn
 
-    def run_latency(self, command: Command, address: int, words: int):
-        return self.latency_ps, 0
+    def run_latency(self, command: Command, address: int, words: int) -> int:
+        return 0
 
     def book_run(self, command: Command, address: int, words: int, bursts,
                  origin: str) -> None:

@@ -17,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Iterable, Optional
 
-from repro.platform.annotation import TimingAnnotator
 from repro.platform.architecture import ArchitectureMetrics
 from repro.platform.cpu import CpuModel, ARM7TDMI
 from repro.platform.partition import Partition, Side, transformation1
@@ -101,15 +100,12 @@ class Explorer:
         graph: AppGraph,
         profile: Profile,
         cpu: CpuModel = ARM7TDMI,
-        annotator: Optional[TimingAnnotator] = None,
         weights: Optional[dict[str, float]] = None,
         cpu_gate_equiv: int = 50_000,
-        **arch_kwargs,
     ):
         self.graph = graph
         self.profile = profile
         self.cpu = cpu
-        self.annotator = annotator
         self.cpu_gate_equiv = cpu_gate_equiv
         self.weights = {
             "latency": 1.0,
@@ -118,7 +114,6 @@ class Explorer:
             "bus": 0.2,
             **(weights or {}),
         }
-        self.arch_kwargs = arch_kwargs
 
     def candidates(self, max_hw: Optional[int] = None) -> list[tuple[str, Partition]]:
         """Default candidate set: all-SW, then heaviest-k-to-HW sweeps.
@@ -140,10 +135,7 @@ class Explorer:
     def evaluate(self, label: str, partition: Partition,
                  stimuli: dict[str, Iterable[Any]]) -> CandidateScore:
         """Simulate one candidate and compute its raw metrics."""
-        arch = transformation1(
-            partition, self.profile, cpu=self.cpu, annotator=self.annotator,
-            **self.arch_kwargs,
-        )
+        arch = transformation1(partition, self.profile, cpu=self.cpu)
         metrics = arch.run({k: list(v) for k, v in stimuli.items()})
         return CandidateScore(label, partition, metrics, objective=0.0)
 

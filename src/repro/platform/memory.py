@@ -11,10 +11,11 @@ precise images matching").
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Optional, Sequence
 
 from repro.kernel.events import wait
 from repro.kernel.scheduler import Simulator
+from repro.platform.bus import WORD_BYTES
 from repro.tlm.transaction import Command, Response, Transaction
 
 
@@ -33,10 +34,9 @@ class Memory:
     ``base`` is the bus-visible base address; internally words are
     indexed by offset.  ``latency_ps`` applies once per beat.
 
-    Payloads are not kept: the functional data of levels 2-3 travels
-    through kernel FIFOs, so the memory keeps only the set of written
-    word offsets, and a read burst returns zero words, as the mailbox
-    windows of the hardwired blocks and the FPGA do.
+    Transactions carry no payload: the functional data of levels 2-3
+    travels through kernel FIFOs, so the memory keeps only the set of
+    written word offsets.
 
     A read burst touching never-written words is recorded once: its
     offsets, origin and the burst's end time.  :attr:`uninitialized_reads`
@@ -47,7 +47,7 @@ class Memory:
 
     The memory serves the bus's one-wait runs (see
     :meth:`repro.platform.bus.Bus.transport_run`): :meth:`run_latency`
-    states a burst's latency up front and :meth:`book_run` books a
+    states a run's latency up front and :meth:`book_run` books a
     finished run exactly as :meth:`transport` would have, burst by burst.
     """
 
@@ -58,7 +58,6 @@ class Memory:
         base: int,
         size_words: int,
         latency_ps: int = 20_000,
-        word_bytes: int = 4,
         readonly: bool = False,
     ):
         if size_words <= 0:
@@ -68,7 +67,6 @@ class Memory:
         self.base = base
         self.size_words = size_words
         self.latency_ps = latency_ps
-        self.word_bytes = word_bytes
         self.readonly = readonly
         #: offsets of the words written so far
         self._written: set[int] = set()
@@ -82,7 +80,7 @@ class Memory:
     def uninitialized_reads(self) -> list[UninitializedRead]:
         """Every read of a never-written word, in order (built per access)."""
         return [
-            UninitializedRead(address=self.base + offset * self.word_bytes,
+            UninitializedRead(address=self.base + offset * WORD_BYTES,
                               origin=origin, time_ps=time_ps)
             for offsets, origin, time_ps in self._unwritten
             for offset in offsets
@@ -90,10 +88,10 @@ class Memory:
 
     @property
     def size_bytes(self) -> int:
-        return self.size_words * self.word_bytes
+        return self.size_words * WORD_BYTES
 
     def _offset(self, address: int) -> int:
-        offset, rem = divmod(address - self.base, self.word_bytes)
+        offset, rem = divmod(address - self.base, WORD_BYTES)
         if rem:
             raise ValueError(f"memory {self.name!r}: unaligned address {address:#x}")
         if not 0 <= offset < self.size_words:
@@ -106,7 +104,7 @@ class Memory:
         """Service a bus transaction (generator; bus calls this)."""
         try:
             start = self._offset(txn.address)
-            self._offset(txn.address + (txn.burst_len - 1) * self.word_bytes)
+            self._offset(txn.address + (txn.burst_len - 1) * WORD_BYTES)
         except ValueError:
             txn.response = Response.SLAVE_ERROR
             return txn
@@ -117,23 +115,23 @@ class Memory:
                 return txn
             self._write(start, txn.burst_len)
         else:
-            txn.data = [0] * txn.burst_len
             self._read(start, txn.burst_len, txn.origin, self.sim.now_ps)
         txn.response = Response.OK
         return txn
 
-    def run_latency(self, command: Command, address: int, words: int):
-        """``(ps per burst, ps per word)`` of a run of ``words`` words from
-        ``address``, or None where :meth:`transport` would answer a
-        burst with an error (out of range, a write to read-only memory)."""
+    def run_latency(self, command: Command, address: int,
+                    words: int) -> Optional[int]:
+        """The ps per word of a run of ``words`` words from ``address``,
+        or None where :meth:`transport` would answer a burst with an
+        error (out of range, a write to read-only memory)."""
         try:
             self._offset(address)
-            self._offset(address + (words - 1) * self.word_bytes)
+            self._offset(address + (words - 1) * WORD_BYTES)
         except ValueError:
             return None
         if command is Command.WRITE and self.readonly:
             return None
-        return 0, self.latency_ps
+        return self.latency_ps
 
     def book_run(self, command: Command, address: int, words: int, bursts,
                  origin: str) -> None:

@@ -160,25 +160,24 @@ def transformation1(
     partition: Partition,
     profile: Profile,
     cpu: Optional[CpuModel] = None,
-    annotator: Optional[TimingAnnotator] = None,
-    **arch_kwargs,
+    fpga_plan=None,
 ):
     """Transformation 1: build the timed TL architecture from a partition.
 
     Performs the paper's elementary operations: grouping the SW candidates
     into a single CPU-hosted task, instantiating the CPU model with a
     single bus interface, instantiating the connection resource, and
-    connecting CPU and HW parts to it.  Returns an executable
-    :class:`~repro.platform.architecture.Architecture`.
+    connecting CPU and HW parts to it.  A partition with FPGA tasks also
+    needs ``fpga_plan`` (a :class:`~repro.platform.architecture.FpgaPlan`).
+    Returns an executable :class:`~repro.platform.architecture.Architecture`.
     """
     from repro.platform.architecture import Architecture  # local: avoid cycle
 
     cpu = cpu or ARM7TDMI
-    annotator = annotator or TimingAnnotator(cpu)
-    annotations = annotator.annotate(
+    annotations = TimingAnnotator(cpu).annotate(
         partition.graph, profile, partition.sw_tasks, partition.hw_tasks
     )
-    return Architecture(partition, annotations, cpu, **arch_kwargs)
+    return Architecture(partition, annotations, cpu, fpga_plan)
 
 
 def transformation2(
@@ -187,8 +186,6 @@ def transformation2(
     to_side: Side,
     profile: Profile,
     cpu: Optional[CpuModel] = None,
-    annotator: Optional[TimingAnnotator] = None,
-    **arch_kwargs,
 ):
     """Transformation 2: move one module across the partition and rebuild.
 
@@ -199,5 +196,5 @@ def transformation2(
     ``(partition, architecture)`` pair.
     """
     moved = partition.moved(task_name, to_side)
-    arch = transformation1(moved, profile, cpu, annotator, **arch_kwargs)
+    arch = transformation1(moved, profile, cpu)
     return moved, arch

@@ -5,8 +5,8 @@ of SystemC: *communication is completely separated from computation, and
 the focus is on the data rather than on the way the transfer is executed*
 (Section 2).
 
-- :class:`~repro.tlm.transaction.Transaction` — a generic bus payload
-  (command, address, data words, burst length).
+- :class:`~repro.tlm.transaction.Transaction` — a generic bus transfer
+  (command, address, burst length), carrying no data words.
 - :class:`~repro.tlm.router.AddressMap` — address decoding for routing
   transactions to targets.
 

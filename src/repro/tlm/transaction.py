@@ -1,20 +1,16 @@
 """Generic bus transactions.
 
 A :class:`Transaction` is the unit of communication at levels 2 and 3 of
-the flow: CPU loads/stores, DMA bursts and FPGA bitstream downloads are
-all expressed as transactions, so the performance layer can account for
-bus loading uniformly (bitstream traffic competing with data traffic is
-the paper's central level-3 concern).
+the flow: CPU data transfers and FPGA bitstream downloads are all
+expressed as transactions, so the performance layer can account for bus
+loading uniformly (the bus share of bitstream downloads is the paper's
+central level-3 concern).
 """
 
 from __future__ import annotations
 
 import enum
-import itertools
-from dataclasses import dataclass, field
-from typing import Optional
-
-_txn_ids = itertools.count()
+from dataclasses import dataclass
 
 
 class Command(enum.Enum):
@@ -37,59 +33,35 @@ class Response(enum.Enum):
 class Transaction:
     """A bus transfer of ``burst_len`` data words starting at ``address``.
 
-    ``data`` carries the payload: the written words for a WRITE, and is
-    filled in by the target for a READ.  ``origin`` names the issuing
-    master for the bus-loading statistics; ``kind`` tags the traffic
-    class (``"data"``, ``"bitstream"``, ``"instruction"``) so the level-3
-    reports can separate reconfiguration overhead from application
-    traffic.
+    A transaction carries no payload: at levels 2-3 the functional data
+    travels natively through kernel FIFOs, and the bus models time and
+    traffic.  ``origin`` names the issuing master for the bus-loading
+    statistics; ``kind`` tags the traffic class (``"data"``,
+    ``"bitstream"``) so the level-3 reports can separate reconfiguration
+    overhead from application traffic.
     """
 
     command: Command
     address: int
     burst_len: int = 1
-    data: Optional[list[int]] = None
     origin: str = "unknown"
     kind: str = "data"
     response: Response = Response.INCOMPLETE
-    txn_id: int = field(default_factory=lambda: next(_txn_ids))
-    issue_ps: int = 0
-    complete_ps: int = 0
 
     def __post_init__(self) -> None:
         if self.address < 0:
             raise ValueError(f"negative address {self.address:#x}")
         if self.burst_len < 1:
             raise ValueError(f"burst_len must be >= 1, got {self.burst_len}")
-        if self.command is Command.WRITE:
-            if self.data is None or len(self.data) != self.burst_len:
-                raise ValueError(
-                    f"WRITE transaction needs exactly burst_len={self.burst_len} data words"
-                )
-
-    @property
-    def latency_ps(self) -> int:
-        """End-to-end latency once completed."""
-        return self.complete_ps - self.issue_ps
-
-    @property
-    def ok(self) -> bool:
-        return self.response is Response.OK
 
     @classmethod
     def read(cls, address: int, burst_len: int = 1, origin: str = "unknown",
              kind: str = "data") -> "Transaction":
         """Convenience constructor for a read burst."""
-        return cls(Command.READ, address, burst_len, None, origin, kind)
-
-    @classmethod
-    def write(cls, address: int, data: list[int], origin: str = "unknown",
-              kind: str = "data") -> "Transaction":
-        """Convenience constructor for a write burst."""
-        return cls(Command.WRITE, address, len(data), list(data), origin, kind)
+        return cls(Command.READ, address, burst_len, origin, kind)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (
-            f"Txn#{self.txn_id}({self.command.value} @{self.address:#x} "
+            f"Txn({self.command.value} @{self.address:#x} "
             f"x{self.burst_len} {self.kind} from {self.origin}: {self.response.value})"
         )

@@ -10,9 +10,10 @@ from repro.fpga import (
     FpgaDevice,
     ReconfigController,
 )
-from repro.kernel import NS, Simulator, wait
+from repro.kernel import Simulator
 from repro.platform import Bus, Memory
-from repro.platform.architecture import CONFIG_STORE_BASE
+from repro.platform.architecture import BURST_WORDS, CONFIG_STORE_BASE
+from repro.platform.bus import CYCLE_PS, OVERHEAD_CYCLES
 
 
 GATES = {"DISTANCE": 12_000, "ROOT": 5_000, "EDGE": 9_000}
@@ -28,7 +29,8 @@ def make_device(sim, capacity=20_000, contexts=("config1", "config2")):
                    latency_ps=STORE_LATENCY_PS, readonly=True)
     bus.attach("config_store", CONFIG_STORE_BASE, store.size_bytes, store)
     device = FpgaDevice("efpga", sim, capacity, bus,
-                        config_store_base=CONFIG_STORE_BASE)
+                        config_store_base=CONFIG_STORE_BASE,
+                        burst_len=BURST_WORDS)
     if "config1" in contexts:
         device.define_context(
             Configuration.build("config1", {"DISTANCE"}, GATES, BSM))
@@ -99,12 +101,12 @@ class TestDevice:
         sim.spawn("d", driver())
         sim.run()
         ctx = device.contexts["config1"]
-        # Per burst of up to 16 words: arbitration and address cycles,
+        # Per burst of up to 64 words: arbitration and address cycles,
         # then one bus cycle and one store latency per word.
         bus = device.bus
         bursts = -(-ctx.bitstream_words // device.burst_len)
-        overhead_ps = (bus.arbitration_cycles + bus.address_cycles) * bus.cycle_ps
-        word_ps = bus.cycle_ps + STORE_LATENCY_PS
+        overhead_ps = OVERHEAD_CYCLES * CYCLE_PS
+        word_ps = CYCLE_PS + STORE_LATENCY_PS
         assert times == [bursts * overhead_ps + ctx.bitstream_words * word_ps]
         assert bus.stats.words_by_kind == {"bitstream": ctx.bitstream_words}
         assert device.stats.reconfigurations == 1
@@ -134,30 +136,6 @@ class TestDevice:
         sim.spawn("d", driver())
         with pytest.raises(Exception):
             sim.run()
-
-    def test_reconfigure_waits_for_compute(self):
-        sim = Simulator()
-        device = make_device(sim)
-        order = []
-
-        def computer():
-            yield from device.reconfigure("config1")
-            device.begin_compute()
-            yield wait(500, NS)
-            device.end_compute()
-            order.append(("compute-done", sim.now_ps))
-
-        def switcher():
-            yield wait(1, NS)  # let computer win the race
-            yield from device.reconfigure("config2")
-            order.append(("switched", sim.now_ps))
-
-        sim.spawn("c", computer())
-        sim.spawn("s", switcher())
-        sim.run()
-        assert order[0][0] == "compute-done"
-        assert order[1][0] == "switched"
-        assert order[1][1] > order[0][1]
 
     def test_context_of(self):
         sim = Simulator()

@@ -68,46 +68,6 @@ def test_event_notification_wakes_waiter():
     assert seen == [(event, 7_000)]
 
 
-def test_timed_event_notification():
-    sim = Simulator()
-    event = sim.event("later")
-    seen = []
-
-    def waiter():
-        yield wait(event)
-        seen.append(sim.now_ps)
-
-    def notifier():
-        event.notify(100 * NS)
-        yield wait(1, NS)
-
-    sim.spawn("w", waiter())
-    sim.spawn("n", notifier())
-    sim.run()
-    assert seen == [100_000]
-
-
-def test_earliest_notification_wins():
-    sim = Simulator()
-    event = sim.event("e")
-    seen = []
-
-    def waiter():
-        yield wait(event)
-        seen.append(sim.now_ps)
-
-    def notifier():
-        event.notify(100 * NS)
-        event.notify(10 * NS)  # earlier: supersedes
-        event.notify(50 * NS)  # later than pending: ignored
-        yield wait(1, NS)
-
-    sim.spawn("w", waiter())
-    sim.spawn("n", notifier())
-    sim.run()
-    assert seen == [10_000]
-
-
 def test_process_failure_raises_simulation_error():
     sim = Simulator()
 

@@ -111,7 +111,3 @@ class TestAnnotator:
         profile = self._profile()
         with pytest.raises(ValueError):
             TimingAnnotator(ARM7TDMI).annotate(graph, profile, {"NOPE"}, set())
-
-    def test_invalid_config(self):
-        with pytest.raises(ValueError):
-            TimingAnnotator(ARM7TDMI, hw_ops_per_cycle=0)

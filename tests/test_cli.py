@@ -121,7 +121,9 @@ class TestCommands:
 
     def test_flow_json(self, capsys):
         assert main(["flow", *SIM_WORKLOAD, "--json"]) == 0
-        document = json.loads(capsys.readouterr().out)
+        out = capsys.readouterr().out
+        assert out.count("\n") == 1  # compact JSON: one line
+        document = json.loads(out)
         assert document["schema"] == "repro.flow_report/v2"
         assert document["passed"] is True
         assert set(document["levels"]) == {"level1", "level2", "level3",

@@ -11,21 +11,13 @@ class TestConstruction:
         assert txn.command is Command.READ
         assert txn.address == 0x1000
         assert txn.burst_len == 4
-        assert txn.data is None
         assert txn.origin == "cpu"
         assert txn.response is Response.INCOMPLETE
 
     def test_write_constructor(self):
-        txn = Transaction.write(0x2000, [1, 2, 3])
+        txn = Transaction(Command.WRITE, 0x2000, 3)
         assert txn.command is Command.WRITE
         assert txn.burst_len == 3
-        assert txn.data == [1, 2, 3]
-
-    def test_write_data_copied(self):
-        data = [1, 2]
-        txn = Transaction.write(0, data)
-        data.append(3)
-        assert txn.data == [1, 2]
 
     def test_negative_address_rejected(self):
         with pytest.raises(ValueError):
@@ -35,29 +27,6 @@ class TestConstruction:
         with pytest.raises(ValueError):
             Transaction(Command.READ, 0, burst_len=0)
 
-    def test_write_without_matching_data_rejected(self):
-        with pytest.raises(ValueError):
-            Transaction(Command.WRITE, 0, burst_len=2, data=[1])
-
-    def test_txn_ids_unique(self):
-        a = Transaction.read(0)
-        b = Transaction.read(0)
-        assert a.txn_id != b.txn_id
-
     def test_kind_tags(self):
         txn = Transaction.read(0, kind="bitstream")
         assert txn.kind == "bitstream"
-
-
-class TestLifecycle:
-    def test_latency(self):
-        txn = Transaction.read(0)
-        txn.issue_ps = 100
-        txn.complete_ps = 350
-        assert txn.latency_ps == 250
-
-    def test_ok_flag(self):
-        txn = Transaction.read(0)
-        assert not txn.ok
-        txn.response = Response.OK
-        assert txn.ok
