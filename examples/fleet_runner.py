@@ -68,7 +68,7 @@ def main() -> None:
               f"payload served from the coordinator's store")
 
         # The duplicate never reaches a runner: the coordinator answers
-        # it from its store at claim time (a "warm completion").
+        # it from its store in the submit response (a "warm completion").
         again = client.submit(spec.to_dict(), sweep=grid)
         warm = client.wait(again["id"])
         resume = warm["result"]["store_resume"]

@@ -50,9 +50,10 @@ def main() -> None:
               f"{len(resume['hits'])} from store")
 
         # Same submission again: same job id (content-addressed), and
-        # the claim answers it entirely from the store — no job child.
+        # the submit response is already done, answered entirely from
+        # the store — no claim, no job child.
         again = client.submit(spec.to_dict(), sweep=grid)
-        assert again["id"] == job["id"]
+        assert again["id"] == job["id"] and again["status"] == "done"
         start = time.perf_counter()
         warm = client.wait(again["id"])
         resume = warm["result"]["store_resume"]

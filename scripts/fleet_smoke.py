@@ -12,7 +12,8 @@ drives three phases:
    single byte of the result.
 2. **warm** — every submission repeated; the duplicates must be answered
    from the coordinator's store with **zero recomputation fleet-wide**
-   (warm-completed at claim, no runner executes anything).
+   (warm-completed in their submit responses, no runner executes
+   anything).
 3. **crash** — a fresh runner claims a job and is SIGKILL'd mid-run; the
    lease must expire, the job re-queue, and a survivor runner finish it.
 
@@ -156,7 +157,7 @@ def main(argv=None) -> int:
                 failures.append(
                     f"{name}: duplicate submission recomputed "
                     f"{resume['executed'] or resume['retried']} instead "
-                    f"of completing warm at claim")
+                    f"of completing warm from the store")
         fleet = client.stats()["fleet"]
         if fleet["warm_completed"] < len(warm):
             failures.append(

@@ -6,11 +6,11 @@ all-four-levels campaign per registered workload through the HTTP
 client, and requires every job to pass.  Then submits every spec a
 second time and requires the duplicates to be answered **entirely from
 the store** — zero points executed, 100% hits — which is the service's
-core economy: a verified spec is never verified twice.  The duplicates
-must be completed at claim, by the coordinator, never by a job child:
-every job runs on the one runner path.  Each duplicate's wait must be
-answered by its first held status read (``wait_polls == 1``), so a
-client that fell back to polling fails the smoke.  Finally it scrapes
+core economy: a verified spec is never verified twice.  Each duplicate
+must come back ``done`` in its submit response, completed from the
+store by the coordinator, never by a job child, and its wait must be
+answered by its first status read (``wait_polls == 1``), so a client
+that fell back to polling fails the smoke.  Finally it scrapes
 ``GET /v1/metrics`` and requires a well-formed Prometheus exposition
 whose job counters saw the smoke jobs.
 
@@ -93,8 +93,9 @@ def check_metrics(client: ServiceClient, jobs_expected: int) -> list[str]:
 
 
 def run_round(client: ServiceClient, label: str,
-              timeout: float) -> dict[str, dict]:
-    """Submit every spec, wait for all, return jobs keyed by workload."""
+              timeout: float) -> tuple[dict[str, dict], dict[str, dict]]:
+    """Submit every spec, wait for all; return the submit responses and
+    the finished jobs, each keyed by workload."""
     jobs = {}
     for workload, spec in SPECS.items():
         job = client.submit(spec.to_dict())
@@ -111,7 +112,7 @@ def run_round(client: ServiceClient, label: str,
               f"executed={len(resume.get('executed', ()))}, "
               f"probes={record['wait_polls']})")
         done[workload] = record
-    return done
+    return jobs, done
 
 
 def main(argv=None) -> int:
@@ -140,7 +141,7 @@ def main(argv=None) -> int:
               f"({len(service.agents)} local runner agents)\n")
 
         start = time.perf_counter()
-        cold = run_round(client, "cold", args.timeout)
+        _submitted, cold = run_round(client, "cold", args.timeout)
         cold_s = time.perf_counter() - start
         for workload, record in cold.items():
             if record["status"] != "done" or not record["result"]["passed"]:
@@ -149,9 +150,14 @@ def main(argv=None) -> int:
 
         print()
         start = time.perf_counter()
-        warm = run_round(client, "warm", args.timeout)
+        submitted, warm = run_round(client, "warm", args.timeout)
         warm_s = time.perf_counter() - start
         for workload, record in warm.items():
+            if submitted[workload]["status"] != "done":
+                failures.append(
+                    f"{workload}: the duplicate's submit response was "
+                    f"{submitted[workload]['status']!r}, not answered "
+                    f"from the store at once")
             if record["status"] != "done" or not record["result"]["passed"]:
                 failures.append(f"{workload}: warm job {record['status']}")
                 continue
@@ -173,8 +179,9 @@ def main(argv=None) -> int:
         warm_completed = stats["fleet"]["warm_completed"]
         if warm_completed < len(SPECS):
             failures.append(
-                f"fleet: {warm_completed} duplicates completed at claim, "
-                f"expected >= {len(SPECS)} (a job child answered one)")
+                f"fleet: {warm_completed} duplicates completed from the "
+                f"store, expected >= {len(SPECS)} (a job child answered "
+                f"one)")
         print(f"\ncold round: {cold_s:.1f}s; warm round: {warm_s:.1f}s")
         print(f"store: {stats['store']}")
         print(f"workers: {stats['workers']}")

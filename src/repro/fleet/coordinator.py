@@ -5,14 +5,16 @@ runner protocol.  It owns no threads and no sockets — the HTTP layer
 calls straight into it — just the queue, the store and a
 :class:`FleetState` ledger of what the fleet has been doing:
 
-- :meth:`claim` leases the best queued job to a runner,
-  **warm-completing** on the way: a job whose every point is already
-  ``ok`` in the coordinator's store is finished right here with a
-  100%-hits result instead of being shipped to a runner — the fleet-wide
-  memo-cache economy in one place.  An idle claim touches no disk:
-  lapsed leases are re-queued by the daemon's sweep (:meth:`expire`).
-  A claim may be *held*: it waits for a submit or re-queue instead of
-  returning empty, so no runner polls on a timer;
+- :meth:`submit` and :meth:`claim` **warm-complete**: a job whose
+  every point is already ``ok`` in the coordinator's store is finished
+  right here with a 100%-hits result instead of being shipped to a
+  runner — the fleet-wide memo-cache economy in one place.  A stored
+  duplicate is answered in its submit response; a queued job whose
+  points were stored meanwhile (by a twin sweep, say) at its claim;
+- :meth:`claim` leases the best queued job to a runner.  An idle claim
+  touches no disk: lapsed leases are re-queued by the daemon's sweep
+  (:meth:`expire`).  A claim may be *held*: it waits for a submit or
+  re-queue instead of returning empty, so no runner polls on a timer;
 - :meth:`heartbeat` keeps a lease alive (and the runner "seen");
 - :meth:`upload` merges a runner's result — per-point store entries
   first (content-addressed, so the merge is idempotent), then the
@@ -73,8 +75,8 @@ class FleetState:
         self.zombie_drops = 0
         self.entries_merged = 0
         #: finished jobs and their points, whoever finished them (an
-        #: upload or a warm completion at claim): the ``workers``
-        #: counters of ``/v1/stats``
+        #: upload or a warm completion at submit or claim): the
+        #: ``workers`` counters of ``/v1/stats``
         self.jobs = dict.fromkeys(("jobs_done", "jobs_failed", "points_hit",
                                    "points_executed", "points_retried"), 0)
 
@@ -124,6 +126,31 @@ class FleetCoordinator:
         self.queue = queue
         self.store = store
         self.state = FleetState()
+
+    # -- submissions --------------------------------------------------------------
+
+    def submit(self, spec, sweep: Optional[Mapping[str, Any]] = None,
+               priority: int = 0, tenant: Optional[str] = None,
+               admit: Optional[Callable[[], None]] = None
+               ) -> tuple[dict, bool]:
+        """Submit one request; returns ``(record, coalesced)``.
+
+        A request whose job is neither queued nor running, and whose
+        every point is ``ok`` in the coordinator's store, is answered
+        here: the record comes back ``done`` with the 100%-hits result
+        of :meth:`_warm_result`, journaled once under the queue's lock,
+        and no runner ever sees it.  Anything else coalesces or is
+        queued as :meth:`~repro.service.queue.JobQueue.submit` says, and
+        ``admit`` (raising to refuse) is asked only before a job is
+        queued: a stored duplicate, like a coalescing one, adds no work.
+        """
+        record, coalesced = self.queue.submit(
+            spec, sweep=sweep, priority=priority, tenant=tenant,
+            answer=self._warm_result, admit=admit)
+        if record["status"] == "done":  # submit returns no other terminal
+            self.state.count("warm_completed")
+            self.state.finished(record)
+        return record, coalesced
 
     # -- lease lifecycle ----------------------------------------------------------
 

@@ -17,7 +17,7 @@ from typing import Optional
 
 from repro.kernel.scheduler import Simulator
 from repro.fpga.context import Configuration, ContextError
-from repro.tlm.transaction import Transaction
+from repro.tlm.transaction import WORD_BYTES, Transaction
 
 
 @dataclass
@@ -109,7 +109,7 @@ class FpgaDevice:
         while remaining > 0:
             chunk = min(self.burst_len, remaining)
             yield from self.bus.transport(Transaction.read(
-                self.config_store_base + offset * 4,
+                self.config_store_base + offset * WORD_BYTES,
                 burst_len=chunk,
                 origin=f"{self.name}.config",
                 kind="bitstream",

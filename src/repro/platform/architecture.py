@@ -46,7 +46,7 @@ from repro.platform.bus import Bus
 from repro.platform.cpu import CpuModel
 from repro.platform.memory import Memory
 from repro.platform.partition import Partition, Side
-from repro.tlm.transaction import Command, Transaction
+from repro.tlm.transaction import WORD_BYTES, Command, Transaction
 
 #: Address map of the reference platform.
 RAM_BASE = 0x1000_0000
@@ -322,7 +322,7 @@ class Architecture:
 
         def alloc(chan_name: str) -> int:
             words = graph.channels[chan_name].words_per_token
-            addr = RAM_BASE + ram_cursor[0] * 4
+            addr = RAM_BASE + ram_cursor[0] * WORD_BYTES
             ram_cursor[0] = (ram_cursor[0] + words) % (RAM_WORDS - 65_536)
             return addr
 

@@ -30,13 +30,11 @@ from typing import Optional
 from repro.kernel.events import wait
 from repro.kernel.scheduler import Simulator
 from repro.tlm.router import AddressMap
-from repro.tlm.transaction import Command, Response, Transaction
+from repro.tlm.transaction import WORD_BYTES, Command, Response, Transaction
 
 #: One bus cycle of the case study's 50 MHz bus, which moves one word
 #: per cycle.
 CYCLE_PS = 20_000
-#: Bytes per bus word (a 32-bit bus).
-WORD_BYTES = 4
 #: Cycles before a burst's data beats: one of arbitration, one of address.
 OVERHEAD_CYCLES = 2
 
@@ -93,8 +91,7 @@ class Bus:
 
     def transport(self, txn: Transaction):
         """Carry ``txn`` to the decoded slave (use with ``yield from``)."""
-        rng = self.address_map.decode_burst(txn.address, txn.burst_len,
-                                            WORD_BYTES)
+        rng = self.address_map.decode_burst(txn.address, txn.burst_len)
         if rng is None:
             txn.response = Response.DECODE_ERROR
             self.stats.decode_errors += 1
@@ -165,7 +162,7 @@ class Bus:
     def _run_plan(self, command: Command, address: int, words: int):
         """``(target, ps per word)`` when a run of ``words`` words from
         ``address`` can move in one wait, else None."""
-        rng = self.address_map.decode_burst(address, words, WORD_BYTES)
+        rng = self.address_map.decode_burst(address, words)
         if rng is None:
             return None
         target = self._targets[rng.slave_name]

@@ -15,8 +15,7 @@ from typing import Optional, Sequence
 
 from repro.kernel.events import wait
 from repro.kernel.scheduler import Simulator
-from repro.platform.bus import WORD_BYTES
-from repro.tlm.transaction import Command, Response, Transaction
+from repro.tlm.transaction import WORD_BYTES, Command, Response, Transaction
 
 
 @dataclass(frozen=True)
@@ -57,7 +56,7 @@ class Memory:
         sim: Simulator,
         base: int,
         size_words: int,
-        latency_ps: int = 20_000,
+        latency_ps: int,
         readonly: bool = False,
     ):
         if size_words <= 0:

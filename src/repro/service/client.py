@@ -1,19 +1,28 @@
-"""A small ``urllib``-based client for the campaign service API.
+"""A small ``http.client``-based client for the campaign service API.
 
 Used by the ``repro service submit|status|watch`` CLI subcommands, the
 examples and the CI smoke test — anything that talks to a running
 :class:`~repro.service.daemon.CampaignService` over HTTP.  No third-party
 dependencies, mirroring the server side.
+
+Each thread keeps one HTTP/1.1 connection to the service (RFC 9112 §9)
+instead of opening one per request, so a closed-loop client pays the
+TCP handshake, and the server a handler thread, once.  Connections are
+per thread, not shared behind a lock: a held request (a claim or a
+status read the server answers on an event) would otherwise queue every
+other thread's request behind it.
 """
 
 from __future__ import annotations
 
+import http.client
 import json
+import os
 import random
+import threading
 import time
-import urllib.error
-import urllib.request
 from typing import Any, Mapping, Optional
+from urllib.parse import urlsplit
 
 from repro.service.queue import TERMINAL_STATES
 
@@ -27,45 +36,94 @@ class ServiceError(RuntimeError):
         self.kind = kind
 
 
+class _ThreadConnection:
+    """One thread's kept-alive connection and the process that opened
+    it; closed once dropped (its thread ended, or its client did)."""
+
+    def __init__(self, connection: http.client.HTTPConnection):
+        self.connection = connection
+        self.pid = os.getpid()
+
+    def __del__(self):
+        self.connection.close()
+
+
 class ServiceClient:
-    """One service endpoint, e.g. ``ServiceClient("http://127.0.0.1:8642")``."""
+    """One service endpoint, e.g. ``ServiceClient("http://127.0.0.1:8642")``.
+
+    Safe to share between threads: each thread that calls it keeps its
+    own connection, opened on its first request and closed when the
+    thread ends (or the client is dropped).
+    """
 
     def __init__(self, base_url: str, timeout: float = 30.0):
         self.base_url = base_url.rstrip("/")
         self.timeout = timeout
+        url = urlsplit(self.base_url)
+        self._address = (url.hostname, url.port)
+        self._path = url.path
+        self._connection_class = (http.client.HTTPSConnection
+                                  if url.scheme == "https"
+                                  else http.client.HTTPConnection)
+        #: per thread: ``held``, the thread's :class:`_ThreadConnection`
+        self._local = threading.local()
 
     # -- transport ----------------------------------------------------------------
 
-    def _fetch(self, request: urllib.request.Request) -> str:
+    def _connection(self) -> http.client.HTTPConnection:
+        """This thread's connection.  A forked child opens its own: the
+        socket it inherited belongs to its parent's conversation."""
+        held = getattr(self._local, "held", None)
+        if held is None or held.pid != os.getpid():
+            held = self._local.held = _ThreadConnection(
+                self._connection_class(*self._address, timeout=self.timeout))
+        return held.connection
+
+    def _fetch(self, method: str, path: str,
+               body: Optional[Mapping[str, Any]] = None) -> str:
         """One round trip's response body; every failure, including a
         server that never answers within ``timeout``, is a
-        :class:`ServiceError`."""
-        try:
-            with urllib.request.urlopen(request,
-                                        timeout=self.timeout) as response:
-                return response.read().decode("utf-8")
-        except urllib.error.HTTPError as exc:
+        :class:`ServiceError`.
+
+        A kept-alive connection the server has since closed fails on its
+        next use; that request is sent once more on a new connection (a
+        server closes a kept-alive connection between requests, so the
+        failed send went unread).
+        """
+        data = None if body is None else json.dumps(body).encode("utf-8")
+        headers = {} if data is None else {"Content-Type": "application/json"}
+        for retry in (True, False):
+            connection = self._connection()
+            reused = connection.sock is not None
             try:
-                error = json.loads(exc.read().decode("utf-8"))["error"]
-            except (ValueError, KeyError, UnicodeDecodeError):
-                error = {"type": "HTTPError", "message": str(exc)}
-            raise ServiceError(exc.code, error.get("type", "HTTPError"),
-                               error.get("message", "")) from None
-        except urllib.error.URLError as exc:
-            raise ServiceError(0, "Unreachable",
-                               f"{self.base_url}: {exc.reason}") from None
-        except OSError as exc:  # timed out or dropped while answering
-            raise ServiceError(0, "Unreachable",
-                               f"{self.base_url}: {exc}") from None
+                connection.request(method, self._path + path, body=data,
+                                   headers=headers)
+                response = connection.getresponse()
+                text = response.read().decode("utf-8")
+                break
+            except BaseException as exc:
+                connection.close()  # never reuse a half-spoken exchange
+                if not isinstance(exc, (OSError, http.client.HTTPException)):
+                    raise
+                if retry and reused and isinstance(exc, ConnectionError):
+                    continue
+                raise ServiceError(0, "Unreachable",
+                                   f"{self.base_url}: {exc}") from None
+        if response.status >= 400:
+            try:
+                error = json.loads(text)["error"]
+            except (ValueError, KeyError, TypeError):
+                error = {"type": "HTTPError",
+                         "message": f"HTTP Error {response.status}: "
+                                    f"{response.reason}"}
+            raise ServiceError(response.status,
+                               error.get("type", "HTTPError"),
+                               error.get("message", ""))
+        return text
 
     def _request(self, method: str, path: str,
                  body: Optional[Mapping[str, Any]] = None) -> dict:
-        request = urllib.request.Request(
-            f"{self.base_url}{path}", method=method,
-            headers={"Content-Type": "application/json"},
-            data=(json.dumps(body).encode("utf-8")
-                  if body is not None else None))
-        return json.loads(self._fetch(request))
+        return json.loads(self._fetch(method, path, body))
 
     def _hold(self, wait: float) -> float:
         """The seconds a held request may ask for: never more than half
@@ -82,8 +140,7 @@ class ServiceClient:
 
     def metrics(self) -> str:
         """``GET /v1/metrics``: the Prometheus text exposition document."""
-        return self._fetch(
-            urllib.request.Request(f"{self.base_url}/v1/metrics"))
+        return self._fetch("GET", "/v1/metrics")
 
     def submit(self, spec: Mapping[str, Any],
                sweep: Optional[Mapping[str, list]] = None,

@@ -27,7 +27,12 @@ from typing import Any, Mapping, Optional
 from repro import telemetry
 from repro.api.campaign import Campaign, SweepResult, _available_cpus
 from repro.api.spec import CampaignSpec
-from repro.service.queue import JobQueue, job_key, job_summary
+# Load-before-fork: the fleet imports repro.service.workers, which loads
+# the flow and the face model, so both are in place before the daemon
+# starts a thread or forks a job child.
+from repro.fleet.coordinator import FleetCoordinator, LocalTransport
+from repro.fleet.runner import RunnerAgent
+from repro.service.queue import JobQueue, job_summary
 from repro.store import CampaignStore
 from repro.telemetry import metrics
 from repro.workloads import registry_info
@@ -49,8 +54,9 @@ class Backpressure(RuntimeError):
 
     Carries ``retry_after`` — the seconds the client should wait before
     retrying, surfaced as the response's ``Retry-After`` header.
-    Coalescing submissions (the job is already queued or running) are
-    *never* back-pressured: they add no work, only an extra waiter.
+    Coalescing submissions (the job is already queued or running) and
+    stored duplicates (answered from the store at submit) are *never*
+    back-pressured: they add no work.
     """
 
     def __init__(self, message: str, retry_after: float):
@@ -111,11 +117,6 @@ class CampaignService:
         #: crashed daemon's own runner held follows at the lease sweep,
         #: at most one lease TTL after the crash.
         self.recovered: list[str] = self.queue.expire_leases()
-        # Imported here (like build_server below): repro.fleet imports
-        # from repro.service, so a module-level import would be circular.
-        from repro.fleet.coordinator import FleetCoordinator, LocalTransport
-        from repro.fleet.runner import RunnerAgent
-
         self.fleet = FleetCoordinator(self.queue, self.store)
         self._stop = threading.Event()
         #: the local workers: runner agents claiming in-process, at most
@@ -136,6 +137,7 @@ class CampaignService:
         self.lease_sweep_interval = lease_sweep_interval
         self._threads: list[threading.Thread] = []
         self.started_at = time.time()
+        # Imported here: repro.service.http imports this module.
         from repro.service.http import build_server
 
         self.server = build_server(self, host, port)
@@ -194,13 +196,17 @@ class CampaignService:
     # -- submissions --------------------------------------------------------------
 
     def submit_document(self, body: Mapping[str, Any]) -> tuple[dict, bool]:
-        """Validate one POST body into a queued job.
+        """Validate one POST body into a job.
 
         Accepts either a bare campaign-spec document or the envelope the
         ``campaign`` CLI already reads: ``{"spec": {...}, "sweep":
         {field: [values, ...]}, "priority": N, "tenant": T}``.  Returns
-        ``(record, coalesced)``; raises :class:`SubmissionError` with a
-        client-facing message on anything malformed.
+        ``(record, coalesced)``: a queued job, the active job it
+        coalesced onto, or — for a spec whose every point is already
+        stored — a job finished from the store at once
+        (:meth:`~repro.fleet.coordinator.FleetCoordinator.submit`).
+        Raises :class:`SubmissionError` with a client-facing message on
+        anything malformed.
         """
         if not isinstance(body, Mapping):
             raise SubmissionError("submission body must be a JSON object")
@@ -237,26 +243,18 @@ class CampaignService:
                 Campaign.sweep_specs(spec, sweep)
             except (ValueError, KeyError, TypeError) as exc:
                 raise SubmissionError(f"invalid sweep grid: {exc}") from exc
-        self._check_backpressure(spec, sweep, tenant)
-        return self.queue.submit(spec, sweep=sweep, priority=priority,
-                                 tenant=tenant)
+        return self.fleet.submit(spec, sweep=sweep, priority=priority,
+                                 tenant=tenant,
+                                 admit=partial(self._admit, tenant))
 
-    def _check_backpressure(self, spec, sweep,
-                            tenant: Optional[str]) -> None:
-        """Raise :class:`Backpressure` (429) if this submission would
-        *enqueue* past a limit.
+    def _admit(self, tenant: Optional[str]) -> None:
+        """Raise :class:`Backpressure` (429) if queueing one more job
+        would pass a limit.
 
-        A submission that coalesces onto an already-active job is always
-        let through — it adds a waiter, not work — so the check first
-        looks the content-addressed job id up.
+        Asked only for a submission about to be queued: one that
+        coalesces onto an active job, or that the store answers, adds no
+        work and is always let through.
         """
-        if self.max_depth is None and (self.tenant_quota is None
-                                       or tenant is None):
-            return
-        existing = self.queue.get(job_key(spec, sweep))
-        if existing is not None and existing["status"] in ("queued",
-                                                           "running"):
-            return  # coalesce: no new work enters the queue
         depth = self.queue.depth()
         if self.max_depth is not None and depth >= self.max_depth:
             # Scale the hint with the backlog: a deeper queue drains
@@ -394,9 +392,9 @@ class CampaignService:
             "fleet": self.fleet.stats(),
             # Campaign execution happens in job *children* (their store
             # traffic is the points_* counters above); the daemon's own
-            # handle only serves payload reads and claim-time warm
-            # checks, so report it as exactly that plus the on-disk
-            # entry count.
+            # handle only serves payload reads and the warm checks at
+            # submit and claim, so report it as exactly that plus the
+            # on-disk entry count.
             "store": {"entries": len(self.store.keys()),
                       "payload_reads": self.store.hits,
                       "payload_read_misses": self.store.misses},

@@ -4,7 +4,9 @@ Routes (all under ``/v1``, all JSON in and out)::
 
     POST   /v1/jobs          submit a spec (or {"spec", "sweep", "priority",
                              "tenant"}); 201 on a new/re-queued job, 200 when
-                             the submission coalesced onto an existing one
+                             the submission coalesced onto an active one; a
+                             spec whose every point is stored comes back
+                             201 already "done" (answered from the store)
     GET    /v1/jobs          list jobs; ?status=queued&workload=facerec
     GET    /v1/jobs/<id>     one job (unique id prefixes accepted);
                              done jobs carry their result payload served
@@ -49,6 +51,14 @@ concurrently with each other and with the local runners, which is safe
 because every queue mutation goes through
 :class:`~repro.service.queue.JobQueue`'s lock and every store read is of
 immutable content-addressed entries.
+
+Connections are kept alive (HTTP/1.1, RFC 9112 §9): one handler thread
+serves a client connection's requests in turn, with Nagle's algorithm
+off so a response's header and body writes leave at once instead of
+waiting out the client's delayed ACK (~40 ms).  A request body no route
+read is drained before the response, so the next request starts on its
+first byte; one that cannot be drained closes the connection instead.
+Closing the server also ends its kept-alive connections.
 """
 
 from __future__ import annotations
@@ -57,6 +67,8 @@ import json
 import logging
 import selectors
 import socket
+import sys
+import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Optional
 from urllib.parse import parse_qs, urlsplit
@@ -99,6 +111,10 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
 
     server_version = "repro-service/1"
     protocol_version = "HTTP/1.1"
+    disable_nagle_algorithm = True
+    #: whether this request's ``Content-Length`` body still waits on the
+    #: socket (see :meth:`_send_text`)
+    _body_pending = False
 
     @property
     def service(self):
@@ -108,22 +124,41 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
 
     def _send_json(self, code: int, document: dict,
                    headers: Optional[dict] = None) -> None:
-        body = json.dumps(document, indent=2, sort_keys=True).encode("utf-8")
-        self.send_response(code)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(body)))
-        for name, value in (headers or {}).items():
-            self.send_header(name, str(value))
-        self.end_headers()
-        self.wfile.write(body)
+        self._send_text(code, json.dumps(document, sort_keys=True),
+                        "application/json", headers)
 
-    def _send_text(self, code: int, text: str, content_type: str) -> None:
+    def _send_text(self, code: int, text: str, content_type: str,
+                   headers: Optional[dict] = None) -> None:
         body = text.encode("utf-8")
+        # Nothing of this request may stay on the socket for the next
+        # one: a body no route read is drained, and one that cannot be
+        # (an invalid or oversized length, a chunked body) closes the
+        # connection after this response.
+        close = not self._drain_body() or "Transfer-Encoding" in self.headers
         self.send_response(code)
         self.send_header("Content-Type", content_type)
         self.send_header("Content-Length", str(len(body)))
+        for name, value in (headers or {}).items():
+            self.send_header(name, str(value))
+        if close:
+            self.send_header("Connection", "close")
         self.end_headers()
         self.wfile.write(body)
+
+    def _drain_body(self) -> bool:
+        """Read away a ``Content-Length`` body no route read; False when
+        its length is invalid or over :data:`MAX_BODY_BYTES`."""
+        if not self._body_pending:
+            return True
+        self._body_pending = False
+        try:
+            length = int(self.headers["Content-Length"])
+        except ValueError:
+            return False
+        if not 0 <= length <= MAX_BODY_BYTES:
+            return False
+        self.rfile.read(length)
+        return True
 
     def _send_error_json(self, code: int, kind: str, message: str) -> None:
         self._send_json(code, {"error": {"type": kind, "message": message}})
@@ -144,6 +179,7 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
             raise SubmissionError(
                 f"request body of {length} bytes exceeds the "
                 f"{limit}-byte limit")
+        self._body_pending = False
         raw = self.rfile.read(length) if length else b""
         if not raw:
             raise SubmissionError("request body must be a JSON object")
@@ -186,6 +222,13 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
         error envelope instead of a dropped connection.  A client that
         left (say, mid held request) is no failure: the request ends
         quietly."""
+        if self.server.closed:
+            # A stopped daemon answers nothing, even on a connection kept
+            # from before the stop: the client's retry finds no listener.
+            self.close_connection = True
+            return
+        # _read_body clears this; the response drains a body no route read.
+        self._body_pending = "Content-Length" in self.headers
         try:
             handler()
         except ConnectionError:
@@ -249,13 +292,6 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
         url = urlsplit(self.path)
         parts = [part for part in url.path.split("/") if part]
         if parts == ["v1", "prune"]:
-            try:  # drain any (ignored) body so keep-alive stays sane
-                pending = max(0, int(self.headers.get("Content-Length",
-                                                      0) or 0))
-            except ValueError:
-                pending = 0
-            if pending:
-                self.rfile.read(min(pending, MAX_BODY_BYTES))
             query = {key: values[-1]
                      for key, values in parse_qs(url.query).items()}
             try:
@@ -396,10 +432,54 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
         self._send_json(200, job)
 
 
+class ServiceServer(ThreadingHTTPServer):
+    """The threading server, plus the set of its open connections.
+
+    Once :meth:`server_close` has run, no request is served, and the
+    open connections' read side is shut: an idle kept-alive connection
+    ends its handler thread (which would otherwise go on serving a
+    stopped daemon), while a response being written still completes.
+    """
+
+    daemon_threads = True
+
+    def __init__(self, address, service):
+        super().__init__(address, ServiceRequestHandler)
+        self.service = service
+        self.closed = False
+        self._connections: set = set()
+        self._connections_lock = threading.Lock()
+
+    def process_request(self, request, client_address) -> None:
+        with self._connections_lock:
+            self._connections.add(request)
+        super().process_request(request, client_address)
+
+    def shutdown_request(self, request) -> None:
+        with self._connections_lock:
+            self._connections.discard(request)
+        super().shutdown_request(request)
+
+    def handle_error(self, request, client_address) -> None:
+        # A client that died holding a kept-alive connection resets it
+        # between requests: that connection just ends.
+        if isinstance(sys.exc_info()[1], ConnectionError):
+            logger.debug("%s reset its connection", client_address[0])
+        else:
+            super().handle_error(request, client_address)
+
+    def server_close(self) -> None:
+        super().server_close()
+        self.closed = True
+        with self._connections_lock:
+            for connection in self._connections:
+                try:
+                    connection.shutdown(socket.SHUT_RD)
+                except OSError:  # already gone
+                    pass
+
+
 def build_server(service, host: str = "127.0.0.1",
-                 port: int = 0) -> ThreadingHTTPServer:
+                 port: int = 0) -> ServiceServer:
     """A ready-to-serve HTTP server bound to ``host:port`` (0 = ephemeral)."""
-    server = ThreadingHTTPServer((host, port), ServiceRequestHandler)
-    server.daemon_threads = True
-    server.service = service  # type: ignore[attr-defined]
-    return server
+    return ServiceServer((host, port), service)

@@ -11,8 +11,10 @@ keys the campaign store, so a code revision bump retires queued work
 too).  Two clients submitting the same request therefore address the
 same job: while it is queued or running the second submission coalesces
 onto the first (raising its priority if asked), and once it has finished
-a re-submission re-queues the *same* job id for a fresh attempt — which
-the next claim answers warm from the store with zero recomputation.
+a re-submission addresses the *same* job id again.  When every point of
+the job is already stored, the service answers that re-submission in
+its submit response — the job goes straight to ``done``, with zero
+recomputation — and otherwise it re-queues for a fresh attempt.
 
 State machine::
 
@@ -20,7 +22,8 @@ State machine::
       |                  |------fail------> failed
       |                  |---lease expiry-> queued   (re-lease, survivor)
       |------cancel----> cancelled
-    (done|failed|cancelled) --submit--> queued   (re-queue, attempts += 1)
+    (done|failed|cancelled) --submit--> queued   (re-queue)
+    (done|failed|cancelled) --submit, every point stored--> done
 
 Leases: every claim *leases* the job to the claiming runner — a
 ``lease`` document (unique id, runner name, TTL, expiry stamp) rides on
@@ -48,7 +51,7 @@ import threading
 import time
 import uuid
 from pathlib import Path
-from typing import Any, Mapping, Optional
+from typing import Any, Callable, Mapping, Optional
 
 from repro.records import (
     JOB_SCHEMA,
@@ -125,18 +128,19 @@ class JobQueue:
 
     Layout::
 
-        <root>/queue.json       manifest (schema + version + seq counter)
+        <root>/queue.json       manifest (schema + version)
         <root>/jobs/<id>.json   one record per job id
 
     All mutation goes through one instance-level lock: the daemon is the
     queue's only writer (clients mutate via its HTTP API), so in-process
     locking is the whole concurrency story — runner threads claim and
     finish jobs under the same lock the submit path uses.  The files are
-    the durability story: every transition is journaled before the call
-    returns, so a restarted daemon resumes from exactly the on-disk
-    state.  Every journaled record also notifies one condition over that
-    lock, so a held claim (:meth:`wait_queued`) and a held status read
-    (:meth:`wait_terminal`) answer on the event, not on a timer.
+    the durability story: every transition is journaled — one record
+    write — before the call returns, so a restarted daemon resumes from
+    exactly the on-disk state.  Every journaled record also notifies
+    one condition over that lock, so a held claim (:meth:`wait_queued`)
+    and a held status read (:meth:`wait_terminal`) answer on the event,
+    not on a timer.
     """
 
     def __init__(self, root, create: bool = True):
@@ -163,13 +167,17 @@ class JobQueue:
             raise ValueError(
                 f"queue at {self.root} has version {version!r}; this build "
                 f"reads/writes version {QUEUE_VERSION}")
-        self._seq = int(manifest.get("seq", 0) or 0)
+        jobs = self.list()
+        #: the submission counter resumes after the newest record's (a
+        #: manifest from a build that journaled it there still counts)
+        self._seq = max([int(manifest.get("seq", 0) or 0)]
+                        + [job["seq"] for job in jobs])
         #: in-memory index of queued job ids, so the runners' idle claims
         #: never re-scan terminal jobs accumulated over the daemon's
         #: lifetime.  Valid because the daemon is the queue's only
         #: writer; rebuilt from disk here (one scan per open).
         self._queued: set[str] = {
-            job["id"] for job in self.list(status="queued")}
+            job["id"] for job in jobs if job["status"] == "queued"}
 
     # -- file plumbing (the shared repro.store atomic discipline) -----------------
 
@@ -188,12 +196,10 @@ class JobQueue:
         return job
 
     def _next_seq(self) -> int:
-        """Monotonic submission counter (the FIFO tie-break), persisted."""
+        """Monotonic submission counter (the FIFO tie-break).  It needs
+        no write of its own: each record journals its seq, and reopening
+        the queue resumes after the largest."""
         self._seq += 1
-        self._write_json(self.root / "queue.json", {
-            "schema": QUEUE_SCHEMA, "version": QUEUE_VERSION,
-            "seq": self._seq,
-        })
         return self._seq
 
     # -- reads --------------------------------------------------------------------
@@ -268,18 +274,26 @@ class JobQueue:
     # -- submission ---------------------------------------------------------------
 
     def submit(self, spec, sweep: Optional[Mapping[str, Any]] = None,
-               priority: int = 0, tenant: Optional[str] = None
+               priority: int = 0, tenant: Optional[str] = None,
+               answer: Optional[Callable[[dict], Optional[dict]]] = None,
+               admit: Optional[Callable[[], None]] = None
                ) -> tuple[dict, bool]:
         """Enqueue one request; returns ``(record, coalesced)``.
 
         ``coalesced=True`` means an identical request was already queued
         or running and this submission attached to it (its priority is
         raised to the maximum of the two — a duplicate can expedite a
-        job, never demote it).  A request matching a *terminal* job
-        re-queues the same job id with ``attempts`` bumped; its next
-        claim answers it warm from the store.  ``tenant`` is the
-        (optional) submitter token the per-tenant quota is charged to; a
-        coalesced duplicate stays on the original submitter's budget.
+        job, never demote it).  ``tenant`` is the (optional) submitter
+        token the per-tenant quota is charged to; a coalesced duplicate
+        stays on the original submitter's budget.
+
+        A request with no active job (none yet, or a *terminal* one under
+        the same id) is first offered to ``answer``, under the queue
+        lock: given the would-be record, it returns the job's result
+        document when the job needs no run (every point is already
+        stored), and the job is journaled straight to ``done`` — one
+        record write, no claim, no lease.  Otherwise ``admit`` may refuse
+        the enqueue by raising, and the job is queued.
         """
         sweep_doc = ({k: list(v) for k, v in sweep.items()}
                      if sweep else None)
@@ -301,7 +315,7 @@ class JobQueue:
                 kind="sweep" if sweep_doc else "run",
                 status="queued",
                 priority=int(priority),
-                seq=self._next_seq(),
+                seq=0,  # taken below, unless admit() refuses the job
                 spec=spec.to_dict(),
                 sweep=sweep_doc,
                 name=spec.name,
@@ -319,12 +333,27 @@ class JobQueue:
                 error=None,
                 result=None,
             ).to_dict()
-            record = self._save(record)
-            # Index only after the journal write succeeded: a failed
-            # save must not leave a phantom id inflating depth().
-            self._queued.add(job_id)
+            result = answer(record) if answer is not None else None
+            if result is None and admit is not None:
+                admit()
+            record["seq"] = self._next_seq()
+            if result is not None:
+                # Answered at once: the job started as it was submitted
+                # and finished with its answer (one attempt, as a claim
+                # would have counted it).
+                record.update(status="done", result=result,
+                              attempts=attempts + 1,
+                              started_at=record["submitted_at"],
+                              finished_at=time.time())
+                record = self._save(record)
+                _FINISHED.inc(status="done")
+            else:
+                record = self._save(record)
+                # Index only after the journal write succeeded: a failed
+                # save must not leave a phantom id inflating depth().
+                self._queued.add(job_id)
+                _DEPTH.set(len(self._queued))
             _SUBMITTED.inc(coalesced="false")
-            _DEPTH.set(len(self._queued))
             return record, False
 
     # -- worker-side transitions --------------------------------------------------

@@ -14,8 +14,9 @@ exact grid point that died.
 Every execution goes through the campaign store with ``resume=True``
 semantics: a job that reaches a child with some of its points already
 stored resumes from them rather than recomputing (a job with *every*
-point stored never gets this far — the coordinator completes it warm at
-claim).  A job's sweep runs serially in its child, which is daemonic
+point stored never gets this far — the coordinator completes it warm
+in its submit response, or at its claim if the points were stored while
+it was queued).  A job's sweep runs serially in its child, which is daemonic
 and so cannot start a pool of its own; the service runs jobs in
 parallel one per runner agent instead.
 

@@ -93,7 +93,10 @@ def write_json_atomic(path: Path, document: dict) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.parent / f".{path.name}.tmp.{os.getpid()}"
     with open(tmp, "w", encoding="utf-8") as stream:
-        json.dump(document, stream, sort_keys=True)
+        # json.dumps, not json.dump: handed a stream, json always encodes
+        # in pure Python (~5x slower on a campaign entry), while the text
+        # is the same.
+        stream.write(json.dumps(document, sort_keys=True))
         stream.flush()
         os.fsync(stream.fileno())
     os.replace(tmp, path)

@@ -11,6 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
+from repro.tlm.transaction import WORD_BYTES
+
 
 class DecodeError(RuntimeError):
     """Raised when building an inconsistent address map."""
@@ -68,12 +70,14 @@ class AddressMap:
                 return rng
         return None
 
-    def decode_burst(self, address: int, burst_len: int, word_bytes: int = 4) -> Optional[AddressRange]:
-        """Decode a burst; the whole burst must fall inside a single range."""
+    def decode_burst(self, address: int,
+                     burst_len: int) -> Optional[AddressRange]:
+        """Decode a burst of ``burst_len`` words; the whole burst must
+        fall inside a single range."""
         rng = self.decode(address)
         if rng is None:
             return None
-        last = address + (burst_len - 1) * word_bytes
+        last = address + (burst_len - 1) * WORD_BYTES
         if not rng.contains(last):
             return None
         return rng

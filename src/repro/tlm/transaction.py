@@ -12,6 +12,9 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
+#: Bytes per data word (a 32-bit bus): the unit of a burst's length.
+WORD_BYTES = 4
+
 
 class Command(enum.Enum):
     """Transaction command kind."""
@@ -31,7 +34,8 @@ class Response(enum.Enum):
 
 @dataclass
 class Transaction:
-    """A bus transfer of ``burst_len`` data words starting at ``address``.
+    """A bus transfer of ``burst_len`` data words (:data:`WORD_BYTES`
+    each) starting at ``address``.
 
     A transaction carries no payload: at levels 2-3 the functional data
     travels natively through kernel FIFOs, and the bus models time and

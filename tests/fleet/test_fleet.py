@@ -355,8 +355,10 @@ class TestRunnerEndToEnd:
 
         again = client.submit(SPEC.to_dict(), sweep=GRID)
         assert again["id"] == job["id"] and not again["coalesced"]
-        # The next claim answers the duplicate from the coordinator's
-        # store and reports the queue dry: zero recomputation fleet-wide.
+        # The submit answered the duplicate from the coordinator's store,
+        # so the runner's next claim finds the queue dry: zero
+        # recomputation fleet-wide.
+        assert again["status"] == "done"
         assert runner.run_once() is False
         warm = client.wait(job["id"], timeout=60)
         resume = warm["result"]["store_resume"]
@@ -480,7 +482,9 @@ class TestHeldClaims:
 
     def test_idle_local_agents_answer_a_duplicate_at_once(self, tmp_path):
         """With a 60 s poll, only the submit's wake-up can get the
-        duplicate done within 5 s."""
+        duplicate done within 5 s.  The duplicate is queued directly (an
+        HTTP submit would answer it itself), so the held local claim
+        completes it from the store."""
         svc = CampaignService(tmp_path / "svc", workers=1)
         for agent in svc.agents:
             agent.poll_interval = 60.0
@@ -490,7 +494,7 @@ class TestHeldClaims:
             job = client.submit(SPEC.to_dict())
             assert client.wait(job["id"], timeout=30)["status"] == "done"
             submitted = time.monotonic()
-            client.submit(SPEC.to_dict())
+            assert svc.queue.submit(SPEC)[0]["status"] == "queued"
             warm = client.wait(job["id"], timeout=30)
             assert time.monotonic() - submitted < 5.0
             assert warm["status"] == "done"

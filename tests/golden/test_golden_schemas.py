@@ -137,3 +137,18 @@ def test_documents_carry_schema_tags(documents, kind):
     assert isinstance(document.get("schema"), str)
     assert document["schema"].startswith("repro.")
     assert "/v" in document["schema"]
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_atomic_writes_match_json_dump(documents, kind, tmp_path):
+    """:func:`repro.store.write_json_atomic` encodes with ``json.dumps``
+    (the C encoder); the file must be the bytes ``json.dump`` wrote."""
+    import io
+
+    from repro.store import write_json_atomic
+
+    stream = io.StringIO()
+    json.dump(documents[kind], stream, sort_keys=True)
+    path = tmp_path / f"{kind}.json"
+    write_json_atomic(path, documents[kind])
+    assert path.read_bytes() == stream.getvalue().encode("utf-8")

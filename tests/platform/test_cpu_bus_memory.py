@@ -14,7 +14,7 @@ from repro.platform import (
     Memory,
     UninitializedRead,
 )
-from repro.platform.architecture import _MailboxTarget
+from repro.platform.architecture import MEMORY_LATENCY_PS, _MailboxTarget
 from repro.tlm import Command, Response, Transaction
 
 
@@ -120,7 +120,8 @@ class TestMemory:
 
     def test_readonly_memory_rejects_writes(self):
         sim = Simulator()
-        mem = Memory("flash", sim, base=0, size_words=4, readonly=True)
+        mem = Memory("flash", sim, base=0, size_words=4,
+                     latency_ps=MEMORY_LATENCY_PS, readonly=True)
 
         def master():
             txn = Transaction(Command.WRITE, 0, 1)
@@ -336,7 +337,8 @@ class TestBus:
     def test_overlapping_slaves_rejected(self):
         sim = Simulator()
         bus = Bus("b", sim)
-        ram = Memory("ram", sim, base=0, size_words=16)
+        ram = Memory("ram", sim, base=0, size_words=16,
+                     latency_ps=MEMORY_LATENCY_PS)
         bus.attach("ram", 0, 64, ram)
         with pytest.raises(Exception):
             bus.attach("ram2", 32, 64, ram)

@@ -6,11 +6,15 @@ The acceptance contract lives in
 a sweep submitted over HTTP must return a payload byte-identical
 (``documents_equal``) to the same sweep run directly through
 ``Campaign.sweep``, and a repeat submission must be answered entirely
-from the store — 100% hits, zero points executed.
+from the store, in its submit response — 100% hits, zero points
+executed.
 """
 
+import http.client
 import json
 import os
+import socket
+import statistics
 import subprocess
 import sys
 import threading
@@ -20,8 +24,10 @@ import pytest
 
 import repro
 from repro.api import Campaign, CampaignSpec, get_workload, workload_names
+from repro.api.campaign import run_recorded
 from repro.serialize import documents_equal
 from repro.service import CampaignService, ServiceClient, ServiceError
+from repro.service.http import MAX_BODY_BYTES
 
 FAST = CampaignSpec(name="http-e2e", workload="blockcipher", frames=1,
                     levels=(1,), params={"block_words": 4})
@@ -68,6 +74,7 @@ class TestEndToEnd:
         monkeypatch.setattr(Campaign, "run", bomb)
         again = client.submit(FAST.to_dict(), sweep=GRID)
         assert again["id"] == job["id"] and not again["coalesced"]
+        assert again["status"] == "done"  # answered in the submit response
         warm = client.wait(again["id"], timeout=120)
         resume = warm["result"]["store_resume"]
         assert resume["executed"] == [] and resume["retried"] == []
@@ -306,6 +313,228 @@ class TestHeldReads:
                             {"runner": "r", "wait": wait})
         assert excinfo.value.status == 400
         assert client.get(job["id"])["status"] == "queued"
+
+
+class TestSubmitAnswers:
+    """A spec whose every point is stored is answered in its submit
+    response; everything else keeps the queue's path."""
+
+    def test_stored_duplicate_is_done_in_its_submit_response(
+            self, service, client, monkeypatch):
+        import repro.fleet.runner as runner_mod
+
+        job = client.submit(FAST.to_dict())
+        client.wait(job["id"], timeout=120)
+
+        def no_child(job_doc, store_root):
+            raise AssertionError("a stored duplicate spawned a job child")
+
+        monkeypatch.setattr(runner_mod, "spawn_job_child", no_child)
+        again = client.submit(FAST.to_dict())
+        assert again["id"] == job["id"]
+        assert again["status"] == "done" and again["coalesced"] is False
+        assert again["result"]["store_resume"] == {
+            "hits": ["http-e2e"], "executed": [], "retried": []}
+        assert again["result"]["passed"] and again["lease"] is None
+        assert isinstance(again["submitted_at"], float)
+        assert again["submitted_at"] <= again["started_at"] \
+            <= again["finished_at"]
+        assert again["generation"] == 1  # the cold run's: no new lease
+        # One probe reads the finished record: nothing was left to wait on.
+        assert client.wait(job["id"], payload=False)["wait_polls"] == 1
+        stats = client.stats()
+        assert stats["fleet"]["warm_completed"] == 1
+        assert stats["workers"]["jobs_done"] == 2
+        assert stats["workers"]["points_hit"] == 1
+
+    def test_duplicate_of_a_running_job_still_coalesces(self, idle_service):
+        client = ServiceClient(idle_service.url)
+        job = client.submit(FAST.to_dict())
+        claimed = idle_service.fleet.claim("holder")
+        assert claimed["id"] == job["id"]
+        again = client.submit(FAST.to_dict())
+        assert again["coalesced"] and again["status"] == "running"
+        assert again["lease"]["id"] == claimed["lease"]["id"]
+
+    def test_terminal_job_with_its_entry_gone_requeues_and_recomputes(
+            self, service, client):
+        job = client.submit(FAST.to_dict())
+        client.wait(job["id"], timeout=120)
+        stats = service.store.gc(dry_run=False,
+                                 drop=frozenset(service.store.keys()))
+        assert stats["removed_policy"] >= 1
+        again = client.submit(FAST.to_dict())
+        assert again["status"] == "queued" and not again["coalesced"]
+        done = client.wait(again["id"], timeout=120)
+        assert done["result"]["store_resume"]["executed"] == ["http-e2e"]
+
+    def test_stored_duplicate_passes_a_full_queue(self, tmp_path):
+        svc = CampaignService(tmp_path / "svc", workers=0,
+                              max_depth=1).start()
+        try:
+            run_recorded(FAST, svc.store)
+            client = ServiceClient(svc.url)
+            client.submit(FAST.replace(name="filler").to_dict())
+            with pytest.raises(ServiceError) as excinfo:
+                client.submit(FAST.replace(name="overflow").to_dict())
+            assert excinfo.value.status == 429
+            answered = client.submit(FAST.to_dict())
+            assert answered["status"] == "done"
+            assert svc.queue.depth() == 1
+        finally:
+            svc.stop()
+
+
+def _count_connections(service, monkeypatch) -> list:
+    """The client addresses the server accepts from now on."""
+    accepted = []
+    process = service.server.process_request
+
+    def counting(request, address):
+        accepted.append(address)
+        process(request, address)
+
+    monkeypatch.setattr(service.server, "process_request", counting)
+    return accepted
+
+
+class TestKeepAlive:
+    """One connection per client thread, reused request after request."""
+
+    def test_sequential_requests_share_one_connection(self, idle_service,
+                                                      monkeypatch):
+        accepted = _count_connections(idle_service, monkeypatch)
+        client = ServiceClient(idle_service.url)
+        job = client.submit(FAST.to_dict())
+        for _ in range(5):
+            client.healthz()
+            client.get(job["id"])
+        with pytest.raises(ServiceError):
+            client.get("feedbeef" * 8)  # an error answer keeps it too
+        client.stats()
+        assert len(accepted) == 1
+
+    def test_each_thread_gets_its_own_connection(self, idle_service,
+                                                 monkeypatch):
+        accepted = _count_connections(idle_service, monkeypatch)
+        client = ServiceClient(idle_service.url)
+        client.healthz()
+
+        def other():
+            for _ in range(3):
+                client.healthz()
+
+        thread = threading.Thread(target=other)
+        thread.start()
+        thread.join(timeout=30)
+        client.healthz()
+        assert len(accepted) == 2
+
+    def test_reconnects_once_the_server_closed_a_kept_connection(
+            self, idle_service, monkeypatch):
+        accepted = _count_connections(idle_service, monkeypatch)
+        client = ServiceClient(idle_service.url)
+        client.healthz()
+        server = idle_service.server
+        with server._connections_lock:
+            (kept,) = server._connections
+        kept.shutdown(socket.SHUT_RDWR)  # the server drops it, idle
+        deadline = time.monotonic() + 10
+        while server._connections:  # until its handler has closed it
+            assert time.monotonic() < deadline
+            time.sleep(0.01)
+        assert client.healthz()["ok"]
+        assert len(accepted) == 2
+
+    def test_a_reset_kept_connection_ends_quietly(self, idle_service,
+                                                  capsys):
+        """A client that dies holding its connection resets it between
+        requests: the server drops it without an error report."""
+        import struct
+
+        server = idle_service.server
+        host, port = server.server_address[:2]
+        sock = socket.create_connection((host, port), timeout=10)
+        sock.sendall(b"GET /v1/healthz HTTP/1.1\r\nHost: x\r\n\r\n")
+        assert b"200" in sock.recv(65536).split(b"\r\n", 1)[0]
+        # Linger 0: close sends a reset, as a killed process's can.
+        sock.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER,
+                        struct.pack("ii", 1, 0))
+        sock.close()
+        deadline = time.monotonic() + 10
+        while server._connections:
+            assert time.monotonic() < deadline
+            time.sleep(0.01)
+        assert "Exception occurred" not in capsys.readouterr().err
+
+    def test_stop_ends_kept_alive_connections(self, tmp_path):
+        """A stopped daemon answers nothing, not even on a connection a
+        client kept from before the stop."""
+        svc = CampaignService(tmp_path / "svc", workers=0).start()
+        client = ServiceClient(svc.url, timeout=5)
+        assert client.healthz()["ok"]
+        svc.stop()
+        with pytest.raises(ServiceError) as excinfo:
+            client.healthz()
+        assert excinfo.value.status == 0
+
+    def test_forked_child_opens_its_own_connection(self, idle_service,
+                                                   monkeypatch):
+        accepted = _count_connections(idle_service, monkeypatch)
+        client = ServiceClient(idle_service.url)
+        client.healthz()
+        pid = os.fork()
+        if pid == 0:  # the child: exit code 0 iff its request succeeded
+            code = 1
+            try:
+                code = 0 if client.healthz()["ok"] else 1
+            finally:
+                os._exit(code)
+        _pid, status = os.waitpid(pid, 0)
+        assert os.waitstatus_to_exitcode(status) == 0
+        assert client.healthz()["ok"]  # the parent's connection is intact
+        assert len(accepted) == 2
+
+    def test_kept_alive_round_trips_do_not_stall(self, service, client):
+        """A header write and a body write per response: with Nagle's
+        algorithm on, the body waits for the client's delayed ACK
+        (~40 ms) on every request after a connection's first few."""
+        job = client.submit(FAST.to_dict())
+        client.wait(job["id"], timeout=120)
+        seconds = []
+        for _ in range(20):
+            start = time.perf_counter()
+            client.get(job["id"])
+            seconds.append(time.perf_counter() - start)
+        assert statistics.median(seconds) < 0.02
+
+    @pytest.mark.parametrize("method, path, headers", [
+        ("POST", "/v1/nope", {}),
+        ("DELETE", "/v1/jobs/a/b", {}),
+        ("POST", "/v1/jobs", {"Content-Length": str(MAX_BODY_BYTES + 1)}),
+        ("POST", "/v1/jobs", {"Content-Length": "-1"}),
+        ("POST", "/v1/jobs", {"Content-Length": "lots"}),
+    ], ids=["unknown-post", "unknown-delete", "oversized", "negative",
+            "garbage"])
+    def test_an_unread_body_never_reaches_the_next_request(
+            self, idle_service, method, path, headers):
+        """Each refusal either drains the body it did not read or
+        closes the connection; the next request on it is answered."""
+        host, port = idle_service.server.server_address[:2]
+        connection = http.client.HTTPConnection(host, port, timeout=10)
+        try:
+            connection.request(method, path, body=b'{"spec": {}}',
+                               headers={"Content-Type": "application/json",
+                                        **headers})
+            response = connection.getresponse()
+            assert response.status in (400, 404)
+            assert "error" in json.loads(response.read())
+            connection.request("GET", "/v1/healthz")
+            response = connection.getresponse()
+            assert response.status == 200
+            assert json.loads(response.read())["ok"]
+        finally:
+            connection.close()
 
 
 #: Run in a fresh interpreter: a daemon on a new root, and one thread

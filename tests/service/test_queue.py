@@ -82,6 +82,70 @@ class TestCoalescing:
         assert again["attempts"] == 1  # prior attempt count carried
 
 
+class TestAnswerAtSubmit:
+    """``submit(answer=, admit=)``: what the coordinator's submit path
+    hands the queue (:meth:`FleetCoordinator.submit`)."""
+
+    @staticmethod
+    def counting_writes(queue, monkeypatch) -> list:
+        writes = []
+        write = queue._write_json
+
+        def counting(path, document):
+            writes.append(path.name)
+            write(path, document)
+
+        monkeypatch.setattr(queue, "_write_json", counting)
+        return writes
+
+    def test_an_answered_job_is_journaled_done_in_one_write(
+            self, queue, monkeypatch):
+        first, _ = queue.submit(SPEC)
+        queue.complete(first["id"], {"passed": True},
+                       **fence(queue.claim("w0")))
+        writes = self.counting_writes(queue, monkeypatch)
+        offered = []
+        result = {"passed": True, "store_resume": {"hits": ["queued"]}}
+        job, coalesced = queue.submit(
+            SPEC, answer=lambda record: offered.append(record) or result)
+        assert not coalesced and job["status"] == "done"
+        assert job["result"] == result and job["lease"] is None
+        assert job["attempts"] == 2 and job["seq"] > first["seq"]
+        assert job["submitted_at"] == job["started_at"] <= job["finished_at"]
+        assert writes == [f"{job['id']}.json"]
+        assert offered[0]["spec"] == SPEC.to_dict()
+        assert queue.get(job["id"]) == job and queue.depth() == 0
+
+    def test_an_unanswered_job_is_admitted_then_queued_in_one_write(
+            self, queue, monkeypatch):
+        writes = self.counting_writes(queue, monkeypatch)
+        admitted = []
+        job, _ = queue.submit(SPEC, answer=lambda record: None,
+                              admit=lambda: admitted.append(True))
+        assert job["status"] == "queued" and admitted == [True]
+        assert writes == [f"{job['id']}.json"] and queue.depth() == 1
+
+    def test_a_refused_job_writes_nothing(self, queue, monkeypatch):
+        writes = self.counting_writes(queue, monkeypatch)
+
+        def refuse():
+            raise RuntimeError("full")
+
+        with pytest.raises(RuntimeError, match="full"):
+            queue.submit(SPEC, admit=refuse)
+        assert writes == [] and queue.get(job_key(SPEC)) is None
+        assert queue.submit(SPEC)[0]["seq"] == 1  # no counter value spent
+
+    def test_an_active_job_coalesces_without_asking(self, queue):
+        queue.submit(SPEC)
+
+        def never(*args):
+            raise AssertionError("asked about an active job")
+
+        job, coalesced = queue.submit(SPEC, answer=never, admit=never)
+        assert coalesced and job["status"] == "queued"
+
+
 class TestOrdering:
     def test_claim_is_priority_then_fifo(self, queue):
         low, _ = queue.submit(SPEC.replace(name="low"))
@@ -150,6 +214,16 @@ class TestDurability:
         # The seq counter continues, never restarts (FIFO across restarts).
         other, _ = reopened.submit(SPEC.replace(name="later"))
         assert other["seq"] > job["seq"]
+
+    def test_seq_resumes_after_a_manifest_counter(self, tmp_path):
+        """Queues written by builds that journaled the counter in
+        ``queue.json`` carry on from it."""
+        JobQueue(tmp_path / "queue")
+        path = tmp_path / "queue" / "queue.json"
+        path.write_text(json.dumps(dict(json.loads(path.read_text()),
+                                        seq=41)))
+        job, _ = JobQueue(tmp_path / "queue").submit(SPEC)
+        assert job["seq"] == 42
 
     def test_unreadable_job_file_is_skipped_not_raised(self, queue):
         job, _ = queue.submit(SPEC)

@@ -215,11 +215,25 @@ with contextlib.redirect_stdout(io.StringIO()):
          "--param", "block_words=8", "--json"])
 seen["after flow"] = heavy()
 seen["facerec after flow"] = facerec()
-import repro.service, repro.fleet
-seen["import repro.service, repro.fleet"] = heavy()
+import repro.service.daemon, repro.fleet
+seen["import repro.service.daemon, repro.fleet"] = heavy()
 with contextlib.redirect_stdout(io.StringIO()):
     seen["verify exit"] = repro.cli.main(["verify", *{WORKLOAD!r}, "--json"])
 seen["after verify"] = heavy()
+print(json.dumps(seen))
+"""
+
+#: Run in a fresh interpreter: each ``[label, argv]`` of the JSON list in
+#: argv[1] through ``repro.cli.main``, then which flow modules are loaded.
+CLIENT_PROBE = f"""
+import contextlib, io, json, sys
+import repro.cli
+
+seen = {{}}
+for label, argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        seen[label] = repro.cli.main(argv)
+seen["flow"] = sorted(m for m in {FLOW_MODULES!r} if m in sys.modules)
 print(json.dumps(seen))
 """
 
@@ -229,7 +243,7 @@ EXPORTS_PROBE = """
 import importlib, json
 
 failures = []
-for package in ("repro.api", "repro.swir"):
+for package in ("repro.api", "repro.service", "repro.swir"):
     names = importlib.import_module(package).__all__
     for name in names:
         namespace = {}
@@ -290,7 +304,7 @@ class TestImportBoundary:
         assert seen["import repro.cli"] == []
         assert seen["flow exit"] == 0
         assert seen["after flow"] == []
-        assert seen["import repro.service, repro.fleet"] == []
+        assert seen["import repro.service.daemon, repro.fleet"] == []
         assert seen["verify exit"] == 0
         assert seen["after verify"] == ["scipy"]
 
@@ -316,7 +330,9 @@ class TestImportBoundary:
             assert seen[label + " executed"] == []
             assert seen["flow after " + label] == []
 
-    @pytest.mark.parametrize("package", ["repro.service", "repro.fleet"])
+    @pytest.mark.parametrize("package", [
+        pytest.param("repro.service.daemon", id="repro.service"),
+        "repro.fleet"])
     def test_daemon_and_runner_load_the_flow_up_front(self, package):
         """Both fork job children and serve threads: the flow and the
         face model (which the flow does not load) must be loaded before
@@ -329,9 +345,40 @@ class TestImportBoundary:
             f"'repro.facerec.camera')]))")
         assert loaded == [True, True, True]
 
+    def test_client_commands_load_no_flow(self, tmp_path):
+        """``repro service submit|watch|status|stats``, ``repro query
+        --url`` and ``repro store gc --queue`` talk HTTP or read the
+        queue journal: none of them loads numpy or the flow."""
+        from repro.api import CampaignSpec
+        from repro.service import CampaignService, JobQueue, job_key
+
+        spec = TestServiceCommands.SPEC
+        spec_file = tmp_path / "spec.json"
+        spec_file.write_text(json.dumps(spec))
+        job_id = job_key(CampaignSpec.from_dict(spec))
+        # A queued job: gc --queue must parse its spec to protect it.
+        queue = tmp_path / "queue"
+        JobQueue(queue).submit(CampaignSpec.from_dict(dict(spec,
+                                                           name="queued")))
+        with CampaignService(tmp_path / "svc", workers=1) as service:
+            url = ["--url", service.url]
+            commands = [
+                ["submit", ["service", "submit", str(spec_file), *url,
+                            "--watch"]],
+                ["watch", ["service", "watch", job_id[:12], *url]],
+                ["status", ["service", "status", *url]],
+                ["stats", ["service", "stats", *url]],
+                ["query", ["query", "job select id", *url]],
+                ["gc", ["store", "gc", "--store",
+                        str(service.store.root), "--queue", str(queue),
+                        "--dry-run"]]]
+            seen = _probe(CLIENT_PROBE, json.dumps(commands))
+        assert seen == {**{label: 0 for label, _ in commands}, "flow": []}
+
     def test_every_exported_name_resolves(self):
-        """``repro.api`` and ``repro.swir`` resolve their names on first
-        use (PEP 562): each one must still import by name and by ``*``."""
+        """``repro.api``, ``repro.service`` and ``repro.swir`` resolve
+        their names on first use (PEP 562): each one must still import
+        by name and by ``*``."""
         assert _probe(EXPORTS_PROBE) == []
 
 
