@@ -31,14 +31,17 @@ the pluggable :mod:`repro.workloads` registry:
 Every simulating command takes ``--workload`` (any registered name)
 and ``--param key=value`` for workload-specific knobs.  ``flow`` and
 ``campaign`` take ``--store PATH`` to persist results in a
-:mod:`repro.store` directory; ``campaign --resume`` skips grid points
-already completed there and retries recorded failures.  Commands that
-produce results accept ``--json`` to emit the schema-stable
-machine-readable document instead of prose.
+:mod:`repro.store` directory: ``flow`` is a one-point campaign that
+records its outcome there and answers the next identical run from it,
+and ``campaign --resume`` skips grid points already completed there
+and retries recorded failures.  Commands that produce results accept
+``--json`` to emit the schema-stable machine-readable document instead
+of prose.
 
 Each command imports what it runs, inside its ``cmd_*`` function: the
-module itself loads only the workload registry, so ``repro workloads``
-or a sweep answered from the store never loads the simulation flow.
+module itself loads only the workload registry, so ``repro workloads``,
+a sweep answered from the store or a flow answered from it never loads
+the simulation flow, and a flow without ``--store`` loads no store.
 """
 
 from __future__ import annotations
@@ -173,19 +176,22 @@ def cmd_topology(args) -> int:
 
 
 def _open_store(args):
+    """The ``--store`` directory's store; None, loading no store code,
+    without the option."""
+    if not getattr(args, "store", None):
+        return None
     from repro.store import CampaignStore
 
-    return CampaignStore(args.store) if getattr(args, "store", None) else None
+    return CampaignStore(args.store)
 
 
 def cmd_flow(args) -> int:
-    from repro.api.session import Session
-
     _maybe_enable_tracing(args)
     spec = _spec(args, run_pcc=args.pcc, deadline_ms=args.deadline_ms)
-    report = Session(spec, store=_open_store(args)).report()
-    _emit(args, report.to_dict(), report.describe())
-    return 0 if report.passed else 1
+    # A stored outcome answers without --resume: ``flow --store`` has
+    # always reused what the store held (its level-4 entry) unasked.
+    return _run_single(args, spec, _open_store(args), answer=True,
+                       report=True)
 
 
 def cmd_campaign(args) -> int:
@@ -204,27 +210,43 @@ def cmd_campaign(args) -> int:
     elif args.jobs > 1:
         raise SystemExit("--jobs requires a sweep grid in the spec file")
     else:
-        return _run_single_campaign(args, spec, store)
+        return _run_single(args, spec, store, answer=args.resume)
     _emit(args, result.to_dict(), result.describe())
     return 0 if result.passed else 1
 
 
-def _run_single_campaign(args, spec: CampaignSpec, store) -> int:
-    """One-spec campaign, with store persistence and resume skip."""
-    from repro.api.campaign import run_recorded
+def _run_single(args, spec: CampaignSpec, store, answer: bool,
+                report: bool = False) -> int:
+    """One spec: answered from its ``ok`` campaign entry in ``store``
+    when ``answer`` (loading no flow), else run by ``run_recorded``,
+    which records the outcome there.
 
-    if store is not None and args.resume:
+    Prints the campaign outcome, or with ``report`` the outcome's flow
+    report (``repro flow``), and exits on the printed verdict.  Without
+    a store nothing is serialized that is not printed.
+    """
+    if store is not None and answer:
         entry = store.get_campaign(spec)
         if entry is not None and entry["status"] == "ok":
-            payload = entry["payload"]
-            verdict = "PASSED" if payload["passed"] else "FAILED"
-            _emit(args, payload,
-                  f"campaign {spec.name!r} merged from store "
+            document = entry["payload"]
+            if report:
+                document = document["report"]
+            verdict = "PASSED" if document["passed"] else "FAILED"
+            _emit(args, document,
+                  f"{args.command} {spec.name!r} merged from store "
                   f"{entry['key'][:12]}: {verdict}")
-            return 0 if payload["passed"] else 1
+            return 0 if document["passed"] else 1
+    from repro.api.campaign import run_recorded
+
     outcome, payload = run_recorded(spec, store)
-    _emit(args, payload or outcome.to_dict(), outcome.describe())
-    return 0 if outcome.passed else 1
+    result = outcome.report if report else outcome
+    if not args.json:
+        print(result.describe())
+    elif payload is None:
+        print(json.dumps(result.to_dict()))
+    else:
+        print(json.dumps(payload["report"] if report else payload))
+    return 0 if result.passed else 1
 
 
 def cmd_store(args) -> int:
@@ -890,8 +912,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_flow.add_argument("--deadline-ms", type=float, default=500.0,
                         help="LPV frame deadline in milliseconds")
     p_flow.add_argument("--store", metavar="PATH",
-                        help="campaign store directory: persist/reload the "
-                             "expensive level-4 verification across runs")
+                        help="campaign store directory: answer from the "
+                             "spec's stored outcome, or run the flow "
+                             "(reloading a stored level 4) and record it")
     p_flow.add_argument("--trace", action="store_true",
                         help="record hierarchical spans under "
                              "<store>/spans (results stay byte-identical; "

@@ -28,50 +28,38 @@ package is our equivalent:
 - :mod:`~repro.platform.explorer` — architecture exploration: grade
   candidate partitions by latency, bus loading, memory accesses, power
   and area proxies.
+
+The names below resolve on first use (PEP 562 module ``__getattr__``),
+each loading only its own module: a flow, which never explores, loads
+no :mod:`~repro.platform.explorer`.
 """
 
-from repro.platform.taskgraph import AppGraph, ChannelSpec, GraphError, TaskSpec
-from repro.platform.cpu import CpuModel, ARM7TDMI, ARM9TDMI, CPU_LIBRARY
-from repro.platform.bus import Bus, BusStats
-from repro.platform.memory import Memory, UninitializedRead
-from repro.platform.profiler import Profile, TaskProfile, profile_graph
-from repro.platform.annotation import TimingAnnotator, AnnotatedTask
-from repro.platform.partition import (
-    Partition,
-    PartitionError,
-    Side,
-    transformation1,
-    transformation2,
-)
-from repro.platform.architecture import Architecture, ArchitectureMetrics
-from repro.platform.explorer import ExplorationResult, Explorer, CandidateScore
+from importlib import import_module
 
-__all__ = [
-    "AppGraph",
-    "ChannelSpec",
-    "GraphError",
-    "TaskSpec",
-    "CpuModel",
-    "ARM7TDMI",
-    "ARM9TDMI",
-    "CPU_LIBRARY",
-    "Bus",
-    "BusStats",
-    "Memory",
-    "UninitializedRead",
-    "Profile",
-    "TaskProfile",
-    "profile_graph",
-    "TimingAnnotator",
-    "AnnotatedTask",
-    "Partition",
-    "PartitionError",
-    "Side",
-    "transformation1",
-    "transformation2",
-    "Architecture",
-    "ArchitectureMetrics",
-    "ExplorationResult",
-    "Explorer",
-    "CandidateScore",
-]
+#: Exported name -> defining submodule, grouped in ``__all__`` order.
+_EXPORTS = {
+    name: f"repro.platform.{module}"
+    for module, names in (
+        ("taskgraph", ("AppGraph", "ChannelSpec", "GraphError", "TaskSpec")),
+        ("cpu", ("CpuModel", "ARM7TDMI", "ARM9TDMI", "CPU_LIBRARY")),
+        ("bus", ("Bus", "BusStats")),
+        ("memory", ("Memory", "UninitializedRead")),
+        ("profiler", ("Profile", "TaskProfile", "profile_graph")),
+        ("annotation", ("TimingAnnotator", "AnnotatedTask")),
+        ("partition", ("Partition", "PartitionError", "Side",
+                       "transformation1", "transformation2")),
+        ("architecture", ("Architecture", "ArchitectureMetrics")),
+        ("explorer", ("ExplorationResult", "Explorer", "CandidateScore")),
+    )
+    for name in names
+}
+
+__all__ = list(_EXPORTS)
+
+
+def __getattr__(name: str):
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(_EXPORTS[name]), name)
+    globals()[name] = value
+    return value

@@ -9,10 +9,6 @@ Converts profiled work into simulated durations:
 - **HW tasks**: manual, from designer-supplied throughput assumptions —
   *"Annotation is manual for HW models. Reasonable assumptions on HW
   timing rely on designer's experience."*
-
-The annotator also honours *debug-only* markers: code added for
-debugging (printf/file I/O in the paper) executes functionally but is
-skipped for timing.
 """
 
 from __future__ import annotations
@@ -38,7 +34,6 @@ class AnnotatedTask:
     side: str  # "sw" | "hw"
     time_per_firing_ps: int
     cycles_per_firing: int
-    debug_only_ops: int = 0  # executed but not timed
 
 
 class TimingAnnotator:
@@ -46,26 +41,18 @@ class TimingAnnotator:
 
     def __init__(self, cpu: CpuModel):
         self.cpu = cpu
-        #: per-task ops marked as debug-only (excluded from timing)
-        self.debug_ops: dict[str, int] = {}
-
-    def mark_debug_ops(self, task_name: str, ops: int) -> None:
-        """Declare ``ops`` of the task's work as debug-only (not timed)."""
-        self.debug_ops[task_name] = ops
 
     # -- annotation ------------------------------------------------------------
 
     def annotate_sw(self, task_name: str, ops_per_firing: float) -> AnnotatedTask:
         """Automatic SW annotation from the CPU model."""
-        debug = self.debug_ops.get(task_name, 0)
-        timed_ops = max(0, round(ops_per_firing) - debug)
-        cycles = self.cpu.cycles_for_ops(timed_ops) if timed_ops else 0
+        ops = max(0, round(ops_per_firing))
+        cycles = self.cpu.cycles_for_ops(ops) if ops else 0
         return AnnotatedTask(
             name=task_name,
             side="sw",
             time_per_firing_ps=cycles * self.cpu.cycle_ps,
             cycles_per_firing=cycles,
-            debug_only_ops=debug,
         )
 
     def annotate_hw(self, task_name: str, ops_per_firing: float) -> AnnotatedTask:

@@ -7,6 +7,9 @@ is our stand-in for C: a small structured imperative IR with
   conditionals, loops, calls, FPGA reconfiguration calls);
 - :mod:`~repro.swir.builder` — a fluent DSL for writing programs;
 - :mod:`~repro.swir.cfg` — control-flow graph construction;
+- :mod:`~repro.swir.semantics` — what every executor shares: the
+  32-bit word wrap, the stuck-at fault model, the runtime error and the
+  coverage and result records;
 - :mod:`~repro.swir.interp` — the reference tree-walking interpreter
   with coverage and memory-initialisation tracking, kept as the
   bit-identity oracle of the engine;
@@ -37,8 +40,8 @@ _EXPORTS = {
                  "Var", "While")),
         ("builder", ("FunctionBuilder", "ProgramBuilder")),
         ("cfg", ("BasicBlock", "Cfg", "build_cfg")),
-        ("interp", ("CoverageData", "ExecutionResult", "Interpreter",
-                    "InterpError")),
+        ("semantics", ("CoverageData", "ExecutionResult", "InterpError")),
+        ("interp", ("Interpreter",)),
         ("engine", ("ENGINE_REVISION",)),
         ("engine_batched", ("BatchedEngine", "LaneOutcome",
                             "program_fingerprint")),

@@ -49,7 +49,7 @@ from repro.swir.ast import (
     Var,
     While,
 )
-from repro.swir.interp import (
+from repro.swir.semantics import (
     CoverageData,
     ExecutionResult,
     Fault,

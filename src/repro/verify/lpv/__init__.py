@@ -19,34 +19,35 @@ state-equation LP relaxation with scipy, loaded at the first LP
 markings and checks each (:mod:`~repro.verify.lpv.deadlock`), and the
 real-time layer poses longest-path / buffer-occupancy LPs, solved
 exactly by one topological pass (:mod:`~repro.verify.lpv.realtime`).
+
+The names below resolve on first use (PEP 562 module ``__getattr__``),
+each loading only its own module: level 2's real-time checks load
+neither the Petri-net layer nor the deadlock search.
 """
 
-from repro.verify.lpv.petri import PetriNet, PetriError
-from repro.verify.lpv.translate import graph_to_petri
-from repro.verify.lpv.reach import (
-    ReachabilityResult,
-    ReachVerdict,
-    check_submarking_unreachable,
-)
-from repro.verify.lpv.deadlock import DeadlockReport, check_deadlock_freedom
-from repro.verify.lpv.realtime import (
-    DeadlineReport,
-    FifoSizingReport,
-    check_deadline,
-    size_fifos,
-)
+from importlib import import_module
 
-__all__ = [
-    "PetriNet",
-    "PetriError",
-    "graph_to_petri",
-    "ReachabilityResult",
-    "ReachVerdict",
-    "check_submarking_unreachable",
-    "DeadlockReport",
-    "check_deadlock_freedom",
-    "DeadlineReport",
-    "FifoSizingReport",
-    "check_deadline",
-    "size_fifos",
-]
+#: Exported name -> defining submodule, grouped in ``__all__`` order.
+_EXPORTS = {
+    name: f"repro.verify.lpv.{module}"
+    for module, names in (
+        ("petri", ("PetriNet", "PetriError")),
+        ("translate", ("graph_to_petri",)),
+        ("reach", ("ReachabilityResult", "ReachVerdict",
+                   "check_submarking_unreachable")),
+        ("deadlock", ("DeadlockReport", "check_deadlock_freedom")),
+        ("realtime", ("DeadlineReport", "FifoSizingReport", "check_deadline",
+                      "size_fifos")),
+    )
+    for name in names
+}
+
+__all__ = list(_EXPORTS)
+
+
+def __getattr__(name: str):
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(_EXPORTS[name]), name)
+    globals()[name] = value
+    return value

@@ -89,14 +89,6 @@ class TestAnnotator:
         as_hw = annotator.annotate_hw("HEAVY", 10_000)
         assert as_hw.time_per_firing_ps < as_sw.time_per_firing_ps
 
-    def test_debug_ops_excluded_from_timing(self):
-        annotator = TimingAnnotator(ARM7TDMI)
-        plain = annotator.annotate_sw("T", 1000)
-        annotator.mark_debug_ops("T", 500)
-        with_debug = annotator.annotate_sw("T", 1000)
-        assert with_debug.time_per_firing_ps < plain.time_per_firing_ps
-        assert with_debug.debug_only_ops == 500
-
     def test_annotate_full_graph(self):
         graph = weighted_graph()
         profile = self._profile()

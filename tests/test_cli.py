@@ -176,11 +176,24 @@ class TestCommands:
 FLOW_MODULES = ("numpy", "repro.flow", "repro.api.session", "repro.kernel",
                 "repro.verify")
 
+#: Modules a cold flow runs none of, so must not load: the store, the
+#: architecture explorer, level 1's deadlock proof and the tests' SWIR
+#: interpreter.
+FLOW_UNUSED = ("repro.store", "repro.records", "repro.platform.explorer",
+               "repro.verify.lpv.petri", "repro.verify.lpv.translate",
+               "repro.verify.lpv.reach", "repro.verify.lpv.deadlock",
+               "repro.swir.interp")
+
+#: The blockcipher flow every import probe runs.
+BLOCKCIPHER_FLOW = ["flow", "--workload", "blockcipher", "--frames", "2",
+                    "--param", "block_words=8", "--json"]
+
 #: Run in a fresh interpreter with two grid files (blockcipher, facerec)
-#: and a store that already holds every point of both: which heavy
-#: libraries each entry point loads, and which flow modules the CLI
-#: start, ``repro workloads`` and a store-answered sweep of each grid
-#: load, printed as one JSON line after the flow's own output.
+#: and a store that already holds every point of both and the
+#: blockcipher flow's outcome: which heavy libraries each entry point
+#: loads, and which flow modules the CLI start, ``repro workloads``, a
+#: store-answered sweep of each grid and a store-answered flow load,
+#: printed as one JSON line after the flow's own output.
 IMPORT_PROBE = f"""
 import contextlib, io, json, sys
 
@@ -210,9 +223,11 @@ for label, grid in (("resumed sweep", sys.argv[1]),
         json.loads(out.getvalue())["store_resume"]["executed"]
     seen["flow after " + label] = flow()
 with contextlib.redirect_stdout(io.StringIO()):
-    seen["flow exit"] = repro.cli.main(
-        ["flow", "--workload", "blockcipher", "--frames", "2",
-         "--param", "block_words=8", "--json"])
+    seen["stored flow exit"] = repro.cli.main(
+        {BLOCKCIPHER_FLOW!r} + ["--store", sys.argv[3]])
+seen["flow after stored flow"] = flow()
+with contextlib.redirect_stdout(io.StringIO()):
+    seen["flow exit"] = repro.cli.main({BLOCKCIPHER_FLOW!r})
 seen["after flow"] = heavy()
 seen["facerec after flow"] = facerec()
 import repro.service.daemon, repro.fleet
@@ -221,6 +236,18 @@ with contextlib.redirect_stdout(io.StringIO()):
     seen["verify exit"] = repro.cli.main(["verify", *{WORKLOAD!r}, "--json"])
 seen["after verify"] = heavy()
 print(json.dumps(seen))
+"""
+
+#: Run in a fresh interpreter: a cold blockcipher flow, then which of
+#: :data:`FLOW_UNUSED` are loaded.
+COLD_FLOW_PROBE = f"""
+import contextlib, io, json, sys
+import repro.cli
+
+with contextlib.redirect_stdout(io.StringIO()):
+    code = repro.cli.main({BLOCKCIPHER_FLOW!r})
+print(json.dumps([code, sorted(m for m in {FLOW_UNUSED!r}
+                               if m in sys.modules)]))
 """
 
 #: Run in a fresh interpreter: each ``[label, argv]`` of the JSON list in
@@ -243,7 +270,8 @@ EXPORTS_PROBE = """
 import importlib, json
 
 failures = []
-for package in ("repro.api", "repro.service", "repro.swir"):
+for package in ("repro.api", "repro.platform", "repro.service",
+                "repro.swir", "repro.verify.lpv"):
     names = importlib.import_module(package).__all__
     for name in names:
         namespace = {}
@@ -291,6 +319,7 @@ def import_probe(tmp_path_factory):
     with contextlib.redirect_stdout(io.StringIO()):
         for grid in grids:
             assert main(["campaign", grid, "--store", store]) == 0
+        assert main([*BLOCKCIPHER_FLOW, "--store", store]) == 0
     return _probe(IMPORT_PROBE, *grids, store)
 
 
@@ -329,6 +358,20 @@ class TestImportBoundary:
             assert seen[label + " exit"] == 0
             assert seen[label + " executed"] == []
             assert seen["flow after " + label] == []
+
+    def test_stored_flow_loads_no_flow(self, import_probe):
+        """``repro flow --store`` whose outcome the store holds prints
+        it from the spec's campaign entry: no numpy, no flow module."""
+        seen = import_probe
+        assert seen["stored flow exit"] == 0
+        assert seen["flow after stored flow"] == []
+
+    def test_cold_flow_loads_only_what_it_runs(self):
+        """A flow without ``--store`` loads no store; level 2 loads
+        LPV's real-time checks but not its Petri-net deadlock proof,
+        ``repro.platform`` not its explorer, and the batched engine not
+        the interpreter it is tested against."""
+        assert _probe(COLD_FLOW_PROBE) == [0, []]
 
     @pytest.mark.parametrize("package", [
         pytest.param("repro.service.daemon", id="repro.service"),
@@ -376,9 +419,10 @@ class TestImportBoundary:
         assert seen == {**{label: 0 for label, _ in commands}, "flow": []}
 
     def test_every_exported_name_resolves(self):
-        """``repro.api``, ``repro.service`` and ``repro.swir`` resolve
-        their names on first use (PEP 562): each one must still import
-        by name and by ``*``."""
+        """``repro.api``, ``repro.platform``, ``repro.service``,
+        ``repro.swir`` and ``repro.verify.lpv`` resolve their names on
+        first use (PEP 562): each one must still import by name and by
+        ``*``."""
         assert _probe(EXPORTS_PROBE) == []
 
 
@@ -642,15 +686,95 @@ class TestStoreBackedCommands:
         assert not missing.exists()
 
     def test_flow_store_persists_level4(self, tmp_path, capsys):
-        """``flow --store`` leaves the level-4 artifact behind on disk."""
+        """``flow --store`` leaves the level-4 artifact behind on disk,
+        and records its outcome as the spec's campaign entry."""
         from repro.api import CampaignStore
 
         store_dir = str(tmp_path / "store")
         assert main(["flow", *SIM_WORKLOAD, "--store", store_dir]) == 0
         capsys.readouterr()
         rows = CampaignStore(store_dir).ls()
-        assert [row["kind"] for row in rows] == ["stage"]
-        assert rows[0]["name"] == "level4"
+        assert [(row["kind"], row["name"]) for row in rows] == [
+            ("campaign", "case-study"), ("stage", "level4")]
+
+    #: The spec ``repro flow`` builds from :data:`SIM_WORKLOAD`.
+    FLOW_SPEC = {"identities": 2, "poses": 1, "size": 32, "frames": 1}
+
+    def _flow(self, store_dir, *extra) -> list:
+        return ["flow", *SIM_WORKLOAD, "--store", store_dir, *extra]
+
+    def test_second_flow_is_answered_from_the_store(self, tmp_path, capsys):
+        """A second identical ``flow --store`` prints the stored report,
+        equal to the computed one, and leaves the entry as it was."""
+        from repro.api import CampaignSpec, CampaignStore
+        from repro.serialize import documents_equal
+
+        store_dir = str(tmp_path / "store")
+        assert main(self._flow(store_dir, "--json")) == 0
+        first = json.loads(capsys.readouterr().out)
+        assert first["schema"] == "repro.flow_report/v2"
+        store = CampaignStore(store_dir)
+        entry = store.get_campaign(CampaignSpec(**self.FLOW_SPEC))
+        assert documents_equal(entry["payload"]["report"], first)
+        assert main(self._flow(store_dir, "--json")) == 0
+        second = json.loads(capsys.readouterr().out)
+        assert documents_equal(second, first)
+        assert store.get_campaign(CampaignSpec(**self.FLOW_SPEC)) == entry
+
+    def test_stored_failed_report_exits_nonzero(self, tmp_path, capsys):
+        """A missed deadline fails the report: the stored answer exits 1
+        as the computed run did."""
+        store_dir = str(tmp_path / "store")
+        argv = self._flow(store_dir, "--deadline-ms", "0.001")
+        assert main([*argv, "--json"]) == 1
+        assert json.loads(capsys.readouterr().out)["passed"] is False
+        assert main(argv) == 1
+        assert "merged from store" in capsys.readouterr().out
+        assert main([*argv, "--json"]) == 1
+        assert json.loads(capsys.readouterr().out)["passed"] is False
+
+    def test_error_entry_is_recomputed(self, tmp_path, capsys):
+        """A recorded failure answers nothing: the flow runs again and
+        its ``ok`` outcome replaces the error envelope."""
+        from repro.api import CampaignSpec, CampaignStore
+
+        spec = CampaignSpec(**self.FLOW_SPEC)
+        store_dir = str(tmp_path / "store")
+        store = CampaignStore(store_dir)
+        store.put_campaign_failure(spec, RuntimeError("worker died"))
+        assert main(self._flow(store_dir, "--json")) == 0
+        document = json.loads(capsys.readouterr().out)
+        assert document["passed"] is True
+        entry = store.get_campaign(spec)
+        assert (entry["status"], entry["attempts"]) == ("ok", 2)
+
+    def test_text_answer_names_the_store_entry(self, tmp_path, capsys):
+        from repro.api import CampaignSpec, CampaignStore
+
+        store_dir = str(tmp_path / "store")
+        assert main(self._flow(store_dir)) == 0
+        assert "level 4" in capsys.readouterr().out
+        key = CampaignStore(store_dir).campaign_key(
+            CampaignSpec(**self.FLOW_SPEC))
+        assert main(self._flow(store_dir)) == 0
+        assert capsys.readouterr().out == (
+            f"flow 'case-study' merged from store {key[:12]}: PASSED\n")
+
+    def test_campaign_entry_answers_flow(self, tmp_path, capsys):
+        """``repro campaign`` and ``repro flow`` of one spec share its
+        entry: the campaign's outcome answers the flow."""
+        from repro.serialize import documents_equal
+
+        spec_file = self._write(tmp_path, self.FLOW_SPEC)
+        store_dir = str(tmp_path / "store")
+        assert main(["campaign", spec_file, "--store", store_dir,
+                     "--json"]) == 0
+        outcome = json.loads(capsys.readouterr().out)
+        assert main(self._flow(store_dir)) == 0
+        assert "merged from store" in capsys.readouterr().out
+        assert main(self._flow(store_dir, "--json")) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert documents_equal(report, outcome["report"])
 
 
 class TestServiceCommands:
