@@ -51,7 +51,7 @@ _EXPORTS = {
         ("repro.store", ("CampaignStore",)),
         ("repro.api.stages", ("FlowStage", "LEVEL_STAGES", "Stage",
                               "StageResult", "WORKLOAD_FIELDS", "get_stage",
-                              "register", "stage_names")),
+                              "register")),
         ("repro.workloads", ("Workload", "get_workload", "register_workload",
                              "workload_names")),
     )

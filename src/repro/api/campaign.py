@@ -563,7 +563,7 @@ class SweepResult:
         if self.payloads is not None:
             raise RuntimeError(
                 "ranked() needs live outcomes; parallel sweeps hold "
-                "serialized payloads — use ranked_runs()"
+                "serialized payloads"
             )
 
         def key(outcome: CampaignOutcome):
@@ -572,15 +572,6 @@ class SweepResult:
                 return (1, 0.0)
             return (0, result.value.metrics.frame_latency_ps)
         return sorted(self.outcomes, key=key)
-
-    def ranked_runs(self) -> list[dict]:
-        """Per-point documents ranked by level-2 frame latency."""
-        def key(payload: dict):
-            level2 = payload["stages"].get("level2")
-            if level2 is None:
-                return (1, 0.0)
-            return (0, level2["value"]["metrics"]["frame_latency_ps"])
-        return sorted(self.runs(), key=key)
 
     def to_dict(self) -> dict:
         document = {

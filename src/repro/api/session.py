@@ -170,25 +170,12 @@ class Session:
         """The stage's artifact (running it first if needed)."""
         return self.run(name).value
 
-    def has(self, name: str) -> bool:
-        """Whether a cached result for ``name`` exists."""
-        return name in self._results
-
     def put(self, name: str, value: Any) -> StageResult:
         """Seed the cache with an externally-computed artifact."""
         get_stage(name)  # validates the name
         result = StageResult(stage=name, value=value, wall_seconds=0.0)
         self._results[name] = result
         return result
-
-    def invalidate(self, name: str) -> None:
-        """Drop a cached result and everything depending on it."""
-        if name not in self._results:
-            return
-        del self._results[name]
-        for other in list(self._results):
-            if name in get_stage(other).requires:
-                self.invalidate(other)
 
     def shared(self, stage: str, key: tuple,
                compute: Callable[[], Any]) -> Any:

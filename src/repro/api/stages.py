@@ -163,10 +163,6 @@ def get_stage(name: str) -> Stage:
         ) from None
 
 
-def stage_names() -> list[str]:
-    return sorted(_REGISTRY)
-
-
 # -- the built-in flow stages -----------------------------------------------------
 
 
@@ -257,8 +253,8 @@ class Level3Stage(FlowStage):
     """Reconfiguration refinement: FPGA contexts + SymbC consistency.
 
     The context mapper runs at every capacity (an infeasible one fails
-    here).  The rest, SymbC, the shadow run, the timed simulation and the
-    trace comparison, reads the capacity only through the contexts: it is
+    here).  The rest, SymbC, the timed simulation and the trace
+    comparison, reads the capacity only through the contexts: it is
     shared per CPU model and contexts (``Session.shared``), and
     each capacity gets its own result sharing it.
     """

@@ -41,12 +41,6 @@ class FaceDatabase:
         """Bus words needed to stream the whole matrix (one word/feature)."""
         return int(self.matrix.size)
 
-    def row(self, identity: int, pose: int) -> np.ndarray:
-        for i, label in enumerate(self.labels):
-            if label == (identity, pose):
-                return self.matrix[i]
-        raise KeyError(f"no database entry for identity={identity} pose={pose}")
-
 
 def extract_features(frame: np.ndarray) -> np.ndarray:
     """The full front-end chain: Bayer frame -> feature vector."""

@@ -67,9 +67,6 @@ class ReferenceModel:
         identity, pose, best = stages.winner(dists, self.database.labels)
         return ReferenceResult(identity, pose, best, features, dists)
 
-    def recognize_all(self, frames: list[np.ndarray]) -> list[ReferenceResult]:
-        return [self.recognize(f) for f in frames]
-
     def accuracy(self, shots: list[tuple[int, int]], frames: list[np.ndarray]) -> float:
         """Fraction of frames whose identity is recognised correctly."""
         if len(shots) != len(frames):

@@ -21,8 +21,7 @@ Figure 1 of the paper, as executable code:
 from repro.flow.level1 import Level1Result, UntimedModel, run_level1
 from repro.flow.level2 import Level2Result, run_level2
 from repro.flow.level3 import (Level3Result, build_sw_program,
-                               run_level3, stub_task_externals,
-                               task_call_sites)
+                               run_level3, task_call_sites)
 from repro.flow.level4 import Level4Result, run_level4
 from repro.flow.methodology import FlowReport
 from repro.flow.reportgen import flow_figure, topology_figure
@@ -35,7 +34,6 @@ __all__ = [
     "run_level2",
     "Level3Result",
     "build_sw_program",
-    "stub_task_externals",
     "task_call_sites",
     "run_level3",
     "Level4Result",

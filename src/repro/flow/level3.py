@@ -3,10 +3,7 @@
 The FPGA is instantiated, the chosen HW modules move inside it as
 contexts, the SW is instrumented with reconfiguration calls, and the
 level-2 analyses are re-run with bitstream downloads on the bus.  SymbC
-then proves the instrumented SW's reconfiguration consistency, and a
-dynamic shadow run executes that SW on the
-:class:`~repro.swir.engine_batched.BatchedEngine` to record its FPGA
-call journal.
+then proves the instrumented SW's reconfiguration consistency.
 """
 
 from __future__ import annotations
@@ -23,7 +20,6 @@ from repro.platform.profiler import Profile, profile_graph
 from repro.platform.taskgraph import AppGraph
 from repro.swir.ast import Assign, BinOp, Call, Const, FpgaCall, Program, Var
 from repro.swir.builder import FunctionBuilder, ProgramBuilder
-from repro.swir.engine_batched import BatchedEngine
 from repro.swir.instrument import instrument_reconfiguration
 from repro.traces import Trace, TraceMismatch, compare_traces
 from repro.verify.symbc import ConfigInfo, SymbcAnalyzer, SymbcVerdict
@@ -85,15 +81,9 @@ class Level3Result:
     contexts: list[Configuration]
     mapping_choice: Optional[MappingChoice]
     metrics: ArchitectureMetrics
-    sw_program: Program
     symbc: SymbcVerdict
     consistency_mismatches: list[TraceMismatch] = field(default_factory=list)
     consistency_checked: bool = False
-    #: FPGA journal of the dynamic shadow execution — the run-time
-    #: counterpart of SymbC's static certificate.  Not serialized.
-    dynamic_journal: list = field(default_factory=list)
-    dynamic_consistency_violations: list[str] = field(default_factory=list)
-    dynamic_checked: bool = False
 
     @property
     def consistent_with_level2(self) -> bool:
@@ -160,10 +150,6 @@ def run_level3(
     Without explicit ``contexts``, the context mapper picks the
     minimum-download feasible partition of the FPGA tasks for the
     per-frame schedule.
-
-    The dynamic shadow run executes the instrumented SW program's whole
-    frame loop concretely and records its FPGA call journal, the
-    run-time complement of SymbC's static consistency proof.
     """
     if not partition.fpga_tasks:
         raise ValueError("level 3 requires a partition with FPGA tasks")
@@ -181,13 +167,12 @@ def run_level3(
     # The SW instrumentation, against the contexts' ownership map (and
     # its formal check).
     owner = {fn: ctx.name for ctx in contexts for fn in ctx.functions}
-    sw_program, context_map = build_sw_program(graph, partition,
-                                               skip_instrumentation, owner)
+    sw_program, __ = build_sw_program(graph, partition,
+                                      skip_instrumentation, owner)
     config_info = ConfigInfo(
         {c.name: frozenset(c.functions) for c in contexts}
     )
     symbc = SymbcAnalyzer(sw_program, config_info).check()
-    dynamic = _dynamic_shadow_run(sw_program, context_map, stimuli)
 
     plan = FpgaPlan(
         capacity_gates=capacity_gates,
@@ -202,11 +187,7 @@ def run_level3(
         contexts=contexts,
         mapping_choice=mapping_choice,
         metrics=metrics,
-        sw_program=sw_program,
         symbc=symbc,
-        dynamic_journal=dynamic.fpga_journal,
-        dynamic_consistency_violations=dynamic.consistency_violations,
-        dynamic_checked=True,
     )
     if reference_trace is not None:
         result.consistency_mismatches = compare_traces(
@@ -234,8 +215,8 @@ def map_contexts(graph: AppGraph, partition: Partition, frames: int,
 
 def with_capacity(result: Level3Result, capacity_gates: int,
                   mapping_choice: MappingChoice) -> Level3Result:
-    """A copy of ``result`` (sharing its simulation, SymbC verdict and
-    shadow run) for an FPGA of ``capacity_gates`` gates on which the
+    """A copy of ``result`` (sharing its simulation and SymbC verdict)
+    for an FPGA of ``capacity_gates`` gates on which the
     context mapper chose ``mapping_choice``.
 
     The capacity reaches the simulation only through the contexts, so two
@@ -253,9 +234,9 @@ def task_call_sites(program: Program):
     The programs :func:`build_sw_program` emits invoke tasks in exactly
     two shapes — an :class:`FpgaCall` statement, or an :class:`Assign`
     whose expression is a :class:`~repro.swir.ast.Call`.  This is the
-    single place that shape assumption lives; the shadow run, the
-    engine-equivalence tests and the engine microbench all stub or
-    replace call sites through it.
+    single place that shape assumption lives; the engine-equivalence
+    tests and the engine microbench stub or replace call sites through
+    it.
     """
     for stmt in program.walk():
         if isinstance(stmt, FpgaCall):
@@ -263,28 +244,3 @@ def task_call_sites(program: Program):
         elif isinstance(stmt, Assign) and isinstance(stmt.expr, Call):
             yield stmt, stmt.expr.func
 
-
-def stub_task_externals(program: Program) -> dict:
-    """Zero-returning host stubs for every task the program invokes."""
-    return {name: (lambda *args: 0) for __, name in task_call_sites(program)}
-
-
-def _dynamic_shadow_run(sw_program: Program, context_map: dict[str, str],
-                        stimuli: dict):
-    """Run the instrumented frame loop concretely.
-
-    Task bodies are stubbed (the architecture model simulates the real
-    data path); what matters here is the dynamic reconfiguration
-    journal: which FPGA function was invoked under which loaded context,
-    over the exact per-frame schedule — the observable shadow of the
-    property SymbC proves statically.
-    """
-    frames = len(next(iter(stimuli.values())))
-    # Generous step budget: the loop executes ~(tasks + downloads) + 2
-    # statements per frame, never less than the interpreter default.
-    max_steps = max(200_000,
-                    (frames + 1) * (sw_program.statement_count() + 4) * 2)
-    executor = BatchedEngine(sw_program,
-                             externals=stub_task_externals(sw_program),
-                             context_map=context_map, max_steps=max_steps)
-    return executor.run([frames])

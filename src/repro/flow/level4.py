@@ -23,6 +23,9 @@ from repro.verify.pcc import PccReport, PropertyCoverageChecker
 #: Property type: CNF over (signal, op, const) atoms.
 Property = list
 
+#: Mutants PCC evaluates per module.
+PCC_MUTATION_LIMIT = 60
+
 
 @dataclass
 class ModuleRtl:
@@ -132,8 +135,6 @@ def run_level4(
     width: int = 16,
     bmc_bound: int = 10,
     run_pcc: bool = True,
-    pcc_mutation_limit: Optional[int] = 60,
-    extra_properties: Optional[dict[str, list[Property]]] = None,
 ) -> Level4Result:
     """Synthesise, wrap and verify each module.
 
@@ -150,7 +151,6 @@ def run_level4(
         # Model checking of the interface properties.
         checker = BoundedModelChecker(netlist)
         properties = default_interface_properties(netlist)
-        properties += (extra_properties or {}).get(name, [])
         with telemetry.span("level4.bmc", module=name,
                             bound=bmc_bound) as tspan:
             for prop in properties:
@@ -169,7 +169,7 @@ def run_level4(
             with telemetry.span("level4.pcc", module=name) as tspan:
                 pcc = PropertyCoverageChecker(
                     netlist, properties, bound=min(bmc_bound, 6),
-                    mutation_limit=pcc_mutation_limit,
+                    mutation_limit=PCC_MUTATION_LIMIT,
                 )
                 module.pcc = pcc.run()
                 tspan.set_attr("coverage", module.pcc.coverage)

@@ -77,11 +77,3 @@ class ReconfigController:
             ReconfigEvent(function, context.name, switched, self.device.sim.now_ps)
         )
         return context
-
-    @property
-    def switch_count(self) -> int:
-        return sum(1 for e in self.journal if e.switched)
-
-    def call_sequence(self) -> list[str]:
-        """The dynamic sequence of FPGA function calls (for offline analysis)."""
-        return [e.function for e in self.journal]

@@ -97,10 +97,6 @@ class Fifo(Generic[T]):
     def __len__(self) -> int:
         return len(self._items)
 
-    @property
-    def free(self) -> int:
-        return self.capacity - len(self._items)
-
     def stats(self) -> dict[str, Any]:
         """Occupancy statistics for performance reports and FIFO sizing."""
         return {

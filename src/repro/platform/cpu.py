@@ -82,10 +82,6 @@ class CpuModel:
         }
         return self.cycles_for_mix(mix)
 
-    def time_ps_for_ops(self, ops: int) -> int:
-        """Execution time of ``ops`` abstract operations on this core."""
-        return self.cycles_for_ops(ops) * self.cycle_ps
-
 
 #: The processor of the paper's actual design.
 ARM7TDMI = CpuModel(

@@ -137,11 +137,6 @@ class Partition:
         return cls(graph, {t: Side.SW for t in graph.tasks})
 
     @classmethod
-    def all_hw(cls, graph: AppGraph) -> "Partition":
-        """The 'static approach' of the paper's first implementation."""
-        return cls(graph, {t: Side.HW for t in graph.tasks})
-
-    @classmethod
     def from_heaviest(cls, graph: AppGraph, profile: Profile, hw_count: int) -> "Partition":
         """Partition by designer knowledge: heaviest ``hw_count`` tasks to HW.
 

@@ -183,17 +183,8 @@ class AppGraph:
             raise GraphError(f"graph {self.name!r} has cycles; no static schedule")
         return order
 
-    def predecessors(self, task_name: str) -> list[str]:
-        return sorted({c.src for c in self.channels.values() if c.dst == task_name})
-
     def successors(self, task_name: str) -> list[str]:
         return sorted({c.dst for c in self.channels.values() if c.src == task_name})
 
-    def channels_between(self, src: str, dst: str) -> list[ChannelSpec]:
-        return [c for c in self.channels.values() if c.src == src and c.dst == dst]
-
     def in_channels(self, task_name: str) -> list[ChannelSpec]:
         return [self.channels[c] for c in self.tasks[task_name].reads]
-
-    def out_channels(self, task_name: str) -> list[ChannelSpec]:
-        return [self.channels[c] for c in self.tasks[task_name].writes]

@@ -16,6 +16,9 @@ from repro.kernel.events import wait
 from repro.kernel.scheduler import Simulator
 from repro.rtl.netlist import Netlist
 
+#: Kernel cycles a call may take before the wrapper gives up on ``done``.
+MAX_CYCLES = 100_000
+
 
 class WrapperError(RuntimeError):
     """Raised on protocol misuse (bad arguments, overlong runs)."""
@@ -36,7 +39,6 @@ class RtlWrapper:
         sim: Simulator,
         netlist: Netlist,
         clock_ps: int = 20_000,
-        max_cycles: int = 100_000,
     ):
         netlist.validate()
         for required in ("start",):
@@ -48,7 +50,6 @@ class RtlWrapper:
         self.sim = sim
         self.netlist = netlist
         self.clock_ps = clock_ps
-        self.max_cycles = max_cycles
         self.arg_names = [n[4:] for n in netlist.inputs if n.startswith("arg_")]
         self._state = netlist.reset_state()
         self.calls = 0
@@ -73,9 +74,9 @@ class RtlWrapper:
             self._state = next_state
             inputs["start"] = 0
             cycles += 1
-            if cycles > self.max_cycles:
+            if cycles > MAX_CYCLES:
                 raise WrapperError(
-                    f"{self.name}: no done after {self.max_cycles} cycles"
+                    f"{self.name}: no done after {MAX_CYCLES} cycles"
                 )
             yield wait(self.clock_ps)
         result = values["result"] if "result" in values else 0

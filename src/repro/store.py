@@ -511,35 +511,6 @@ class CampaignStore:
             created_at=time.time(),
         ).to_dict())
 
-    def delete(self, key: str) -> bool:
-        """Remove one entry; returns whether it existed.
-
-        A packed entry is dropped from its index (its dead bytes stay
-        in the pack file until a future repack); a loose copy is
-        unlinked.
-        """
-        existed = False
-        try:
-            os.unlink(self._entry_path(key))
-            existed = True
-        except FileNotFoundError:
-            pass
-        if key in self._packs():
-            self._drop_packed(key)
-            existed = True
-        return existed
-
-    def _drop_packed(self, key: str) -> None:
-        """Rewrite every pack index that lists ``key`` without it."""
-        for idx_path in self._index_paths():
-            document = self._read_json(idx_path)
-            if (document is None or document.get("schema") != PACK_SCHEMA
-                    or key not in (document.get("entries") or {})):
-                continue
-            del document["entries"][key]
-            self._write_json(idx_path, document)
-        self._pack_index = None  # reload lazily
-
     # -- maintenance --------------------------------------------------------------
 
     def _entry_files(self) -> list[Path]:

@@ -13,10 +13,9 @@ is our stand-in for C: a small structured imperative IR with
 - :mod:`~repro.swir.interp` — the reference tree-walking interpreter
   with coverage and memory-initialisation tracking, kept as the
   bit-identity oracle of the engine;
-- :mod:`~repro.swir.engine_batched` — the execution engine every
-  production path runs (the Laerte++ substrate and level 3's shadow
-  run): per-program generated-Python execution with lockstep batch
-  runs, bit-identical to the interpreter per lane;
+- :mod:`~repro.swir.engine_batched` — the execution engine (the
+  Laerte++ substrate): per-program generated-Python execution with
+  lockstep batch runs, bit-identical to the interpreter per lane;
 - :mod:`~repro.swir.engine` — the engine's ``ENGINE_REVISION``, part of
   every store address;
 - :mod:`~repro.swir.instrument` — automatic insertion of reconfiguration

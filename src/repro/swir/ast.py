@@ -219,12 +219,6 @@ class Program:
         for function in self.functions.values():
             yield from function.walk()
 
-    def statement_count(self) -> int:
-        return sum(1 for __ in self.walk())
-
-    def fpga_functions_called(self) -> set[str]:
-        return {s.func for s in self.walk() if isinstance(s, FpgaCall)}
-
 
 def _walk_stmts(stmts: list[Stmt]):
     for stmt in stmts:

@@ -58,10 +58,6 @@ class FunctionBuilder:
     def reconfigure(self, context: str) -> Stmt:
         return self._emit(Reconfigure(context))
 
-    def stmt(self, stmt: Stmt) -> Stmt:
-        """Append an arbitrary pre-built statement."""
-        return self._emit(stmt)
-
     # -- structured blocks --------------------------------------------------------
 
     @contextmanager

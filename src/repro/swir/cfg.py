@@ -53,15 +53,6 @@ class Cfg:
     def successors(self, bid: int) -> list[int]:
         return [s for s, __ in self.blocks[bid].successors]
 
-    def predecessors(self, bid: int) -> list[int]:
-        return [
-            b.bid for b in self.blocks.values()
-            if any(s == bid for s, __ in b.successors)
-        ]
-
-    def edge_count(self) -> int:
-        return sum(len(b.successors) for b in self.blocks.values())
-
     def describe(self) -> str:
         lines = [f"cfg of {self.function_name}: entry=B{self.entry} exit=B{self.exit}"]
         for bid in sorted(self.blocks):

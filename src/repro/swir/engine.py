@@ -1,9 +1,8 @@
 """The SWIR execution engine's revision.
 
-Production executes SWIR programs through one engine, the
-generated-Python :class:`~repro.swir.engine_batched.BatchedEngine`
-(level 3's shadow run, the Laerte++ campaign, SAT-TPG's concolic
-validation).  The reference tree-walking
+SWIR programs execute through one engine, the generated-Python
+:class:`~repro.swir.engine_batched.BatchedEngine` (the Laerte++
+campaign, SAT-TPG's concolic validation).  The reference tree-walking
 :class:`~repro.swir.interp.Interpreter` is the bit-identity oracle the
 differential suite ``tests/swir/test_engine_equiv.py`` pins it against:
 return value, final environment, coverage sets, uninitialised-read

@@ -43,10 +43,7 @@ from repro.telemetry.trace import (
     Span,
     Tracer,
     adopt,
-    attach_context,
-    current_context,
     disable,
-    enabled,
     handoff,
     read_spans,
     span,
@@ -72,8 +69,7 @@ def configure(spans_dir=None, enable_metrics=None) -> None:
 
 __all__ = [
     "SPAN_SCHEMA", "SPAN_STATUSES", "Span", "Tracer", "tracer",
-    "configure", "disable", "enabled", "span", "traced",
-    "current_context", "attach_context", "handoff", "adopt",
+    "configure", "disable", "span", "traced", "handoff", "adopt",
     "spans_dir_for", "read_spans",
     "Counter", "Gauge", "Histogram", "MetricsRegistry",
     "DEFAULT_BUCKETS", "metrics",

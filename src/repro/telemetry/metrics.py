@@ -118,9 +118,6 @@ class Gauge(_Instrument):
         with registry._lock:
             self._values[key] = self._values.get(key, 0) + amount
 
-    def dec(self, amount: float = 1, **labels: Any) -> None:
-        self.inc(-amount, **labels)
-
     def samples(self) -> list[tuple[str, tuple, float]]:
         return [(self.name, key, value)
                 for key, value in sorted(self._values.items())]

@@ -305,28 +305,12 @@ class Tracer:
 tracer = Tracer()
 
 
-def configure(spans_dir) -> None:
-    tracer.configure(spans_dir)
-
-
 def disable() -> None:
     tracer.disable()
 
 
-def enabled() -> bool:
-    return tracer.enabled
-
-
 def span(name: str, /, **attrs: Any):
     return tracer.span(name, **attrs)
-
-
-def current_context() -> Optional[dict]:
-    return tracer.current_context()
-
-
-def attach_context(context: Optional[dict]) -> None:
-    tracer.attach(context)
 
 
 def traced(name: Optional[str] = None, **attrs: Any):
@@ -406,6 +390,5 @@ def read_spans(spans_dir) -> list[dict]:
 
 
 __all__ = ["SPAN_SCHEMA", "SPAN_STATUSES", "Span", "Tracer", "tracer",
-           "configure", "disable", "enabled", "span", "traced",
-           "current_context", "attach_context", "handoff", "adopt",
+           "disable", "span", "traced", "handoff", "adopt",
            "spans_dir_for", "read_spans"]

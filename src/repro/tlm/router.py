@@ -82,10 +82,6 @@ class AddressMap:
             return None
         return rng
 
-    @property
-    def ranges(self) -> list[AddressRange]:
-        return list(self._ranges)
-
     def describe(self) -> str:
         """Memory-map table for flow reports."""
         return "\n".join(str(r) for r in self._ranges)

@@ -19,7 +19,7 @@ The shared substrate lives here: a CDCL SAT solver
 (:mod:`~repro.verify.cnf`).
 """
 
-from repro.verify.sat import SatResult, SatSolver, solve
+from repro.verify.sat import SatResult, SatSolver
 from repro.verify.cnf import Cnf, BitVector
 
-__all__ = ["SatResult", "SatSolver", "solve", "Cnf", "BitVector"]
+__all__ = ["SatResult", "SatSolver", "Cnf", "BitVector"]

@@ -12,7 +12,7 @@ from typing import Optional
 
 from repro.swir.ast import BinOp, Expr, If, Program, UnOp, While
 from repro.swir.engine_batched import BatchedEngine
-from repro.swir.interp import CoverageData, Interpreter, InterpError, _cond_key
+from repro.swir.semantics import CoverageData, InterpError, _cond_key
 
 
 @dataclass(frozen=True)
@@ -101,7 +101,7 @@ class CoverageReport:
 
 
 def measure_coverage(
-    interpreter: Interpreter | BatchedEngine,
+    interpreter: BatchedEngine,
     vectors: list[list[int]],
     totals: Optional[CoverageTotals] = None,
 ) -> CoverageReport:

@@ -13,7 +13,7 @@ import random
 from dataclasses import dataclass
 
 from repro.swir.engine_batched import BatchedEngine
-from repro.swir.interp import CoverageData, Interpreter
+from repro.swir.semantics import CoverageData
 from repro.verify.atpg.coverage import CoverageTotals, coverage_totals
 
 
@@ -43,7 +43,7 @@ class GaConfig:
 class GeneticGenerator:
     """Evolves input vectors maximising marginal structural coverage."""
 
-    def __init__(self, interpreter: Interpreter | BatchedEngine, config: GaConfig = GaConfig()):
+    def __init__(self, interpreter: BatchedEngine, config: GaConfig = GaConfig()):
         self.interpreter = interpreter
         self.config = config
         self.totals: CoverageTotals = coverage_totals(interpreter.program)

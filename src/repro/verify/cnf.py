@@ -92,9 +92,6 @@ class Cnf:
 
     # -- gates (each returns the output literal) -------------------------------
 
-    def gate_not(self, a: int) -> int:
-        return -a
-
     def gate_and(self, a: int, b: int) -> int:
         true, false = self.true_lit, -self.true_lit
         if a == true:

@@ -29,6 +29,11 @@ from repro.verify.lpv.reach import (
     check_submarking_unreachable,
 )
 
+#: LP calls the deadlock search makes before it reports itself truncated,
+#: and markings the token-game search explores to confirm a candidate.
+MAX_LP_CALLS = 20_000
+MAX_STATES = 20_000
+
 
 @dataclass
 class DeadlockCandidate:
@@ -37,10 +42,6 @@ class DeadlockCandidate:
     empty_places: frozenset[str]
     verdict: ReachVerdict
     confirmed_trace: Optional[list[str]] = None  # firing sequence to a dead marking
-
-    @property
-    def proven_impossible(self) -> bool:
-        return self.verdict is ReachVerdict.UNREACHABLE
 
 
 @dataclass
@@ -103,8 +104,8 @@ class DeadlockReport:
         return "\n".join(lines)
 
 
-def _confirm_by_search(net: PetriNet, empty_places: frozenset[str],
-                       max_states: int = 20_000) -> Optional[list[str]]:
+def _confirm_by_search(net: PetriNet,
+                       empty_places: frozenset[str]) -> Optional[list[str]]:
     """Bounded BFS in the token game for a dead marking with the places empty."""
     def freeze(marking: dict[str, int]):
         return tuple(sorted((p, v) for p, v in marking.items() if v))
@@ -113,7 +114,7 @@ def _confirm_by_search(net: PetriNet, empty_places: frozenset[str],
     seen = {freeze(start)}
     queue: list[tuple[dict[str, int], list[str]]] = [(start, [])]
     explored = 0
-    while queue and explored < max_states:
+    while queue and explored < MAX_STATES:
         marking, path = queue.pop(0)
         explored += 1
         enabled = net.enabled_transitions(marking)
@@ -130,7 +131,6 @@ def _confirm_by_search(net: PetriNet, empty_places: frozenset[str],
 
 def check_deadlock_freedom(
     net: PetriNet,
-    max_lp_calls: int = 20_000,
     confirm: bool = True,
 ) -> DeadlockReport:
     """Prove deadlock freeness or report (potential) deadlocks."""
@@ -156,7 +156,7 @@ def check_deadlock_freedom(
     def recurse(index: int, chosen: frozenset[str]) -> None:
         if report.truncated:
             return
-        if report.lp_calls >= max_lp_calls:
+        if report.lp_calls >= MAX_LP_CALLS:
             report.truncated = True
             return
         # Skip families already hit.

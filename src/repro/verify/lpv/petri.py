@@ -117,10 +117,6 @@ class PetriNet:
             new[p] = new.get(p, 0) + w
         return new
 
-    def is_dead(self, marking: dict[str, int]) -> bool:
-        """No transition enabled: a deadlock marking."""
-        return not self.enabled_transitions(marking)
-
     def describe(self) -> str:
         lines = [
             f"petri net {self.name}: {len(self.places)} places, "

@@ -96,6 +96,9 @@ class BmcResult:
         return f"BMC: {self.property_text} holds for all traces of length <= {self.bound}"
 
 
+#: Conflict budget of each BMC query.
+MAX_CONFLICTS = 2_000_000
+
 _OPS = {"==": operator.eq, "!=": operator.ne, "<": operator.lt,
         "<=": operator.le, ">": operator.gt, ">=": operator.ge}
 
@@ -322,22 +325,8 @@ class BoundedModelChecker:
 
     # -- checking ----------------------------------------------------------------------------
 
-    def check_invariant(
-        self,
-        atoms: list[Atom],
-        bound: int,
-        max_conflicts: int = 2_000_000,
-    ) -> BmcResult:
-        """Check the invariant ``AND(signal op const)`` for ``bound`` steps."""
-        return self.check_invariant_clauses([[a] for a in atoms], bound,
-                                            max_conflicts)
-
-    def check_invariant_clauses(
-        self,
-        clauses: Clauses,
-        bound: int,
-        max_conflicts: int = 2_000_000,
-    ) -> BmcResult:
+    def check_invariant_clauses(self, clauses: Clauses,
+                                bound: int) -> BmcResult:
         """Check an invariant in CNF over atoms: AND over clauses of
         OR over ``(signal, op, const)`` atoms.
 
@@ -358,7 +347,7 @@ class BoundedModelChecker:
             self._query[(key, bound)] = query
 
         result, model = cnf.solve(assumptions=[query],
-                                  max_conflicts=max_conflicts)
+                                  max_conflicts=MAX_CONFLICTS)
         if result is SatResult.UNSAT:
             return BmcResult(text, bound, violated=False)
         if result is SatResult.UNKNOWN:
@@ -449,8 +438,8 @@ class BoundedModelChecker:
             cone.query[query_key] = query
         return query
 
-    def check_mutant(self, act: int, clauses: Clauses, bound: int,
-                     max_conflicts: int = 2_000_000) -> BmcResult:
+    def check_mutant(self, act: int, clauses: Clauses,
+                     bound: int) -> BmcResult:
         """Bounded-check an invariant on the mutant behind ``act``.
 
         The result carries no trace (PCC only needs the verdict).
@@ -462,7 +451,7 @@ class BoundedModelChecker:
         violation_lits = self._mutant_viol_lits(cone, clauses, bound)
         query = self._mutant_query(cone, (key, bound), violation_lits)
         result = self._cnf.solver.solve([cone.act, query],
-                                        max_conflicts=max_conflicts)
+                                        max_conflicts=MAX_CONFLICTS)
         if result is SatResult.UNKNOWN:
             return BmcResult(text, bound, violated=False,
                              solver_result=SatResult.UNKNOWN)
@@ -470,8 +459,7 @@ class BoundedModelChecker:
                          solver_result=result)
 
     def check_mutant_any(self, act: int, properties: list[Clauses],
-                         bound: int,
-                         max_conflicts: int = 2_000_000) -> SatResult:
+                         bound: int) -> SatResult:
         """One aggregate query: can the mutant violate ANY of ``properties``?
 
         UNSAT means the mutant survives the whole set -- the common PCC
@@ -491,7 +479,7 @@ class BoundedModelChecker:
                    bound)
         query = self._mutant_query(cone, agg_key, all_lits)
         return self._cnf.solver.solve([cone.act, query],
-                                      max_conflicts=max_conflicts)
+                                      max_conflicts=MAX_CONFLICTS)
 
     def retire_mutant(self, act: int) -> None:
         """Permanently disable a mutant cone's clauses and gates."""

@@ -47,6 +47,12 @@ from repro.verify.mc.bmc import BoundedModelChecker
 from repro.verify.pcc.mutation import Mutation, MutationError, enumerate_mutations
 from repro.verify.sat import SatResult
 
+#: Random stimulus sequences of the functional phase, their length in
+#: cycles, and the seed they are drawn from.
+SIM_SEQUENCES = 8
+SIM_LENGTH = 24
+SEED = 11
+
 
 @dataclass
 class MutantVerdict:
@@ -190,18 +196,13 @@ class PropertyCoverageChecker:
         netlist: Netlist,
         properties: list[list[tuple[str, str, int]]],
         bound: int = 8,
-        sim_sequences: int = 8,
-        sim_length: int = 24,
-        seed: int = 11,
         mutation_limit: Optional[int] = None,
     ):
         netlist.validate()
         self.netlist = netlist
         self.properties = [self._normalize(p) for p in properties]
         self.bound = bound
-        self.sim_sequences = sim_sequences
-        self.sim_length = sim_length
-        self.rng = random.Random(seed)
+        self.rng = random.Random(SEED)
         self.mutation_limit = mutation_limit
         self._stimuli = self._build_stimuli()
         self._session = BoundedModelChecker(netlist)
@@ -211,9 +212,9 @@ class PropertyCoverageChecker:
 
     def _build_stimuli(self) -> list[list[dict[str, int]]]:
         sequences = []
-        for __ in range(self.sim_sequences):
+        for __ in range(SIM_SEQUENCES):
             sequence = []
-            for __ in range(self.sim_length):
+            for __ in range(SIM_LENGTH):
                 step = {}
                 for name, width in self.netlist.inputs.items():
                     step[name] = self.rng.randrange(1 << min(width, 16))

@@ -517,13 +517,3 @@ class SatSolver:
     def model(self) -> dict[int, bool]:
         """Satisfying assignment after a SAT answer (unassigned -> False)."""
         return {v: self._assign.get(v, False) for v in range(1, self.num_vars + 1)}
-
-
-def solve(clauses: Iterable[Iterable[int]],
-          max_conflicts: int = 2_000_000) -> tuple[SatResult, dict[int, bool]]:
-    """Convenience one-shot solve; returns (result, model)."""
-    solver = SatSolver(max_conflicts=max_conflicts)
-    for clause in clauses:
-        solver.add_clause(clause)
-    result = solver.solve()
-    return result, (solver.model() if result is SatResult.SAT else {})

@@ -98,33 +98,30 @@ class TestCaching:
     @pytest.mark.parametrize("stage", ["level2", "level3"])
     def test_put_of_a_read_value_resimulates(self, stage):
         """A shared simulation never answers for other inputs: after level 1
-        is replaced, the timed levels compare against the new trace."""
+        is replaced, the timed levels compare against the new trace.
+
+        The derived session shares its parent's simulations and drops
+        only ``stage``, which then re-runs against the replaced level 1.
+        """
+        change = {"level2": {"deadline_ms": 100.0},
+                  "level3": {"capacity_gates": 20_000}}[stage]
         other_level1 = Session(SMALL.replace(seed=99)).value("level1")
-        fresh = Session(SMALL)
+        fresh = Session(SMALL.replace(**change))
         fresh.put("level1", other_level1)
         expected = fresh.value(stage).consistency_mismatches
         assert expected  # the seed-99 trace differs from this spec's
         session = Session(SMALL)
         assert not session.value(stage).consistency_mismatches
-        session.invalidate("level1")
-        session.put("level1", other_level1)
-        assert session.value(stage).consistency_mismatches == expected
+        derived = session.with_spec(**change)
+        derived.put("level1", other_level1)
+        assert derived.value(stage).consistency_mismatches == expected
 
     def test_put_seeds_cache(self):
         session = Session(SMALL)
         donor = Session(SMALL)
         session.put("profile", donor.value("profile"))
-        assert session.has("profile")
-        session.run("profile")
+        assert session.run("profile").from_cache
         assert session.compute_counts.get("profile") is None
-
-    def test_invalidate_cascades(self):
-        session = Session(SMALL)
-        session.run("level2")
-        session.invalidate("level1")
-        assert not session.has("level1")
-        assert not session.has("level2")   # depends on level1
-        assert session.has("profile")      # independent of level1
 
     def test_run_levels_subset(self):
         session = Session(SMALL)
@@ -156,34 +153,39 @@ class TestReport:
         assert session.compute_counts["level1"] == 1
 
 
+def cached(session: Session, stage: str) -> bool:
+    """Whether ``session`` held ``stage``'s result (running it if not)."""
+    return session.run(stage).from_cache
+
+
 class TestWithSpec:
     def test_workload_change_drops_everything(self, session):
         derived = session.with_spec(frames=2)
-        assert not derived.has("level1")
-        assert not derived.has("level2")
+        assert not cached(derived, "level1")
+        assert not cached(derived, "level2")
 
     def test_cpu_change_keeps_untimed_stages(self, session):
         derived = session.with_spec(cpu="ARM9TDMI")
         # Untimed artifacts are CPU-independent: carried over.
         for kept in ("reference", "level1", "profile", "partition"):
-            assert derived.has(kept), kept
+            assert cached(derived, kept), kept
         # Timed simulations depend on the CPU: recomputed.
-        assert not derived.has("level2")
-        assert not derived.has("level3")
+        assert not cached(derived, "level2")
+        assert not cached(derived, "level3")
 
     def test_deadline_change_only_drops_level2(self, session):
         derived = session.with_spec(deadline_ms=100.0)
-        assert derived.has("level1")
-        assert derived.has("level3")
-        assert not derived.has("level2")
+        assert cached(derived, "level1")
+        assert cached(derived, "level3")
+        assert not cached(derived, "level2")
         # The timed simulation does not read the deadline: shared.
         assert derived.value("level2").metrics is \
             session.value("level2").metrics
 
     def test_capacity_change_only_drops_level3(self, session):
         derived = session.with_spec(capacity_gates=20_000)
-        assert derived.has("level2")
-        assert not derived.has("level3")
+        assert cached(derived, "level2")
+        assert not cached(derived, "level3")
 
     def test_derived_session_artifacts_shared(self, session):
         derived = session.with_spec(deadline_ms=100.0)

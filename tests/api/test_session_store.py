@@ -70,10 +70,12 @@ class TestLevel4Persistence:
         session.run("level4")
         derived = session.with_spec(frames=2)
         assert derived.store is store
-        # The carried cache already holds level4; dropping it reloads
-        # from the store rather than recomputing.
-        derived.invalidate("level4")
-        assert derived.run("level4").from_store
+        # The carried cache already holds level4; a derived session
+        # that does not reloads it from the carried store rather than
+        # recomputing.
+        assert derived.run("level4").from_cache
+        fresh = Session(SPEC, store=store).with_spec(frames=2)
+        assert fresh.run("level4").from_store
 
     def test_run_pcc_addresses_a_distinct_entry(self, store, seeded):
         """A run_pcc=True session must not reload the run_pcc=False

@@ -70,12 +70,6 @@ class TestDatabase:
         assert db.identities == CFG.identities
         assert db.matrix.shape[0] == len(db.labels)
 
-    def test_row_lookup(self, db):
-        row = db.row(2, 1)
-        assert row.shape == (db.matrix.shape[1],)
-        with pytest.raises(KeyError):
-            db.row(99, 0)
-
     def test_words(self, db):
         assert db.words == db.matrix.size
 

@@ -24,8 +24,11 @@ from repro.flow import (
 from repro.workloads.facerec import REFERENCE_CHANNELS
 from repro.platform.profiler import profile_graph
 from repro.swir.ast import FpgaCall, Reconfigure
+from repro.swir.engine_batched import BatchedEngine
+from repro.swir.interp import Interpreter
+from repro.verify.symbc import ConfigInfo, SymbcAnalyzer
 
-from oracles import run_functional
+from oracles import run_functional, stub_task_externals
 
 CFG = FacerecConfig(identities=3, poses=2, size=32)
 
@@ -149,6 +152,52 @@ class TestLevel3:
         assert {c.func for c in fpga_calls} == {"DISTANCE", "ROOT"}
         assert len(reconfigs) == 2
         assert set(context_map.values()) == {"config1", "config2"}
+
+
+#: Small sizes of each workload for the level-3 differential.
+LEVEL3_SIZES = {
+    "facerec": dict(identities=2, poses=1, size=32),
+    "edgescan": dict(),
+    "blockcipher": dict(params={"block_words": 8}),
+}
+
+
+@pytest.mark.parametrize("variant", ["correct", "skip_instrumentation"])
+@pytest.mark.parametrize("workload", sorted(LEVEL3_SIZES))
+def test_symbc_agrees_with_execution(workload, variant):
+    """SymbC's static verdict on level 3's instrumented SW agrees with
+    running its whole frame loop on the engine, under the contexts the
+    flow mapped: the correct program is consistent and its FPGA calls run
+    without a violation, and a program with one FPGA call left
+    uninstrumented is rejected by both.  The reference interpreter
+    records the same FPGA journal and violations as the engine."""
+    from repro.api import CampaignSpec, Session
+
+    frames = 2
+    session = Session(CampaignSpec(workload=workload, frames=frames,
+                                   **LEVEL3_SIZES[workload]))
+    level3 = session.value("level3")
+    owner = {fn: ctx.name for ctx in level3.contexts for fn in ctx.functions}
+    skip = ({sorted(level3.partition.fpga_tasks)[0]}
+            if variant == "skip_instrumentation" else None)
+    program, context_map = build_sw_program(session.graph, level3.partition,
+                                            skip, owner)
+    symbc = SymbcAnalyzer(program, ConfigInfo(
+        {c.name: frozenset(c.functions) for c in level3.contexts})).check()
+    engine_run, oracle_run = (
+        executor(program, externals=stub_task_externals(program),
+                 context_map=context_map, max_steps=200_000).run([frames])
+        for executor in (BatchedEngine, Interpreter))
+    assert engine_run.fpga_journal == oracle_run.fpga_journal
+    assert engine_run.consistency_violations == \
+        oracle_run.consistency_violations
+    if variant == "correct":
+        assert symbc.consistent and level3.symbc.consistent
+        assert engine_run.fpga_journal  # FPGA calls actually executed
+        assert engine_run.consistency_violations == []
+    else:
+        assert not symbc.consistent
+        assert engine_run.consistency_violations
 
 
 class TestLevel4:

@@ -165,8 +165,8 @@ class TestController:
 
         sim.spawn("d", driver())
         sim.run()
-        assert controller.switch_count == 3
-        assert controller.call_sequence() == [
+        assert sum(event.switched for event in controller.journal) == 3
+        assert [event.function for event in controller.journal] == [
             "DISTANCE", "DISTANCE", "ROOT", "DISTANCE"]
         assert controller.consistency_violations == []
 

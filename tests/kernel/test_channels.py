@@ -26,7 +26,7 @@ class TestFifoNonBlocking:
         fifo.try_put("a")
         fifo.try_put("b")
         assert len(fifo) == 2
-        assert fifo.free == 0
+        assert len(fifo) == fifo.capacity
         with pytest.raises(FifoFullError):
             fifo.try_put("c")
         assert fifo.try_get() == "a"

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from typing import Any, Iterable, Optional
 
+from repro.flow.level3 import task_call_sites
 from repro.platform.taskgraph import AppGraph, GraphError
 
 _EXHAUSTED = object()
@@ -100,3 +101,8 @@ def assert_equals_const(vector, value: int) -> None:
             vector.cnf.assert_lit(lit)
         else:
             vector.cnf.assert_lit(-lit)
+
+
+def stub_task_externals(program) -> dict:
+    """Zero-returning host stubs for every task ``program`` invokes."""
+    return {name: (lambda *args: 0) for __, name in task_call_sites(program)}

@@ -40,8 +40,8 @@ class TestCpuModel:
         assert ARM7TDMI.cycles_for_ops(2000) > ARM7TDMI.cycles_for_ops(1000)
 
     def test_time_scales_with_frequency(self):
-        t_slow = ARM7TDMI.time_ps_for_ops(10_000)
-        t_fast = ARM9TDMI.time_ps_for_ops(10_000)
+        t_slow = ARM7TDMI.cycles_for_ops(10_000) * ARM7TDMI.cycle_ps
+        t_fast = ARM9TDMI.cycles_for_ops(10_000) * ARM9TDMI.cycle_ps
         assert t_fast < t_slow
 
     def test_invalid_frequency(self):

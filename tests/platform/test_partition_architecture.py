@@ -33,7 +33,7 @@ class TestPartition:
     def test_all_sw_all_hw(self, workload):
         graph, __, __ = workload
         sw = Partition.all_sw(graph)
-        hw = Partition.all_hw(graph)
+        hw = Partition(graph, {t: Side.HW for t in graph.tasks})
         assert not sw.hw_tasks
         assert not hw.sw_tasks
         assert sw.crossing_channels() == []
@@ -77,7 +77,8 @@ class TestPartition:
 
     def test_gate_count(self, workload):
         graph, __, __ = workload
-        assert Partition.all_hw(graph).hw_gate_count() == sum(
+        all_hw = Partition(graph, {t: Side.HW for t in graph.tasks})
+        assert all_hw.hw_gate_count() == sum(
             t.gate_count for t in graph.tasks.values()
         )
         assert Partition.all_sw(graph).hw_gate_count() == 0

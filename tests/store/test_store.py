@@ -151,12 +151,6 @@ class TestRoundTrip:
             CampaignStore(tmp_path / "nowhere", create=False)
         assert not (tmp_path / "nowhere").exists()  # nothing left behind
 
-    def test_delete(self, store):
-        key = store.put_campaign(SPEC, PAYLOAD)
-        assert store.delete(key) is True
-        assert store.delete(key) is False
-        assert store.get(key) is None
-
 
 class TestCorruptionTolerance:
     def corrupt(self, store, key, text):

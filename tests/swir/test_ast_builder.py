@@ -8,6 +8,7 @@ from repro.swir import (
     Call,
     Const,
     FpgaCall,
+    Function,
     FunctionBuilder,
     If,
     Program,
@@ -60,21 +61,10 @@ class TestProgram:
     def test_walk_visits_nested(self):
         inner = Assign("y", Const(1))
         stmt = If(Const(1), [While(Const(0), [inner])], [Assign("z", Const(2))])
-        fb = FunctionBuilder("main", [])
-        fb.stmt(stmt)
-        fb.ret()
-        program = ProgramBuilder().add(fb).build()
+        program = Program({"main": Function("main", (), [stmt, Return()])})
         sids = [s.sid for s in program.walk()]
         assert inner.sid in sids
-        assert len(sids) == program.statement_count() == 5
-
-    def test_fpga_functions_called(self):
-        fb = FunctionBuilder("main", [])
-        fb.fpga_call("DIST", ())
-        fb.fpga_call("ROOT", ())
-        fb.ret()
-        program = ProgramBuilder().add(fb).build()
-        assert program.fpga_functions_called() == {"DIST", "ROOT"}
+        assert len(sids) == len(set(sids)) == 5
 
 
 class TestBuilder:

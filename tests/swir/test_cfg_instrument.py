@@ -72,14 +72,15 @@ class TestCfg:
             fb.ret(Const(1))
         fb.ret(Const(0))
         cfg = build_cfg(fb.build())
-        preds = cfg.predecessors(cfg.exit)
+        preds = [b.bid for b in cfg.blocks.values()
+                 if cfg.exit in cfg.successors(b.bid)]
         assert len(preds) >= 2  # both returns reach the exit
 
     def test_describe(self):
         cfg = build_cfg(loop_program().main)
         text = cfg.describe()
         assert "B0" in text and "->" in text
-        assert cfg.edge_count() > 0
+        assert any(block.successors for block in cfg.blocks.values())
 
 
 class TestInstrumentation:
@@ -128,9 +129,9 @@ class TestInstrumentation:
 
     def test_original_untouched(self):
         program = loop_program()
-        before = program.statement_count()
+        before = len(list(program.walk()))
         instrument_reconfiguration(program, CONTEXTS)
-        assert program.statement_count() == before
+        assert len(list(program.walk())) == before
 
     def test_instrumented_program_runs_consistently(self):
         program = instrument_reconfiguration(loop_program(), CONTEXTS)

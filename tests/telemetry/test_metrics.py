@@ -61,7 +61,7 @@ class TestInstruments:
         gauge = registry.gauge("depth")
         gauge.set(7)
         gauge.inc(2)
-        gauge.dec()
+        gauge.inc(-1)
         assert gauge.value() == 8
 
     def test_histogram_buckets_are_cumulative(self, registry):

@@ -157,32 +157,19 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "blockcipher" in out and "12 modules" in out
 
-    def test_flow_engine_ab_identical(self, capsys, monkeypatch):
-        """Level 3's shadow run on the reference interpreter emits the
-        same flow document as the production engine."""
-        from repro.flow import level3
-        from repro.serialize import documents_equal
-        from repro.swir.interp import Interpreter
-
-        documents = []
-        for executor in (level3.BatchedEngine, Interpreter):
-            monkeypatch.setattr(level3, "BatchedEngine", executor)
-            assert main(["flow", *SIM_WORKLOAD, "--json"]) == 0
-            documents.append(json.loads(capsys.readouterr().out))
-        assert documents_equal(*documents)
-
 
 #: Modules a command that computes nothing must not load.
 FLOW_MODULES = ("numpy", "repro.flow", "repro.api.session", "repro.kernel",
                 "repro.verify")
 
 #: Modules a cold flow runs none of, so must not load: the store, the
-#: architecture explorer, level 1's deadlock proof and the tests' SWIR
-#: interpreter.
+#: architecture explorer, level 1's deadlock proof and both SWIR
+#: executors (no flow level executes SWIR).
 FLOW_UNUSED = ("repro.store", "repro.records", "repro.platform.explorer",
                "repro.verify.lpv.petri", "repro.verify.lpv.translate",
                "repro.verify.lpv.reach", "repro.verify.lpv.deadlock",
-               "repro.swir.interp")
+               "repro.swir.interp", "repro.swir.engine_batched",
+               "repro.swir.semantics")
 
 #: The blockcipher flow every import probe runs.
 BLOCKCIPHER_FLOW = ["flow", "--workload", "blockcipher", "--frames", "2",
@@ -369,9 +356,16 @@ class TestImportBoundary:
     def test_cold_flow_loads_only_what_it_runs(self):
         """A flow without ``--store`` loads no store; level 2 loads
         LPV's real-time checks but not its Petri-net deadlock proof,
-        ``repro.platform`` not its explorer, and the batched engine not
-        the interpreter it is tested against."""
+        ``repro.platform`` not its explorer, and level 3 neither SWIR
+        executor (SymbC checks its program statically)."""
         assert _probe(COLD_FLOW_PROBE) == [0, []]
+
+    def test_atpg_loads_no_interpreter(self):
+        """Laerte++ runs on the batched engine and takes the SWIR names it
+        shares with the interpreter from ``repro.swir.semantics``."""
+        assert _probe("import json, sys, repro.verify.atpg\n"
+                      "print(json.dumps('repro.swir.interp' in sys.modules))"
+                      ) is False
 
     @pytest.mark.parametrize("package", [
         pytest.param("repro.service.daemon", id="repro.service"),

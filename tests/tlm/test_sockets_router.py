@@ -49,4 +49,5 @@ class TestAddressMap:
         amap = AddressMap()
         amap.add(0x2000, 0x10, "b")
         amap.add(0x1000, 0x10, "a")
-        assert [r.slave_name for r in amap.ranges] == ["a", "b"]
+        assert [line.split("-> ")[1] for line in
+                amap.describe().splitlines()] == ["a", "b"]

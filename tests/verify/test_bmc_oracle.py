@@ -290,7 +290,7 @@ class TestBoundedSemanticsOracle:
         verdicts = []
         for k in range(4):
             clauses = [[("cnt", "<=", k)]]
-            result = checker.check_invariant(clauses[0], bound=5)
+            result = checker.check_invariant_clauses(clauses, bound=5)
             assert result.violated == expect(first_violation(net, clauses, 5), 5)
             if result.violated:
                 assert_replays(net, clauses, result.trace, 5)

@@ -9,13 +9,13 @@ from test_bmc_oracle import counter_netlist
 class TestBmc:
     def test_invariant_holds(self):
         bmc = BoundedModelChecker(counter_netlist())
-        result = bmc.check_invariant([("cnt", "<=", 3)], bound=6)
+        result = bmc.check_invariant_clauses([[("cnt", "<=", 3)]], bound=6)
         assert result.holds_up_to_bound
         assert "holds" in result.describe()
 
     def test_violation_with_trace(self):
         bmc = BoundedModelChecker(counter_netlist())
-        result = bmc.check_invariant([("cnt", "<=", 2)], bound=6)
+        result = bmc.check_invariant_clauses([[("cnt", "<=", 2)]], bound=6)
         assert result.violated
         assert result.trace
         last = result.trace[-1]
@@ -31,9 +31,9 @@ class TestBmc:
     def test_violation_needs_enough_bound(self):
         bmc = BoundedModelChecker(counter_netlist())
         # cnt reaches 3 only after 3 steps.
-        ok = bmc.check_invariant([("cnt", "<=", 2)], bound=2)
+        ok = bmc.check_invariant_clauses([[("cnt", "<=", 2)]], bound=2)
         assert not ok.violated
-        bad = bmc.check_invariant([("cnt", "<=", 2)], bound=3)
+        bad = bmc.check_invariant_clauses([[("cnt", "<=", 2)]], bound=3)
         assert bad.violated
 
     def test_clause_invariant_implication(self):
@@ -50,12 +50,12 @@ class TestBmc:
     def test_unknown_signal_rejected(self):
         bmc = BoundedModelChecker(counter_netlist())
         with pytest.raises(Exception):
-            bmc.check_invariant([("ghost", "==", 0)], bound=2)
+            bmc.check_invariant_clauses([[("ghost", "==", 0)]], bound=2)
 
     def test_bad_operator_rejected(self):
         bmc = BoundedModelChecker(counter_netlist())
         with pytest.raises(ValueError):
-            bmc.check_invariant([("cnt", "~", 0)], bound=2)
+            bmc.check_invariant_clauses([[("cnt", "~", 0)]], bound=2)
 
     def test_empty_clause_rejected(self):
         bmc = BoundedModelChecker(counter_netlist())

@@ -7,9 +7,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.verify.cnf import BitVector, Cnf
-from repro.verify.sat import SatResult, SatSolver, solve
+from repro.verify.sat import SatResult, SatSolver
 
 from oracles import assert_equals_const
+
+
+def solve(clauses):
+    """One-shot solve on a fresh solver: ``(result, model)``."""
+    solver = SatSolver()
+    for clause in clauses:
+        solver.add_clause(clause)
+    result = solver.solve()
+    return result, (solver.model() if result is SatResult.SAT else {})
 
 
 def brute_force_sat(clauses, num_vars):

@@ -65,7 +65,7 @@ class TestSessionWorkloadPlumbing:
         derived = facerec.with_spec(
             workload="edgescan",
             params={"shapes": 2, "scales": 1, "size": 32})
-        assert not derived.has("profile")
+        assert not derived.run("profile").from_cache
         assert derived.graph.name == "edgescan"
 
     def test_facerec_rejects_params(self):
