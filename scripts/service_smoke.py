@@ -10,9 +10,11 @@ core economy: a verified spec is never verified twice.  Each duplicate
 must come back ``done`` in its submit response, completed from the
 store by the coordinator, never by a job child, and its wait must be
 answered by its first status read (``wait_polls == 1``), so a client
-that fell back to polling fails the smoke.  Finally it scrapes
-``GET /v1/metrics`` and requires a well-formed Prometheus exposition
-whose job counters saw the smoke jobs.
+that fell back to polling fails the smoke.  Then ``GET /v1/jobs`` must
+list each smoke job once, ``done``, as the queue's listing row, and a
+ledger query over the ``job`` relation (``POST /v1/query``) must name
+the same jobs.  Finally it scrapes ``GET /v1/metrics`` and requires a
+well-formed Prometheus exposition whose job counters saw the smoke jobs.
 
 Usage::
 
@@ -45,6 +47,12 @@ SPECS = {
                                 workload="blockcipher", frames=2,
                                 params={"block_words": 8}),
 }
+
+
+#: The keys of one ``GET /v1/jobs`` listing row.
+LISTING_KEYS = ["attempts", "error", "finished_at", "generation", "id",
+                "kind", "lease", "name", "priority", "seq", "started_at",
+                "status", "submitted_at", "tenant", "worker", "workload"]
 
 
 #: One Prometheus text-format sample line:
@@ -89,6 +97,32 @@ def check_metrics(client: ServiceClient, jobs_expected: int) -> list[str]:
         failures.append("metrics: queue submission counter never moved")
     print(f"[metrics] {len(samples)} samples, "
           f"jobs done={done:g}")
+    return failures
+
+
+def check_jobs(client: ServiceClient, done: dict[str, dict]) -> list[str]:
+    """``GET /v1/jobs`` and the ledger's ``job`` relation must both list
+    exactly the finished smoke jobs; return failure lines."""
+    failures = []
+    expected = {record["id"]: workload for workload, record in done.items()}
+    listed = client.jobs()
+    for row in listed:
+        if sorted(row) != LISTING_KEYS:
+            failures.append(f"jobs: listing row of {row.get('id')} has "
+                            f"keys {sorted(row)}, expected {LISTING_KEYS}")
+        elif row["status"] != "done" or \
+                expected.get(row["id"]) != row["workload"]:
+            failures.append(f"jobs: unexpected row {row['id'][:12]} "
+                            f"({row['workload']}, {row['status']})")
+    if sorted(row["id"] for row in listed) != sorted(expected):
+        failures.append(f"jobs: listed {len(listed)} jobs, expected one "
+                        f"per workload ({len(expected)})")
+    rows = client.query("job where state == 'done'")["rows"]
+    if sorted(row["id"] for row in rows) != sorted(expected):
+        failures.append(f"query: the job relation holds "
+                        f"{sorted(row['id'][:12] for row in rows)}, "
+                        f"expected the {len(expected)} smoke jobs")
+    print(f"[jobs] {len(listed)} listed, {len(rows)} in the ledger")
     return failures
 
 
@@ -173,6 +207,7 @@ def main(argv=None) -> int:
                     f"status probes, not one held read")
 
         print()
+        failures.extend(check_jobs(client, warm))
         failures.extend(check_metrics(client, jobs_expected=len(SPECS)))
 
         stats = client.stats()

@@ -77,10 +77,6 @@ class Session:
         self._artifacts: dict[str, Any] = {}
         self._results: dict[str, StageResult] = {}
         self._resolving: list[str] = []
-        #: stage currently being force-recomputed; stages keeping their
-        #: own process-wide memo must bypass it when this matches their
-        #: name (see Level4Stage)
-        self.forcing: Optional[str] = None
         #: times each stage was actually computed (cache hits excluded)
         self.compute_counts: dict[str, int] = {}
         #: times each stage was reloaded from the configured store
@@ -129,21 +125,19 @@ class Session:
 
     # -- stage execution ----------------------------------------------------------
 
-    def run(self, name: str, force: bool = False) -> StageResult:
+    def run(self, name: str) -> StageResult:
         """Run one stage (resolving ``requires`` first); cache the result.
 
         A cache hit is returned with ``from_cache=True`` and is never
-        recomputed unless ``force`` is given.
+        recomputed.
         """
         stage = get_stage(name)
         if name in self._resolving:
             cycle = " -> ".join(self._resolving + [name])
             raise RuntimeError(f"stage dependency cycle: {cycle}")
-        if not force and name in self._results:
+        if name in self._results:
             return _dataclass_replace(self._results[name], from_cache=True)
         self._resolving.append(name)
-        if force:
-            self.forcing = name
         try:
             for dep in stage.requires:
                 self.run(dep)
@@ -154,8 +148,6 @@ class Session:
                 span.set_attr("from_store", result.from_store)
         finally:
             self._resolving.pop()
-            if force:
-                self.forcing = None
         if result.stage != name:
             raise RuntimeError(
                 f"stage {name!r} returned a result labelled {result.stage!r}")
@@ -188,17 +180,15 @@ class Session:
         ``==``: a custom CPU model matches by value, not by name.  An
         entry also records the workload artifacts and the values of the
         stage's ``requires``, and answers only while they are the same
-        objects, so after a ``put``, an ``invalidate`` or a rebuilt
-        artifact the stage recomputes.  Forcing ``stage`` recomputes too,
-        and the new value replaces the entry.
+        objects, so after a ``put`` or a rebuilt artifact the stage
+        recomputes, and the new value replaces the entry.
         """
         reads = (self.graph, self.frames) + tuple(
             self._results[dep].value for dep in get_stage(stage).requires)
         for index, (name, entry_key, entry_reads, value) in \
                 enumerate(self._shared):
             if name == stage and entry_key == key:
-                if self.forcing != stage and all(
-                        a is b for a, b in zip(entry_reads, reads)):
+                if all(a is b for a, b in zip(entry_reads, reads)):
                     return value
                 del self._shared[index]
                 break

@@ -86,8 +86,7 @@ class FlowStage:
     :meth:`run` then reloads the artifact from disk when present —
     across processes and CI jobs — and persists it after computing it,
     under :meth:`repro.store.CampaignStore.stage_lock`, so sessions
-    sharing a store compute each artifact once; ``force=True``
-    (``Session.run``) recomputes and overwrites.
+    sharing a store compute each artifact once.
     """
 
     name: str = ""
@@ -102,13 +101,12 @@ class FlowStage:
             return StageResult(stage=self.name, value=self.compute(ctx),
                                wall_seconds=_time.perf_counter() - start)
         identity = self.store_identity(ctx)
-        reuse = ctx.forcing != self.name
-        payload = ctx.store.get_stage(identity) if reuse else None
+        payload = ctx.store.get_stage(identity)
         if payload is None:
             # A session computing this artifact right now on the same
             # store holds the lock: wait for its entry, don't redo it.
             with ctx.store.stage_lock(identity):
-                payload = ctx.store.get_stage(identity) if reuse else None
+                payload = ctx.store.get_stage(identity)
                 if payload is None:
                     value = self.compute(ctx)
                     ctx.store.put_stage(identity, value.to_dict())
@@ -289,9 +287,7 @@ class Level4Stage(FlowStage):
     synthesised accelerators and property plans are fixed by its
     :meth:`~repro.workloads.base.Workload.verify_plan`, so the
     (expensive) synthesis/BMC/PCC result is memoized process-wide per
-    ``(workload, run_pcc)`` and shared across sessions.  A session-level
-    ``invalidate`` does not clear the memo; ``run("level4", force=True)``
-    does, re-running the verification.
+    ``(workload, run_pcc)`` and shared across sessions.
 
     When the session has a :class:`repro.store.CampaignStore`, the
     disk-backed entry **replaces** the process-local memo: the result
@@ -324,7 +320,7 @@ class Level4Stage(FlowStage):
             # has already consulted it and will persist this result).
             return self._verify(ctx)
         key = (ctx.workload.name, ctx.spec.run_pcc)
-        if key not in self._memo or ctx.forcing == self.name:
+        if key not in self._memo:
             self._memo[key] = self._verify(ctx)
         return self._memo[key]
 

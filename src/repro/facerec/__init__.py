@@ -24,16 +24,16 @@ CALCLINE -> DISTANCE (with DATABASE) -> CALCDIST -> ROOT -> WINNER
   in C": the executable reference model all levels are checked against.
 - :mod:`~repro.facerec.pipeline` — the level-1 application graph
   (Figure 2) built on :class:`repro.platform.AppGraph`.
-- :mod:`~repro.facerec.tracing` — trace capture and comparison ("match
-  of results consists of trace files comparison"), re-exported from the
-  workload-agnostic :mod:`repro.traces`.
+- trace capture and comparison ("match of results consists of trace
+  files comparison") is the workload-agnostic :mod:`repro.traces`,
+  whose names this package re-exports.
 """
 
 from repro.facerec.camera import CameraConfig, FaceSampler, synth_face, bayer_mosaic
 from repro.facerec.database import FaceDatabase, enroll_database
 from repro.facerec.pipeline import CASE_STUDY_FPGA_TASKS, FacerecConfig, build_graph, case_study_partition
 from repro.facerec.reference import ReferenceModel, ReferenceResult
-from repro.facerec.tracing import Trace, TraceMismatch, compare_traces, digest_token
+from repro.traces import Trace, TraceMismatch, compare_traces, digest_token
 
 __all__ = [
     "CameraConfig",

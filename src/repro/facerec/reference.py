@@ -23,8 +23,6 @@ class ReferenceResult:
     identity: int
     pose: int
     distance: int
-    features: np.ndarray
-    dists: np.ndarray
 
 
 class ReferenceModel:
@@ -65,7 +63,7 @@ class ReferenceModel:
         dists = stages.root(sq)
         emit("ROOT", "c_dist", dists)
         identity, pose, best = stages.winner(dists, self.database.labels)
-        return ReferenceResult(identity, pose, best, features, dists)
+        return ReferenceResult(identity, pose, best)
 
     def accuracy(self, shots: list[tuple[int, int]], frames: list[np.ndarray]) -> float:
         """Fraction of frames whose identity is recognised correctly."""

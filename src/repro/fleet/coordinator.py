@@ -36,9 +36,8 @@ import threading
 import time
 from typing import Any, Callable, Mapping, Optional
 
-from repro.records import RunnerStats
 from repro.service.client import ServiceError
-from repro.service.queue import DEFAULT_LEASE_TTL, StaleLease
+from repro.service.queue import DEFAULT_LEASE_TTL, StaleLease, job_points
 from repro.service.workers import RESULT_SCHEMA
 from repro.telemetry import metrics as _metrics
 
@@ -69,7 +68,9 @@ class FleetState:
 
     def __init__(self):
         self._lock = threading.Lock()
-        self._runners: dict[str, RunnerStats] = {}
+        #: per runner: ``first_seen``, ``last_seen`` and one counter per
+        #: protocol verb (``claims``, ``heartbeats``, ``uploads``)
+        self._runners: dict[str, dict] = {}
         self.expired_requeues = 0
         self.warm_completed = 0
         self.zombie_drops = 0
@@ -81,13 +82,17 @@ class FleetState:
                                    "points_executed", "points_retried"), 0)
 
     def saw_runner(self, name: str, event: str) -> None:
+        """Mark runner ``name`` seen now, counting one ``event`` (one of
+        ``claims``, ``heartbeats``, ``uploads``)."""
         with self._lock:
             now = time.time()
             runner = self._runners.get(name)
             if runner is None:
-                runner = self._runners[name] = RunnerStats(
-                    first_seen=now, last_seen=now)
-            runner.saw(now, event)
+                runner = self._runners[name] = {
+                    "first_seen": now, "claims": 0, "heartbeats": 0,
+                    "uploads": 0, "last_seen": now}
+            runner[event] += 1
+            runner["last_seen"] = now
         _RUNNER_EVENTS.inc(event=event)
 
     def count(self, counter: str, amount: int = 1) -> None:
@@ -109,8 +114,8 @@ class FleetState:
     def snapshot(self) -> dict:
         with self._lock:
             return {
-                "runners": {name: stats.to_dict()
-                            for name, stats in self._runners.items()},
+                "runners": {name: dict(runner)
+                            for name, runner in self._runners.items()},
                 "expired_requeues": self.expired_requeues,
                 "warm_completed": self.warm_completed,
                 "zombie_drops": self.zombie_drops,
@@ -299,11 +304,7 @@ class FleetCoordinator:
     def _warm_result(self, job: dict) -> Optional[dict]:
         """The 100%-hits result document, if every point is stored ok."""
         try:
-            from repro.api.campaign import Campaign
-            from repro.api.spec import CampaignSpec
-
-            spec = CampaignSpec.from_dict(job["spec"])
-            points = Campaign.sweep_specs(spec, job.get("sweep") or {})
+            points = job_points(job)
         except Exception:  # noqa: BLE001 — let a runner surface the error
             return None
         runs = []

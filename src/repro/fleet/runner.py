@@ -39,6 +39,7 @@ from typing import Optional
 from repro import telemetry
 from repro.fleet.coordinator import DEFAULT_LEASE_TTL, LocalTransport
 from repro.service.client import ServiceClient, ServiceError
+from repro.service.queue import job_points
 from repro.service.workers import (
     JobCancelled,
     WorkerCrash,
@@ -284,12 +285,8 @@ class RunnerAgent:
         """
         keys = set((result or {}).get("store_keys") or [])
         try:
-            from repro.api.campaign import Campaign
-            from repro.api.spec import CampaignSpec
-
-            spec = CampaignSpec.from_dict(job["spec"])
-            keys.update(self.store.campaign_key(point) for point in
-                        Campaign.sweep_specs(spec, job.get("sweep") or {}))
+            keys.update(self.store.campaign_key(point)
+                        for point in job_points(job))
         except Exception:  # noqa: BLE001 — an unparseable spec already
             pass           # failed in the child; upload what we have
         entries = {}

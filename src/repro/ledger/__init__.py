@@ -1,7 +1,7 @@
 """repro.ledger — a queryable provenance ledger over campaign results.
 
 The store persists *what* was computed; this package answers *questions
-about it*.  :class:`~repro.ledger.facts.Ledger` extracts typed
+about it*.  :class:`~repro.ledger.facts.Ledger` extracts flat
 relations (entries, specs, engine provenance, journal-touched FPGA
 contexts, jobs, leases, runners) from a store root + job queue + fleet
 stats, and :mod:`~repro.ledger.query` runs relational queries over them

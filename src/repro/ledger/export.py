@@ -34,8 +34,12 @@ import time
 from pathlib import Path
 from typing import Any, Mapping, Optional
 
-from repro.records import StoreEntry
-from repro.store import content_key, write_json_atomic
+from repro.store import (
+    ENTRY_SCHEMA,
+    ENTRY_STATUSES,
+    content_key,
+    write_json_atomic,
+)
 
 #: Schema tags of the bundle documents.
 EXPORT_SCHEMA = "repro.export_manifest/v1"
@@ -68,16 +72,17 @@ def _sha256_file(path: Path) -> str:
     return digest.hexdigest()
 
 
-def _entry_content_key(entry: StoreEntry) -> str:
+def _entry_content_key(envelope: Mapping[str, Any]) -> str:
     """Recompute an envelope's content address from its own material —
     the same key documents :func:`repro.store.campaign_key` and
     :func:`repro.store.stage_key` hash, but built from the *envelope*,
     so verification is independent of the verifier's code revisions."""
-    if entry.kind == "campaign":
-        return content_key({"kind": "campaign",
-                            "identity": entry.identity,
-                            "spec": entry.spec})
-    return content_key({"kind": entry.kind, "identity": entry.identity})
+    kind = envelope.get("kind", "?")
+    identity = envelope.get("identity") or {}
+    if kind == "campaign":
+        return content_key({"kind": "campaign", "identity": identity,
+                            "spec": envelope.get("spec")})
+    return content_key({"kind": kind, "identity": identity})
 
 
 def export_bundle(store, spec_doc: Mapping[str, Any],
@@ -214,20 +219,28 @@ def verify_bundle(bundle_dir, key: bytes = DEFAULT_KEY) -> dict:
         path = bundle_dir / "entries" / f"{store_key}.json"
         try:
             envelope = json.loads(path.read_text(encoding="utf-8"))
-            entry = StoreEntry.from_dict(envelope)
+            # The bytes come from outside the program: an object with
+            # the entry schema and a known status, or no envelope.
+            if not isinstance(envelope, dict):
+                raise ValueError(f"a JSON {type(envelope).__name__}, "
+                                 f"not an object")
+            if (envelope.get("schema") != ENTRY_SCHEMA
+                    or envelope.get("status") not in ENTRY_STATUSES):
+                raise ValueError(f"schema={envelope.get('schema')!r}, "
+                                 f"status={envelope.get('status')!r}")
         except (OSError, ValueError, UnicodeDecodeError) as exc:
             errors.append(f"entry {store_key[:12]}: not a valid "
                           f"envelope ({exc})")
             continue
-        if entry.key != store_key:
+        if envelope.get("key") != store_key:
             errors.append(f"entry {store_key[:12]}: envelope key "
                           f"mismatch")
             continue
-        if entry.status != "ok":
+        if envelope["status"] != "ok":
             errors.append(f"entry {store_key[:12]}: status "
-                          f"{entry.status!r} (bundles archive verified "
-                          f"results only)")
-        if _entry_content_key(entry) != store_key:
+                          f"{envelope['status']!r} (bundles archive "
+                          f"verified results only)")
+        if _entry_content_key(envelope) != store_key:
             errors.append(
                 f"entry {store_key[:12]}: content address does not "
                 f"match its spec/identity (envelope body was modified)")

@@ -1,4 +1,4 @@
-"""Fact extraction: store + queue + fleet state as typed relations.
+"""Fact extraction: store + queue + fleet state as flat relations.
 
 :class:`Ledger` walks a campaign store root (loose *and* packed
 entries — extraction goes through :meth:`CampaignStore.get`, so every
@@ -66,7 +66,6 @@ from __future__ import annotations
 from typing import Any, Mapping, Optional
 
 from repro.ledger.query import Query, parse_query
-from repro.records import JobRecord, StoreEntry
 from repro.serialize import canonical_json
 
 #: Schema tag of the whole materialised ledger document (v2: the
@@ -88,8 +87,6 @@ FACT_SCHEMAS = {
 
 class Ledger:
     """A materialised, queryable snapshot of provenance facts."""
-
-    SCHEMA = LEDGER_SCHEMA
 
     def __init__(self, relations: Optional[Mapping[str, list]] = None):
         self.relations: dict[str, list[dict]] = {
@@ -134,66 +131,63 @@ class Ledger:
 
         active: frozenset = frozenset()
         if queue is not None:
-            from repro.service.queue import active_store_keys
+            from repro.service.queue import active_store_keys, job_summary
 
             active = active_store_keys(queue)
-            for document in queue.list():
-                job = JobRecord.from_dict(document)
-                spec_hash = (spec_fact(job.spec) if job.spec else None)
+            for job in queue.list():
+                # The listing row reads an older record's missing keys
+                # with their defaults.
+                row = job_summary(job)
                 relations["job"].append({
-                    "id": job.id,
-                    "state": job.status,
-                    "spec_hash": spec_hash,
-                    "kind": job.kind,
-                    "name": job.name,
-                    "workload": job.workload,
-                    "tenant": job.tenant,
-                    "priority": job.priority,
-                    "seq": job.seq,
-                    "attempts": job.attempts,
-                    "generation": job.generation,
+                    "id": row["id"],
+                    "state": row["status"],
+                    "spec_hash": (spec_fact(job["spec"])
+                                  if job.get("spec") else None),
+                    **{field: row[field] for field in (
+                        "kind", "name", "workload", "tenant", "priority",
+                        "seq", "attempts", "generation")},
                 })
-                if job.status == "running" and job.lease is not None:
+                lease = job.get("lease")
+                if row["status"] == "running" and lease is not None:
                     relations["lease"].append({
-                        "job": job.id,
-                        "runner": job.lease["runner"],
-                        "lease_id": job.lease["id"],
-                        "generation": job.generation,
+                        "job": row["id"],
+                        "runner": lease["runner"],
+                        "lease_id": lease["id"],
+                        "generation": row["generation"],
                     })
 
         for key in store.keys():
-            envelope = store.get(key)
-            if envelope is None:
+            entry = store.get(key)
+            if entry is None:
                 continue  # corrupt bytes degrade to a missing fact
-            entry = StoreEntry.from_dict(envelope)
-            identity = entry.identity
-            spec_hash = (spec_fact(entry.spec)
-                         if entry.spec is not None else None)
-            name = ((entry.spec or {}).get("name")
+            identity = entry.get("identity") or {}
+            spec = entry.get("spec")
+            spec_hash = spec_fact(spec) if spec is not None else None
+            name = ((spec or {}).get("name")
                     or identity.get("stage") or "")
             relations["entry"].append({
-                "key": entry.key,
-                "kind": entry.kind,
+                "key": key,
+                "kind": entry.get("kind", "?"),
                 "spec_hash": spec_hash,
                 "name": name,
                 "workload": identity.get("workload"),
                 "engine": identity.get("engine"),
                 "engine_rev": identity.get("engine_revision"),
                 "workload_rev": identity.get("workload_revision"),
-                "status": entry.status,
-                "attempts": entry.attempts,
-                "created": entry.created_at,
-                "active_job": entry.key in active,
+                "status": entry["status"],
+                "attempts": entry.get("attempts", 1),
+                "created": entry.get("created_at"),
+                "active_job": key in active,
             })
             if identity.get("engine") is not None:
                 relations["produced_by"].append({
-                    "key": entry.key,
+                    "key": key,
                     "engine": identity["engine"],
                     "engine_rev": identity.get("engine_revision"),
                 })
             for context in _journal_contexts(entry):
                 relations["journal_touched"].append({
-                    "key": entry.key,
+                    "key": key,
                     "spec_hash": spec_hash,
                     "fpga_ctx": context.get("name"),
                     "functions": sorted(context.get("functions") or []),
@@ -274,13 +268,14 @@ class Ledger:
         return "\n".join(lines)
 
 
-def _journal_contexts(entry: StoreEntry) -> list[dict]:
+def _journal_contexts(entry: Mapping[str, Any]) -> list[dict]:
     """The FPGA context configurations a campaign entry's level-3 run
     journaled, as serialized in its outcome payload (empty for failed
     entries, stage entries, and runs that skipped level 3)."""
-    if entry.status != "ok" or not isinstance(entry.payload, Mapping):
+    payload = entry.get("payload")
+    if entry["status"] != "ok" or not isinstance(payload, Mapping):
         return []
-    stages = entry.payload.get("stages")
+    stages = payload.get("stages")
     if not isinstance(stages, Mapping):
         return []
     level3 = stages.get("level3")

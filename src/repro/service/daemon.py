@@ -32,7 +32,7 @@ from repro.api.spec import CampaignSpec
 # starts a thread or forks a job child.
 from repro.fleet.coordinator import FleetCoordinator, LocalTransport
 from repro.fleet.runner import RunnerAgent
-from repro.service.queue import JobQueue, job_summary
+from repro.service.queue import JobQueue, job_points, job_summary
 from repro.store import CampaignStore
 from repro.telemetry import metrics
 from repro.workloads import registry_info
@@ -294,21 +294,18 @@ class CampaignService:
         return document
 
     def _result_payload(self, job: dict) -> Optional[dict]:
-        spec = CampaignSpec.from_dict(job["spec"])
-        if not job.get("sweep"):
-            entry = self.store.get_campaign(spec)
-            if entry is None or entry["status"] != "ok":
-                return None
-            return entry["payload"]
         runs = []
-        for point in Campaign.sweep_specs(spec, job["sweep"]):
+        for point in job_points(job):
             entry = self.store.get_campaign(point)
             if entry is None or entry["status"] != "ok":
                 return None  # store gc'd under a done job: no payload
             runs.append(entry["payload"])
+        if not job.get("sweep"):
+            return runs[0]
         resume = (job.get("result") or {}).get("store_resume", {})
         return SweepResult(
-            base=spec, grid=job["sweep"], payloads=runs, store_used=True,
+            base=CampaignSpec.from_dict(job["spec"]), grid=job["sweep"],
+            payloads=runs, store_used=True,
             store_hits=resume.get("hits", []),
             executed=resume.get("executed", []),
             retried=resume.get("retried", [])).to_dict()

@@ -53,14 +53,6 @@ import uuid
 from pathlib import Path
 from typing import Any, Callable, Mapping, Optional
 
-from repro.records import (
-    JOB_SCHEMA,
-    JOB_STATES,
-    TERMINAL_STATES,
-    JobRecord,
-    Lease,
-    LeaseRow,
-)
 from repro.store import (
     campaign_identity,
     content_key,
@@ -87,11 +79,18 @@ DEFAULT_LEASE_TTL = 30.0
 QUEUE_SCHEMA = "repro.service_queue/v1"
 #: Version baked into the manifest; bump on incompatible layout changes.
 QUEUE_VERSION = 1
+#: Schema tag of every job record.
+JOB_SCHEMA = "repro.service_job/v1"
+
+#: Every state a job record can be in.
+JOB_STATES = ("queued", "running", "done", "failed", "cancelled")
+#: States a job never leaves on its own (re-submission re-queues them).
+TERMINAL_STATES = frozenset({"done", "failed", "cancelled"})
 
 __all__ = [
     "DEFAULT_LEASE_TTL", "QUEUE_SCHEMA", "QUEUE_VERSION", "JOB_SCHEMA",
     "JOB_STATES", "TERMINAL_STATES", "StaleLease", "JobQueue", "job_key",
-    "job_summary", "active_store_keys",
+    "job_points", "job_summary", "active_store_keys",
 ]
 
 
@@ -205,9 +204,17 @@ class JobQueue:
     # -- reads --------------------------------------------------------------------
 
     def get(self, job_id: str) -> Optional[dict]:
-        """The job record, or None (missing *or* unreadable)."""
+        """The job record, or None (missing *or* unreadable).
+
+        The read path's acceptance test: the schema, the id echo and a
+        known state.  A record failing it (a torn write, a foreign file,
+        a state this build does not know) reads as absent, so listings
+        and stats skip it rather than fail.
+        """
         document = self._read_json(self._job_path(job_id))
-        if not JobRecord.is_valid(document, job_id):
+        if (document is None or document.get("schema") != JOB_SCHEMA
+                or document.get("id") != job_id
+                or document.get("status") not in JOB_STATES):
             return None
         return document
 
@@ -310,29 +317,34 @@ class JobQueue:
             attempts = existing["attempts"] if existing is not None else 0
             generation = (existing.get("generation", 0)
                           if existing is not None else 0)
-            record = JobRecord(
-                id=job_id,
-                kind="sweep" if sweep_doc else "run",
-                status="queued",
-                priority=int(priority),
-                seq=0,  # taken below, unless admit() refuses the job
-                spec=spec.to_dict(),
-                sweep=sweep_doc,
-                name=spec.name,
-                workload=spec.workload,
-                tenant=tenant,
-                attempts=attempts,
+            record = {
+                "schema": JOB_SCHEMA,
+                "id": job_id,
+                "kind": "sweep" if sweep_doc else "run",
+                "status": "queued",
+                "priority": int(priority),
+                "seq": 0,  # taken below, unless admit() refuses the job
+                "spec": spec.to_dict(),
+                "sweep": sweep_doc,
+                # Always 1 (a job's sweep runs serially in its child); kept
+                # so records, queue directories and GET /v1/jobs keep one
+                # shape.
+                "jobs": 1,
+                "name": spec.name,
+                "workload": spec.workload,
+                "tenant": tenant,
+                "attempts": attempts,
                 # Never reset across re-queues: the generation fences
                 # zombie uploads from *any* earlier lease of this id.
-                generation=generation,
-                lease=None,
-                submitted_at=time.time(),
-                started_at=None,
-                finished_at=None,
-                worker=None,
-                error=None,
-                result=None,
-            ).to_dict()
+                "generation": generation,
+                "lease": None,
+                "submitted_at": time.time(),
+                "started_at": None,
+                "finished_at": None,
+                "worker": None,
+                "error": None,
+                "result": None,
+            }
             result = answer(record) if answer is not None else None
             if result is None and admit is not None:
                 admit()
@@ -390,12 +402,9 @@ class JobQueue:
             job["started_at"] = time.time()
             job["attempts"] += 1
             job["generation"] = job.get("generation", 0) + 1
-            job["lease"] = Lease(
-                id=uuid.uuid4().hex,
-                runner=worker,
-                ttl=float(ttl),
-                expires_at=time.time() + float(ttl),
-            ).to_dict()
+            job["lease"] = {"id": uuid.uuid4().hex, "runner": worker,
+                            "ttl": float(ttl),
+                            "expires_at": time.time() + float(ttl)}
             job = self._save(job)
             self._queued.discard(job["id"])  # only once journaled
             _CLAIMED.inc()
@@ -586,14 +595,17 @@ class JobQueue:
         return counts
 
     def live_leases(self, now: Optional[float] = None) -> list[dict]:
-        """One ``{job_id, runner, lease_id, expires_in}`` row per live
-        lease (the fleet section of ``GET /v1/stats``)."""
+        """One ``{job_id, runner, lease_id, generation, expires_in}`` row
+        per live lease (the fleet section of ``GET /v1/stats``)."""
         now = time.time() if now is None else now
         rows = []
         for job in self.list(status="running"):
-            row = LeaseRow.from_job(job, now)
-            if row is not None:
-                rows.append(row.to_dict())
+            lease = job.get("lease")
+            if lease is not None and lease["expires_at"] > now:
+                rows.append({"job_id": job["id"], "runner": lease["runner"],
+                             "lease_id": lease["id"],
+                             "generation": job.get("generation", 0),
+                             "expires_in": lease["expires_at"] - now})
         return rows
 
     def prune(self, keep_last: int = 0) -> int:
@@ -648,9 +660,43 @@ class JobQueue:
         return "\n".join(lines)
 
 
-def job_summary(job: dict) -> dict:
-    """The listing row for one job record (no spec/sweep bodies)."""
-    return JobRecord.from_dict(job).summary()
+def job_points(job: Mapping[str, Any]) -> list:
+    """The campaign spec of each grid point of one job record, in sweep
+    order (a run job is its one point).  Raises whatever parsing the
+    record's spec or sweep raises; each caller picks its own policy."""
+    from repro.api.campaign import Campaign
+    from repro.api.spec import CampaignSpec
+
+    return Campaign.sweep_specs(CampaignSpec.from_dict(job["spec"]),
+                                job.get("sweep") or {})
+
+
+def job_summary(job: Mapping[str, Any]) -> dict:
+    """The ``GET /v1/jobs`` listing row for one job record: no spec,
+    sweep or result bodies, and only the runner and expiry of a lease.
+    Keys an older build's record lacks (``kind``, ``seq``, ``tenant``,
+    ``generation``) read as their defaults."""
+    lease = job.get("lease")
+    return {
+        "id": job["id"],
+        "kind": job.get("kind", "run"),
+        "status": job["status"],
+        "priority": job["priority"],
+        "seq": job.get("seq", 0),
+        "name": job["name"],
+        "workload": job["workload"],
+        "attempts": job["attempts"],
+        "submitted_at": job["submitted_at"],
+        "started_at": job["started_at"],
+        "finished_at": job["finished_at"],
+        "worker": job["worker"],
+        "error": job["error"],
+        "tenant": job.get("tenant"),
+        "generation": job.get("generation", 0),
+        "lease": (None if lease is None
+                  else {"runner": lease["runner"],
+                        "expires_at": lease["expires_at"]}),
+    }
 
 
 def active_store_keys(queue: JobQueue) -> frozenset[str]:
@@ -663,8 +709,6 @@ def active_store_keys(queue: JobQueue) -> frozenset[str]:
     Jobs whose spec no longer parses under the current registry are
     skipped — their keys could not be recomputed by a worker either.
     """
-    from repro.api.campaign import Campaign
-    from repro.api.spec import CampaignSpec
     from repro.store import campaign_key
 
     keys: set[str] = set()
@@ -672,9 +716,7 @@ def active_store_keys(queue: JobQueue) -> frozenset[str]:
         if job["status"] in TERMINAL_STATES:
             continue
         try:
-            spec = CampaignSpec.from_dict(job["spec"])
-            keys.update(campaign_key(point) for point in
-                        Campaign.sweep_specs(spec, job.get("sweep") or {}))
+            keys.update(campaign_key(point) for point in job_points(job))
         except Exception:  # noqa: BLE001 — stale/foreign spec: skip
             continue
     return frozenset(keys)

@@ -56,7 +56,6 @@ try:
 except ImportError:  # pragma: no cover (no flock on platform)
     fcntl = None
 
-from repro.records import ENTRY_SCHEMA, StoreEntry
 from repro.serialize import canonical_json, json_safe
 from repro.swir import engine as _engine
 from repro.telemetry import metrics as _metrics
@@ -71,6 +70,10 @@ _PACK_READS = _metrics.counter("repro_store_pack_reads_total",
 
 #: Schema tag of the store manifest (``store.json`` at the root).
 STORE_SCHEMA = "repro.store/v1"
+#: Schema tag of every entry envelope.
+ENTRY_SCHEMA = "repro.store_entry/v1"
+#: The statuses an entry envelope may carry.
+ENTRY_STATUSES = ("ok", "error")
 #: Version baked into every content address; bump to invalidate every
 #: existing entry when the envelope layout or keying rules change.
 STORE_VERSION = 1
@@ -363,9 +366,14 @@ class CampaignStore:
 
     # -- reads --------------------------------------------------------------------
 
-    #: One acceptance test for every generation's read path, owned by
-    #: the typed record layer (:class:`repro.records.StoreEntry`).
-    _valid_envelope = staticmethod(StoreEntry.is_valid)
+    @staticmethod
+    def _valid_envelope(envelope: Optional[dict], key: str) -> bool:
+        """One acceptance test for every generation's read path: schema,
+        key echo and a known status; anything else reads as corrupt."""
+        return (isinstance(envelope, dict)
+                and envelope.get("schema") == ENTRY_SCHEMA
+                and envelope.get("key") == key
+                and envelope.get("status") in ENTRY_STATUSES)
 
     def get(self, key: str) -> Optional[dict]:
         """The entry envelope for ``key``, or None (miss *or* corrupt).
@@ -463,53 +471,41 @@ class CampaignStore:
             return 0
         return int(previous.get("attempts", 0) or 0)
 
+    def _put_entry(self, key: str, kind: str, identity: dict,
+                   spec: Optional[dict], payload: Optional[dict] = None,
+                   error: Optional[dict] = None) -> str:
+        """Write one entry envelope (status ``error`` iff ``error``)."""
+        return self._put(key, {
+            "schema": ENTRY_SCHEMA,
+            "key": key,
+            "kind": kind,
+            "status": "ok" if error is None else "error",
+            "identity": identity,
+            "spec": spec,
+            "payload": payload,
+            "error": error,
+            "attempts": self._attempts_before(key) + 1,
+            "created_at": time.time(),
+        })
+
     def put_campaign(self, spec, payload: dict) -> str:
         """Record one completed campaign outcome document; returns key."""
-        key = self.campaign_key(spec)
-        return self._put(key, StoreEntry(
-            key=key,
-            kind="campaign",
-            status="ok",
-            identity=campaign_identity(spec),
-            spec=spec.to_dict(),
-            payload=json_safe(payload),
-            error=None,
-            attempts=self._attempts_before(key) + 1,
-            created_at=time.time(),
-        ).to_dict())
+        return self._put_entry(self.campaign_key(spec), "campaign",
+                               campaign_identity(spec), spec.to_dict(),
+                               payload=json_safe(payload))
 
     def put_campaign_failure(self, spec, exc: BaseException) -> str:
         """Record one *failed* campaign point with its error envelope."""
-        key = self.campaign_key(spec)
-        return self._put(key, StoreEntry(
-            key=key,
-            kind="campaign",
-            status="error",
-            identity=campaign_identity(spec),
-            spec=spec.to_dict(),
-            payload=None,
-            error={
-                "type": type(exc).__name__,
-                "message": str(exc),
-            },
-            attempts=self._attempts_before(key) + 1,
-            created_at=time.time(),
-        ).to_dict())
+        return self._put_entry(self.campaign_key(spec), "campaign",
+                               campaign_identity(spec), spec.to_dict(),
+                               error={"type": type(exc).__name__,
+                                      "message": str(exc)})
 
     def put_stage(self, identity: dict, payload: dict) -> str:
         """Persist one stage artifact document under its identity."""
-        key = self.stage_key(identity)
-        return self._put(key, StoreEntry(
-            key=key,
-            kind="stage",
-            status="ok",
-            identity={"store_version": STORE_VERSION, **identity},
-            spec=None,
-            payload=json_safe(payload),
-            error=None,
-            attempts=self._attempts_before(key) + 1,
-            created_at=time.time(),
-        ).to_dict())
+        return self._put_entry(self.stage_key(identity), "stage",
+                               {"store_version": STORE_VERSION, **identity},
+                               None, payload=json_safe(payload))
 
     # -- maintenance --------------------------------------------------------------
 

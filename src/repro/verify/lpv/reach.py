@@ -38,7 +38,6 @@ class ReachabilityResult:
     """One checked submarking."""
 
     verdict: ReachVerdict
-    constraints: tuple[tuple[str, str, int], ...]
     #: a fractional firing-count witness when the LP is feasible
     sigma: Optional[dict[str, float]] = None
 
@@ -112,9 +111,8 @@ def check_submarking_unreachable(
         bounds=[(0, None)] * n_vars,
         method="highs",
     )
-    frozen = tuple(constraints)
     if result.status == 2:  # infeasible
-        return ReachabilityResult(ReachVerdict.UNREACHABLE, frozen)
+        return ReachabilityResult(ReachVerdict.UNREACHABLE)
     if not result.success:  # pragma: no cover - solver trouble
         raise RuntimeError(f"linprog failed: {result.message}")
     sigma = {
@@ -122,4 +120,4 @@ def check_submarking_unreachable(
         for i, t in enumerate(net.transitions)
         if result.x[i] > 1e-9
     }
-    return ReachabilityResult(ReachVerdict.POSSIBLY_REACHABLE, frozen, sigma)
+    return ReachabilityResult(ReachVerdict.POSSIBLY_REACHABLE, sigma)

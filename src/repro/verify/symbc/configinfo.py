@@ -21,13 +21,11 @@ class ConfigInfo:
     """Which FPGA function is present in which configuration.
 
     ``configurations`` maps context name -> set of implemented function
-    names.  ``reconfigure_name`` documents the reconfiguration procedure
-    (our IR has a dedicated ``Reconfigure`` statement, so the name is
-    informative only).
+    names.  The reconfiguration procedure needs no name: our IR has a
+    dedicated ``Reconfigure`` statement.
     """
 
     configurations: dict[str, frozenset[str]]
-    reconfigure_name: str = "reconfigure"
 
     def __post_init__(self) -> None:
         if not self.configurations:

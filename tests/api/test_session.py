@@ -39,62 +39,6 @@ class TestCaching:
         assert first.from_cache is True  # computed by the fixture already
         assert first.value is session.run("level1").value
 
-    def test_force_recomputes(self):
-        session = Session(SMALL)
-        session.run("profile")
-        session.run("profile")
-        assert session.compute_counts["profile"] == 1
-        session.run("profile", force=True)
-        assert session.compute_counts["profile"] == 2
-
-    def test_force_bypasses_level4_memo(self, monkeypatch):
-        """Level 4 is memoized process-wide, but force must recompute."""
-        from repro.api.stages import Level4Stage
-
-        calls = []
-
-        def fake_verify(self, run_pcc):
-            calls.append(run_pcc)
-            return len(calls)
-
-        monkeypatch.setattr(Level4Stage, "_verify", fake_verify)
-        monkeypatch.setattr(Level4Stage, "_memo", {})
-        first = Session(SMALL).run("level4").value
-        other = Session(SMALL)
-        assert other.run("level4").value == first  # memo shared
-        assert len(calls) == 1
-        assert other.run("level4", force=True).value != first
-        assert len(calls) == 2
-
-    @pytest.mark.parametrize("stage, change", [
-        ("level2", {"deadline_ms": 1000.0}),
-        ("level3", {"capacity_gates": 12_000}),
-    ])
-    def test_force_bypasses_shared_simulation(self, monkeypatch, stage,
-                                              change):
-        """A timed simulation is shared across a session lineage, but
-        force must re-simulate."""
-        from repro.api import stages
-
-        calls = []
-        original = getattr(stages, f"run_{stage}")
-
-        def counting_run(*args, **kwargs):
-            calls.append(stage)
-            return original(*args, **kwargs)
-
-        monkeypatch.setattr(stages, f"run_{stage}", counting_run)
-        session = Session(SMALL)
-        first = session.value(stage)
-        derived = session.with_spec(**change)
-        # Shared: the simulated trace is the same object.
-        assert derived.value(stage).metrics.trace is first.metrics.trace
-        assert len(calls) == 1
-        forced = derived.run(stage, force=True).value
-        assert len(calls) == 2
-        assert forced.metrics.trace is not first.metrics.trace
-        assert forced.to_dict() == derived.value(stage).to_dict()
-
     @pytest.mark.parametrize("stage", ["level2", "level3"])
     def test_put_of_a_read_value_resimulates(self, stage):
         """A shared simulation never answers for other inputs: after level 1
@@ -186,6 +130,10 @@ class TestWithSpec:
         derived = session.with_spec(capacity_gates=20_000)
         assert cached(derived, "level2")
         assert not cached(derived, "level3")
+        # A capacity that maps the same contexts shares the simulation.
+        same_contexts = session.with_spec(capacity_gates=12_000)
+        assert same_contexts.value("level3").metrics.trace is \
+            session.value("level3").metrics.trace
 
     def test_derived_session_artifacts_shared(self, session):
         derived = session.with_spec(deadline_ms=100.0)

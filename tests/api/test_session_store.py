@@ -8,7 +8,7 @@ process-local class memo.  The reloaded artifact must gate, serialize
 and describe identically to the live one.
 
 One real level-4 verification seeds a module-scoped store; the tests
-around it assert reload/force/derivation semantics against that entry
+around it assert reload/derivation semantics against that entry
 (cheap), and memo-interaction tests stub the verification out entirely.
 """
 
@@ -130,9 +130,11 @@ class TestMemoInteraction:
         local = CampaignStore(tmp_path / "store")
         Session(SPEC, store=local).run("level4")
         assert Level4Stage._memo == {}  # never touched
-        # ... while a storeless session still memoizes process-wide.
-        Session(SPEC).run("level4")
+        # ... while a storeless session still memoizes process-wide,
+        # and the memo answers the next storeless session.
+        first = Session(SPEC).run("level4").value
         assert (SPEC.workload, SPEC.run_pcc) in Level4Stage._memo
+        assert Session(SPEC).run("level4").value is first
         assert len(stubbed) == 2
 
     def test_memo_does_not_leak_into_the_store_path(self, tmp_path,
@@ -146,14 +148,3 @@ class TestMemoInteraction:
         # ... and persisted: the next store session reloads.
         again = Session(SPEC, store=local).run("level4")
         assert again.from_store and len(stubbed) == 2
-
-    def test_force_recomputes_and_overwrites(self, tmp_path, stubbed):
-        local = CampaignStore(tmp_path / "store")
-        session = Session(SPEC, store=local)
-        session.run("level4")
-        key = local.stage_key(LEVEL4_IDENTITY)
-        assert local.get(key)["attempts"] == 1
-        forced = session.run("level4", force=True)
-        assert not forced.from_store
-        assert local.get(key)["attempts"] == 2
-        assert len(stubbed) == 2

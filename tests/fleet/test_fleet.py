@@ -314,6 +314,20 @@ class TestCoordinator:
             "jobs_done": 2000, "jobs_failed": 2000, "points_hit": 2000,
             "points_executed": 4000, "points_retried": 0}
 
+    def test_runner_row_counts_each_protocol_verb(self):
+        before = time.time()
+        state = FleetState()
+        for event in ("claims", "heartbeats", "heartbeats", "uploads"):
+            state.saw_runner("r1", event)
+        row = state.snapshot()["runners"]["r1"]
+        assert sorted(row) == ["claims", "first_seen", "heartbeats",
+                               "last_seen", "uploads"]
+        assert (row["claims"], row["heartbeats"], row["uploads"]) == \
+            (1, 2, 1)
+        assert before <= row["first_seen"] <= row["last_seen"] <= time.time()
+        row["claims"] = 99  # a snapshot is a copy
+        assert state.snapshot()["runners"]["r1"]["claims"] == 1
+
     def test_upload_refuses_malformed_documents(self, coordinator, queue):
         queue.submit(SPEC)
         job = coordinator.claim("r1", ttl=30.0)
@@ -408,6 +422,25 @@ class TestRunnerEndToEnd:
         assert failed["status"] == "failed"
         assert failed["error"]["type"] == "ServiceInternalError"
         assert service.queue.get(second["id"])["status"] == "done"
+
+    def test_claim_and_stats_serve_the_lease_rows(self, service):
+        client = ServiceClient(service.url)
+        client.submit(SPEC.to_dict())
+        before = time.time()
+        job = client.claim("r1", ttl=30.0)
+        lease = job["lease"]
+        assert sorted(lease) == ["expires_at", "id", "runner", "ttl"]
+        assert lease["runner"] == "r1" and lease["ttl"] == 30.0
+        assert before + 30.0 <= lease["expires_at"] <= time.time() + 30.0
+        fleet = client.stats()["fleet"]
+        assert fleet["live_leases"] == 1
+        [row] = fleet["leases"]
+        assert sorted(row) == ["expires_in", "generation", "job_id",
+                               "lease_id", "runner"]
+        assert (row["job_id"], row["runner"], row["lease_id"],
+                row["generation"]) == (job["id"], "r1", lease["id"], 1)
+        assert 0.0 < row["expires_in"] <= 30.0
+        assert fleet["runners"]["r1"]["claims"] == 1
 
     def test_stats_document_and_cli_table_carry_the_fleet(self, service,
                                                           tmp_path):

@@ -2,9 +2,14 @@
 
 import pytest
 
-from repro.facerec import FacerecConfig, build_graph, case_study_partition
+from repro.facerec import (
+    FacerecConfig,
+    Trace,
+    build_graph,
+    case_study_partition,
+    compare_traces,
+)
 from repro.facerec.camera import CameraConfig, FaceSampler
-from repro.facerec.tracing import Trace, compare_traces
 from repro.platform import (
     ARM7TDMI,
     Partition,

@@ -228,6 +228,28 @@ class TestRoutes:
         assert [j["workload"] for j in client.jobs(workload="facerec")] == \
             ["facerec"]
 
+    def test_listing_row_is_the_job_summary(self, idle_service):
+        from repro.service.queue import job_summary
+
+        client = ServiceClient(idle_service.url)
+        job = client.submit(FAST.to_dict(), tenant="ops")
+        assert client.jobs() == [
+            job_summary(idle_service.queue.get(job["id"]))]
+
+    def test_record_in_an_unknown_state_is_left_out(self, idle_service):
+        """A record the queue cannot read is the daemon's disk, not the
+        client's request: the operator routes answer without it."""
+        client = ServiceClient(idle_service.url)
+        kept = client.submit(FAST.to_dict())
+        odd = client.submit(FAST.replace(name="odd").to_dict())
+        path = idle_service.queue._job_path(odd["id"])
+        path.write_text(json.dumps(dict(json.loads(path.read_text()),
+                                        status="paused")))
+        assert [job["id"] for job in client.jobs()] == [kept["id"]]
+        stats = client.stats()
+        assert stats["queue"]["by_status"]["queued"] == 1
+        assert "paused" not in stats["queue"]["by_status"]
+
     def test_cancel_queued_then_conflict(self, idle_service):
         client = ServiceClient(idle_service.url)
         job = client.submit(FAST.to_dict())

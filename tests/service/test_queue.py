@@ -18,6 +18,18 @@ from repro.service.queue import (
 SPEC = CampaignSpec(name="queued", workload="blockcipher", frames=1,
                     levels=(1,), params={"block_words": 4})
 
+#: The job-record key set as written since the queue's first release
+#: (records are dumped with sorted keys, so keys + values are the bytes).
+JOB_KEYS = ["attempts", "error", "finished_at", "generation", "id", "jobs",
+            "kind", "lease", "name", "priority", "result", "schema", "seq",
+            "spec", "started_at", "status", "submitted_at", "sweep",
+            "tenant", "worker", "workload"]
+
+#: The ``GET /v1/jobs`` listing row of one job.
+SUMMARY_KEYS = ["attempts", "error", "finished_at", "generation", "id",
+                "kind", "lease", "name", "priority", "seq", "started_at",
+                "status", "submitted_at", "tenant", "worker", "workload"]
+
 
 @pytest.fixture
 def queue(tmp_path):
@@ -48,6 +60,19 @@ class TestContentAddressing:
         assert job["id"] == job_key(SPEC)
         assert job["schema"] == JOB_SCHEMA
         assert job["status"] == "queued" and job["kind"] == "run"
+
+    def test_every_transition_journals_one_record_shape(self, queue):
+        job, _ = queue.submit(SPEC, sweep={"frames": [1, 2]}, priority=3,
+                              tenant="ops")
+        assert sorted(job) == JOB_KEYS
+        assert (job["kind"], job["jobs"], job["tenant"]) == ("sweep", 1, "ops")
+        claimed = queue.claim("w0")
+        assert sorted(claimed) == JOB_KEYS
+        done = queue.complete(job["id"], {"passed": True}, **fence(claimed))
+        on_disk = json.loads(queue._job_path(job["id"]).read_text())
+        assert list(on_disk) == JOB_KEYS and on_disk == done
+        answered, _ = queue.submit(SPEC, answer=lambda record: {"ok": 1})
+        assert sorted(answered) == JOB_KEYS
 
 
 class TestCoalescing:
@@ -231,6 +256,21 @@ class TestDurability:
         assert [j["id"] for j in queue.list()] == [job["id"]]
         assert queue.get("0badc0de") is None
 
+    @pytest.mark.parametrize("change", [
+        {"schema": "other/v1"},
+        {"id": "0" * 64},
+        {"status": "paused"},  # a state this build does not know
+    ], ids=["schema", "id", "state"])
+    def test_record_failing_the_read_test_reads_as_absent(self, queue,
+                                                          change):
+        job, _ = queue.submit(SPEC)
+        other, _ = queue.submit(SPEC.replace(name="other"))
+        queue._job_path(other["id"]).write_text(json.dumps(
+            dict(other, **change)))
+        assert queue.get(other["id"]) is None
+        assert [j["id"] for j in queue.list()] == [job["id"]]
+        assert queue.stats()["by_status"]["queued"] == 1
+
     def test_open_missing_queue_without_create_raises(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             JobQueue(tmp_path / "nope", create=False)
@@ -387,3 +427,30 @@ class TestListingAndStats:
         summary = job_summary(job)
         assert summary["id"] == job["id"]
         assert "spec" not in summary and "sweep" not in summary
+
+    def test_job_summary_row_is_pinned(self, queue):
+        job, _ = queue.submit(SPEC, priority=2, tenant="ops")
+        summary = job_summary(job)
+        assert sorted(summary) == SUMMARY_KEYS
+        assert summary == {key: job[key] for key in SUMMARY_KEYS}
+        # A leased job's row shows the runner and expiry only.
+        claimed = queue.claim("r-1")
+        assert job_summary(claimed)["lease"] == {
+            "runner": "r-1", "expires_at": claimed["lease"]["expires_at"]}
+        # A record from a build before these keys reads with defaults.
+        older = {key: value for key, value in job.items()
+                 if key not in ("kind", "seq", "tenant", "generation")}
+        row = job_summary(older)
+        assert (row["kind"], row["seq"], row["tenant"],
+                row["generation"]) == ("run", 0, None, 0)
+
+    def test_live_leases_row_per_live_lease(self, queue):
+        queue.submit(SPEC)
+        claimed = queue.claim("r-1", ttl=30.0)
+        lease = claimed["lease"]
+        now = lease["expires_at"] - 10.0
+        assert queue.live_leases(now=now) == [{
+            "job_id": claimed["id"], "runner": "r-1",
+            "lease_id": lease["id"], "generation": 1, "expires_in": 10.0}]
+        # A lapsed lease has no row (the expiry sweep re-queues it).
+        assert queue.live_leases(now=lease["expires_at"]) == []

@@ -31,6 +31,11 @@ OTHER = SPEC.replace(frames=2)
 PAYLOAD = {"schema": "repro.campaign_outcome/v1", "passed": True,
            "wall_seconds": 1.25, "stages": {}}
 
+#: The envelope key set as journalled since the store's first release
+#: (entries are dumped with sorted keys, so keys + values are the bytes).
+ENTRY_KEYS = ["attempts", "created_at", "error", "identity", "key", "kind",
+              "payload", "schema", "spec", "status"]
+
 
 @pytest.fixture
 def store(tmp_path):
@@ -93,6 +98,21 @@ class TestRoundTrip:
         assert envelope["error"] is None
         assert envelope["attempts"] == 1
         assert envelope["spec"] == SPEC.to_dict()
+
+    def test_every_writer_journals_one_envelope_shape(self, store):
+        stage = {"stage": "level4", "workload": "facerec",
+                 "workload_revision": 1, "run_pcc": False}
+        keys = [store.put_campaign(SPEC, PAYLOAD),
+                store.put_campaign_failure(OTHER, RuntimeError("boom")),
+                store.put_stage(stage, {"verified": True})]
+        for key in keys:
+            on_disk = json.loads(store._entry_path(key).read_text())
+            assert list(on_disk) == ENTRY_KEYS
+            assert on_disk == store.get(key)
+        stage_entry = store.get(keys[2])
+        assert stage_entry["kind"] == "stage" and stage_entry["spec"] is None
+        assert stage_entry["identity"] == {"store_version": STORE_VERSION,
+                                           **stage}
 
     def test_miss_returns_none_and_counts(self, store):
         assert store.get_campaign(SPEC) is None
@@ -187,6 +207,13 @@ class TestCorruptionTolerance:
         self.corrupt(store, key, json.dumps({"schema": "other/v1",
                                              "key": key}))
         assert store.get(key) is None
+
+    def test_unknown_status_is_a_miss(self, store):
+        key = store.put_campaign(SPEC, PAYLOAD)
+        envelope = store.get(key)
+        self.corrupt(store, key, json.dumps(dict(envelope, status="pending")))
+        assert store.get(key) is None
+        assert store.corrupt  # remembered for gc
 
     def test_corrupt_entry_can_be_overwritten(self, store):
         key = store.put_campaign(SPEC, PAYLOAD)

@@ -51,7 +51,7 @@ class _SlowStage(FlowStage):
 
 def _run_stage(store_root, log, barrier, results):
     """Child: wait at the barrier, then run the slow stage on the store."""
-    ctx = types.SimpleNamespace(store=CampaignStore(store_root), forcing=None)
+    ctx = types.SimpleNamespace(store=CampaignStore(store_root))
     barrier.wait()
     result = _SlowStage(log).run(ctx)
     with open(results, "a") as stream:
@@ -155,17 +155,6 @@ class TestStageComputedOnce:
         assert sorted(results.read_text().split()) == ["False", "True"]
         store = CampaignStore(tmp_path / "store")
         assert store.get_stage({"stage": "slow"}) == {"value": 42}
-
-    def test_forced_run_recomputes_under_the_lock(self, tmp_path):
-        log = tmp_path / "computed.log"
-        ctx = types.SimpleNamespace(store=CampaignStore(tmp_path / "store"),
-                                    forcing=None)
-        stage = _SlowStage(str(log))
-        assert not stage.run(ctx).from_store
-        assert stage.run(ctx).from_store
-        ctx.forcing = "slow"
-        assert not stage.run(ctx).from_store
-        assert log.read_text() == "computed\n" * 2
 
 
 @pytest.mark.parametrize("status", ["ok", "error"])

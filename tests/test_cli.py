@@ -165,7 +165,7 @@ FLOW_MODULES = ("numpy", "repro.flow", "repro.api.session", "repro.kernel",
 #: Modules a cold flow runs none of, so must not load: the store, the
 #: architecture explorer, level 1's deadlock proof and both SWIR
 #: executors (no flow level executes SWIR).
-FLOW_UNUSED = ("repro.store", "repro.records", "repro.platform.explorer",
+FLOW_UNUSED = ("repro.store", "repro.platform.explorer",
                "repro.verify.lpv.petri", "repro.verify.lpv.translate",
                "repro.verify.lpv.reach", "repro.verify.lpv.deadlock",
                "repro.swir.interp", "repro.swir.engine_batched",
